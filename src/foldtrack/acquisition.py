@@ -54,14 +54,6 @@ class AcquisitionConfig:
         return a, b
 
 
-@dataclass(frozen=True)
-class Candidate:
-    x: tuple[float, float]
-    beta: float
-    predicted_F: float
-    predicted_var: float
-
-
 @dataclass
 class CollectionRecord:
     collection_idx: int
@@ -143,16 +135,6 @@ def sensitivity_beta(model: GprModel, x_cand, x_sol) -> float:
     g_base = model.predict_mean_derivs(x_sol_pair).d_A
     g_aug = augmented.predict_mean_derivs(x_sol_pair).d_A
     return abs(g_aug - g_base)
-
-
-def score_candidates(model: GprModel, candidates, x_sol) -> list[Candidate]:
-    scored = []
-    for x in candidates:
-        var = model.predict_var(x)
-        mean = model.predict_mean(x)
-        scored.append(Candidate(x=tuple(x), beta=sensitivity_beta(model, x, x_sol),
-                                predicted_F=mean, predicted_var=var))
-    return scored
 
 
 def improve_solution(model: GprModel, experiment, x_sol: FoldPoint, t_prev: Tangent,

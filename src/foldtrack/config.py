@@ -47,6 +47,11 @@ class OracleSpec:
         if self.name not in self.KNOWN:
             raise ConfigError(f"unknown oracle '{self.name}'; known: {self.KNOWN}")
 
+    def to_dict(self) -> dict:
+        return {"name": self.name, "params": dict(self.params),
+                "domain_box": self.domain_box.as_dict() if self.domain_box else None,
+                "seed": self.seed}
+
 
 @dataclass(frozen=True)
 class InitConfig:
@@ -100,12 +105,7 @@ class RunConfig:
         c = self.continuation
         a = self.acquisition
         return {
-            "oracle": {
-                "name": self.oracle.name,
-                "params": dict(self.oracle.params),
-                "domain_box": self.oracle.domain_box.as_dict() if self.oracle.domain_box else None,
-                "seed": self.oracle.seed,
-            },
+            "oracle": self.oracle.to_dict(),
             "init": {
                 "x0": {"omega": self.init.x0_omega, "A": self.init.x0_A},
                 "grid_shape": list(self.init.grid_shape),
@@ -155,16 +155,19 @@ def _parse_hyper(d, where) -> Hyperparameters:
         raise ConfigError(f"{where}: {e}") from e
 
 
+def _parse_oracle(raw: dict) -> OracleSpec:
+    _require_keys(raw, {"name", "params", "domain_box", "seed"}, {"name"}, "oracle")
+    box = _parse_domain_box(raw["domain_box"], "oracle.domain_box") if raw.get("domain_box") else None
+    return OracleSpec(name=raw["name"], params=dict(raw.get("params") or {}),
+                      domain_box=box, seed=raw.get("seed"))
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     _require_keys(raw, {"oracle", "init", "hyperparameters", "continuation",
                         "acquisition", "seed", "threads", "measure_at_solution", "units"},
                   {"oracle", "init", "hyperparameters"}, "config")
 
-    o = raw["oracle"]
-    _require_keys(o, {"name", "params", "domain_box", "seed"}, {"name"}, "oracle")
-    box = _parse_domain_box(o["domain_box"], "oracle.domain_box") if o.get("domain_box") else None
-    oracle = OracleSpec(name=o["name"], params=dict(o.get("params") or {}),
-                        domain_box=box, seed=o.get("seed"))
+    oracle = _parse_oracle(raw["oracle"])
 
     i = raw["init"]
     _require_keys(i, {"x0", "grid_shape", "half_widths"}, {"x0"}, "init")
@@ -267,9 +270,7 @@ class SweepConfig:
 
     def to_dict(self) -> dict:
         return {
-            "oracle": {"name": self.oracle.name, "params": dict(self.oracle.params),
-                       "domain_box": self.oracle.domain_box.as_dict() if self.oracle.domain_box else None,
-                       "seed": self.oracle.seed},
+            "oracle": self.oracle.to_dict(),
             "sweep": {"omega_start": self.omega_start, "omega_stop": self.omega_stop,
                       "omega_step": self.omega_step, "A_start": self.A_start,
                       "A_stop": self.A_stop, "A_step": self.A_step},
@@ -324,13 +325,6 @@ class OfflineConfig:
                 "x0": list(self.x0) if self.x0 else None,
                 "max_steps": self.max_steps, "h": self.h, "h_max": self.h_max,
                 "seed": self.seed}
-
-
-def _parse_oracle(raw: dict) -> OracleSpec:
-    _require_keys(raw, {"name", "params", "domain_box", "seed"}, {"name"}, "oracle")
-    box = _parse_domain_box(raw["domain_box"], "oracle.domain_box") if raw.get("domain_box") else None
-    return OracleSpec(name=raw["name"], params=dict(raw.get("params") or {}),
-                      domain_box=box, seed=raw.get("seed"))
 
 
 def sweep_config_from_dict(raw: dict) -> SweepConfig:

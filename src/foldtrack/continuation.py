@@ -11,8 +11,12 @@ units.
 Surrogates are unreliable outside the cloud of training data, so every
 Newton iterate is kept inside it: steps are clipped to one length scale and
 backtracked when they would exit the cloud (or the domain box).  A run that
-cannot make progress that way fails with NoConvergence and the driver
-shrinks the continuation step.
+cannot make progress that way fails with NoConvergence or LeftDataCloud.
+
+`advance` is the one stepper: tangent, prediction, domain-box check,
+correction and halving of the continuation step until a step is accepted.
+The online driver (`trace`) and the offline traces (`offline`, `ensemble`)
+both step with it.
 """
 
 from __future__ import annotations
@@ -74,6 +78,12 @@ class CorrectorOutcome:
 
 @dataclass(frozen=True)
 class ContinuationConfig:
+    """Step sizes, corrector tolerance, domain box and the step budget.
+
+    `max_steps` counts accepted steps, online and offline alike; attempts
+    rejected on the way to an accepted step do not use it up.
+    """
+
     h: float = 0.1
     h_min: float = 1e-3
     h_max: float = 0.5
@@ -269,3 +279,34 @@ def step_size_control(outcome: CorrectorOutcome, h: float, cfg: ContinuationConf
     if outcome.iterations <= 3:
         return min(1.2 * h, cfg.h_max, 1.0)
     return min(h, cfg.h_max)
+
+
+# -- stepper ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Step:
+    """An accepted step: the corrector's result, its tangent and the h it used."""
+
+    result: CorrectResult
+    tangent: Tangent
+    h: float
+
+
+def advance(model: GprModel, fold: FoldPoint, prev: Tangent | None, h: float,
+            cfg: ContinuationConfig) -> Step:
+    """One accepted pseudo-arclength step from the accepted solution `fold`.
+
+    The tangent at `fold` is oriented along `prev`.  A prediction outside the
+    domain box, and a corrector that fails with NoConvergence or
+    LeftDataCloud, halve h and retry.  Raises StepUnderflow when h would fall
+    below h_min and SingularJacobian at a cusp; the model is never changed.
+    """
+    tangent = tangent_at(model, fold, prev)
+    while True:
+        x_pred = predict_step(fold, tangent, h, model.hyper)
+        if cfg.domain_box is None or cfg.domain_box.contains(*x_pred):
+            try:
+                return Step(correct(model, x_pred, fold, tangent, h, cfg), tangent, h)
+            except (NoConvergence, LeftDataCloud):
+                pass
+        h = step_size_control(CorrectorOutcome(False, 0), h, cfg)

@@ -123,11 +123,3 @@ def write_manifest(path, *, config_dict: dict, seed: int, threads: int,
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return manifest
-
-
-def read_manifest(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise MissingInput(f"manifest not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

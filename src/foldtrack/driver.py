@@ -1,13 +1,14 @@
-"""Online fold-tracking driver: initialization, predictor-corrector loop,
+"""Online fold-tracking driver: initialization, the online step loop,
 active data collection, artifact writing.
 
 One run: measure an n0 seed grid, fit kernel hyperparameters on it, locate
-a first fold at the starting frequency, then alternate tangent prediction,
-arclength-constrained correction and data collection until the step budget,
-the domain boundary, or a step underflow ends the run.  Following the
-original procedure, a measurement is also taken at each accepted solution
-(configurable), so the logged curve carries both the surrogate's force
-estimate and a directly measured one.
+a first fold at the starting frequency, then take accepted steps with the
+stepper `continuation.advance` until the step budget, the domain boundary,
+a step underflow or a cusp ends the run.  After each accepted step the
+driver does what only an online run can: it measures at the solution
+(configurable, so the logged curve carries both the surrogate's force
+estimate and a directly measured one), collects data until the solution is
+robust to new measurements, and optionally refits the hyperparameters.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import numpy as np
 from . import csvio
 from .acquisition import CollectionRecord, improve_solution
 from .config import RunConfig, make_oracle
-from .continuation import (CorrectorOutcome, FoldPoint, Tangent, correct,
-                           find_first_fold, predict_step, step_size_control, tangent_at)
+from .continuation import (CorrectorOutcome, FoldPoint, Tangent, advance, correct,
+                           find_first_fold, step_size_control, tangent_at)
+from .continuation import predict_step  # noqa: F401 (perfbench wraps it here)
 from .errors import (CollectionCap, ContinuationError, DomainExhausted, DuplicatePoint,
-                     LeftDataCloud, NoConvergence, OracleError, SingularJacobian,
-                     StepUnderflow)
+                     OracleError, SingularJacobian, StepUnderflow)
 from .gpr import Dataset, GprModel, build, fit_hyperparameters
 
 log = logging.getLogger(__name__)
@@ -100,12 +101,11 @@ def _measure_at_solution(model, oracle, fold, tangent, ccfg):
 
 def _improve(model, oracle, fold, tangent, h, cfg, seed):
     try:
-        result = improve_solution(model, oracle, fold, tangent, h,
-                                  cfg.acquisition, cfg.continuation, seed=seed)
-        return result, False
+        return improve_solution(model, oracle, fold, tangent, h,
+                                cfg.acquisition, cfg.continuation, seed=seed)
     except CollectionCap as cap:
         warnings.warn(str(cap), stacklevel=2)
-        return cap.result, True
+        return cap.result
 
 
 def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
@@ -126,45 +126,28 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
     tangent = tangent_at(model, fold, None)
     if cfg.measure_at_solution:
         model, fold = _measure_at_solution(model, oracle, fold, tangent, ccfg)
-    imp, _ = _improve(model, oracle, fold, tangent, 0.0, cfg, seed=(cfg.seed, 0))
+    imp = _improve(model, oracle, fold, tangent, 0.0, cfg, seed=(cfg.seed, 0))
     model, fold = imp.model, imp.fold
     steps = [StepRecord(step=0, fold=fold, tangent=tangent, h=0.0, newton_iters=0,
                         collections=imp.collections, beta_final=imp.beta_max_final)]
 
     h = ccfg.h
     reason, status = "max_steps", "ok"
-    k = 1
-    while k <= ccfg.max_steps:
+    for k in range(1, ccfg.max_steps + 1):
         try:
-            tangent = tangent_at(model, fold, steps[-1].tangent)
-        except SingularJacobian as e:
-            reason, status = f"singular_jacobian: {e}", "ok"
+            step = advance(model, fold, steps[-1].tangent, h, ccfg)
+        except StepUnderflow:
+            reason = "domain_exit_or_step_underflow"
             break
-        try:
-            x_pred = predict_step(fold, tangent, h, model.hyper)
-            if ccfg.domain_box is not None and not ccfg.domain_box.contains(*x_pred):
-                h = step_size_control(CorrectorOutcome(False, 0), h, ccfg)
-                continue
-            res = correct(model, x_pred, fold, tangent, h, ccfg)
-        except (NoConvergence, LeftDataCloud, StepUnderflow) as e:
-            if isinstance(e, StepUnderflow):
-                reason = "domain_exit_or_step_underflow"
-                break
-            try:
-                h = step_size_control(CorrectorOutcome(False, 0), h, ccfg)
-            except StepUnderflow:
-                reason = "domain_exit_or_step_underflow"
-                break
-            continue
         except SingularJacobian as e:
             reason = f"singular_jacobian: {e}"
             break
 
-        fold_k = res.point
+        fold_k, iters = step.result.point, step.result.iterations
         try:
             if cfg.measure_at_solution:
-                model, fold_k = _measure_at_solution(model, oracle, fold_k, tangent, ccfg)
-            imp, _ = _improve(model, oracle, fold_k, tangent, h, cfg, seed=(cfg.seed, k))
+                model, fold_k = _measure_at_solution(model, oracle, fold_k, step.tangent, ccfg)
+            imp = _improve(model, oracle, fold_k, step.tangent, step.h, cfg, seed=(cfg.seed, k))
             model, fold_k = imp.model, imp.fold
         except OracleError as e:
             log.error("oracle failed mid-run at step %d: %s", k, e)
@@ -174,17 +157,16 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
             reason, status = f"refresh_failed: {e}", "continuation_error"
             break
 
-        steps.append(StepRecord(step=k, fold=fold_k, tangent=tangent, h=h,
-                                newton_iters=res.iterations,
+        steps.append(StepRecord(step=k, fold=fold_k, tangent=step.tangent, h=step.h,
+                                newton_iters=iters,
                                 collections=imp.collections, beta_final=imp.beta_max_final))
         fold = fold_k
-        h = step_size_control(CorrectorOutcome(True, res.iterations), h, ccfg)
+        h = step_size_control(CorrectorOutcome(True, iters), step.h, ccfg)
 
         if cfg.hyper.refit_each_step:
             hyper = fit_hyperparameters(model.dataset, hyper, bounds=cfg.hyper.bounds,
                                         n_starts=1, seed=cfg.seed)
             model = build(model.dataset, hyper)
-        k += 1
 
     return TraceResult(steps=steps, model=model, hyper_fitted=hyper,
                        reason=reason, status=status)

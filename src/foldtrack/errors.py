@@ -19,7 +19,7 @@ class OptimizationFailure(FoldtrackError):
     """Hyperparameter fit failed on every restart; caller keeps its initial guess."""
 
 
-class DuplicatePoint(FoldtrackError):
+class DuplicatePoint(FoldtrackError, ValueError):
     """Input location coincides with an existing training input within tolerance."""
 
 

@@ -1,9 +1,4 @@
-"""Domain boxes and normalized-coordinate helpers.
-
-Continuation arithmetic runs in length-scale units (omega / l_omega,
-A / l_A) so that a single scalar step size is meaningful regardless of the
-physical units of a particular experiment.
-"""
+"""Domain boxes: the admissible region of (omega, A) in physical units."""
 
 from __future__ import annotations
 
@@ -32,20 +27,6 @@ class DomainBox:
         return (self.omega_min <= omega <= self.omega_max
                 and self.A_min <= A <= self.A_max)
 
-    def clip(self, omega: float, A: float) -> tuple[float, float]:
-        return (float(np.clip(omega, self.omega_min, self.omega_max)),
-                float(np.clip(A, self.A_min, self.A_max)))
-
     def as_dict(self) -> dict:
         return {"omega_min": self.omega_min, "omega_max": self.omega_max,
                 "A_min": self.A_min, "A_max": self.A_max}
-
-
-def to_normalized(omega, A, hyper):
-    """Physical (omega, A) -> length-scale units."""
-    return omega / hyper.l_omega, A / hyper.l_A
-
-
-def from_normalized(u, v, hyper):
-    """Length-scale units -> physical (omega, A)."""
-    return u * hyper.l_omega, v * hyper.l_A

@@ -9,8 +9,9 @@ during an experiment affordable.
 
 All quantities live in the physical units of the experiment; the prior
 mean is zero in those units, so predictions revert to zero force far away
-from the data.  Coordinates are only rescaled by the length scales where
-a dimensionless distance is needed (duplicate checks, continuation).
+from the data.  Coordinates are only rescaled where a dimensionless
+distance is needed: by the spread of the inputs for the duplicate rule, by
+the length scales in continuation.
 """
 
 from __future__ import annotations
@@ -98,18 +99,27 @@ class FitBounds:
         return lo, hi
 
 
+def _spreads(X: np.ndarray) -> np.ndarray:
+    """Per-column range of the inputs, 1 where a column is constant."""
+    s = np.ptp(X, axis=0)
+    s[s == 0.0] = 1.0
+    return s
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Training inputs (omega, A) and measured force amplitudes F.
 
     Arrays are frozen at construction; append/drop return new datasets.
-    Near-identical inputs are rejected because they make the noise-free
-    covariance factor singular.
+    Two inputs closer than DUPLICATE_TOL, with each coordinate divided by
+    the spread of the inputs, are duplicates and raise DuplicatePoint: they
+    make the noise-free covariance factor singular.  The constructor checks
+    every pair; `append` checks the new input against the others, in O(n);
+    `drop` checks nothing, because removing a point only shrinks the spreads.
     """
 
     X: np.ndarray  # (n, 2) columns omega, A
     F: np.ndarray  # (n,)
-    duplicate_tol: float = DUPLICATE_TOL
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -131,17 +141,24 @@ class Dataset:
         self._check_duplicates()
 
     def _check_duplicates(self):
-        n = self.n
-        if n < 2:
+        if self.n < 2:
             return
-        scales = np.ptp(self.X, axis=0)
-        scales[scales == 0.0] = 1.0
-        Z = self.X / scales
+        Z = self.X / _spreads(self.X)
         d2 = np.sum((Z[:, None, :] - Z[None, :, :]) ** 2, axis=-1)
         np.fill_diagonal(d2, np.inf)
-        if np.min(d2) < self.duplicate_tol**2:
+        if np.min(d2) < DUPLICATE_TOL**2:
             i, j = np.unravel_index(np.argmin(d2), d2.shape)
-            raise ValueError(f"inputs {i} and {j} coincide within duplicate tolerance")
+            raise DuplicatePoint(f"inputs {i} and {j} coincide within duplicate tolerance")
+
+    @classmethod
+    def _trusted(cls, X: np.ndarray, F: np.ndarray) -> "Dataset":
+        """Wrap fresh arrays already known to form a valid dataset, unchecked."""
+        ds = object.__new__(cls)
+        X.setflags(write=False)
+        F.setflags(write=False)
+        object.__setattr__(ds, "X", X)
+        object.__setattr__(ds, "F", F)
+        return ds
 
     @property
     def n(self) -> int:
@@ -152,15 +169,23 @@ class Dataset:
         return cls(np.zeros((0, 2)), np.zeros(0))
 
     def append(self, x, F_value: float) -> "Dataset":
-        Xn = np.vstack([self.X, np.asarray(x, dtype=float).reshape(1, 2)])
-        Fn = np.append(self.F, float(F_value))
-        return Dataset(Xn, Fn, self.duplicate_tol)
+        x = np.asarray(x, dtype=float).reshape(1, 2)
+        F_value = float(F_value)
+        if not (np.all(np.isfinite(x)) and math.isfinite(F_value)):
+            raise ValueError(f"non-finite sample {x.ravel().tolist()}, {F_value}")
+        X = np.vstack([self.X, x])
+        if self.n:
+            d2 = np.sum(((self.X - x) / _spreads(X)) ** 2, axis=1)
+            i = int(np.argmin(d2))
+            if d2[i] < DUPLICATE_TOL**2:
+                raise DuplicatePoint(f"input {x.ravel().tolist()} duplicates training input {i}")
+        return Dataset._trusted(X, np.append(self.F, F_value))
 
     def drop(self, index: int) -> "Dataset":
         if not 0 <= index < self.n:
             raise IndexOutOfRange(f"index {index} outside [0, {self.n})")
         keep = np.arange(self.n) != index
-        return Dataset(self.X[keep], self.F[keep], self.duplicate_tol)
+        return Dataset._trusted(self.X[keep], self.F[keep])
 
 
 class MeanDerivs(NamedTuple):
@@ -233,14 +258,6 @@ class GprModel:
         k = _kernel_vec(self.dataset.X, x, self.hyper)
         return float(k @ self.alpha)
 
-    def predict_mean_batch(self, X_star: np.ndarray) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros(len(X_star))
-        do = (self.dataset.X[:, 0:1] - np.asarray(X_star)[:, 0:1].T) / self.hyper.l_omega
-        da = (self.dataset.X[:, 1:2] - np.asarray(X_star)[:, 1:2].T) / self.hyper.l_A
-        Ks = self.hyper.sigma_f2 * np.exp(-0.5 * (do**2 + da**2))
-        return Ks.T @ self.alpha
-
     def predict_var(self, x) -> float:
         """Posterior variance of the latent force amplitude at x.
 
@@ -274,10 +291,11 @@ class GprModel:
     # -- incremental updates -----------------------------------------------
 
     def add_point(self, x, F_value: float) -> "GprModel":
-        """Extend the model with one observation; O(n^2) factor update."""
+        """Extend the model with one observation; O(n^2) factor update.
+
+        Raises DuplicatePoint when x duplicates a training input (see Dataset).
+        """
         x = (float(x[0]), float(x[1]))
-        if self.n and self._is_duplicate(x):
-            raise DuplicatePoint(f"input {x} duplicates a training point")
         data = self.dataset.append(x, F_value)
         d = self.hyper.sigma_f2 + self.hyper.sigma_n2 + self.jitter
         if self.n == 0:
@@ -309,11 +327,6 @@ class GprModel:
         _rank_one_update(L[index:, index:], w)
         alpha = cho_solve((L, True), data.F)
         return GprModel(data, self.hyper, L, alpha, self.jitter)
-
-    def _is_duplicate(self, x) -> bool:
-        do = (self.dataset.X[:, 0] - x[0]) / self.hyper.l_omega
-        da = (self.dataset.X[:, 1] - x[1]) / self.hyper.l_A
-        return bool(np.min(do * do + da * da) < self.dataset.duplicate_tol**2)
 
 
 def _rank_one_update(L: np.ndarray, w: np.ndarray):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -41,14 +40,6 @@ class MeasuredPoint:
     a1_star: float | None = None
     harmonics_residual: float | None = None
     seed_state: str = ""
-
-
-@runtime_checkable
-class MeasurementOracle(Protocol):
-    domain_box: DomainBox
-
-    def measure(self, omega: float, A_target: float, seed: int | None = None) -> MeasuredPoint:
-        ...
 
 
 # ---------------------------------------------------------------------------

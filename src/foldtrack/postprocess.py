@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .continuation import (ContinuationConfig, CorrectorOutcome, FoldPoint, Tangent,
-                           _cloud_ok, correct, find_first_fold, predict_step,
-                           step_size_control, tangent_at)
+                           _cloud_ok, advance, find_first_fold, step_size_control, tangent_at)
+from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
 from .errors import (ContinuationError, EmptySliceWarning, FoldtrackError, OracleError,
-                     StepUnderflow)
+                     SingularJacobian, StepUnderflow)
 from .geometry import DomainBox
 from .gpr import Dataset, GprModel, Hyperparameters, build, fit_hyperparameters
 from .oracles import MeasuredPoint
@@ -92,27 +92,17 @@ def fold_curve_from_run_log(rows, hyper: Hyperparameters | None = None) -> FoldC
 
 
 def _trace_one_direction(model, fold0, t0: Tangent, cfg: ContinuationConfig):
+    """Up to max_steps accepted steps from fold0 along t0; underflow or a cusp ends them."""
     steps = []
     fold, tangent, h = fold0, t0, cfg.h
-    for _ in range(cfg.max_steps):
+    while len(steps) < cfg.max_steps:
         try:
-            tangent = tangent_at(model, fold, tangent)
-            x_pred = predict_step(fold, tangent, h, model.hyper)
-            if cfg.domain_box is not None and not cfg.domain_box.contains(*x_pred):
-                h = step_size_control(CorrectorOutcome(False, 0), h, cfg)
-                continue
-            res = correct(model, x_pred, fold, tangent, h, cfg)
-        except StepUnderflow:
+            step = advance(model, fold, tangent, h, cfg)
+        except (StepUnderflow, SingularJacobian):
             break
-        except ContinuationError:
-            try:
-                h = step_size_control(CorrectorOutcome(False, 0), h, cfg)
-            except StepUnderflow:
-                break
-            continue
-        fold = res.point
-        steps.append((fold, (tangent.t_omega, tangent.t_A, h, res.iterations)))
-        h = step_size_control(CorrectorOutcome(True, res.iterations), h, cfg)
+        fold, tangent, iters = step.result.point, step.tangent, step.result.iterations
+        steps.append((fold, (tangent.t_omega, tangent.t_A, step.h, iters)))
+        h = step_size_control(CorrectorOutcome(True, iters), step.h, cfg)
     return steps
 
 

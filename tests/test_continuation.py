@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ import pytest
 from conftest import TINY_NOISE
 from reference_oracles import duffing_fold_amplitudes
 
+from foldtrack import continuation
 from foldtrack.continuation import (ContinuationConfig, CorrectorOutcome, FoldPoint,
-                                    Tangent, correct, find_first_fold, in_data_cloud,
+                                    Tangent, advance, correct, find_first_fold, in_data_cloud,
                                     predict_step, psa_residual, step_size_control,
                                     tangent_at, tangent_from_jrow, zero_fn)
 from foldtrack.errors import (LeftDataCloud, NoConvergence, SingularJacobian,
                               StepUnderflow)
+from foldtrack.geometry import DomainBox
 from foldtrack.gpr import Dataset, Hyperparameters, build
 
 CFG = ContinuationConfig(h=0.1, h_min=1e-3, h_max=0.3, newton_tol=1e-8, newton_max_iter=20)
@@ -264,3 +267,79 @@ class TestStepSizeControl:
     def test_growth_capped_at_one_length_scale(self):
         cfg = ContinuationConfig(h=0.9, h_min=1e-3, h_max=5.0)
         assert step_size_control(CorrectorOutcome(True, 1), 0.9, cfg) == 1.0
+
+
+class TestAdvance:
+    """The one stepper: predict, check the box, correct, halve h until a step is accepted."""
+
+    @pytest.fixture()
+    def tangent(self, duffing_model, fold_on_surrogate):
+        t = tangent_at(duffing_model, fold_on_surrogate, None)
+        assert t.t_omega > 0.5  # so an omega_max edge cuts the tangent ray
+        return t
+
+    @staticmethod
+    def box_cutting_ray(model, fold, t, h_edge):
+        """Domain box whose omega_max edge crosses the tangent ray h_edge out."""
+        return DomainBox(0.95, predict_step(fold, t, h_edge, model.hyper)[0], 0.05, 5.0)
+
+    def test_accepted_step_is_the_corrector_result(self, duffing_model, fold_on_surrogate,
+                                                   tangent):
+        step = advance(duffing_model, fold_on_surrogate, None, 0.1, CFG)
+        x_pred = predict_step(fold_on_surrogate, tangent, 0.1, duffing_model.hyper)
+        assert step.h == 0.1
+        assert step.tangent == tangent
+        assert step.result == correct(duffing_model, x_pred, fold_on_surrogate, tangent, 0.1, CFG)
+
+    def test_prediction_outside_box_halves_h(self, duffing_model, fold_on_surrogate, tangent):
+        box = self.box_cutting_ray(duffing_model, fold_on_surrogate, tangent, 0.2)
+        cfg = replace(CFG, domain_box=box)
+        assert not box.contains(*predict_step(fold_on_surrogate, tangent, 0.3,
+                                              duffing_model.hyper))
+        step = advance(duffing_model, fold_on_surrogate, None, 0.3, cfg)
+        assert step.h == 0.15
+        x_pred = predict_step(fold_on_surrogate, tangent, 0.15, duffing_model.hyper)
+        assert step.result == correct(duffing_model, x_pred, fold_on_surrogate, tangent, 0.15,
+                                      cfg)
+
+    def test_underflow_at_h_min(self, duffing_model, fold_on_surrogate, tangent):
+        # the edge passes through the fold, so every prediction leaves the box
+        box = self.box_cutting_ray(duffing_model, fold_on_surrogate, tangent, 0.0)
+        with pytest.raises(StepUnderflow):
+            advance(duffing_model, fold_on_surrogate, None, CFG.h, replace(CFG, domain_box=box))
+
+    @pytest.mark.parametrize("error", [NoConvergence, LeftDataCloud])
+    def test_corrector_failure_retried_at_half_step(self, monkeypatch, duffing_model,
+                                                    fold_on_surrogate, error):
+        tried = []
+        real = continuation.correct
+
+        def fails_once(model, x_pred, x_prev, t, h, cfg):
+            tried.append(h)
+            if len(tried) == 1:
+                raise error("injected failure")
+            return real(model, x_pred, x_prev, t, h, cfg)
+
+        monkeypatch.setattr(continuation, "correct", fails_once)
+        step = advance(duffing_model, fold_on_surrogate, None, 0.2, CFG)
+        assert tried == [0.2, 0.1]
+        assert step.h == 0.1
+
+    def test_corrector_singular_jacobian_propagates(self, monkeypatch, duffing_model,
+                                                    fold_on_surrogate):
+        tried = []
+
+        def cusp(model, x_pred, x_prev, t, h, cfg):
+            tried.append(h)
+            raise SingularJacobian("injected cusp")
+
+        monkeypatch.setattr(continuation, "correct", cusp)
+        with pytest.raises(SingularJacobian):
+            advance(duffing_model, fold_on_surrogate, None, 0.2, CFG)
+        assert tried == [0.2]
+
+    def test_singular_tangent_propagates(self):
+        ds = Dataset(np.array([[1.0, 1.0], [1.1, 1.5], [1.0, 2.0]]), np.zeros(3))
+        m = build(ds, Hyperparameters(TINY_NOISE, 1.0, 0.1, 0.5))
+        with pytest.raises(SingularJacobian):
+            advance(m, FoldPoint(1.05, 1.4, 0.0), None, 0.1, CFG)

@@ -15,7 +15,7 @@ from conftest import TINY_NOISE, duffing_grid_dataset
 from reference_oracles import cs_mean_derivs
 
 from foldtrack.errors import DuplicatePoint
-from foldtrack.gpr import Dataset, Hyperparameters, build
+from foldtrack.gpr import DUPLICATE_TOL, Dataset, Hyperparameters, build
 
 HYPER = Hyperparameters(sigma_n2=TINY_NOISE, sigma_f2=1.0, l_omega=0.6, l_A=1.0)
 
@@ -72,7 +72,11 @@ ops_strategy = st.lists(
 @settings(max_examples=30, deadline=None)
 @given(ops=ops_strategy)
 def test_update_equivalence_interleaved(ops):
-    """Any interleaving of adds/removes equals a fresh factorization."""
+    """Any interleaving of adds/removes equals a fresh factorization.
+
+    Every dataset reached that way also passes the constructor's all-pairs
+    duplicate check, although the updates themselves never run it.
+    """
     model = build(Dataset(np.array([[0.0, 0.0], [0.9, 1.5]]), np.array([1.0, -2.0])), HYPER)
     for kind, a, b, value in ops:
         if kind == "add":
@@ -83,9 +87,37 @@ def test_update_equivalence_interleaved(ops):
                 pass
         elif model.n > 1:
             model = model.remove_point(a % model.n)
-    fresh = build(model.dataset, HYPER)
+    fresh = build(Dataset(model.dataset.X, model.dataset.F), HYPER)
     assert np.allclose(model.alpha, fresh.alpha, rtol=1e-8, atol=1e-10)
     assert np.allclose(model.chol, fresh.chol, rtol=1e-8, atol=1e-10)
+
+
+def test_updates_skip_the_all_pairs_check(monkeypatch):
+    model = build(_dataset([(0, 0), (3, 4), (9, 9)], [1.0, 2.0, 3.0]), HYPER)
+
+    def all_pairs(self):
+        raise AssertionError("all-pairs duplicate check ran on an update")
+
+    monkeypatch.setattr(Dataset, "_check_duplicates", all_pairs)
+    model = model.add_point((1.2, 0.5), 0.5)
+    model = model.remove_point(1)
+    assert model.n == 3
+
+
+def test_append_near_duplicate_raises():
+    ds = _dataset([(0, 0), (3, 4), (9, 9)], [1.0, 2.0, 3.0])
+    spread = np.ptp(ds.X, axis=0)
+    with pytest.raises(DuplicatePoint):
+        ds.append(ds.X[1] + 0.5 * DUPLICATE_TOL * spread, 0.0)
+    assert ds.append(ds.X[1] + 2.0 * DUPLICATE_TOL * spread, 0.0).n == 4
+    with pytest.raises(DuplicatePoint):
+        build(ds, HYPER).add_point(tuple(ds.X[2] - 0.5 * DUPLICATE_TOL * spread), 0.0)
+
+
+def test_duplicate_point_is_a_value_error():
+    assert issubclass(DuplicatePoint, ValueError)
+    with pytest.raises(DuplicatePoint):
+        Dataset(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]), np.zeros(3))
 
 
 def test_derivative_consistency_100_cases(duffing_params):

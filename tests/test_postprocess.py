@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import duffing_grid_dataset
 from reference_oracles import duffing_fold_amplitudes, duffing_force
 
 from foldtrack.config import EnsembleConfig, SweepConfig, load_config
@@ -8,7 +9,7 @@ from foldtrack.continuation import ContinuationConfig, FoldPoint
 from foldtrack.driver import run_trace
 from foldtrack.errors import EmptySliceWarning
 from foldtrack.geometry import DomainBox
-from foldtrack.gpr import Dataset
+from foldtrack.gpr import Dataset, Hyperparameters
 from foldtrack.oracles import DuffingOracle
 from foldtrack.postprocess import (FoldCurve, curve_distance, dropout_ensemble,
                                    nlfr_slice, offline_fold_trace, sweep_s_curve)
@@ -116,6 +117,19 @@ class TestOfflineTrace:
         online = run_trace(cfg)
         curve_online = offline_fold_trace(online.model.dataset, seed=0)
         assert max_gamma_err(curve_sparse) > max_gamma_err(curve_online)
+
+    def test_max_steps_counts_accepted_steps(self, duffing_params):
+        # h starts at one length scale; an attempt at h = 1 is rejected before
+        # the sixth step, and the direction would run on for nine
+        ds = duffing_grid_dataset(duffing_params, center=(1.2, 1.8), half=(0.15, 1.2),
+                                  shape=(13, 13))
+        cfg = ContinuationConfig(h=1.0, h_max=1.0, max_steps=6,
+                                 domain_box=DomainBox(1.0, 1.4, 0.5, 3.2))
+        curve = offline_fold_trace(ds, hyper=Hyperparameters(1e-8, 0.04, 0.05, 0.45), cfg=cfg,
+                                   x0=(1.15, 1.7), bidirectional=False)
+        hs = [m[2] for m in curve.meta[1:]]
+        assert min(hs) < cfg.h  # h only shrinks when an attempt is rejected
+        assert len(hs) == cfg.max_steps
 
     def test_run_log_rows_shape(self, online_run):
         curve = offline_fold_trace(online_run.model.dataset,
