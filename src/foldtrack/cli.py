@@ -4,8 +4,12 @@ Subcommands: trace (online fold tracking), sweep (S-curves through an
 oracle), nlfr (constant-force slice with fold markers), ensemble (dropout
 uncertainty runs), offline (fold trace of a recorded dataset).  Every
 command reads one declarative config file, writes CSV artifacts plus a
-manifest into --out, and is bit-reproducible from that manifest with
-threads = 1.
+manifest into --out, and is bit-reproducible from that manifest.
+
+Only ensemble uses --threads (or the config's `threads`): it counts the
+worker processes of the dropout runs, forked where the platform allows,
+and the ensemble's outputs are byte-identical for any count.  trace and
+sweep only record it in the manifest; nlfr and offline ignore it.
 
 Exit codes: 0 success, 1 config error, 2 oracle error, 3 continuation
 failure.
@@ -37,7 +41,10 @@ def _common(f):
     f = click.option("--out", "out_dir", default="out", show_default=True,
                      help="output directory")(f)
     f = click.option("--seed", default=None, type=int, help="override the config seed")(f)
-    f = click.option("--threads", default=None, type=int, help="override the config thread count")(f)
+    f = click.option("--threads", default=None, type=int,
+                     help="ensemble: worker processes for the dropout runs (outputs are the "
+                          "same for any count); trace and sweep only record it in the "
+                          "manifest; nlfr and offline ignore it")(f)
     return f
 
 
@@ -94,6 +101,8 @@ def sweep(config_path, out_dir, seed, threads):
         cfg = _load(config_path, sweep_config_from_dict)
         if seed is not None:
             cfg = replace(cfg, seed=seed)
+        if threads is not None:
+            cfg = replace(cfg, threads=threads)
         oracle = make_oracle(cfg.oracle, run_seed=cfg.seed,
                              base_dir=Path(config_path).parent)
     except ConfigError as e:

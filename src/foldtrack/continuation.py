@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import LeftDataCloud, NoConvergence, SingularJacobian, StepUnderflow
+from .errors import DomainExit, LeftDataCloud, NoConvergence, SingularJacobian, StepUnderflow
 from .geometry import DomainBox
 from .gpr import GprModel
 
@@ -299,14 +299,23 @@ def advance(model: GprModel, fold: FoldPoint, prev: Tangent | None, h: float,
     The tangent at `fold` is oriented along `prev`.  A prediction outside the
     domain box, and a corrector that fails with NoConvergence or
     LeftDataCloud, halve h and retry.  Raises StepUnderflow when h would fall
-    below h_min and SingularJacobian at a cusp; the model is never changed.
+    below h_min, as DomainExit when that last halving came from a prediction
+    outside the box, and SingularJacobian at a cusp; the model is never
+    changed.
     """
     tangent = tangent_at(model, fold, prev)
     while True:
         x_pred = predict_step(fold, tangent, h, model.hyper)
-        if cfg.domain_box is None or cfg.domain_box.contains(*x_pred):
+        outside = cfg.domain_box is not None and not cfg.domain_box.contains(*x_pred)
+        if not outside:
             try:
                 return Step(correct(model, x_pred, fold, tangent, h, cfg), tangent, h)
             except (NoConvergence, LeftDataCloud):
                 pass
-        h = step_size_control(CorrectorOutcome(False, 0), h, cfg)
+        try:
+            h = step_size_control(CorrectorOutcome(False, 0), h, cfg)
+        except StepUnderflow as e:
+            if outside:
+                raise DomainExit(f"predictions leave the domain box down to "
+                                 f"h_min={cfg.h_min}") from e
+            raise

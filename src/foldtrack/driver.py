@@ -3,12 +3,14 @@ active data collection, artifact writing.
 
 One run: measure an n0 seed grid, fit kernel hyperparameters on it, locate
 a first fold at the starting frequency, then take accepted steps with the
-stepper `continuation.advance` until the step budget, the domain boundary,
-a step underflow or a cusp ends the run.  After each accepted step the
-driver does what only an online run can: it measures at the solution
-(configurable, so the logged curve carries both the surrogate's force
-estimate and a directly measured one), collects data until the solution is
-robust to new measurements, and optionally refits the hyperparameters.
+stepper `continuation.advance` until the step budget (reason `max_steps`),
+the domain boundary (`domain_exit`), a step underflow inside the box
+(`step_underflow`) or a cusp (`singular_jacobian`) ends the run.  After each
+accepted step the driver does what only an online run can: it measures at
+the solution (configurable, so the logged curve carries both the
+surrogate's force estimate and a directly measured one), collects data
+until the solution is robust to new measurements, and optionally refits
+the hyperparameters.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .config import RunConfig, make_oracle
 from .continuation import (CorrectorOutcome, FoldPoint, Tangent, advance, correct,
                            find_first_fold, step_size_control, tangent_at)
 from .continuation import predict_step  # noqa: F401 (perfbench wraps it here)
-from .errors import (CollectionCap, ContinuationError, DomainExhausted, DuplicatePoint,
-                     OracleError, SingularJacobian, StepUnderflow)
+from .errors import (CollectionCap, ContinuationError, DomainExhausted, DomainExit,
+                     DuplicatePoint, OracleError, SingularJacobian, StepUnderflow)
 from .gpr import Dataset, GprModel, build, fit_hyperparameters
 
 log = logging.getLogger(__name__)
@@ -136,8 +138,11 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
     for k in range(1, ccfg.max_steps + 1):
         try:
             step = advance(model, fold, steps[-1].tangent, h, ccfg)
+        except DomainExit:
+            reason = "domain_exit"
+            break
         except StepUnderflow:
-            reason = "domain_exit_or_step_underflow"
+            reason = "step_underflow"
             break
         except SingularJacobian as e:
             reason = f"singular_jacobian: {e}"

@@ -49,6 +49,10 @@ class StepUnderflow(ContinuationError):
     """Step-size control would shrink h below h_min."""
 
 
+class DomainExit(StepUnderflow):
+    """Step underflow whose last halving came from a prediction outside the domain box."""
+
+
 # -- acquisition layer -----------------------------------------------------
 
 class DomainExhausted(FoldtrackError):

@@ -10,9 +10,10 @@ a fold curve is to the particular points that were collected.
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -244,8 +245,14 @@ def dropout_ensemble(dataset: Dataset, n_runs: int, dropout_fraction: float, see
 
     Each run drops exactly ceil(fraction * n) distinct points (fraction 0
     drops none), re-maximizes the likelihood for its own data, and traces
-    offline.  Failures are recorded per run, never fatal.  Deterministic
-    for a given seed and independent of `threads`.
+    offline.  Failures are recorded per run, never fatal.
+
+    `threads` counts worker processes: min(threads, n_runs, cpu count) of
+    them are forked for the call and joined before it returns.  With one
+    worker, or where the platform offers no `fork`, the runs go in this
+    process.  Each run seeds its own generator from (seed, run_id), so the
+    result is byte-identical for any `threads`.  An exception other than a
+    FoldtrackError in a run reaches the caller with its type.
     """
     if not 0.0 <= dropout_fraction < 1.0:
         raise ValueError("dropout_fraction must lie in [0, 1)")
@@ -253,25 +260,48 @@ def dropout_ensemble(dataset: Dataset, n_runs: int, dropout_fraction: float, see
     if dataset.n - n_drop < 10:
         raise ValueError(f"only {dataset.n - n_drop} points would remain; need >= 10")
 
-    def one_run(run_id: int) -> EnsembleRun:
-        rng = np.random.default_rng((seed, run_id))
-        keep = np.sort(rng.choice(dataset.n, size=dataset.n - n_drop, replace=False))
-        sub = Dataset(dataset.X[keep], dataset.F[keep])
-        try:
-            curve = offline_fold_trace(sub, cfg=cfg, x0=x0, seed=run_id,
-                                       fit_n_starts=fit_n_starts, fit_init=hyper_init)
-            return EnsembleRun(run_id=run_id, completed=True, curve=curve,
-                               hyper=curve.hyper, n_segments=curve.n_segments())
-        except FoldtrackError as e:
-            return EnsembleRun(run_id=run_id, completed=False, curve=None, hyper=None,
-                               n_segments=0, error=f"{type(e).__name__}: {e}")
+    one_run = partial(_ensemble_run, dataset=dataset, n_drop=n_drop, seed=seed,
+                      hyper_init=hyper_init, cfg=cfg, x0=x0, fit_n_starts=fit_n_starts)
+    workers = min(threads, n_runs, os.cpu_count() or 1)
+    return EnsembleResult(runs=_map_runs(one_run, n_runs, workers),
+                          dropout_fraction=dropout_fraction, seed=seed)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(one_run, range(n_runs)))
-    else:
-        runs = [one_run(i) for i in range(n_runs)]
-    return EnsembleResult(runs=runs, dropout_fraction=dropout_fraction, seed=seed)
+
+def _ensemble_run(run_id: int, *, dataset: Dataset, n_drop: int, seed: int,
+                  hyper_init: Hyperparameters | None, cfg: ContinuationConfig | None,
+                  x0, fit_n_starts: int) -> EnsembleRun:
+    """One dropout run; module level so that a worker process can be sent it."""
+    rng = np.random.default_rng((seed, run_id))
+    keep = np.sort(rng.choice(dataset.n, size=dataset.n - n_drop, replace=False))
+    sub = Dataset(dataset.X[keep], dataset.F[keep])
+    try:
+        curve = offline_fold_trace(sub, cfg=cfg, x0=x0, seed=run_id,
+                                   fit_n_starts=fit_n_starts, fit_init=hyper_init)
+        return EnsembleRun(run_id=run_id, completed=True, curve=curve,
+                           hyper=curve.hyper, n_segments=curve.n_segments())
+    except FoldtrackError as e:
+        return EnsembleRun(run_id=run_id, completed=False, curve=None, hyper=None,
+                           n_segments=0, error=f"{type(e).__name__}: {e}")
+
+
+def _map_runs(one_run, n_runs: int, workers: int) -> list[EnsembleRun]:
+    """one_run over run ids 0 .. n_runs-1, in order, on `workers` forked processes.
+
+    Forked workers start with the package already imported, where spawned
+    ones would import numpy, scipy and foldtrack again on every call; each
+    task pickles one_run with its run id, and each result comes back
+    pickled.  A forked child holds only the calling thread, so no other
+    thread of the caller may hold a lock the runs need.  The pool machinery
+    is imported here, so that importing the package does not pay for it.
+    """
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(one_run, range(n_runs)))
+    return [one_run(run_id) for run_id in range(n_runs)]
 
 
 def curve_distance(curve_a: FoldCurve, curve_b: FoldCurve, hyper: Hyperparameters) -> float:

@@ -6,8 +6,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from foldtrack import continuation
 from foldtrack.cli import main
 from foldtrack.csvio import read_dataset_csv, read_run_log, write_dataset_csv
+from foldtrack.errors import NoConvergence
 from foldtrack.gpr import Dataset
 from foldtrack.oracles import DuffingParams, duffing_gamma
 
@@ -91,6 +93,38 @@ class TestTrace:
         for name in ("run_log.csv", "collection_log.csv", "dataset.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_reason_domain_exit(self, tmp_path):
+        cfg = base_trace_config()
+        cfg["oracle"]["domain_box"]["omega_max"] = 1.2
+        cfg["continuation"]["max_steps"] = 40
+        res = run_cli("trace", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["reason"] == "domain_exit"
+        last = read_run_log(tmp_path / "out" / "run_log.csv")[-1]
+        assert 1.19 < last["omega"] <= 1.2
+
+    def test_reason_step_underflow_inside_box(self, tmp_path, monkeypatch):
+        # the stepper's corrector accepts two steps, then fails at every h
+        real, calls = continuation.correct, []
+
+        def fails_after_two_steps(*args):
+            calls.append(args)
+            if len(calls) > 2:
+                raise NoConvergence("injected failure")
+            return real(*args)
+
+        monkeypatch.setattr(continuation, "correct", fails_after_two_steps)
+        cfg = base_trace_config()
+        cfg["continuation"]["max_steps"] = 10
+        res = run_cli("trace", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["reason"] == "step_underflow"
+        assert len(read_run_log(tmp_path / "out" / "run_log.csv")) == 3
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = base_trace_config()
         cfg["surprise"] = 1
@@ -161,9 +195,11 @@ class TestSweep:
                       "A_start": 0.2, "A_stop": 3.0, "A_step": 0.2},
         }
         res = run_cli("sweep", "--config", write_cfg(tmp_path, cfg),
-                      "--out", str(tmp_path / "out"))
+                      "--out", str(tmp_path / "out"), "--threads", "3")
         assert res.exit_code == 0
         assert len(list((tmp_path / "out").glob("scurve_*.csv"))) == 3
+        # sweep runs in one process and only records the flag
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["threads"] == 3
 
 
 class TestNlfrCommand:

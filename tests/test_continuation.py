@@ -12,7 +12,7 @@ from foldtrack.continuation import (ContinuationConfig, CorrectorOutcome, FoldPo
                                     Tangent, advance, correct, find_first_fold, in_data_cloud,
                                     predict_step, psa_residual, step_size_control,
                                     tangent_at, tangent_from_jrow, zero_fn)
-from foldtrack.errors import (LeftDataCloud, NoConvergence, SingularJacobian,
+from foldtrack.errors import (DomainExit, LeftDataCloud, NoConvergence, SingularJacobian,
                               StepUnderflow)
 from foldtrack.geometry import DomainBox
 from foldtrack.gpr import Dataset, Hyperparameters, build
@@ -305,8 +305,24 @@ class TestAdvance:
     def test_underflow_at_h_min(self, duffing_model, fold_on_surrogate, tangent):
         # the edge passes through the fold, so every prediction leaves the box
         box = self.box_cutting_ray(duffing_model, fold_on_surrogate, tangent, 0.0)
-        with pytest.raises(StepUnderflow):
+        with pytest.raises(DomainExit):
             advance(duffing_model, fold_on_surrogate, None, CFG.h, replace(CFG, domain_box=box))
+
+    def test_corrector_failures_to_h_min_are_no_domain_exit(self, monkeypatch, duffing_model,
+                                                            fold_on_surrogate, tangent):
+        # the first halving comes from the box, the last ones from the corrector
+        box = self.box_cutting_ray(duffing_model, fold_on_surrogate, tangent, 0.2)
+        tried = []
+
+        def never_converges(model, x_pred, x_prev, t, h, cfg):
+            tried.append(h)
+            raise NoConvergence("injected failure")
+
+        monkeypatch.setattr(continuation, "correct", never_converges)
+        with pytest.raises(StepUnderflow) as info:
+            advance(duffing_model, fold_on_surrogate, None, 0.3, replace(CFG, domain_box=box))
+        assert not isinstance(info.value, DomainExit)
+        assert tried[0] == 0.15 and tried[-1] == CFG.h_min
 
     @pytest.mark.parametrize("error", [NoConvergence, LeftDataCloud])
     def test_corrector_failure_retried_at_half_step(self, monkeypatch, duffing_model,

@@ -1,13 +1,19 @@
+import multiprocessing
+import os
+import pickle
+from concurrent.futures import process
+
 import numpy as np
 import pytest
 
 from conftest import duffing_grid_dataset
 from reference_oracles import duffing_fold_amplitudes, duffing_force
 
+from foldtrack import postprocess
 from foldtrack.config import EnsembleConfig, SweepConfig, load_config
 from foldtrack.continuation import ContinuationConfig, FoldPoint
 from foldtrack.driver import run_trace
-from foldtrack.errors import EmptySliceWarning
+from foldtrack.errors import EmptySliceWarning, NoConvergence
 from foldtrack.geometry import DomainBox
 from foldtrack.gpr import Dataset, Hyperparameters
 from foldtrack.oracles import DuffingOracle
@@ -194,6 +200,65 @@ class TestNlfrSlice:
         assert len(res.points) == 0 and res.markers == []
 
 
+class _ScriptedBug(RuntimeError):
+    """A defect, not a FoldtrackError: it must reach the caller of dropout_ensemble."""
+
+
+def _script_runs(monkeypatch, failures):
+    """Make offline_fold_trace raise failures[run_id] for the runs named there.
+
+    Worker processes are forked after this, so they inherit the patch.
+    """
+    real = postprocess.offline_fold_trace
+
+    def scripted(sub, *, seed, **kw):
+        if seed in failures:
+            raise failures[seed]
+        return real(sub, seed=seed, **kw)
+
+    monkeypatch.setattr(postprocess, "offline_fold_trace", scripted)
+
+
+class _RecordingPool(process.ProcessPoolExecutor):
+    """The real pool, recording the worker count it was asked for."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers=None, **kw):
+        type(self).sizes.append(max_workers)
+        super().__init__(max_workers=max_workers, **kw)
+
+
+class _InProcessPool:
+    """Stands in for the pool: records its worker count and starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers=None, mp_context=None):
+        type(self).sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture()
+def pool_spy(monkeypatch):
+    """Two CPUs, so that threads=2 forks two workers wherever this runs."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool.sizes
+
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
 class TestDropoutEnsemble:
     def test_zero_dropout_runs_identical(self, online_run):
         ds = online_run.model.dataset
@@ -207,16 +272,20 @@ class TestDropoutEnsemble:
         assert EnsembleConfig.__dataclass_fields__["n_runs"].default == 300
         assert EnsembleConfig.__dataclass_fields__["dropout_fraction"].default == 0.10
 
-    def test_deterministic_and_thread_independent(self, online_run):
-        ds = online_run.model.dataset
-        kw = dict(n_runs=3, dropout_fraction=0.1, seed=7, fit_n_starts=1,
+    def test_deterministic_and_thread_independent(self, online_run, monkeypatch, pool_spy):
+        _script_runs(monkeypatch, {1: NoConvergence("scripted failure")})
+        kw = dict(n_runs=4, dropout_fraction=0.1, seed=5, fit_n_starts=1,
                   hyper_init=online_run.hyper_fitted)
-        r1 = dropout_ensemble(ds, threads=1, **kw)
-        r2 = dropout_ensemble(ds, threads=3, **kw)
-        for a, b in zip(r1.runs, r2.runs):
-            assert a.completed == b.completed
-            if a.completed:
-                assert np.array_equal(a.curve.as_array(), b.curve.as_array())
+        serial = dropout_ensemble(online_run.model.dataset, threads=1, **kw)
+        assert pool_spy == []
+        forked = dropout_ensemble(online_run.model.dataset, threads=2, **kw)
+        assert pool_spy == ([2] if FORK else [])
+        assert multiprocessing.active_children() == []
+        assert [r.run_id for r in forked.runs] == [0, 1, 2, 3]
+        assert [r.completed for r in forked.runs] == [True, False, True, True]
+        assert forked.runs[1].error == "NoConvergence: scripted failure"
+        # curve, hyper, n_segments, completed and error, byte for byte
+        assert [pickle.dumps(r) for r in forked.runs] == [pickle.dumps(r) for r in serial.runs]
 
     def test_curves_stay_in_tube_around_full_data_curve(self, online_run):
         # scope all traces to the branch the online run actually supported
@@ -247,6 +316,49 @@ class TestDropoutEnsemble:
         ds = Dataset(np.array([[1.0, 1.0], [1.1, 1.5]]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             dropout_ensemble(ds, n_runs=2, dropout_fraction=0.4)
+
+
+class TestEnsembleProcesses:
+    """threads > 1 runs the dropout runs on forked worker processes."""
+
+    def test_worker_exception_reaches_caller_with_its_type(self, monkeypatch, pool_spy,
+                                                           duffing_params):
+        _script_runs(monkeypatch, {2: _ScriptedBug("not a FoldtrackError")})
+        ds = duffing_grid_dataset(duffing_params)
+        with pytest.raises(_ScriptedBug, match="not a FoldtrackError"):
+            dropout_ensemble(ds, n_runs=4, dropout_fraction=0.1, threads=2,
+                             cfg=ContinuationConfig(max_steps=2))
+        assert pool_spy == ([2] if FORK else [])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads, n_runs, cpus, workers", [
+        (1000, 3, 8, 3),     # never more workers than runs
+        (1000, 20, 4, 4),    # ... or than CPUs
+        (2, 20, 8, 2),
+        (4, 20, None, None),  # an unknown CPU count means one: no pool
+        (1, 20, 8, None),
+    ])
+    def test_worker_count_capped(self, monkeypatch, duffing_params, threads, n_runs, cpus,
+                                 workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(_InProcessPool, "sizes", [])
+        monkeypatch.setattr(process, "ProcessPoolExecutor", _InProcessPool)
+        _script_runs(monkeypatch, {i: NoConvergence("skip the fit") for i in range(n_runs)})
+        ds = duffing_grid_dataset(duffing_params)
+        res = dropout_ensemble(ds, n_runs=n_runs, dropout_fraction=0.1, threads=threads)
+        assert len(res.runs) == n_runs
+        assert _InProcessPool.sizes == ([] if workers is None or not FORK else [workers])
+
+    def test_serial_where_fork_is_not_offered(self, monkeypatch, duffing_params):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(_InProcessPool, "sizes", [])
+        monkeypatch.setattr(process, "ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        _script_runs(monkeypatch, {i: NoConvergence("skip the fit") for i in range(4)})
+        ds = duffing_grid_dataset(duffing_params)
+        res = dropout_ensemble(ds, n_runs=4, dropout_fraction=0.1, threads=4)
+        assert [r.run_id for r in res.runs] == [0, 1, 2, 3]
+        assert _InProcessPool.sizes == []
 
 
 class TestCurveDistance:
