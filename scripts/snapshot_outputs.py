@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Write a fixed set of foldtrack outputs into OUT, to compare two checkouts.
+
+    python3 scripts/snapshot_outputs.py OUT
+
+The package is imported from this checkout's `src`, so running the script
+of each checkout and then `diff -r OUT_A OUT_B` shows every byte that a
+change moved.  The set:
+
+* `run_trace` artifacts (run log, collection log, dataset, manifest) for
+  `duffing.yaml` seeds 0-1, `duffing_noisy.yaml` with `n_max: 40` seeds
+  0-2, `isola.yaml` seed 0 and `rig_trace.yaml` seed 0;
+* the CLI `trace` on `duffing.yaml` and its replay from the manifest,
+  `sweep` on `rig_sweep.yaml`, `offline` on `rig_offline.yaml` over that
+  sweep, and `nlfr` over the CLI trace, each with its manifest;
+* the `repr` of every run of `dropout_ensemble` on the benchmark's sweep of
+  seed 0 (`perfbench/dataset.py`), warm-started and on 2 worker processes,
+  as the benchmark's `ensemble-offline` workload calls it.
+
+It takes about a minute; the rig runs take most of it.  Every path written
+into a manifest is relative, so OUT may live anywhere.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+import yaml  # noqa: E402
+from click.testing import CliRunner  # noqa: E402
+
+from foldtrack import csvio  # noqa: E402
+from foldtrack.cli import main as cli_main  # noqa: E402
+from foldtrack.config import load_config  # noqa: E402
+from foldtrack.continuation import ContinuationConfig  # noqa: E402
+from foldtrack.driver import run_trace, write_trace_artifacts  # noqa: E402
+from foldtrack.geometry import DomainBox  # noqa: E402
+from foldtrack.gpr import Hyperparameters, fit_hyperparameters  # noqa: E402
+from foldtrack.postprocess import dropout_ensemble  # noqa: E402
+
+CONFIGS = ROOT / "configs"
+TRACES = [("duffing.yaml", None, (0, 1)), ("duffing_noisy.yaml", 40, (0, 1, 2)),
+          ("isola.yaml", None, (0,)), ("rig_trace.yaml", None, (0,))]
+
+
+def traces(out: Path):
+    for name, n_max, seeds in TRACES:
+        cfg = load_config(CONFIGS / name)
+        if n_max is not None:
+            cfg = replace(cfg, acquisition=replace(cfg.acquisition, n_max=n_max))
+        for seed in seeds:
+            run = replace(cfg, seed=seed)
+            write_trace_artifacts(out / f"{Path(name).stem}_seed{seed}", run, run_trace(run))
+
+
+def cli(out: Path, *args: str):
+    res = CliRunner().invoke(cli_main, list(args), catch_exceptions=False)
+    (out / f"exit_{args[0]}_{Path(args[args.index('--out') + 1]).name}.txt").write_text(
+        f"{res.exit_code}\n{res.output}", encoding="utf-8")
+
+
+def commands(out: Path):
+    os.chdir(out)  # every output path handed to the CLI is relative to OUT
+    cli(out, "trace", "--config", str(CONFIGS / "duffing.yaml"), "--out", "cli_trace")
+    cli(out, "trace", "--config", "cli_trace/manifest.json", "--out", "cli_replay")
+    cli(out, "sweep", "--config", str(CONFIGS / "rig_sweep.yaml"), "--out", "cli_sweep")
+    offline = yaml.safe_load((CONFIGS / "rig_offline.yaml").read_text(encoding="utf-8"))
+    offline["inputs"]["dataset"] = "cli_sweep/dataset.csv"
+    Path("offline.yaml").write_text(yaml.safe_dump(offline), encoding="utf-8")
+    cli(out, "offline", "--config", "offline.yaml", "--out", "cli_offline")
+    nlfr = {"inputs": {"datasets": ["cli_trace/dataset.csv"],
+                       "run_logs": ["cli_trace/run_log.csv"]},
+            "gamma_level": 0.7, "band": 0.05}
+    Path("nlfr.yaml").write_text(yaml.safe_dump(nlfr), encoding="utf-8")
+    cli(out, "nlfr", "--config", "nlfr.yaml", "--out", "cli_nlfr")
+
+
+def ensemble(out: Path):
+    import dataset
+    from workloads import ENSEMBLE
+
+    path = out / "ensemble_sweep0.csv"
+    dataset.write_csv(path, dataset.sweep(0))
+    ds = csvio.read_dataset_csv(path)
+    v = float(np.var(ds.F))
+    hyper = fit_hyperparameters(ds, Hyperparameters(1e-4 * v, v, 0.05, 0.45), n_starts=1, seed=0)
+    ccfg = ContinuationConfig(h=0.1, h_max=0.25, max_steps=ENSEMBLE["max_steps"],
+                              domain_box=DomainBox(*dataset.CONTINUATION_BOX))
+    res = dropout_ensemble(ds, ENSEMBLE["n_runs"], ENSEMBLE["dropout_fraction"], seed=0,
+                           hyper_init=hyper, cfg=ccfg, x0=dataset.START,
+                           fit_n_starts=ENSEMBLE["fit_n_starts"], threads=ENSEMBLE["threads"])
+    (out / "ensemble_runs.txt").write_text("".join(f"{r!r}\n" for r in res.runs),
+                                           encoding="utf-8")
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", type=Path, help="output directory (created)")
+    out = ap.parse_args().out.resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    traces(out)
+    ensemble(out)
+    commands(out)

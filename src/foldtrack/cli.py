@@ -17,7 +17,6 @@ failure.
 
 from __future__ import annotations
 
-import csv
 import sys
 from pathlib import Path
 
@@ -29,10 +28,12 @@ from .config import (config_from_dict, ensemble_config_from_dict, load_raw, make
                      nlfr_config_from_dict, offline_config_from_dict, sweep_config_from_dict)
 from .continuation import ContinuationConfig
 from .errors import ConfigError, ContinuationError, MissingInput, OracleError
-from .postprocess import (dropout_ensemble, fold_curve_from_run_log, nlfr_slice,
+from .gpr import fit_hyperparameters
+from .postprocess import (dropout_ensemble, fold_curve_from_run_log, initial_guess, nlfr_slice,
                           offline_fold_trace, sweep_s_curve)
 
 EXIT_CONFIG, EXIT_ORACLE, EXIT_CONTINUATION = 1, 2, 3
+FOLD_HEADER = ["omega", "A", "gamma_model"]
 
 
 def _common(f):
@@ -117,12 +118,13 @@ def sweep(config_path, out_dir, seed, threads):
             curve = sweep_s_curve(oracle, omega, cfg.A_grid())
             n_failures += len(curve.failures)
             name = f"scurve_{i:03d}.csv"
-            _write_points_csv(out / name, [(p.omega, p.A, p.F) for p in curve.points])
+            csvio.write_rows(out / name, csvio.DATASET_HEADER,
+                             [(p.omega, p.A, p.F) for p in curve.points])
             outputs.append(name)
             all_rows.extend((p.omega, p.A, p.F) for p in curve.points)
     except OracleError as e:
         _fail(EXIT_ORACLE, str(e))
-    _write_points_csv(out / "dataset.csv", all_rows)
+    csvio.write_rows(out / "dataset.csv", csvio.DATASET_HEADER, all_rows)
     outputs.append("dataset.csv")
     csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(), seed=cfg.seed,
                          threads=cfg.threads, status="ok",
@@ -147,15 +149,15 @@ def nlfr(config_path, out_dir, seed, threads):
                   for p in cfg.run_logs]
     except (MissingInput, ValueError) as e:
         _fail(EXIT_CONFIG, str(e))
-    result = nlfr_slice(datasets, cfg.gamma_level, cfg.band, fold_curves=curves)
+    try:
+        result = nlfr_slice(datasets, cfg.gamma_level, cfg.band, fold_curves=curves)
+    except ValueError as e:
+        _fail(EXIT_CONFIG, str(e))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_points_csv(out / "slice_points.csv", result.points)
-    with open(out / "fold_markers.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["omega", "A", "gamma_model"])
-        for m in result.markers:
-            w.writerow([repr(m.omega), repr(m.A), repr(m.gamma_model)])
+    csvio.write_rows(out / "slice_points.csv", csvio.DATASET_HEADER, result.points)
+    csvio.write_rows(out / "fold_markers.csv", FOLD_HEADER,
+                     [(m.omega, m.A, m.gamma_model) for m in result.markers])
     csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(), seed=0, threads=1,
                          status="ok", reason=f"{len(result.markers)} fold markers",
                          outputs=["slice_points.csv", "fold_markers.csv"],
@@ -215,29 +217,32 @@ def ensemble(config_path, out_dir, seed, threads):
     except (MissingInput, ValueError) as e:
         _fail(EXIT_CONFIG, str(e))
     ccfg = ContinuationConfig(max_steps=cfg.max_steps)
-    result = dropout_ensemble(dataset, cfg.n_runs, cfg.dropout_fraction, seed=cfg.seed,
-                              cfg=ccfg, fit_n_starts=cfg.fit_n_starts, threads=cfg.threads)
+    try:
+        hyper_init = fit_hyperparameters(dataset, initial_guess(dataset), seed=cfg.seed)
+        result = dropout_ensemble(dataset, cfg.n_runs, cfg.dropout_fraction, seed=cfg.seed,
+                                  hyper_init=hyper_init, cfg=ccfg,
+                                  fit_n_starts=cfg.fit_n_starts, threads=cfg.threads)
+    except ValueError as e:
+        _fail(EXIT_CONFIG, str(e))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    hyper_keys = ("sigma_n2", "sigma_f2", "l_omega", "l_A")
+    csvio.write_rows(out / "summary.csv",
+                     ["run_id", "completed", "n_segments", *hyper_keys, "error"],
+                     [(r.run_id, int(r.completed), r.n_segments,
+                       *(getattr(r.hyper, k) if r.hyper else None for k in hyper_keys),
+                       r.error) for r in result.runs])
     outputs = ["summary.csv"]
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run_id", "completed", "n_segments",
-                    "sigma_n2", "sigma_f2", "l_omega", "l_A", "error"])
-        for r in result.runs:
-            hy = r.hyper.as_dict() if r.hyper else {}
-            w.writerow([r.run_id, int(r.completed), r.n_segments,
-                        *(repr(hy[k]) if hy else "" for k in ("sigma_n2", "sigma_f2", "l_omega", "l_A")),
-                        r.error])
-            if r.curve is not None:
-                name = f"curve_{r.run_id:04d}.csv"
-                _write_points_csv(out / name, r.curve.as_array(),
-                                  header=["omega", "A", "gamma_model"])
-                outputs.append(name)
+    for r in result.runs:
+        if r.curve is not None:
+            name = f"curve_{r.run_id:04d}.csv"
+            csvio.write_rows(out / name, FOLD_HEADER, r.curve.as_array())
+            outputs.append(name)
     csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(), seed=cfg.seed,
                          threads=cfg.threads, status="ok",
                          reason=f"{result.completed_fraction:.0%} runs completed",
-                         outputs=outputs, extra={"command": "ensemble"})
+                         outputs=outputs,
+                         extra={"command": "ensemble", "hyper_init": hyper_init.as_dict()})
     click.echo(f"ensemble: {result.completed_fraction:.0%} of {cfg.n_runs} runs completed; "
                f"artifacts in {out_dir}")
 
@@ -249,14 +254,6 @@ def _load(path, parser):
 def _resolve(base: Path, p) -> Path:
     p = Path(p)
     return p if p.is_absolute() else base / p
-
-
-def _write_points_csv(path, rows, header=("omega", "A", "F")):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(header))
-        for row in rows:
-            w.writerow([repr(float(v)) for v in row])
 
 
 if __name__ == "__main__":

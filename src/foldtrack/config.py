@@ -23,6 +23,39 @@ from .geometry import DomainBox
 from .gpr import FitBounds, Hyperparameters
 
 
+def _opt_float(v):
+    return None if v is None else float(v)
+
+
+# One table per flat config section: each key and the reader that parses its
+# value.  A parser passes on only the keys a config gives, so every default
+# lives in its dataclass alone, and `to_dict` writes back the same keys.
+CONTINUATION_KEYS = {"h": float, "h_min": float, "h_max": float, "newton_tol": float,
+                     "newton_max_iter": int, "max_steps": int}
+ACQUISITION_KEYS = {"n_test": int, "beta_tol": float, "n_max": int,
+                    "ellipse_semi_omega": _opt_float, "ellipse_semi_A": _opt_float,
+                    "max_points_per_step": int}
+HYPER_FLAG_KEYS = {"fit": bool, "refit_each_step": bool, "n_starts": int}
+SEED_THREADS_KEYS = {"seed": int, "threads": int}
+RUN_KEYS = {**SEED_THREADS_KEYS, "measure_at_solution": bool}
+SWEEP_KEYS = {"omega_start": float, "omega_stop": float, "omega_step": float,
+              "A_start": float, "A_stop": float, "A_step": float}
+NLFR_KEYS = {"gamma_level": float, "band": float}
+ENSEMBLE_KEYS = {"n_runs": int, "dropout_fraction": float, "fit_n_starts": int,
+                 "max_steps": int, **SEED_THREADS_KEYS}
+OFFLINE_KEYS = {"max_steps": int, "h": float, "h_max": float, "seed": int}
+
+
+def _read(d: dict, table: dict) -> dict:
+    """The keys of `table` that `d` gives, each parsed by its reader."""
+    return {k: read(d[k]) for k, read in table.items() if k in d}
+
+
+def _fields(obj, table: dict) -> dict:
+    """The attributes of `obj` named by the keys of `table`."""
+    return {k: getattr(obj, k) for k in table}
+
+
 def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(d).__name__}")
@@ -102,8 +135,6 @@ class RunConfig:
                 f"initialization grid size n0 ({self.init.n0})")
 
     def to_dict(self) -> dict:
-        c = self.continuation
-        a = self.acquisition
         return {
             "oracle": self.oracle.to_dict(),
             "init": {
@@ -115,23 +146,11 @@ class RunConfig:
                 "init": self.hyper.init.as_dict(),
                 "bounds": {k: list(v) for k, v in self.hyper.bounds.as_dict().items()}
                           if self.hyper.bounds else None,
-                "fit": self.hyper.fit,
-                "refit_each_step": self.hyper.refit_each_step,
-                "n_starts": self.hyper.n_starts,
+                **_fields(self.hyper, HYPER_FLAG_KEYS),
             },
-            "continuation": {
-                "h": c.h, "h_min": c.h_min, "h_max": c.h_max,
-                "newton_tol": c.newton_tol, "newton_max_iter": c.newton_max_iter,
-                "max_steps": c.max_steps,
-            },
-            "acquisition": {
-                "n_test": a.n_test, "beta_tol": a.beta_tol, "n_max": a.n_max,
-                "ellipse_semi_omega": a.ellipse_semi_omega, "ellipse_semi_A": a.ellipse_semi_A,
-                "max_points_per_step": a.max_points_per_step,
-            },
-            "seed": self.seed,
-            "threads": self.threads,
-            "measure_at_solution": self.measure_at_solution,
+            "continuation": _fields(self.continuation, CONTINUATION_KEYS),
+            "acquisition": _fields(self.acquisition, ACQUISITION_KEYS),
+            **_fields(self, RUN_KEYS),
             "units": dict(self.units),
         }
 
@@ -164,7 +183,7 @@ def _parse_oracle(raw: dict) -> OracleSpec:
 
 def config_from_dict(raw: dict) -> RunConfig:
     _require_keys(raw, {"oracle", "init", "hyperparameters", "continuation",
-                        "acquisition", "seed", "threads", "measure_at_solution", "units"},
+                        "acquisition", "units", *RUN_KEYS},
                   {"oracle", "init", "hyperparameters"}, "config")
 
     oracle = _parse_oracle(raw["oracle"])
@@ -174,17 +193,18 @@ def config_from_dict(raw: dict) -> RunConfig:
     _require_keys(i["x0"], {"omega", "A"}, {"omega", "A"}, "init.x0")
     hw = i.get("half_widths") or {}
     _require_keys(hw, {"omega", "A"}, set(), "init.half_widths")
-    shape = i.get("grid_shape") or [5, 5]
-    if len(shape) != 2:
-        raise ConfigError("init.grid_shape must have two entries")
-    init = InitConfig(x0_omega=float(i["x0"]["omega"]), x0_A=float(i["x0"]["A"]),
-                      grid_shape=(int(shape[0]), int(shape[1])),
-                      half_width_omega=None if hw.get("omega") is None else float(hw["omega"]),
-                      half_width_A=None if hw.get("A") is None else float(hw["A"]))
+    grid = {}
+    if i.get("grid_shape"):
+        shape = i["grid_shape"]
+        if len(shape) != 2:
+            raise ConfigError("init.grid_shape must have two entries")
+        grid["grid_shape"] = (int(shape[0]), int(shape[1]))
+    init = InitConfig(x0_omega=float(i["x0"]["omega"]), x0_A=float(i["x0"]["A"]), **grid,
+                      half_width_omega=_opt_float(hw.get("omega")),
+                      half_width_A=_opt_float(hw.get("A")))
 
     h = raw["hyperparameters"]
-    _require_keys(h, {"init", "bounds", "fit", "refit_each_step", "n_starts"}, {"init"},
-                  "hyperparameters")
+    _require_keys(h, {"init", "bounds", *HYPER_FLAG_KEYS}, {"init"}, "hyperparameters")
     bounds = None
     if h.get("bounds"):
         b = h["bounds"]
@@ -195,33 +215,19 @@ def config_from_dict(raw: dict) -> RunConfig:
         except (ValueError, TypeError) as e:
             raise ConfigError(f"hyperparameters.bounds: {e}") from e
     hyper = HyperConfig(init=_parse_hyper(h["init"], "hyperparameters.init"), bounds=bounds,
-                        fit=bool(h.get("fit", True)),
-                        refit_each_step=bool(h.get("refit_each_step", False)),
-                        n_starts=int(h.get("n_starts", 5)))
+                        **_read(h, HYPER_FLAG_KEYS))
 
     c = raw.get("continuation") or {}
-    _require_keys(c, {"h", "h_min", "h_max", "newton_tol", "newton_max_iter", "max_steps"},
-                  set(), "continuation")
+    _require_keys(c, set(CONTINUATION_KEYS), set(), "continuation")
     try:
-        cont = ContinuationConfig(
-            h=float(c.get("h", 0.1)), h_min=float(c.get("h_min", 1e-3)),
-            h_max=float(c.get("h_max", 0.5)), newton_tol=float(c.get("newton_tol", 1e-8)),
-            newton_max_iter=int(c.get("newton_max_iter", 20)),
-            domain_box=oracle.domain_box, max_steps=int(c.get("max_steps", 50)))
+        cont = ContinuationConfig(domain_box=oracle.domain_box, **_read(c, CONTINUATION_KEYS))
     except ValueError as e:
         raise ConfigError(f"continuation: {e}") from e
 
     a = raw.get("acquisition") or {}
-    _require_keys(a, {"n_test", "beta_tol", "n_max", "ellipse_semi_omega",
-                      "ellipse_semi_A", "max_points_per_step"}, set(), "acquisition")
+    _require_keys(a, set(ACQUISITION_KEYS), set(), "acquisition")
     try:
-        acq = AcquisitionConfig(
-            n_test=int(a.get("n_test", 50)), beta_tol=float(a.get("beta_tol", 4e-2)),
-            n_max=int(a.get("n_max", 100)),
-            ellipse_semi_omega=None if a.get("ellipse_semi_omega") is None
-                               else float(a["ellipse_semi_omega"]),
-            ellipse_semi_A=None if a.get("ellipse_semi_A") is None else float(a["ellipse_semi_A"]),
-            max_points_per_step=int(a.get("max_points_per_step", 10)))
+        acq = AcquisitionConfig(**_read(a, ACQUISITION_KEYS))
     except ValueError as e:
         raise ConfigError(f"acquisition: {e}") from e
 
@@ -230,10 +236,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError("units must be a mapping of field name to unit string")
 
     return RunConfig(oracle=oracle, init=init, hyper=hyper, continuation=cont,
-                     acquisition=acq, seed=int(raw.get("seed", 0)),
-                     threads=int(raw.get("threads", 1)),
-                     measure_at_solution=bool(raw.get("measure_at_solution", True)),
-                     units={str(k): str(v) for k, v in units.items()})
+                     acquisition=acq, units={str(k): str(v) for k, v in units.items()},
+                     **_read(raw, RUN_KEYS))
 
 
 def load_config(path) -> RunConfig:
@@ -271,10 +275,8 @@ class SweepConfig:
     def to_dict(self) -> dict:
         return {
             "oracle": self.oracle.to_dict(),
-            "sweep": {"omega_start": self.omega_start, "omega_stop": self.omega_stop,
-                      "omega_step": self.omega_step, "A_start": self.A_start,
-                      "A_stop": self.A_stop, "A_step": self.A_step},
-            "seed": self.seed, "threads": self.threads, "units": dict(self.units),
+            "sweep": _fields(self, SWEEP_KEYS),
+            **_fields(self, SEED_THREADS_KEYS), "units": dict(self.units),
         }
 
 
@@ -287,7 +289,7 @@ class NlfrConfig:
 
     def to_dict(self) -> dict:
         return {"inputs": {"datasets": list(self.datasets), "run_logs": list(self.run_logs)},
-                "gamma_level": self.gamma_level, "band": self.band}
+                **_fields(self, NLFR_KEYS)}
 
 
 @dataclass(frozen=True)
@@ -304,9 +306,7 @@ class EnsembleConfig:
     threads: int = 1
 
     def to_dict(self) -> dict:
-        return {"inputs": {"dataset": self.dataset}, "n_runs": self.n_runs,
-                "dropout_fraction": self.dropout_fraction, "fit_n_starts": self.fit_n_starts,
-                "max_steps": self.max_steps, "seed": self.seed, "threads": self.threads}
+        return {"inputs": {"dataset": self.dataset}, **_fields(self, ENSEMBLE_KEYS)}
 
 
 @dataclass(frozen=True)
@@ -322,52 +322,36 @@ class OfflineConfig:
     def to_dict(self) -> dict:
         return {"inputs": {"dataset": self.dataset},
                 "hyperparameters": self.hyper.as_dict() if self.hyper else None,
-                "x0": list(self.x0) if self.x0 else None,
-                "max_steps": self.max_steps, "h": self.h, "h_max": self.h_max,
-                "seed": self.seed}
+                "x0": list(self.x0) if self.x0 else None, **_fields(self, OFFLINE_KEYS)}
 
 
 def sweep_config_from_dict(raw: dict) -> SweepConfig:
-    _require_keys(raw, {"oracle", "sweep", "seed", "threads", "units"},
+    _require_keys(raw, {"oracle", "sweep", "units", *SEED_THREADS_KEYS},
                   {"oracle", "sweep"}, "sweep config")
     s = raw["sweep"]
-    _require_keys(s, {"omega_start", "omega_stop", "omega_step", "A_start", "A_stop", "A_step"},
-                  {"omega_start", "omega_stop", "A_start", "A_stop"}, "sweep")
-    return SweepConfig(oracle=_parse_oracle(raw["oracle"]),
-                       omega_start=float(s["omega_start"]), omega_stop=float(s["omega_stop"]),
-                       omega_step=float(s.get("omega_step", 0.25)),
-                       A_start=float(s["A_start"]), A_stop=float(s["A_stop"]),
-                       A_step=float(s.get("A_step", 0.2)),
-                       seed=int(raw.get("seed", 0)), threads=int(raw.get("threads", 1)),
-                       units=dict(raw.get("units") or {}))
+    _require_keys(s, set(SWEEP_KEYS), {"omega_start", "omega_stop", "A_start", "A_stop"}, "sweep")
+    return SweepConfig(oracle=_parse_oracle(raw["oracle"]), units=dict(raw.get("units") or {}),
+                       **_read(s, SWEEP_KEYS), **_read(raw, SEED_THREADS_KEYS))
 
 
 def nlfr_config_from_dict(raw: dict) -> NlfrConfig:
-    _require_keys(raw, {"inputs", "gamma_level", "band"}, {"inputs", "gamma_level"},
-                  "nlfr config")
+    _require_keys(raw, {"inputs", *NLFR_KEYS}, {"inputs", "gamma_level"}, "nlfr config")
     inp = raw["inputs"]
     _require_keys(inp, {"datasets", "run_logs"}, set(), "nlfr.inputs")
     return NlfrConfig(datasets=tuple(inp.get("datasets") or ()),
-                      run_logs=tuple(inp.get("run_logs") or ()),
-                      gamma_level=float(raw["gamma_level"]),
-                      band=float(raw.get("band", 0.05)))
+                      run_logs=tuple(inp.get("run_logs") or ()), **_read(raw, NLFR_KEYS))
 
 
 def ensemble_config_from_dict(raw: dict) -> EnsembleConfig:
-    _require_keys(raw, {"inputs", "n_runs", "dropout_fraction", "fit_n_starts",
-                        "max_steps", "seed", "threads"}, {"inputs"}, "ensemble config")
+    _require_keys(raw, {"inputs", *ENSEMBLE_KEYS}, {"inputs"}, "ensemble config")
     inp = raw["inputs"]
     _require_keys(inp, {"dataset"}, {"dataset"}, "ensemble.inputs")
-    return EnsembleConfig(dataset=inp["dataset"], n_runs=int(raw.get("n_runs", 300)),
-                          dropout_fraction=float(raw.get("dropout_fraction", 0.10)),
-                          fit_n_starts=int(raw.get("fit_n_starts", 1)),
-                          max_steps=int(raw.get("max_steps", 150)),
-                          seed=int(raw.get("seed", 0)), threads=int(raw.get("threads", 1)))
+    return EnsembleConfig(dataset=inp["dataset"], **_read(raw, ENSEMBLE_KEYS))
 
 
 def offline_config_from_dict(raw: dict) -> OfflineConfig:
-    _require_keys(raw, {"inputs", "hyperparameters", "x0", "max_steps", "h", "h_max", "seed"},
-                  {"inputs"}, "offline config")
+    _require_keys(raw, {"inputs", "hyperparameters", "x0", *OFFLINE_KEYS}, {"inputs"},
+                  "offline config")
     inp = raw["inputs"]
     _require_keys(inp, {"dataset"}, {"dataset"}, "offline.inputs")
     hyper = _parse_hyper(raw["hyperparameters"], "offline.hyperparameters") \
@@ -375,10 +359,7 @@ def offline_config_from_dict(raw: dict) -> OfflineConfig:
     x0 = tuple(float(v) for v in raw["x0"]) if raw.get("x0") else None
     if x0 is not None and len(x0) != 2:
         raise ConfigError("offline.x0 must have two entries (omega, A)")
-    return OfflineConfig(dataset=inp["dataset"], hyper=hyper, x0=x0,
-                         max_steps=int(raw.get("max_steps", 150)),
-                         h=float(raw.get("h", 0.1)), h_max=float(raw.get("h_max", 0.3)),
-                         seed=int(raw.get("seed", 0)))
+    return OfflineConfig(dataset=inp["dataset"], hyper=hyper, x0=x0, **_read(raw, OFFLINE_KEYS))
 
 
 def load_raw(path) -> dict:

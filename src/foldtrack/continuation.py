@@ -13,10 +13,11 @@ Newton iterate is kept inside it: steps are clipped to one length scale and
 backtracked when they would exit the cloud (or the domain box).  A run that
 cannot make progress that way fails with NoConvergence or LeftDataCloud.
 
-`advance` is the one stepper: tangent, prediction, domain-box check,
-correction and halving of the continuation step until a step is accepted.
+`advance` is the one stepper and the only step-size control: tangent,
+prediction, domain-box check, correction and halving of the continuation
+step until a step is accepted, and the growth rule that sets the next step.
 The online driver (`trace`) and the offline traces (`offline`, `ensemble`)
-both step with it.
+both step with it and take `Step.h_next` as their next h.
 """
 
 from __future__ import annotations
@@ -66,14 +67,6 @@ class Tangent:
 
     def dot(self, other: "Tangent") -> float:
         return self.t_omega * other.t_omega + self.t_A * other.t_A
-
-
-@dataclass(frozen=True)
-class CorrectorOutcome:
-    """What the corrector did, for step-size control."""
-
-    converged: bool
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -267,29 +260,17 @@ def correct(model: GprModel, x_pred, x_prev, t_prev: Tangent, h: float,
                         f"in {cfg.newton_max_iter} iterations")
 
 
-def step_size_control(outcome: CorrectorOutcome, h: float, cfg: ContinuationConfig) -> float:
-    """Halve on failure (floor h_min), grow by 1.2 after fast convergence.
-
-    Growth is capped by h_max and by one length scale (1.0 normalized).
-    """
-    if not outcome.converged:
-        if h <= cfg.h_min * (1.0 + 1e-12):
-            raise StepUnderflow(f"step size would fall below h_min={cfg.h_min}")
-        return max(0.5 * h, cfg.h_min)
-    if outcome.iterations <= 3:
-        return min(1.2 * h, cfg.h_max, 1.0)
-    return min(h, cfg.h_max)
-
-
 # -- stepper ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Step:
-    """An accepted step: the corrector's result, its tangent and the h it used."""
+    """An accepted step: the corrector's result, its tangent, the h it used
+    and the h to try next."""
 
     result: CorrectResult
     tangent: Tangent
     h: float
+    h_next: float
 
 
 def advance(model: GprModel, fold: FoldPoint, prev: Tangent | None, h: float,
@@ -298,10 +279,14 @@ def advance(model: GprModel, fold: FoldPoint, prev: Tangent | None, h: float,
 
     The tangent at `fold` is oriented along `prev`.  A prediction outside the
     domain box, and a corrector that fails with NoConvergence or
-    LeftDataCloud, halve h and retry.  Raises StepUnderflow when h would fall
-    below h_min, as DomainExit when that last halving came from a prediction
-    outside the box, and SingularJacobian at a cusp; the model is never
-    changed.
+    LeftDataCloud, halve h (floor h_min) and retry.  Raises StepUnderflow
+    when h is already h_min, as DomainExit when that last attempt's
+    prediction left the box, and SingularJacobian at a cusp; the model is
+    never changed.
+
+    The accepted step carries the step-size rule's next h: grown by 1.2
+    after at most 3 Newton iterations, capped by h_max and by one length
+    scale (1.0 normalized), and otherwise kept, capped by h_max.
     """
     tangent = tangent_at(model, fold, prev)
     while True:
@@ -309,13 +294,15 @@ def advance(model: GprModel, fold: FoldPoint, prev: Tangent | None, h: float,
         outside = cfg.domain_box is not None and not cfg.domain_box.contains(*x_pred)
         if not outside:
             try:
-                return Step(correct(model, x_pred, fold, tangent, h, cfg), tangent, h)
+                result = correct(model, x_pred, fold, tangent, h, cfg)
             except (NoConvergence, LeftDataCloud):
                 pass
-        try:
-            h = step_size_control(CorrectorOutcome(False, 0), h, cfg)
-        except StepUnderflow as e:
+            else:
+                h_next = min(1.2 * h, cfg.h_max, 1.0) if result.iterations <= 3 \
+                    else min(h, cfg.h_max)
+                return Step(result, tangent, h, h_next)
+        if h <= cfg.h_min * (1.0 + 1e-12):
             if outside:
-                raise DomainExit(f"predictions leave the domain box down to "
-                                 f"h_min={cfg.h_min}") from e
-            raise
+                raise DomainExit(f"predictions leave the domain box down to h_min={cfg.h_min}")
+            raise StepUnderflow(f"step size would fall below h_min={cfg.h_min}")
+        h = max(0.5 * h, cfg.h_min)

@@ -1,4 +1,4 @@
-"""CSV and manifest writers/readers.
+"""CSV and manifest writers/readers; `write_rows` writes every CSV artifact.
 
 Floats are serialized with repr (shortest round-trip form) so that re-running
 a configuration reproduces every artifact byte for byte.
@@ -23,20 +23,29 @@ COLLECTION_LOG_HEADER = ["step", "collection_idx", "omega_req", "A_req",
                          "omega_meas", "A_meas", "F_meas", "beta_max"]
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
+    """None gives an empty cell, a str passes unchanged, an integer gives its
+    digits, and any other value gives the repr of float(value)."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
 
-def write_dataset_csv(path, dataset: Dataset):
+def write_rows(path, header, rows):
+    """Write `header` and then every row of `rows`, one cell format for all."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(DATASET_HEADER)
-        for (omega, A), F in zip(dataset.X, dataset.F):
-            w.writerow([_fmt(omega), _fmt(A), _fmt(F)])
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_cell(v) for v in row])
+
+
+def write_dataset_csv(path, dataset: Dataset):
+    write_rows(path, DATASET_HEADER, np.column_stack([dataset.X, dataset.F]))
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -55,11 +64,7 @@ def read_dataset_csv(path) -> Dataset:
 
 def write_run_log(path, step_rows):
     """step_rows: iterables matching RUN_LOG_HEADER order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(RUN_LOG_HEADER)
-        for row in step_rows:
-            w.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
+    write_rows(path, RUN_LOG_HEADER, step_rows)
 
 
 def read_run_log(path):
@@ -85,11 +90,7 @@ def read_run_log(path):
 
 
 def write_collection_log(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(COLLECTION_LOG_HEADER)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+    write_rows(path, COLLECTION_LOG_HEADER, rows)
 
 
 def config_digest(config_dict: dict) -> str:

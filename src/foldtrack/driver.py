@@ -25,8 +25,7 @@ import numpy as np
 from . import csvio
 from .acquisition import CollectionRecord, improve_solution
 from .config import RunConfig, make_oracle
-from .continuation import (CorrectorOutcome, FoldPoint, Tangent, advance, correct,
-                           find_first_fold, step_size_control, tangent_at)
+from .continuation import FoldPoint, Tangent, advance, correct, find_first_fold, tangent_at
 from .continuation import predict_step  # noqa: F401 (perfbench wraps it here)
 from .errors import (CollectionCap, ContinuationError, DomainExhausted, DomainExit,
                      DuplicatePoint, OracleError, SingularJacobian, StepUnderflow)
@@ -148,7 +147,7 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
             reason = f"singular_jacobian: {e}"
             break
 
-        fold_k, iters = step.result.point, step.result.iterations
+        fold_k = step.result.point
         try:
             if cfg.measure_at_solution:
                 model, fold_k = _measure_at_solution(model, oracle, fold_k, step.tangent, ccfg)
@@ -163,10 +162,9 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
             break
 
         steps.append(StepRecord(step=k, fold=fold_k, tangent=step.tangent, h=step.h,
-                                newton_iters=iters,
+                                newton_iters=step.result.iterations,
                                 collections=imp.collections, beta_final=imp.beta_max_final))
-        fold = fold_k
-        h = step_size_control(CorrectorOutcome(True, iters), step.h, ccfg)
+        fold, h = fold_k, step.h_next
 
         if cfg.hyper.refit_each_step:
             hyper = fit_hyperparameters(model.dataset, hyper, bounds=cfg.hyper.bounds,

@@ -1,7 +1,9 @@
 """Simulated measurement back-ends standing in for the physical experiment.
 
-Every oracle answers `measure(omega, A_target)` with a realized
-(omega, A, F) sample.  Three families are provided:
+Every oracle answers `measure(omega, A_target, seed=None)` with a realized
+(omega, A, F) sample.  `SeededOracle` holds the protocol of the simulated
+ones: the domain check and the per-call random key.  Three families are
+provided:
 
 * `DuffingOracle` -- closed-form force-amplitude surface of a linear plus
   cubic oscillator, optionally with additive Gaussian measurement noise.
@@ -40,6 +42,46 @@ class MeasuredPoint:
     a1_star: float | None = None
     harmonics_residual: float | None = None
     seed_state: str = ""
+
+
+class SeededOracle:
+    """The measurement protocol shared by the simulated back-ends.
+
+    A request outside `domain_box` raises OutOfDomain.  Each call draws its
+    randomness from default_rng((seed, key)), where the key is the call's
+    explicit `seed`, else the number of calls made so far without one; the
+    realized point records "seed:key" as its `seed_state`.  `measure` reads
+    the closed-form force `surface(params, omega, A)` and adds Gaussian
+    noise of std `params.noise_sigma`, clamped at zero force; the rig
+    overrides it with its closed-loop experiment.
+    """
+
+    surface = None
+
+    def __init__(self, params, domain_box: DomainBox, seed: int = 0):
+        self.params = params
+        self.domain_box = domain_box
+        self.seed = int(seed)
+        self._calls = 0
+
+    def _key(self, omega: float, A_target: float, seed: int | None) -> int:
+        """Check the request against the domain box and issue its seed key."""
+        if not self.domain_box.contains(omega, A_target):
+            raise OutOfDomain(f"({omega}, {A_target}) outside {self.domain_box}")
+        if seed is not None:
+            return int(seed)
+        key = self._calls
+        self._calls += 1
+        return key
+
+    def measure(self, omega: float, A_target: float, seed: int | None = None) -> MeasuredPoint:
+        key = self._key(omega, A_target, seed)
+        F = float(self.surface(self.params, omega, A_target))
+        if self.params.noise_sigma > 0.0:
+            rng = np.random.default_rng((self.seed, key))
+            F = max(0.0, F + self.params.noise_sigma * rng.standard_normal())
+        return MeasuredPoint(omega=float(omega), A=float(A_target), F=float(F),
+                             seed_state=f"{self.seed}:{key}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,29 +123,10 @@ def duffing_gamma(p: DuffingParams, omega, A):
     return float(out) if out.ndim == 0 else out
 
 
-class DuffingOracle:
+class DuffingOracle(SeededOracle):
     """Measurement interface over the analytic Duffing surface."""
 
-    def __init__(self, params: DuffingParams, domain_box: DomainBox, seed: int = 0):
-        self.params = params
-        self.domain_box = domain_box
-        self.seed = int(seed)
-        self._calls = 0
-
-    def measure(self, omega: float, A_target: float, seed: int | None = None) -> MeasuredPoint:
-        if not self.domain_box.contains(omega, A_target):
-            raise OutOfDomain(f"({omega}, {A_target}) outside {self.domain_box}")
-        if seed is None:
-            key = self._calls
-            self._calls += 1
-        else:
-            key = int(seed)
-        F = duffing_gamma(self.params, omega, A_target)
-        if self.params.noise_sigma > 0.0:
-            rng = np.random.default_rng((self.seed, key))
-            F = max(0.0, F + self.params.noise_sigma * rng.standard_normal())
-        return MeasuredPoint(omega=float(omega), A=float(A_target), F=float(F),
-                             seed_state=f"{self.seed}:{key}")
+    surface = staticmethod(duffing_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +215,7 @@ def isola_gamma_dA(p: IsolaParams, omega, A):
 ISOLA_DOMAIN = DomainBox(omega_min=0.85, omega_max=1.45, A_min=0.0, A_max=4.0)
 
 
-class IsolaOracle:
+class IsolaOracle(SeededOracle):
     """Measurement interface over the engineered isola surface."""
 
     # Certified by brute force over ISOLA_DOMAIN (see tests): constant-force
@@ -204,13 +227,11 @@ class IsolaOracle:
     three_fold_band: tuple[float, float]
     level_two_folds: float = 0.22
     level_three_folds: float = 0.28
+    surface = staticmethod(isola_gamma)
 
     def __init__(self, params: IsolaParams = IsolaParams(),
                  domain_box: DomainBox = ISOLA_DOMAIN, seed: int = 0):
-        self.params = params
-        self.domain_box = domain_box
-        self.seed = int(seed)
-        self._calls = 0
+        super().__init__(params, domain_box, seed)
         lo, hi = self._secondary_gamma_range()
         self.two_three_threshold = lo
         self.three_fold_band = (lo, hi)
@@ -232,21 +253,6 @@ class IsolaOracle:
         g_sec_top = float(isola_gamma(p, w, p.m2 - r))
         g_main_top = float(isola_gamma(p, w, float(p.m1(w)) + math.sqrt(max(float(p.rho1(w)), 0.0))))
         return (g_min, min(g_sec_top, g_main_top))
-
-    def measure(self, omega: float, A_target: float, seed: int | None = None) -> MeasuredPoint:
-        if not self.domain_box.contains(omega, A_target):
-            raise OutOfDomain(f"({omega}, {A_target}) outside {self.domain_box}")
-        if seed is None:
-            key = self._calls
-            self._calls += 1
-        else:
-            key = int(seed)
-        F = float(isola_gamma(self.params, omega, A_target))
-        if self.params.noise_sigma > 0.0:
-            rng = np.random.default_rng((self.seed, key))
-            F = max(0.0, F + self.params.noise_sigma * rng.standard_normal())
-        return MeasuredPoint(omega=float(omega), A=float(A_target), F=float(F),
-                             seed_state=f"{self.seed}:{key}")
 
 
 # ---------------------------------------------------------------------------

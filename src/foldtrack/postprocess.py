@@ -17,8 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .continuation import (ContinuationConfig, CorrectorOutcome, FoldPoint, Tangent,
-                           _cloud_ok, advance, find_first_fold, step_size_control, tangent_at)
+from .continuation import (ContinuationConfig, FoldPoint, Tangent, _cloud_ok, advance,
+                           find_first_fold, tangent_at)
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
 from .errors import (ContinuationError, EmptySliceWarning, FoldtrackError, OracleError,
                      SingularJacobian, StepUnderflow)
@@ -101,9 +101,8 @@ def _trace_one_direction(model, fold0, t0: Tangent, cfg: ContinuationConfig):
             step = advance(model, fold, tangent, h, cfg)
         except (StepUnderflow, SingularJacobian):
             break
-        fold, tangent, iters = step.result.point, step.tangent, step.result.iterations
-        steps.append((fold, (tangent.t_omega, tangent.t_A, step.h, iters)))
-        h = step_size_control(CorrectorOutcome(True, iters), step.h, cfg)
+        fold, tangent, h = step.result.point, step.tangent, step.h_next
+        steps.append((fold, (tangent.t_omega, tangent.t_A, step.h, step.result.iterations)))
     return steps
 
 
@@ -133,6 +132,16 @@ def data_box(dataset: Dataset, pad: float = 0.0) -> DomainBox:
                      lo[1] - pad * span[1], hi[1] + pad * span[1])
 
 
+def initial_guess(dataset: Dataset) -> Hyperparameters:
+    """Likelihood-fit start from the data alone: the force variance as signal,
+    a 1e-8 share of it as noise, and a quarter of each input's spread as
+    its length scale."""
+    var = float(np.var(dataset.F))
+    return Hyperparameters(sigma_n2=max(1e-8 * var, 1e-12), sigma_f2=var + 1e-12,
+                           l_omega=max(float(np.ptp(dataset.X[:, 0])) / 4.0, 1e-9),
+                           l_A=max(float(np.ptp(dataset.X[:, 1])) / 4.0, 1e-9))
+
+
 def offline_fold_trace(dataset: Dataset, hyper: Hyperparameters | None = None,
                        cfg: ContinuationConfig | None = None, x0=None, seed: int = 0,
                        bidirectional: bool = True, fit_n_starts: int = 5,
@@ -146,11 +155,7 @@ def offline_fold_trace(dataset: Dataset, hyper: Hyperparameters | None = None,
     if dataset.n == 0:
         raise ValueError("cannot trace an empty dataset")
     if hyper is None:
-        init = fit_init if fit_init is not None else Hyperparameters(
-            sigma_n2=max(1e-8 * float(np.var(dataset.F)), 1e-12),
-            sigma_f2=float(np.var(dataset.F)) + 1e-12,
-            l_omega=max(float(np.ptp(dataset.X[:, 0])) / 4.0, 1e-9),
-            l_A=max(float(np.ptp(dataset.X[:, 1])) / 4.0, 1e-9))
+        init = fit_init if fit_init is not None else initial_guess(dataset)
         hyper = fit_hyperparameters(dataset, init, n_starts=fit_n_starts, seed=seed)
     model = build(dataset, hyper)
     if cfg is None:

@@ -36,11 +36,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ControlDiverged, OutOfDomain, PicardDiverged
+from .errors import ControlDiverged, PicardDiverged
 from .geometry import DomainBox
-from .oracles import MeasuredPoint
+from .oracles import MeasuredPoint, SeededOracle
 
 TWO_PI = 2.0 * math.pi
+# Amplitude realization: A1* is fitted on the last MAPPING_WINDOW (A, A1*)
+# pairs, and a measurement corrects A1* up to MAX_CORRECTIONS times until the
+# realized amplitude is within REALIZATION_TOL (relative) of the request.
+MAPPING_WINDOW = 30
+REALIZATION_TOL = 0.02
+MAX_CORRECTIONS = 2
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,7 @@ class _TargetSignal:
         return out
 
 
-class RigOracle:
+class RigOracle(SeededOracle):
     """Closed-loop measurement back-end emulating the physical experiment.
 
     Stateful like the hardware: plant and controller states, the running
@@ -141,16 +147,8 @@ class RigOracle:
     in Hz, amplitudes in mm, forces in N.
     """
 
-    def __init__(self, params: RigParams, domain_box: DomainBox, seed: int = 0,
-                 mapping_window: int = 30, realization_tol: float = 0.02,
-                 max_corrections: int = 2):
-        self.params = params
-        self.domain_box = domain_box
-        self.seed = int(seed)
-        self.mapping_window = mapping_window
-        self.realization_tol = realization_tol
-        self.max_corrections = max_corrections
-        self._calls = 0
+    def __init__(self, params: RigParams, domain_box: DomainBox, seed: int = 0):
+        super().__init__(params, domain_box, seed)
         self.mapping_history: list[tuple[float, float]] = []
 
         p = params
@@ -162,9 +160,6 @@ class RigOracle:
             M = expm(np.block([[Ac, np.array([[0.0], [1.0]])], [np.zeros((1, 3))]]) * T)
             Ad, Bd = M[:2, :2], M[:2, 2]
             self._modes.append((Ad[0, 0], Ad[0, 1], Ad[1, 0], Ad[1, 1], Bd[0], Bd[1]))
-        self.reset_state()
-
-    def reset_state(self):
         self._q = [0.0, 0.0, 0.0, 0.0]  # q1, qd1, q2, qd2
         self._u_hist = [0.0, 0.0, 0.0]
         self._e_hist = [0.0, 0.0, 0.0]
@@ -322,26 +317,15 @@ class RigOracle:
 
     # -- amplitude realization ----------------------------------------------
 
-    def predict_a1star(self, A_requested: float) -> float:
-        return update_a1star_mapping(self.mapping_history, A_requested,
-                                     window=self.mapping_window)
-
     def measure(self, omega: float, A_target: float, seed: int | None = None) -> MeasuredPoint:
         """Realize a response of amplitude ~A_target at frequency omega (Hz)."""
-        if not self.domain_box.contains(omega, A_target):
-            raise OutOfDomain(f"({omega}, {A_target}) outside {self.domain_box}")
-        if seed is None:
-            key = self._calls
-            self._calls += 1
-        else:
-            key = int(seed)
+        key = self._key(omega, A_target, seed)
         rng = np.random.default_rng((self.seed, key))
-        point = None
-        for _ in range(self.max_corrections + 1):
-            a1 = self.predict_a1star(A_target)
+        for _ in range(MAX_CORRECTIONS + 1):
+            a1 = update_a1star_mapping(self.mapping_history, A_target)
             point, _, _ = self.picard_noninvasive(omega, a1, rng=rng)
             self.mapping_history.append((point.A, a1))
-            if abs(point.A - A_target) <= self.realization_tol * max(abs(A_target), 1e-9):
+            if abs(point.A - A_target) <= REALIZATION_TOL * max(abs(A_target), 1e-9):
                 break
         return MeasuredPoint(omega=point.omega, A=point.A, F=point.F,
                              a1_star=point.a1_star,
@@ -349,7 +333,7 @@ class RigOracle:
                              seed_state=f"{self.seed}:{key}")
 
 
-def update_a1star_mapping(history, A_requested: float, window: int = 30) -> float:
+def update_a1star_mapping(history, A_requested: float, window: int = MAPPING_WINDOW) -> float:
     """Predict the reference coefficient A1* that realizes a requested amplitude.
 
     Least-squares linear fit A1* = c0 + c1 A over the most recent `window`

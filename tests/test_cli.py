@@ -223,6 +223,16 @@ class TestNlfrCommand:
             assert g == pytest.approx(e, rel=1e-12)
 
 
+    def test_band_outside_range_is_config_error(self, tmp_path):
+        X = np.array([[1.0, 1.0], [1.1, 1.5]])
+        write_dataset_csv(tmp_path / "data.csv", Dataset(X, np.array([0.3, 0.4])))
+        cfg = {"inputs": {"datasets": ["data.csv"]}, "gamma_level": 0.3, "band": 0.7}
+        res = run_cli("nlfr", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: band must lie in (0, 0.5)")
+
+
 class TestMissingInputs:
     def test_nlfr_missing_dataset_is_config_error(self, tmp_path):
         cfg = {"inputs": {"datasets": ["nope.csv"]}, "gamma_level": 1.0}
@@ -258,6 +268,40 @@ class TestOfflineAndEnsemble:
         assert len(rows) > 5
         manifest = json.loads((traced / "off" / "manifest.json").read_text())
         assert "hyperparameters_fitted" in manifest
+
+    def test_ensemble_warm_start_completes_the_benchmark_sweep(self, tmp_path):
+        # the noisy 285-point S-curve sweep of perfbench/dataset.py, seed 0; cold
+        # 1-start fits of the dropout subsets collapse to the lower length-scale
+        # bound and most runs find no grid point inside the data cloud
+        W, A = np.meshgrid(np.linspace(1.00, 1.21, 15), np.linspace(0.2, 3.0, 19),
+                           indexing="ij")
+        W, A = W.ravel(), A.ravel()
+        F = duffing_gamma(DuffingParams(), W, A)
+        F = np.maximum(F + 0.01 * F.mean() * np.random.default_rng(0).standard_normal(F.shape),
+                       0.0)
+        write_dataset_csv(tmp_path / "sweep.csv", Dataset(np.column_stack([W, A]), F))
+        cfg = {"inputs": {"dataset": "sweep.csv"}, "n_runs": 20, "max_steps": 10,
+               "threads": 2}
+        res = run_cli("ensemble", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "ens"))
+        assert res.exit_code == 0
+        with open(tmp_path / "ens" / "summary.csv") as fh:
+            completed = sum(r["completed"] == "1" for r in csv.DictReader(fh))
+        assert completed >= 18
+        manifest = json.loads((tmp_path / "ens" / "manifest.json").read_text())
+        assert set(manifest["hyper_init"]) == {"sigma_n2", "sigma_f2", "l_omega", "l_A"}
+
+    @pytest.mark.parametrize("n_points, fraction", [(10, 0.1), (30, 1.5)],
+                             ids=["fewer_than_10_points_left", "dropout_fraction_above_1"])
+    def test_ensemble_rejected_input_is_config_error(self, tmp_path, n_points, fraction):
+        X = np.column_stack([np.linspace(1.0, 1.2, n_points), np.linspace(0.5, 2.5, n_points)])
+        write_dataset_csv(tmp_path / "data.csv",
+                          Dataset(X, duffing_gamma(DuffingParams(), X[:, 0], X[:, 1])))
+        cfg = {"inputs": {"dataset": "data.csv"}, "n_runs": 2, "dropout_fraction": fraction}
+        res = run_cli("ensemble", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "ens"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: ")
 
     def test_ensemble_smoke_profile(self, traced):
         import time

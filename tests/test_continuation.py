@@ -8,10 +8,10 @@ from conftest import TINY_NOISE
 from reference_oracles import duffing_fold_amplitudes
 
 from foldtrack import continuation
-from foldtrack.continuation import (ContinuationConfig, CorrectorOutcome, FoldPoint,
-                                    Tangent, advance, correct, find_first_fold, in_data_cloud,
-                                    predict_step, psa_residual, step_size_control,
-                                    tangent_at, tangent_from_jrow, zero_fn)
+from foldtrack.continuation import (ContinuationConfig, CorrectResult, FoldPoint, Tangent,
+                                    advance, correct, find_first_fold, in_data_cloud,
+                                    predict_step, psa_residual, tangent_at, tangent_from_jrow,
+                                    zero_fn)
 from foldtrack.errors import (DomainExit, LeftDataCloud, NoConvergence, SingularJacobian,
                               StepUnderflow)
 from foldtrack.geometry import DomainBox
@@ -239,36 +239,6 @@ class TestCorrect:
             assert in_data_cloud(duffing_model, fold.omega, fold.A)
 
 
-class TestStepSizeControl:
-    def test_growth_rule(self):
-        cfg = ContinuationConfig(h=0.05, h_min=1e-3, h_max=0.1)
-        assert step_size_control(CorrectorOutcome(True, 2), 0.05, cfg) == pytest.approx(0.06)
-
-    def test_underflow_at_floor(self):
-        cfg = ContinuationConfig(h=0.05, h_min=1e-3, h_max=0.1)
-        with pytest.raises(StepUnderflow):
-            step_size_control(CorrectorOutcome(False, 20), 1e-3, cfg)
-
-    def test_halving_on_failure(self):
-        cfg = ContinuationConfig(h=0.05, h_min=1e-3, h_max=0.1)
-        assert step_size_control(CorrectorOutcome(False, 20), 0.05, cfg) == pytest.approx(0.025)
-
-    def test_reaches_and_holds_h_max(self):
-        cfg = ContinuationConfig(h=0.05, h_min=1e-3, h_max=0.1)
-        h = 0.05
-        for _ in range(10):
-            h = step_size_control(CorrectorOutcome(True, 1), h, cfg)
-        assert h == cfg.h_max
-
-    def test_slow_convergence_keeps_step(self):
-        cfg = ContinuationConfig(h=0.05, h_min=1e-3, h_max=0.1)
-        assert step_size_control(CorrectorOutcome(True, 7), 0.05, cfg) == 0.05
-
-    def test_growth_capped_at_one_length_scale(self):
-        cfg = ContinuationConfig(h=0.9, h_min=1e-3, h_max=5.0)
-        assert step_size_control(CorrectorOutcome(True, 1), 0.9, cfg) == 1.0
-
-
 class TestAdvance:
     """The one stepper: predict, check the box, correct, halve h until a step is accepted."""
 
@@ -290,6 +260,24 @@ class TestAdvance:
         assert step.h == 0.1
         assert step.tangent == tangent
         assert step.result == correct(duffing_model, x_pred, fold_on_surrogate, tangent, 0.1, CFG)
+
+    @pytest.mark.parametrize("h, h_max, iters, h_next", [
+        (0.05, 0.1, 3, 0.06),
+        (0.05, 0.1, 4, 0.05),
+        (0.09, 0.1, 1, 0.1),
+        (0.9, 5.0, 1, 1.0),
+    ], ids=["growth_after_3_iterations", "hold_above_3_iterations", "cap_at_h_max",
+            "cap_at_one_length_scale"])
+    def test_next_h(self, monkeypatch, duffing_model, fold_on_surrogate, h, h_max, iters,
+                    h_next):
+        def converges_in_iters(model, x_pred, x_prev, t, h, cfg):
+            return CorrectResult(FoldPoint(x_pred[0], x_pred[1], 0.0), iters, 0.0)
+
+        monkeypatch.setattr(continuation, "correct", converges_in_iters)
+        cfg = ContinuationConfig(h=h, h_min=1e-3, h_max=h_max)
+        step = advance(duffing_model, fold_on_surrogate, None, h, cfg)
+        assert step.h == h
+        assert step.h_next == pytest.approx(h_next, rel=1e-15)
 
     def test_prediction_outside_box_halves_h(self, duffing_model, fold_on_surrogate, tangent):
         box = self.box_cutting_ray(duffing_model, fold_on_surrogate, tangent, 0.2)
