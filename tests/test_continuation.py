@@ -239,6 +239,39 @@ class TestCorrect:
             assert in_data_cloud(duffing_model, fold.omega, fold.A)
 
 
+class TestStepSizeControl:
+    """The step-size rule for a failed corrector, as applied by advance."""
+
+    def test_halving_on_failure(self, monkeypatch, duffing_model, fold_on_surrogate):
+        tried = []
+
+        def fails_once(model, x_pred, x_prev, t, h, cfg):
+            tried.append(h)
+            if len(tried) == 1:
+                raise NoConvergence("injected failure")
+            return CorrectResult(FoldPoint(x_pred[0], x_pred[1], 0.0), 1, 0.0)
+
+        monkeypatch.setattr(continuation, "correct", fails_once)
+        cfg = ContinuationConfig(h=0.05, h_min=1e-3, h_max=0.1)
+        step = advance(duffing_model, fold_on_surrogate, None, 0.05, cfg)
+        assert tried == [0.05, pytest.approx(0.025, rel=1e-15)]
+        assert step.h == pytest.approx(0.025, rel=1e-15)
+
+    def test_underflow_at_floor(self, monkeypatch, duffing_model, fold_on_surrogate):
+        tried = []
+
+        def never_converges(model, x_pred, x_prev, t, h, cfg):
+            tried.append(h)
+            raise NoConvergence("injected failure")
+
+        monkeypatch.setattr(continuation, "correct", never_converges)
+        cfg = ContinuationConfig(h=0.05, h_min=1e-3, h_max=0.1)
+        with pytest.raises(StepUnderflow) as info:
+            advance(duffing_model, fold_on_surrogate, None, 1e-3, cfg)
+        assert not isinstance(info.value, DomainExit)
+        assert tried == [1e-3]
+
+
 class TestAdvance:
     """The one stepper: predict, check the box, correct, halve h until a step is accepted."""
 
