@@ -4,10 +4,11 @@ Candidates are drawn area-uniformly from an ellipse whose semi-axes default
 to twice the kernel length scales.  Each candidate is scored by beta, the
 shift of the fold-condition value at the current solution caused by adding
 an artificial measurement (posterior mean plus one standard deviation) at
-the candidate.  The most influential candidate is measured for real until
-no candidate can move the zero-problem by more than `beta_tol`, keeping the
-solution robust to new data.  A size cap on the training set is enforced by
-discarding the points with the least leave-one-out influence.
+the candidate, in closed form.  The most influential candidate is measured
+for real until no candidate can move the zero-problem by more than
+`beta_tol`, keeping the solution robust to new data.  Every realized sample
+of a run enters the model through `add_measurement`, which holds the size
+cap n_max by discarding the points of least leave-one-out influence.
 
 Two alternatives were tried in the original study and discarded (see
 README): collecting where the predictive variance is largest pushes points
@@ -18,7 +19,7 @@ costs a nonlinear solve per candidate for no better selections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,7 +72,6 @@ class ImproveResult:
     fold: FoldPoint
     collections: list[CollectionRecord] = field(default_factory=list)
     beta_max_final: float = 0.0
-    capped: bool = False
 
 
 def generate_candidates(center, cfg: AcquisitionConfig, rng_seed, hyper=None,
@@ -83,10 +83,7 @@ def generate_candidates(center, cfg: AcquisitionConfig, rng_seed, hyper=None,
     Deterministic for a given rng_seed.
     """
     c_omega, c_A = (center.omega, center.A) if isinstance(center, FoldPoint) else (center[0], center[1])
-    if cfg.ellipse_semi_omega is None or cfg.ellipse_semi_A is None:
-        if hyper is None:
-            raise ValueError("hyper required to default the ellipse semi-axes")
-    a, b = cfg.semi_axes(hyper) if hyper is not None else (cfg.ellipse_semi_omega, cfg.ellipse_semi_A)
+    a, b = cfg.semi_axes(hyper)
 
     if a == 0.0 and b == 0.0:
         if domain_box is not None and not domain_box.contains(c_omega, c_A):
@@ -115,39 +112,49 @@ def generate_candidates(center, cfg: AcquisitionConfig, rng_seed, hyper=None,
     return out[:cfg.n_test]
 
 
-def artificial_measurement(model: GprModel, x) -> float:
-    """Hypothetical observation: posterior mean plus one posterior std."""
-    return model.predict_mean(x) + math.sqrt(model.predict_var(x))
-
-
 def sensitivity_beta(model: GprModel, x_cand, x_sol) -> float:
     """|dGamma/dA shift at the solution| caused by an artificial measurement.
 
-    A candidate that duplicates a training input carries no information and
-    scores 0.  The base model is never modified.
+    Observing mean + sigma_c at the candidate moves dGamma/dA at the solution
+    by dcov_A * sigma_c / (sigma_c^2 + sigma_n2 + jitter), dcov_A being the
+    A-derivative of the posterior covariance of solution and candidate.  A
+    candidate that duplicates a training input scores 0.
     """
-    x_sol_pair = (x_sol.omega, x_sol.A) if isinstance(x_sol, FoldPoint) else tuple(x_sol)
-    f_bar = artificial_measurement(model, x_cand)
-    try:
-        augmented = model.add_point(x_cand, f_bar)
-    except DuplicatePoint:
+    if model.dataset.duplicate_of(x_cand) is not None:
         return 0.0
-    g_base = model.predict_mean_derivs(x_sol_pair).d_A
-    g_aug = augmented.predict_mean_derivs(x_sol_pair).d_A
-    return abs(g_aug - g_base)
+    x_sol_pair = (x_sol.omega, x_sol.A) if isinstance(x_sol, FoldPoint) else tuple(x_sol)
+    var_c = model.predict_var(x_cand)
+    return abs(model.predict_cov_d_A(x_sol_pair, x_cand)) * math.sqrt(var_c) \
+        / (var_c + model.hyper.sigma_n2 + model.jitter)
+
+
+def add_measurement(model: GprModel, fold: FoldPoint, tangent: Tangent, meas, n_max: int,
+                    ccfg: ContinuationConfig) -> tuple[GprModel, FoldPoint]:
+    """The one way a realized (omega, A, F) sample enters the model during a run.
+
+    Adds the sample, prunes back to n_max and re-corrects the fold with an
+    h = 0 arclength constraint, keeping its measured force.  A sample that
+    duplicates a training input leaves model and fold unchanged.
+    """
+    try:
+        model = model.add_point((meas.omega, meas.A), meas.F)
+    except DuplicatePoint:
+        return model, fold
+    model = prune(model, fold, n_max)
+    refreshed = correct(model, (fold.omega, fold.A), fold, tangent, 0.0, ccfg).point
+    return model, replace(refreshed, gamma_measured=fold.gamma_measured)
 
 
 def improve_solution(model: GprModel, experiment, x_sol: FoldPoint, t_prev: Tangent,
-                     h: float, cfg: AcquisitionConfig, ccfg: ContinuationConfig,
+                     cfg: AcquisitionConfig, ccfg: ContinuationConfig,
                      seed=0) -> ImproveResult:
     """Collect measurements until the fold solution is robust to new data.
 
     Each round scores a fresh candidate set; if the largest beta exceeds
-    beta_tol the winning candidate is measured through `experiment`, the
-    realized (omega, A, F) sample is added to the model (pruning back to
-    n_max if needed) and the solution is re-corrected in place with an
-    h = 0 arclength constraint.  Raises CollectionCap, carrying the partial
-    result, if max_points_per_step rounds were not enough.
+    beta_tol the winning candidate is measured through `experiment` and the
+    realized sample enters the model through `add_measurement`.  Raises
+    CollectionCap, carrying the partial result, if max_points_per_step
+    rounds were not enough.
     """
     result = ImproveResult(model=model, fold=x_sol)
     for round_idx in range(cfg.max_points_per_step + 1):
@@ -159,7 +166,6 @@ def improve_solution(model: GprModel, experiment, x_sol: FoldPoint, t_prev: Tang
         if beta_max < cfg.beta_tol:
             return result
         if round_idx == cfg.max_points_per_step:
-            result.capped = True
             raise CollectionCap(
                 f"max beta {beta_max:.3g} still above tol {cfg.beta_tol:.3g} "
                 f"after {cfg.max_points_per_step} collections", result)
@@ -168,16 +174,8 @@ def improve_solution(model: GprModel, experiment, x_sol: FoldPoint, t_prev: Tang
         result.collections.append(CollectionRecord(
             collection_idx=round_idx, omega_req=x_req[0], A_req=x_req[1],
             omega_meas=meas.omega, A_meas=meas.A, F_meas=meas.F, beta_max=beta_max))
-        try:
-            result.model = result.model.add_point((meas.omega, meas.A), meas.F)
-        except DuplicatePoint:
-            continue  # realized sample fell onto an existing input: no new information
-        if result.model.n > cfg.n_max:
-            result.model = prune(result.model, result.fold, cfg.n_max)
-        refreshed = correct(result.model, (result.fold.omega, result.fold.A),
-                            result.fold, t_prev, 0.0, ccfg)
-        result.fold = refreshed.point.with_measurement(result.fold.gamma_measured) \
-            if result.fold.gamma_measured is not None else refreshed.point
+        result.model, result.fold = add_measurement(result.model, result.fold, t_prev, meas,
+                                                    cfg.n_max, ccfg)
     raise AssertionError("unreachable")
 
 
@@ -185,16 +183,12 @@ def prune(model: GprModel, x_sol, n_max: int) -> GprModel:
     """Shrink the training set to n_max by dropping low-influence points.
 
     Influence of point i is the leave-one-out change of dGamma/dA at the
-    current solution; ties are broken by removing the point farthest from
-    the solution.
+    current solution, in closed form; ties are broken by removing the point
+    farthest from the solution.
     """
     x_sol_pair = (x_sol.omega, x_sol.A) if isinstance(x_sol, FoldPoint) else tuple(x_sol)
     while model.n > n_max:
-        g_base = model.predict_mean_derivs(x_sol_pair).d_A
-        influences = np.empty(model.n)
-        for i in range(model.n):
-            g_i = model.remove_point(i).predict_mean_derivs(x_sol_pair).d_A
-            influences[i] = abs(g_i - g_base)
+        influences = np.abs(model.loo_mean_d_A_shift(x_sol_pair))
         dist = np.hypot((model.dataset.X[:, 0] - x_sol_pair[0]) / model.hyper.l_omega,
                         (model.dataset.X[:, 1] - x_sol_pair[1]) / model.hyper.l_A)
         order = np.lexsort((-dist, influences))

@@ -18,10 +18,10 @@ failure.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import csvio
 from .config import (config_from_dict, ensemble_config_from_dict, load_raw, make_oracle,
@@ -63,16 +63,10 @@ def main():
 @_common
 def trace(config_path, out_dir, seed, threads):
     """Online continuation run against the configured measurement oracle."""
-    from dataclasses import replace
-
     from .driver import run_trace, write_trace_artifacts
 
     try:
-        cfg = _load(config_path, config_from_dict)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if threads is not None:
-            cfg = replace(cfg, threads=threads)
+        cfg = _load(config_path, config_from_dict, seed=seed, threads=threads)
         oracle = make_oracle(cfg.oracle, run_seed=cfg.seed,
                              base_dir=Path(config_path).parent)
     except ConfigError as e:
@@ -96,14 +90,8 @@ def trace(config_path, out_dir, seed, threads):
 @_common
 def sweep(config_path, out_dir, seed, threads):
     """S-curve sweeps: fixed-frequency runs over a target-amplitude grid."""
-    from dataclasses import replace
-
     try:
-        cfg = _load(config_path, sweep_config_from_dict)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if threads is not None:
-            cfg = replace(cfg, threads=threads)
+        cfg = _load(config_path, sweep_config_from_dict, seed=seed, threads=threads)
         oracle = make_oracle(cfg.oracle, run_seed=cfg.seed,
                              base_dir=Path(config_path).parent)
     except ConfigError as e:
@@ -174,17 +162,18 @@ def offline(config_path, out_dir, seed, threads):
         cfg = _load(config_path, offline_config_from_dict)
     except ConfigError as e:
         _fail(EXIT_CONFIG, str(e))
-    base = Path(config_path).parent
     try:
-        dataset = csvio.read_dataset_csv(_resolve(base, cfg.dataset))
+        dataset = csvio.read_dataset_csv(_resolve(Path(config_path).parent, cfg.dataset))
     except (MissingInput, ValueError) as e:
         _fail(EXIT_CONFIG, str(e))
     ccfg = ContinuationConfig(h=cfg.h, h_max=cfg.h_max, max_steps=cfg.max_steps)
     try:
         curve = offline_fold_trace(dataset, hyper=cfg.hyper, cfg=ccfg, x0=cfg.x0,
                                    seed=cfg.seed if seed is None else seed)
-    except (ContinuationError, ValueError) as e:
+    except ContinuationError as e:
         _fail(EXIT_CONTINUATION, str(e))
+    except ValueError as e:
+        _fail(EXIT_CONFIG, str(e))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_run_log(out / "fold_curve.csv", curve.run_log_rows())
@@ -201,19 +190,12 @@ def offline(config_path, out_dir, seed, threads):
 @_common
 def ensemble(config_path, out_dir, seed, threads):
     """Dropout uncertainty ensemble over a recorded dataset."""
-    from dataclasses import replace
-
     try:
-        cfg = _load(config_path, ensemble_config_from_dict)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if threads is not None:
-            cfg = replace(cfg, threads=threads)
+        cfg = _load(config_path, ensemble_config_from_dict, seed=seed, threads=threads)
     except ConfigError as e:
         _fail(EXIT_CONFIG, str(e))
-    base = Path(config_path).parent
     try:
-        dataset = csvio.read_dataset_csv(_resolve(base, cfg.dataset))
+        dataset = csvio.read_dataset_csv(_resolve(Path(config_path).parent, cfg.dataset))
     except (MissingInput, ValueError) as e:
         _fail(EXIT_CONFIG, str(e))
     ccfg = ContinuationConfig(max_steps=cfg.max_steps)
@@ -247,8 +229,9 @@ def ensemble(config_path, out_dir, seed, threads):
                f"artifacts in {out_dir}")
 
 
-def _load(path, parser):
-    return parser(load_raw(path))
+def _load(path, parser, **overrides):
+    """The parsed config at `path`, with each command-line override that was given."""
+    return replace(parser(load_raw(path)), **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _resolve(base: Path, p) -> Path:

@@ -46,9 +46,16 @@ ENSEMBLE_KEYS = {"n_runs": int, "dropout_fraction": float, "fit_n_starts": int,
 OFFLINE_KEYS = {"max_steps": int, "h": float, "h_max": float, "seed": int}
 
 
-def _read(d: dict, table: dict) -> dict:
+def _read(d: dict, table: dict, where: str) -> dict:
     """The keys of `table` that `d` gives, each parsed by its reader."""
-    return {k: read(d[k]) for k, read in table.items() if k in d}
+    out = {}
+    for k, read in table.items():
+        if k in d:
+            try:
+                out[k] = read(d[k])
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"{where}.{k}: cannot read {d[k]!r} ({e})") from e
+    return out
 
 
 def _fields(obj, table: dict) -> dict:
@@ -215,19 +222,20 @@ def config_from_dict(raw: dict) -> RunConfig:
         except (ValueError, TypeError) as e:
             raise ConfigError(f"hyperparameters.bounds: {e}") from e
     hyper = HyperConfig(init=_parse_hyper(h["init"], "hyperparameters.init"), bounds=bounds,
-                        **_read(h, HYPER_FLAG_KEYS))
+                        **_read(h, HYPER_FLAG_KEYS, "hyperparameters"))
 
     c = raw.get("continuation") or {}
     _require_keys(c, set(CONTINUATION_KEYS), set(), "continuation")
     try:
-        cont = ContinuationConfig(domain_box=oracle.domain_box, **_read(c, CONTINUATION_KEYS))
+        cont = ContinuationConfig(domain_box=oracle.domain_box,
+                                  **_read(c, CONTINUATION_KEYS, "continuation"))
     except ValueError as e:
         raise ConfigError(f"continuation: {e}") from e
 
     a = raw.get("acquisition") or {}
     _require_keys(a, set(ACQUISITION_KEYS), set(), "acquisition")
     try:
-        acq = AcquisitionConfig(**_read(a, ACQUISITION_KEYS))
+        acq = AcquisitionConfig(**_read(a, ACQUISITION_KEYS, "acquisition"))
     except ValueError as e:
         raise ConfigError(f"acquisition: {e}") from e
 
@@ -237,7 +245,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     return RunConfig(oracle=oracle, init=init, hyper=hyper, continuation=cont,
                      acquisition=acq, units={str(k): str(v) for k, v in units.items()},
-                     **_read(raw, RUN_KEYS))
+                     **_read(raw, RUN_KEYS, "config"))
 
 
 def load_config(path) -> RunConfig:
@@ -331,7 +339,7 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
     s = raw["sweep"]
     _require_keys(s, set(SWEEP_KEYS), {"omega_start", "omega_stop", "A_start", "A_stop"}, "sweep")
     return SweepConfig(oracle=_parse_oracle(raw["oracle"]), units=dict(raw.get("units") or {}),
-                       **_read(s, SWEEP_KEYS), **_read(raw, SEED_THREADS_KEYS))
+                       **_read(s, SWEEP_KEYS, "sweep"), **_read(raw, SEED_THREADS_KEYS, "config"))
 
 
 def nlfr_config_from_dict(raw: dict) -> NlfrConfig:
@@ -339,14 +347,14 @@ def nlfr_config_from_dict(raw: dict) -> NlfrConfig:
     inp = raw["inputs"]
     _require_keys(inp, {"datasets", "run_logs"}, set(), "nlfr.inputs")
     return NlfrConfig(datasets=tuple(inp.get("datasets") or ()),
-                      run_logs=tuple(inp.get("run_logs") or ()), **_read(raw, NLFR_KEYS))
+                      run_logs=tuple(inp.get("run_logs") or ()), **_read(raw, NLFR_KEYS, "nlfr"))
 
 
 def ensemble_config_from_dict(raw: dict) -> EnsembleConfig:
     _require_keys(raw, {"inputs", *ENSEMBLE_KEYS}, {"inputs"}, "ensemble config")
     inp = raw["inputs"]
     _require_keys(inp, {"dataset"}, {"dataset"}, "ensemble.inputs")
-    return EnsembleConfig(dataset=inp["dataset"], **_read(raw, ENSEMBLE_KEYS))
+    return EnsembleConfig(dataset=inp["dataset"], **_read(raw, ENSEMBLE_KEYS, "ensemble"))
 
 
 def offline_config_from_dict(raw: dict) -> OfflineConfig:
@@ -356,10 +364,14 @@ def offline_config_from_dict(raw: dict) -> OfflineConfig:
     _require_keys(inp, {"dataset"}, {"dataset"}, "offline.inputs")
     hyper = _parse_hyper(raw["hyperparameters"], "offline.hyperparameters") \
         if raw.get("hyperparameters") else None
-    x0 = tuple(float(v) for v in raw["x0"]) if raw.get("x0") else None
+    try:
+        x0 = tuple(float(v) for v in raw["x0"]) if raw.get("x0") else None
+    except (TypeError, ValueError):
+        x0 = ()
     if x0 is not None and len(x0) != 2:
-        raise ConfigError("offline.x0 must have two entries (omega, A)")
-    return OfflineConfig(dataset=inp["dataset"], hyper=hyper, x0=x0, **_read(raw, OFFLINE_KEYS))
+        raise ConfigError(f"offline.x0: expected two numbers [omega, A], got {raw['x0']!r}")
+    return OfflineConfig(dataset=inp["dataset"], hyper=hyper, x0=x0,
+                         **_read(raw, OFFLINE_KEYS, "offline"))
 
 
 def load_raw(path) -> dict:

@@ -10,7 +10,8 @@ accepted step the driver does what only an online run can: it measures at
 the solution (configurable, so the logged curve carries both the
 surrogate's force estimate and a directly measured one), collects data
 until the solution is robust to new measurements, and optionally refits
-the hyperparameters.
+the hyperparameters.  Every measurement after the seed grid enters the
+model through `acquisition.add_measurement`, which holds it to n_max points.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .acquisition import CollectionRecord, improve_solution
+from .acquisition import CollectionRecord, add_measurement, improve_solution
 from .config import RunConfig, make_oracle
-from .continuation import FoldPoint, Tangent, advance, correct, find_first_fold, tangent_at
-from .continuation import predict_step  # noqa: F401 (perfbench wraps it here)
+from .continuation import FoldPoint, Tangent, advance, find_first_fold, tangent_at
+from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
 from .errors import (CollectionCap, ContinuationError, DomainExhausted, DomainExit,
-                     DuplicatePoint, OracleError, SingularJacobian, StepUnderflow)
+                     OracleError, SingularJacobian, StepUnderflow)
 from .gpr import Dataset, GprModel, build, fit_hyperparameters
 
 log = logging.getLogger(__name__)
@@ -89,20 +90,17 @@ def measure_init_grid(oracle, cfg: RunConfig, hyper_init) -> Dataset:
     return Dataset(np.array(X), np.array(F))
 
 
-def _measure_at_solution(model, oracle, fold, tangent, ccfg):
+def _measure_at_solution(model, oracle, fold, tangent, cfg):
     """Anchor the surrogate with a real measurement at the accepted solution."""
     m = oracle.measure(fold.omega, fold.A)
-    try:
-        model = model.add_point((m.omega, m.A), m.F)
-    except DuplicatePoint:
-        return model, fold.with_measurement(m.F)
-    refreshed = correct(model, (fold.omega, fold.A), fold, tangent, 0.0, ccfg)
-    return model, refreshed.point.with_measurement(m.F)
+    model, fold = add_measurement(model, fold, tangent, m, cfg.acquisition.n_max,
+                                  cfg.continuation)
+    return model, fold.with_measurement(m.F)
 
 
-def _improve(model, oracle, fold, tangent, h, cfg, seed):
+def _improve(model, oracle, fold, tangent, cfg, seed):
     try:
-        return improve_solution(model, oracle, fold, tangent, h,
+        return improve_solution(model, oracle, fold, tangent,
                                 cfg.acquisition, cfg.continuation, seed=seed)
     except CollectionCap as cap:
         warnings.warn(str(cap), stacklevel=2)
@@ -126,8 +124,8 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
     fold = find_first_fold(model, (cfg.init.x0_omega, cfg.init.x0_A), ccfg)
     tangent = tangent_at(model, fold, None)
     if cfg.measure_at_solution:
-        model, fold = _measure_at_solution(model, oracle, fold, tangent, ccfg)
-    imp = _improve(model, oracle, fold, tangent, 0.0, cfg, seed=(cfg.seed, 0))
+        model, fold = _measure_at_solution(model, oracle, fold, tangent, cfg)
+    imp = _improve(model, oracle, fold, tangent, cfg, seed=(cfg.seed, 0))
     model, fold = imp.model, imp.fold
     steps = [StepRecord(step=0, fold=fold, tangent=tangent, h=0.0, newton_iters=0,
                         collections=imp.collections, beta_final=imp.beta_max_final)]
@@ -150,8 +148,8 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
         fold_k = step.result.point
         try:
             if cfg.measure_at_solution:
-                model, fold_k = _measure_at_solution(model, oracle, fold_k, step.tangent, ccfg)
-            imp = _improve(model, oracle, fold_k, step.tangent, step.h, cfg, seed=(cfg.seed, k))
+                model, fold_k = _measure_at_solution(model, oracle, fold_k, step.tangent, cfg)
+            imp = _improve(model, oracle, fold_k, step.tangent, cfg, seed=(cfg.seed, k))
             model, fold_k = imp.model, imp.fold
         except OracleError as e:
             log.error("oracle failed mid-run at step %d: %s", k, e)

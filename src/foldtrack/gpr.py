@@ -3,9 +3,9 @@
 The response-surface surrogate is a zero-mean GP with an anisotropic
 squared-exponential kernel, one length scale per input dimension, plus
 i.i.d. Gaussian observation noise.  The Cholesky factor of the training
-covariance is kept with the model so that points can be added in O(n^2)
-and removed by a rank-one factor update, which is what makes online use
-during an experiment affordable.
+covariance is kept with the model: points are added in O(n^2) and removed
+by a rank-one update, and the same factor gives, with no model built, the
+closed-form scores that acquisition ranks candidates and points by.
 
 All quantities live in the physical units of the experiment; the prior
 mean is zero in those units, so predictions revert to zero force far away
@@ -173,13 +173,17 @@ class Dataset:
         F_value = float(F_value)
         if not (np.all(np.isfinite(x)) and math.isfinite(F_value)):
             raise ValueError(f"non-finite sample {x.ravel().tolist()}, {F_value}")
-        X = np.vstack([self.X, x])
-        if self.n:
-            d2 = np.sum(((self.X - x) / _spreads(X)) ** 2, axis=1)
-            i = int(np.argmin(d2))
-            if d2[i] < DUPLICATE_TOL**2:
-                raise DuplicatePoint(f"input {x.ravel().tolist()} duplicates training input {i}")
-        return Dataset._trusted(X, np.append(self.F, F_value))
+        i = self.duplicate_of(x)
+        if i is not None:
+            raise DuplicatePoint(f"input {x.ravel().tolist()} duplicates training input {i}")
+        return Dataset._trusted(np.vstack([self.X, x]), np.append(self.F, F_value))
+
+    def duplicate_of(self, x) -> int | None:
+        """Index of the training input that x duplicates, or None; O(n)."""
+        X = np.vstack([self.X, np.reshape(x, (1, 2))])
+        hits = np.flatnonzero(np.sum(((self.X - X[-1]) / _spreads(X)) ** 2, axis=1)
+                              < DUPLICATE_TOL**2)
+        return int(hits[0]) if hits.size else None
 
     def drop(self, index: int) -> "Dataset":
         if not 0 <= index < self.n:
@@ -214,6 +218,11 @@ def _kernel_vec(X: np.ndarray, x, hyper: Hyperparameters) -> np.ndarray:
     do = (X[:, 0] - x[0]) / hyper.l_omega
     da = (X[:, 1] - x[1]) / hyper.l_A
     return hyper.sigma_f2 * np.exp(-0.5 * (do**2 + da**2))
+
+
+def _kernel_vec_d_A(X: np.ndarray, x, hyper: Hyperparameters) -> np.ndarray:
+    """d/dA at x of the covariances between x and each row of X."""
+    return -(x[1] - X[:, 1]) / hyper.l_A**2 * _kernel_vec(X, x, hyper)
 
 
 def _factorize(K: np.ndarray, hyper: Hyperparameters):
@@ -253,8 +262,6 @@ class GprModel:
 
     def predict_mean(self, x) -> float:
         """Posterior mean force amplitude at x = (omega, A)."""
-        if self.n == 0:
-            return 0.0
         k = _kernel_vec(self.dataset.X, x, self.hyper)
         return float(k @ self.alpha)
 
@@ -264,8 +271,6 @@ class GprModel:
         Bounded by [0, sigma_f2]; tiny negative round-off is clamped, larger
         violations raise NumericalBreakdown.
         """
-        if self.n == 0:
-            return self.hyper.sigma_f2
         k = _kernel_vec(self.dataset.X, x, self.hyper)
         v = solve_triangular(self.chol, k, lower=True)
         var = self.hyper.sigma_f2 - float(v @ v)
@@ -275,8 +280,6 @@ class GprModel:
 
     def predict_mean_derivs(self, x) -> MeanDerivs:
         """Analytic dG/domega, dG/dA, d2G/dA2, d2G/domega dA of the posterior mean."""
-        if self.n == 0:
-            raise ValueError("derivatives require at least one training point")
         hyp = self.hyper
         k = _kernel_vec(self.dataset.X, x, hyp)
         w = k * self.alpha
@@ -288,6 +291,22 @@ class GprModel:
         d_omega_A = float((do * da) @ w)
         return MeanDerivs(d_omega, d_A, d_AA, d_omega_A)
 
+    def predict_cov_d_A(self, x, x2) -> float:
+        """d/dA at x of the posterior covariance of the latent values at x and x2."""
+        X, hyp = self.dataset.X, self.hyper
+        V = solve_triangular(self.chol, np.column_stack(
+            [_kernel_vec_d_A(X, x, hyp), _kernel_vec(X, x2, hyp)]), lower=True)
+        return -(x[1] - x2[1]) / hyp.l_A**2 * kernel(x, x2, hyp) - float(V[:, 0] @ V[:, 1])
+
+    def loo_mean_d_A_shift(self, x) -> np.ndarray:
+        """dG/dA at x minus its value without training point i, for every i.
+
+        Closed form (Rasmussen & Williams eq. 5.12): the mean at x exceeds the
+        one without point i by (K^-1 k_x)_i alpha_i / (K^-1)_ii; no downdate.
+        """
+        Kinv = cho_solve((self.chol, True), np.eye(self.n))
+        return Kinv @ _kernel_vec_d_A(self.dataset.X, x, self.hyper) * self.alpha / np.diag(Kinv)
+
     # -- incremental updates -----------------------------------------------
 
     def add_point(self, x, F_value: float) -> "GprModel":
@@ -297,27 +316,21 @@ class GprModel:
         """
         x = (float(x[0]), float(x[1]))
         data = self.dataset.append(x, F_value)
-        d = self.hyper.sigma_f2 + self.hyper.sigma_n2 + self.jitter
-        if self.n == 0:
-            L = np.array([[math.sqrt(d)]])
-        else:
-            k = _kernel_vec(self.dataset.X, x, self.hyper)
-            col = solve_triangular(self.chol, k, lower=True)
-            s2 = d - float(col @ col)
-            if s2 <= 0.0:
-                raise FactorizationFailure(
-                    "factor extension broke down; point is numerically dependent on the data")
-            L = np.zeros((self.n + 1, self.n + 1))
-            L[:-1, :-1] = self.chol
-            L[-1, :-1] = col
-            L[-1, -1] = math.sqrt(s2)
+        k = _kernel_vec(self.dataset.X, x, self.hyper)
+        col = solve_triangular(self.chol, k, lower=True)
+        s2 = self.hyper.sigma_f2 + self.hyper.sigma_n2 + self.jitter - float(col @ col)
+        if s2 <= 0.0:
+            raise FactorizationFailure(
+                "factor extension broke down; point is numerically dependent on the data")
+        L = np.zeros((self.n + 1, self.n + 1))
+        L[:-1, :-1] = self.chol
+        L[-1, :-1] = col
+        L[-1, -1] = math.sqrt(s2)
         alpha = cho_solve((L, True), data.F)
         return GprModel(data, self.hyper, L, alpha, self.jitter)
 
     def remove_point(self, index: int) -> "GprModel":
         """Drop training point `index`; rank-one factor downdate, O(n^2)."""
-        if not 0 <= index < self.n:
-            raise IndexOutOfRange(f"index {index} outside [0, {self.n})")
         data = self.dataset.drop(index)
         if data.n == 0:
             return build(data, self.hyper)
@@ -344,8 +357,6 @@ def _rank_one_update(L: np.ndarray, w: np.ndarray):
 
 def build(dataset: Dataset, hyper: Hyperparameters) -> GprModel:
     """Factorize the training covariance and cache alpha = K^-1 F."""
-    if dataset.n == 0:
-        return GprModel(dataset, hyper, np.zeros((0, 0)), np.zeros(0), 0.0)
     K = _kernel_matrix(dataset.X, hyper)
     K[np.diag_indices_from(K)] += hyper.sigma_n2
     L, jitter = _factorize(K, hyper)

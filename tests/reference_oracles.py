@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately written from first principles (dense
-linear algebra, finite differences, sign-change root scans) and never
-calls the code paths it is used to check.
+linear algebra, finite differences, sign-change root scans, explicit model
+updates) and never calls the code paths it is used to check.
 """
 
 import math
 
 import numpy as np
 from scipy.optimize import brentq
+
+from foldtrack.errors import DuplicatePoint
 
 
 def se_kernel_matrix(X1, X2, sigma_f2, l_omega, l_A):
@@ -87,6 +89,29 @@ def fd_mean_derivs(predict_mean, x, h_omega, h_A):
     d_om_A = (f((om + h_omega, A + h_A)) - f((om + h_omega, A - h_A))
               - f((om - h_omega, A + h_A)) + f((om - h_omega, A - h_A))) / (4 * h_omega * h_A)
     return d_om, d_A, d_AA, d_om_A
+
+
+# -- acquisition by explicit model updates --------------------------------------
+
+def artificial_measurement(model, x) -> float:
+    """Hypothetical observation: posterior mean plus one posterior std."""
+    return model.predict_mean(x) + math.sqrt(model.predict_var(x))
+
+
+def add_point_beta(model, x_cand, x_sol) -> float:
+    """beta by adding the artificial measurement to the model and differencing dG/dA."""
+    try:
+        augmented = model.add_point(x_cand, artificial_measurement(model, x_cand))
+    except DuplicatePoint:
+        return 0.0
+    return abs(augmented.predict_mean_derivs(x_sol).d_A - model.predict_mean_derivs(x_sol).d_A)
+
+
+def downdate_influences(model, x_sol) -> np.ndarray:
+    """|Leave-one-out change of dG/dA at x_sol|, by one factor downdate per point."""
+    g = model.predict_mean_derivs(x_sol).d_A
+    return np.array([abs(model.remove_point(i).predict_mean_derivs(x_sol).d_A - g)
+                     for i in range(model.n)])
 
 
 # -- Duffing surface brute force ---------------------------------------------

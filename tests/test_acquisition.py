@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import duffing_grid_dataset
+from reference_oracles import artificial_measurement
 
-from foldtrack.acquisition import (AcquisitionConfig, artificial_measurement,
-                                   generate_candidates, improve_solution, prune,
-                                   sensitivity_beta)
+from foldtrack.acquisition import (AcquisitionConfig, generate_candidates, improve_solution,
+                                   prune, sensitivity_beta)
 from foldtrack.continuation import (ContinuationConfig, FoldPoint, find_first_fold,
                                     tangent_at)
 from foldtrack.errors import CollectionCap, DomainExhausted
@@ -133,7 +133,7 @@ class TestImproveSolution:
         model = build(dense, duffing_hyper)
         t = tangent_at(model, fold, None)
         cfg = AcquisitionConfig(n_test=50, beta_tol=0.01)
-        res = improve_solution(model, duffing_oracle, fold, t, 0.0, cfg, CCFG, seed=1)
+        res = improve_solution(model, duffing_oracle, fold, t, cfg, CCFG, seed=1)
         assert res.collections == []
         assert res.beta_max_final < cfg.beta_tol
 
@@ -153,7 +153,7 @@ class TestImproveSolution:
     def test_terminates_under_tolerance(self, duffing_model, duffing_oracle, fold):
         t = tangent_at(duffing_model, fold, None)
         cfg = AcquisitionConfig(n_test=50, beta_tol=5e-3, max_points_per_step=10)
-        res = improve_solution(duffing_model, duffing_oracle, fold, t, 0.0, cfg, CCFG, seed=2)
+        res = improve_solution(duffing_model, duffing_oracle, fold, t, cfg, CCFG, seed=2)
         assert res.beta_max_final < cfg.beta_tol
         assert len(res.collections) <= cfg.max_points_per_step
 
@@ -161,9 +161,8 @@ class TestImproveSolution:
         t = tangent_at(duffing_model, fold, None)
         cfg = AcquisitionConfig(n_test=20, beta_tol=1e-12, max_points_per_step=3)
         with pytest.raises(CollectionCap) as exc:
-            improve_solution(duffing_model, duffing_oracle, fold, t, 0.0, cfg, CCFG, seed=3)
+            improve_solution(duffing_model, duffing_oracle, fold, t, cfg, CCFG, seed=3)
         res = exc.value.result
-        assert res.capped
         assert len(res.collections) == 3
         assert res.model.n == duffing_model.n + 3
 
@@ -172,7 +171,7 @@ class TestImproveSolution:
         n_max = duffing_model.n + 2
         cfg = AcquisitionConfig(n_test=20, beta_tol=1e-12, max_points_per_step=5, n_max=n_max)
         with pytest.raises(CollectionCap) as exc:
-            improve_solution(duffing_model, duffing_oracle, fold, t, 0.0, cfg, CCFG, seed=3)
+            improve_solution(duffing_model, duffing_oracle, fold, t, cfg, CCFG, seed=3)
         assert exc.value.result.model.n <= n_max
 
     def test_deterministic_collection_log(self, duffing_model, duffing_params,
@@ -183,7 +182,7 @@ class TestImproveSolution:
         logs = []
         for _ in range(2):
             oracle = DuffingOracle(duffing_params, duffing_box, seed=11)
-            res = improve_solution(duffing_model, oracle, fold, t, 0.0, cfg, CCFG, seed=9)
+            res = improve_solution(duffing_model, oracle, fold, t, cfg, CCFG, seed=9)
             logs.append([(c.omega_meas, c.A_meas, c.F_meas, c.beta_max)
                          for c in res.collections])
         assert logs[0] == logs[1]

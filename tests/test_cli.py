@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +155,27 @@ class TestTrace:
                       "--out", str(tmp_path / "out"))
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_n_max_holds_after_the_seed_grid(self, tmp_path, monkeypatch, seed):
+        # the 40 dB Duffing run reaches the cap within its 60 steps; every model
+        # a step starts from, and the written dataset, stays at n_max or below
+        from foldtrack import driver
+        cfg = yaml.safe_load((Path(__file__).parent.parent / "configs" / "duffing_noisy.yaml")
+                             .read_text())
+        cfg["acquisition"]["n_max"] = 40
+        sizes = []
+
+        def advance(model, *args, **kwargs):
+            sizes.append(model.n)
+            return continuation.advance(model, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "advance", advance)
+        res = run_cli("trace", "--config", write_cfg(tmp_path, cfg), "--seed", str(seed),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code in (0, 3)  # seed 1 stops with refresh_failed, a separate defect
+        assert max(sizes) == 40
+        assert read_dataset_csv(tmp_path / "out" / "dataset.csv").n <= 40
+
     def test_refit_each_step_flag(self, tmp_path):
         cfg = base_trace_config()
         cfg["continuation"]["max_steps"] = 3
@@ -246,6 +268,31 @@ class TestMissingInputs:
         res = run_cli("offline", "--config", write_cfg(tmp_path, cfg),
                       "--out", str(tmp_path / "out"))
         assert res.exit_code == 1
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("command, edit", [
+        ("trace", {"seed": "x"}),
+        ("offline", {"max_steps": "many"}),
+        ("offline", {"x0": {"omega": 1.1, "A": 1.4}}),
+    ], ids=["trace_seed", "offline_max_steps", "offline_x0_mapping"])
+    def test_unparseable_value_is_config_error(self, tmp_path, command, edit):
+        cfg = base_trace_config() if command == "trace" else {"inputs": {"dataset": "d.csv"}}
+        cfg.update(edit)
+        res = run_cli(command, "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
+        assert next(iter(edit)) in res.output
+
+    def test_offline_too_few_points_is_config_error(self, tmp_path):
+        X = np.array([[1.0, 1.0], [1.1, 1.5]])
+        write_dataset_csv(tmp_path / "data.csv", Dataset(X, np.array([0.3, 0.4])))
+        res = run_cli("offline", "--config",
+                      write_cfg(tmp_path, {"inputs": {"dataset": "data.csv"}}),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: need at least 5 points")
 
 
 class TestOfflineAndEnsemble:

@@ -1,19 +1,21 @@
-"""Property tests for the regression layer.
+"""Property tests for the regression layer and the scores read off it.
 
 Random inputs are drawn on coarse lattices so covariance conditioning stays
 bounded; the contracts under test (interpolation, variance bounds, update
-equivalence, permutation equivariance) are exactly the ones other modules
-rely on.
+equivalence, permutation equivariance, closed-form beta and prune against
+their explicit-update references) are exactly the ones other modules rely
+on.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY_NOISE, duffing_grid_dataset
-from reference_oracles import cs_mean_derivs
+from reference_oracles import add_point_beta, cs_mean_derivs, downdate_influences
 
+from foldtrack.acquisition import prune, sensitivity_beta
 from foldtrack.errors import DuplicatePoint
 from foldtrack.gpr import DUPLICATE_TOL, Dataset, Hyperparameters, build
 
@@ -90,6 +92,47 @@ def test_update_equivalence_interleaved(ops):
     fresh = build(Dataset(model.dataset.X, model.dataset.F), HYPER)
     assert np.allclose(model.alpha, fresh.alpha, rtol=1e-8, atol=1e-10)
     assert np.allclose(model.chol, fresh.chol, rtol=1e-8, atol=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                       unique=True, min_size=3, max_size=8),
+       values=st.lists(outputs, min_size=8, max_size=8),
+       sigma_n2=st.sampled_from([TINY_NOISE, 1e-4, 1e-2]),
+       cand=st.tuples(st.integers(-5, 32), st.integers(-5, 50)),
+       sol=st.tuples(st.floats(0.0, 2.7), st.floats(0.0, 4.5)), dup=st.integers(0, 7))
+def test_beta_matches_add_point_reference(points, values, sigma_n2, cand, sol, dup):
+    """Closed-form beta is >= 0, equals the add-point beta, and is 0 on a duplicate.
+
+    Candidates sit on a lattice offset from the training inputs: within a
+    tiny distance of one, both betas are round-off.
+    """
+    model = build(_dataset(points, values), Hyperparameters(sigma_n2, 1.0, 0.6, 1.0))
+    cand = (0.05 + 0.1 * cand[0], 0.05 + 0.1 * cand[1])
+    beta = sensitivity_beta(model, cand, sol)
+    assert beta >= 0.0
+    assert beta == pytest.approx(add_point_beta(model, cand, sol), rel=1e-8, abs=1e-12)
+    assert sensitivity_beta(model, tuple(model.dataset.X[dup % model.n]), sol) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                       unique=True, min_size=3, max_size=8),
+       values=st.lists(outputs, min_size=8, max_size=8),
+       sigma_n2=st.sampled_from([TINY_NOISE, 1e-4, 1e-2]),
+       sol=st.tuples(st.floats(0.0, 2.7), st.floats(0.0, 4.5)))
+def test_prune_drops_the_downdate_reference_index(points, values, sigma_n2, sol):
+    model = build(_dataset(points, values), Hyperparameters(sigma_n2, 1.0, 0.6, 1.0))
+    influences = downdate_influences(model, sol)
+    assert np.abs(model.loo_mean_d_A_shift(sol)) == pytest.approx(influences, rel=1e-6,
+                                                                   abs=1e-10)
+    dist = np.hypot((model.dataset.X[:, 0] - sol[0]) / model.hyper.l_omega,
+                    (model.dataset.X[:, 1] - sol[1]) / model.hyper.l_A)
+    first, second = np.sort(influences)[:2]
+    # a tie within the reference's round-off may fall either way
+    assume(second - first > 1e-6 * influences.max() + 1e-10)
+    expected = model.remove_point(int(np.lexsort((-dist, influences))[0]))
+    assert np.array_equal(prune(model, sol, model.n - 1).dataset.X, expected.dataset.X)
 
 
 def test_updates_skip_the_all_pairs_check(monkeypatch):
