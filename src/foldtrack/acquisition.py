@@ -1,14 +1,16 @@
 """Active selection of the next measurement around the current fold solution.
 
 Candidates are drawn area-uniformly from an ellipse whose semi-axes default
-to twice the kernel length scales.  Each candidate is scored by beta, the
-shift of the fold-condition value at the current solution caused by adding
-an artificial measurement (posterior mean plus one standard deviation) at
-the candidate, in closed form.  The most influential candidate is measured
-for real until no candidate can move the zero-problem by more than
-`beta_tol`, keeping the solution robust to new data.  Every realized sample
-of a run enters the model through `add_measurement`, which holds the size
-cap n_max by discarding the points of least leave-one-out influence.
+to twice the kernel length scales.  Every candidate of a round is scored
+by beta, the shift of the fold-condition value at the current solution
+caused by adding an artificial measurement (posterior mean plus one
+standard deviation) at the candidate, in closed form; one triangular solve
+scores the whole round, and a single pair is scored as a batch of one.
+The most influential candidate is measured for real until no candidate
+can move the zero-problem by more than `beta_tol`, keeping the solution
+robust to new data.  Every realized sample of a run enters the model
+through `add_measurement`, which holds the size cap n_max by discarding
+the points of least leave-one-out influence.
 
 Two alternatives were tried in the original study and discarded (see
 README): collecting where the predictive variance is largest pushes points
@@ -112,20 +114,24 @@ def generate_candidates(center, cfg: AcquisitionConfig, rng_seed, hyper=None,
     return out[:cfg.n_test]
 
 
-def sensitivity_beta(model: GprModel, x_cand, x_sol) -> float:
+def sensitivity_beta(model: GprModel, x_cand, x_sol):
     """|dGamma/dA shift at the solution| caused by an artificial measurement.
 
-    Observing mean + sigma_c at the candidate moves dGamma/dA at the solution
+    Observing mean + sigma_c at candidate c moves dGamma/dA at the solution
     by dcov_A * sigma_c / (sigma_c^2 + sigma_n2 + jitter), dcov_A being the
-    A-derivative of the posterior covariance of solution and candidate.  A
-    candidate that duplicates a training input scores 0.
+    A-derivative of the posterior covariance of solution and candidate.
+    `x_cand` is an (m, 2) array of candidates, all scored by one triangular
+    solve, giving an (m,) array; one (omega, A) pair is a batch of one and
+    gives a float.  A candidate that duplicates a training input scores 0.
     """
-    if model.dataset.duplicate_of(x_cand) is not None:
-        return 0.0
+    x_cand = np.asarray(x_cand, dtype=float)
+    C = x_cand.reshape(-1, 2)
     x_sol_pair = (x_sol.omega, x_sol.A) if isinstance(x_sol, FoldPoint) else tuple(x_sol)
-    var_c = model.predict_var(x_cand)
-    return abs(model.predict_cov_d_A(x_sol_pair, x_cand)) * math.sqrt(var_c) \
-        / (var_c + model.hyper.sigma_n2 + model.jitter)
+    fresh = model.dataset.duplicate_of(C) < 0
+    var, cov_d_A = model.predict_var_and_cov_d_A(x_sol_pair, C[fresh])
+    beta = np.zeros(len(C))
+    beta[fresh] = np.abs(cov_d_A) * np.sqrt(var) / (var + model.hyper.sigma_n2 + model.jitter)
+    return float(beta[0]) if x_cand.ndim == 1 else beta
 
 
 def add_measurement(model: GprModel, fold: FoldPoint, tangent: Tangent, meas, n_max: int,
@@ -150,18 +156,18 @@ def improve_solution(model: GprModel, experiment, x_sol: FoldPoint, t_prev: Tang
                      seed=0) -> ImproveResult:
     """Collect measurements until the fold solution is robust to new data.
 
-    Each round scores a fresh candidate set; if the largest beta exceeds
-    beta_tol the winning candidate is measured through `experiment` and the
-    realized sample enters the model through `add_measurement`.  Raises
-    CollectionCap, carrying the partial result, if max_points_per_step
-    rounds were not enough.
+    Each round scores a fresh candidate set with one `sensitivity_beta`
+    call; if the largest beta exceeds beta_tol the winning candidate is
+    measured through `experiment` and the realized sample enters the model
+    through `add_measurement`.  Raises CollectionCap, carrying the partial
+    result, if max_points_per_step rounds were not enough.
     """
     result = ImproveResult(model=model, fold=x_sol)
     for round_idx in range(cfg.max_points_per_step + 1):
         candidates = generate_candidates(result.fold, cfg, (seed, round_idx),
                                          hyper=result.model.hyper, domain_box=ccfg.domain_box)
-        betas = [sensitivity_beta(result.model, x, result.fold) for x in candidates]
-        beta_max = max(betas)
+        betas = sensitivity_beta(result.model, candidates, result.fold)
+        beta_max = float(betas.max())
         result.beta_max_final = beta_max
         if beta_max < cfg.beta_tol:
             return result

@@ -159,7 +159,7 @@ def nlfr(config_path, out_dir, seed, threads):
 def offline(config_path, out_dir, seed, threads):
     """Fold continuation on the surrogate of a recorded dataset (no new data)."""
     try:
-        cfg = _load(config_path, offline_config_from_dict)
+        cfg = _load(config_path, offline_config_from_dict, seed=seed)
     except ConfigError as e:
         _fail(EXIT_CONFIG, str(e))
     try:
@@ -168,8 +168,7 @@ def offline(config_path, out_dir, seed, threads):
         _fail(EXIT_CONFIG, str(e))
     ccfg = ContinuationConfig(h=cfg.h, h_max=cfg.h_max, max_steps=cfg.max_steps)
     try:
-        curve = offline_fold_trace(dataset, hyper=cfg.hyper, cfg=ccfg, x0=cfg.x0,
-                                   seed=cfg.seed if seed is None else seed)
+        curve = offline_fold_trace(dataset, hyper=cfg.hyper, cfg=ccfg, x0=cfg.x0, seed=cfg.seed)
     except ContinuationError as e:
         _fail(EXIT_CONTINUATION, str(e))
     except ValueError as e:
@@ -177,8 +176,8 @@ def offline(config_path, out_dir, seed, threads):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_run_log(out / "fold_curve.csv", curve.run_log_rows())
-    csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(),
-                         seed=cfg.seed if seed is None else seed, threads=1, status="ok",
+    csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(), seed=cfg.seed,
+                         threads=1, status="ok",
                          reason=f"{len(curve.points)} fold points",
                          outputs=["fold_curve.csv"],
                          extra={"command": "offline",

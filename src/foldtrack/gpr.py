@@ -5,7 +5,8 @@ squared-exponential kernel, one length scale per input dimension, plus
 i.i.d. Gaussian observation noise.  The Cholesky factor of the training
 covariance is kept with the model: points are added in O(n^2) and removed
 by a rank-one update, and the same factor gives, with no model built, the
-closed-form scores that acquisition ranks candidates and points by.
+closed-form scores that acquisition ranks candidates and points by: one
+triangular solve per candidate set, one inverse per set of points.
 
 All quantities live in the physical units of the experiment; the prior
 mean is zero in those units, so predictions revert to zero force far away
@@ -173,17 +174,25 @@ class Dataset:
         F_value = float(F_value)
         if not (np.all(np.isfinite(x)) and math.isfinite(F_value)):
             raise ValueError(f"non-finite sample {x.ravel().tolist()}, {F_value}")
-        i = self.duplicate_of(x)
-        if i is not None:
+        i = int(self.duplicate_of(x)[0])
+        if i >= 0:
             raise DuplicatePoint(f"input {x.ravel().tolist()} duplicates training input {i}")
         return Dataset._trusted(np.vstack([self.X, x]), np.append(self.F, F_value))
 
-    def duplicate_of(self, x) -> int | None:
-        """Index of the training input that x duplicates, or None; O(n)."""
-        X = np.vstack([self.X, np.reshape(x, (1, 2))])
-        hits = np.flatnonzero(np.sum(((self.X - X[-1]) / _spreads(X)) ** 2, axis=1)
-                              < DUPLICATE_TOL**2)
-        return int(hits[0]) if hits.size else None
+    def duplicate_of(self, C) -> np.ndarray:
+        """For each row of C, the first training input it duplicates, or -1; O(n*m).
+
+        C is one (omega, A) pair or an (m, 2) array.  Row c is compared using
+        the spreads of the training inputs together with c alone.
+        """
+        C = np.reshape(np.asarray(C, dtype=float), (-1, 2))
+        if self.n == 0:
+            return np.full(len(C), -1)
+        s = np.maximum(self.X.max(axis=0), C) - np.minimum(self.X.min(axis=0), C)
+        s[s == 0.0] = 1.0
+        hits = np.sum(((self.X[None, :, :] - C[:, None, :]) / s[:, None, :]) ** 2, axis=2) \
+            < DUPLICATE_TOL**2
+        return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
 
     def drop(self, index: int) -> "Dataset":
         if not 0 <= index < self.n:
@@ -208,9 +217,9 @@ def kernel(x1, x2, hyper: Hyperparameters) -> float:
     return hyper.sigma_f2 * math.exp(-0.5 * (do * do + da * da))
 
 
-def _kernel_matrix(X: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
-    do = (X[:, 0:1] - X[:, 0:1].T) / hyper.l_omega
-    da = (X[:, 1:2] - X[:, 1:2].T) / hyper.l_A
+def _kernel_matrix(X1: np.ndarray, X2: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
+    do = (X1[:, 0:1] - X2[:, 0:1].T) / hyper.l_omega
+    da = (X1[:, 1:2] - X2[:, 1:2].T) / hyper.l_A
     return hyper.sigma_f2 * np.exp(-0.5 * (do**2 + da**2))
 
 
@@ -273,10 +282,7 @@ class GprModel:
         """
         k = _kernel_vec(self.dataset.X, x, self.hyper)
         v = solve_triangular(self.chol, k, lower=True)
-        var = self.hyper.sigma_f2 - float(v @ v)
-        if var < -1e-10:
-            raise NumericalBreakdown(f"predictive variance {var} below -1e-10")
-        return max(var, 0.0)
+        return float(_clamped_var(self.hyper.sigma_f2 - float(v @ v)))
 
     def predict_mean_derivs(self, x) -> MeanDerivs:
         """Analytic dG/domega, dG/dA, d2G/dA2, d2G/domega dA of the posterior mean."""
@@ -291,12 +297,21 @@ class GprModel:
         d_omega_A = float((do * da) @ w)
         return MeanDerivs(d_omega, d_A, d_AA, d_omega_A)
 
-    def predict_cov_d_A(self, x, x2) -> float:
-        """d/dA at x of the posterior covariance of the latent values at x and x2."""
+    def predict_var_and_cov_d_A(self, x, C) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior variances at the rows of C and d/dA at x of cov(x, c), for every c.
+
+        One triangular solve of the block [d/dA k(X, x), k(X, C)] gives V;
+        its first column against each other one is the data's share of both.
+        C is (m, 2); one candidate is a batch of one.  Variances are clamped
+        and checked as in `predict_var`.
+        """
         X, hyp = self.dataset.X, self.hyper
+        C = np.reshape(C, (-1, 2))
         V = solve_triangular(self.chol, np.column_stack(
-            [_kernel_vec_d_A(X, x, hyp), _kernel_vec(X, x2, hyp)]), lower=True)
-        return -(x[1] - x2[1]) / hyp.l_A**2 * kernel(x, x2, hyp) - float(V[:, 0] @ V[:, 1])
+            [_kernel_vec_d_A(X, x, hyp), _kernel_matrix(X, C, hyp)]), lower=True)
+        var = _clamped_var(hyp.sigma_f2 - np.einsum("ij,ij->j", V[:, 1:], V[:, 1:]))
+        cov_d_A = -(x[1] - C[:, 1]) / hyp.l_A**2 * _kernel_vec(C, x, hyp) - V[:, 0] @ V[:, 1:]
+        return var, cov_d_A
 
     def loo_mean_d_A_shift(self, x) -> np.ndarray:
         """dG/dA at x minus its value without training point i, for every i.
@@ -342,6 +357,13 @@ class GprModel:
         return GprModel(data, self.hyper, L, alpha, self.jitter)
 
 
+def _clamped_var(var):
+    """Posterior variance with round-off below 0 clamped; below -1e-10 it is a breakdown."""
+    if np.any(var < -1e-10):
+        raise NumericalBreakdown(f"predictive variance {np.min(var)} below -1e-10")
+    return np.maximum(var, 0.0)
+
+
 def _rank_one_update(L: np.ndarray, w: np.ndarray):
     """In-place lower-triangular update: L L^T + w w^T -> L L^T."""
     m = len(w)
@@ -357,7 +379,7 @@ def _rank_one_update(L: np.ndarray, w: np.ndarray):
 
 def build(dataset: Dataset, hyper: Hyperparameters) -> GprModel:
     """Factorize the training covariance and cache alpha = K^-1 F."""
-    K = _kernel_matrix(dataset.X, hyper)
+    K = _kernel_matrix(dataset.X, dataset.X, hyper)
     K[np.diag_indices_from(K)] += hyper.sigma_n2
     L, jitter = _factorize(K, hyper)
     alpha = cho_solve((L, True), dataset.F)
@@ -382,7 +404,7 @@ def _log_marginal_and_grad(dataset: Dataset, z: np.ndarray):
     hyper = Hyperparameters.from_array(np.exp(z))
     X, F = dataset.X, dataset.F
     n = dataset.n
-    Kse = _kernel_matrix(X, hyper)
+    Kse = _kernel_matrix(X, X, hyper)
     K = Kse + hyper.sigma_n2 * np.eye(n)
     L, _ = _factorize(K, hyper)
     alpha = cho_solve((L, True), F)

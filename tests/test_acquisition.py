@@ -12,7 +12,7 @@ from foldtrack.continuation import (ContinuationConfig, FoldPoint, find_first_fo
                                     tangent_at)
 from foldtrack.errors import CollectionCap, DomainExhausted
 from foldtrack.geometry import DomainBox
-from foldtrack.gpr import Dataset, build
+from foldtrack.gpr import Dataset, GprModel, build
 
 CCFG = ContinuationConfig(h=0.1, h_min=1e-3, h_max=0.3, newton_tol=1e-8)
 
@@ -156,6 +156,28 @@ class TestImproveSolution:
         res = improve_solution(duffing_model, duffing_oracle, fold, t, cfg, CCFG, seed=2)
         assert res.beta_max_final < cfg.beta_tol
         assert len(res.collections) <= cfg.max_points_per_step
+
+    @pytest.mark.parametrize("beta_tol, cap", [(5e-3, 10), (1e-12, 3)],
+                             ids=["under_tolerance", "collection_cap"])
+    def test_one_batched_scoring_call_per_round(self, duffing_model, duffing_oracle, fold,
+                                                monkeypatch, beta_tol, cap):
+        calls = []
+        batched = GprModel.predict_var_and_cov_d_A
+
+        def counted(self, x, C):
+            calls.append(len(C))
+            return batched(self, x, C)
+
+        monkeypatch.setattr(GprModel, "predict_var_and_cov_d_A", counted)
+        t = tangent_at(duffing_model, fold, None)
+        cfg = AcquisitionConfig(n_test=50, beta_tol=beta_tol, max_points_per_step=cap)
+        try:
+            res = improve_solution(duffing_model, duffing_oracle, fold, t, cfg, CCFG, seed=2)
+        except CollectionCap as e:
+            res = e.result
+        assert len(res.collections) > 0
+        assert len(calls) == len(res.collections) + 1
+        assert all(m > 1 for m in calls)
 
     def test_collection_cap_carries_partial_result(self, duffing_model, duffing_oracle, fold):
         t = tangent_at(duffing_model, fold, None)

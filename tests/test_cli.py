@@ -316,6 +316,26 @@ class TestOfflineAndEnsemble:
         manifest = json.loads((traced / "off" / "manifest.json").read_text())
         assert "hyperparameters_fitted" in manifest
 
+    def test_offline_seed_override_replays_from_manifest(self, tmp_path):
+        # the seed draws the fit's random starts, which land apart in the last
+        # digits on noisy data, so a replay with another seed differs
+        W, A = np.meshgrid(np.linspace(1.00, 1.21, 8), np.linspace(0.6, 3.0, 9),
+                           indexing="ij")
+        W, A = W.ravel(), A.ravel()
+        F = duffing_gamma(DuffingParams(), W, A)
+        F = F + 0.01 * F.mean() * np.random.default_rng(0).standard_normal(F.shape)
+        write_dataset_csv(tmp_path / "data.csv", Dataset(np.column_stack([W, A]), F))
+        cfg = {"inputs": {"dataset": str(tmp_path / "data.csv")}, "max_steps": 10}
+        first = run_cli("offline", "--config", write_cfg(tmp_path, cfg), "--seed", "3",
+                        "--out", str(tmp_path / "first"))
+        assert first.exit_code == 0
+        manifest = tmp_path / "first" / "manifest.json"
+        assert json.loads(manifest.read_text())["config"]["seed"] == 3
+        replay = run_cli("offline", "--config", str(manifest), "--out", str(tmp_path / "replay"))
+        assert replay.exit_code == 0
+        assert (tmp_path / "replay" / "fold_curve.csv").read_bytes() == \
+            (tmp_path / "first" / "fold_curve.csv").read_bytes()
+
     def test_ensemble_warm_start_completes_the_benchmark_sweep(self, tmp_path):
         # the noisy 285-point S-curve sweep of perfbench/dataset.py, seed 0; cold
         # 1-start fits of the dropout subsets collapse to the lower length-scale

@@ -2,14 +2,14 @@
 
 Random inputs are drawn on coarse lattices so covariance conditioning stays
 bounded; the contracts under test (interpolation, variance bounds, update
-equivalence, permutation equivariance, closed-form beta and prune against
-their explicit-update references) are exactly the ones other modules rely
-on.
+equivalence, permutation equivariance, closed-form beta, single and
+batched, and prune against their explicit-update references) are exactly
+the ones other modules rely on.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY_NOISE, duffing_grid_dataset
@@ -113,6 +113,41 @@ def test_beta_matches_add_point_reference(points, values, sigma_n2, cand, sol, d
     assert beta >= 0.0
     assert beta == pytest.approx(add_point_beta(model, cand, sol), rel=1e-8, abs=1e-12)
     assert sensitivity_beta(model, tuple(model.dataset.X[dup % model.n]), sol) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                       unique=True, min_size=0, max_size=8),
+       values=st.lists(outputs, min_size=8, max_size=8),
+       sigma_n2=st.sampled_from([TINY_NOISE, 1e-4, 1e-2]),
+       cands=st.lists(st.tuples(st.integers(-5, 32), st.integers(-5, 50)),
+                      min_size=2, max_size=12),
+       sol=st.tuples(st.floats(0.0, 2.7), st.floats(0.0, 4.5)),
+       dup=st.integers(0, 7), at=st.integers(0, 10))
+@example(points=[], values=[0.0] * 8, sigma_n2=TINY_NOISE, cands=[(3, 4), (20, 30)],
+         sol=(1.0, 2.0), dup=0, at=0)
+def test_batched_beta_matches_add_point_reference(points, values, sigma_n2, cands, sol,
+                                                  dup, at):
+    """One batched call scores every candidate as the add-point reference does.
+
+    A training input placed strictly inside the batch scores exactly 0, and
+    the argmax is the reference's wherever the two largest are not a near tie.
+    The model may be empty.
+    """
+    model = build(_dataset(points, values), Hyperparameters(sigma_n2, 1.0, 0.6, 1.0))
+    C = [(0.05 + 0.1 * i, 0.05 + 0.1 * j) for i, j in cands]
+    mid = 1 + at % (len(C) - 1)
+    if model.n:
+        C.insert(mid, tuple(model.dataset.X[dup % model.n]))
+    betas = sensitivity_beta(model, np.array(C), sol)
+    ref = np.array([add_point_beta(model, c, sol) for c in C])
+    assert betas.shape == (len(C),)
+    assert betas == pytest.approx(ref, rel=1e-8, abs=1e-12)
+    if model.n:
+        assert betas[mid] == 0.0
+    second, first = np.sort(ref)[-2:]
+    if first - second > 1e-6 * first + 1e-10:
+        assert np.argmax(betas) == np.argmax(ref)
 
 
 @settings(max_examples=25, deadline=None)
