@@ -116,8 +116,6 @@ def _scaled_system(model: GprModel, u: float, v: float):
 
 def in_data_cloud(model: GprModel, omega: float, A: float) -> bool:
     """True when (omega, A) is supported by enough nearby training data."""
-    if model.n < CLOUD_MIN_POINTS:
-        return False
     return _cloud_ok(model, omega / model.hyper.l_omega, A / model.hyper.l_A)
 
 
@@ -156,26 +154,13 @@ def _damped_step(model, u, v, du, dv, box):
 # -- operations -------------------------------------------------------------
 
 def find_first_fold(model: GprModel, x0, cfg: ContinuationConfig = ContinuationConfig()) -> FoldPoint:
-    """Newton on g alone with omega frozen at x0's, solving for A.
+    """The fold at x0's omega: `correct` from x0 with tangent (1, 0) and h = 0.
 
-    x0 must lie inside the data cloud; iterates are kept there and inside
-    the domain box.
+    That arclength constraint freezes omega, so each Newton step moves A
+    alone.  x0 must lie inside the data cloud; iterates are kept there and
+    inside the domain box.
     """
-    hyp = model.hyper
-    u = x0[0] / hyp.l_omega
-    v = x0[1] / hyp.l_A
-    if not _admissible(model, u, v, cfg.domain_box):
-        raise LeftDataCloud(f"starting point {tuple(x0)} is outside the data cloud "
-                            f"or domain box")
-    for _ in range(cfg.newton_max_iter + 1):
-        r, (_, j_vv) = _scaled_system(model, u, v)
-        if abs(r) < cfg.newton_tol:
-            omega, A = u * hyp.l_omega, v * hyp.l_A
-            return FoldPoint(omega, A, model.predict_mean((omega, A)))
-        with np.errstate(divide="ignore"):
-            dv = -r / j_vv if j_vv != 0.0 else math.inf
-        _, v = _damped_step(model, u, v, 0.0, dv, cfg.domain_box)
-    raise NoConvergence(f"no fold within {cfg.newton_max_iter} iterations at omega={x0[0]}")
+    return correct(model, x0, x0, Tangent(1.0, 0.0), 0.0, cfg).point
 
 
 def tangent_from_jrow(jrow, prev: Tangent | None = None) -> Tangent:

@@ -3,10 +3,11 @@
 The response-surface surrogate is a zero-mean GP with an anisotropic
 squared-exponential kernel, one length scale per input dimension, plus
 i.i.d. Gaussian observation noise.  The Cholesky factor of the training
-covariance is kept with the model: points are added in O(n^2) and removed
-by a rank-one update, and the same factor gives, with no model built, the
-closed-form scores that acquisition ranks candidates and points by: one
-triangular solve per candidate set, one inverse per set of points.
+covariance is kept with the model: a point is added in O(n^2) by extending
+the factor, and removed by factorizing the points that remain.  The same
+factor gives, with no model built, the closed-form scores that acquisition
+ranks candidates and points by: one triangular solve per candidate set, one
+inverse per set of points.
 
 All quantities live in the physical units of the experiment; the prior
 mean is zero in those units, so predictions revert to zero force far away
@@ -100,11 +101,14 @@ class FitBounds:
         return lo, hi
 
 
-def _spreads(X: np.ndarray) -> np.ndarray:
-    """Per-column range of the inputs, 1 where a column is constant."""
-    s = np.ptp(X, axis=0)
-    s[s == 0.0] = 1.0
-    return s
+def _coincide(X: np.ndarray, C: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """hits[i, j]: C[i] lies within DUPLICATE_TOL of X[j], coordinates divided by s[i].
+
+    s holds one row of per-column spreads per row of C; a zero spread counts as 1.
+    """
+    s = np.where(s == 0.0, 1.0, s)
+    return np.sum(((X[None, :, :] - C[:, None, :]) / s[:, None, :]) ** 2, axis=2) \
+        < DUPLICATE_TOL**2
 
 
 @dataclass(frozen=True)
@@ -112,10 +116,12 @@ class Dataset:
     """Training inputs (omega, A) and measured force amplitudes F.
 
     Arrays are frozen at construction; append/drop return new datasets.
-    Two inputs closer than DUPLICATE_TOL, with each coordinate divided by
-    the spread of the inputs, are duplicates and raise DuplicatePoint: they
-    make the noise-free covariance factor singular.  The constructor checks
-    every pair; `append` checks the new input against the others, in O(n);
+    An input closer than DUPLICATE_TOL to an earlier one, with each
+    coordinate divided by the spread of the inputs up to and including it,
+    is a duplicate and raises DuplicatePoint: duplicates make the noise-free
+    covariance factor singular.  The constructor checks each row against the
+    rows before it, `append` checks the new input against the others in
+    O(n), so a dataset grown by `append` passes the constructor's check;
     `drop` checks nothing, because removing a point only shrinks the spreads.
     """
 
@@ -144,12 +150,13 @@ class Dataset:
     def _check_duplicates(self):
         if self.n < 2:
             return
-        Z = self.X / _spreads(self.X)
-        d2 = np.sum((Z[:, None, :] - Z[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        if np.min(d2) < DUPLICATE_TOL**2:
-            i, j = np.unravel_index(np.argmin(d2), d2.shape)
-            raise DuplicatePoint(f"inputs {i} and {j} coincide within duplicate tolerance")
+        X = self.X
+        hits = _coincide(X, X, np.maximum.accumulate(X) - np.minimum.accumulate(X)) \
+            & np.tri(self.n, k=-1, dtype=bool)
+        if hits.any():
+            j = int(hits.any(axis=1).argmax())
+            raise DuplicatePoint(f"inputs {int(hits[j].argmax())} and {j} coincide "
+                                 f"within duplicate tolerance")
 
     @classmethod
     def _trusted(cls, X: np.ndarray, F: np.ndarray) -> "Dataset":
@@ -188,10 +195,8 @@ class Dataset:
         C = np.reshape(np.asarray(C, dtype=float), (-1, 2))
         if self.n == 0:
             return np.full(len(C), -1)
-        s = np.maximum(self.X.max(axis=0), C) - np.minimum(self.X.min(axis=0), C)
-        s[s == 0.0] = 1.0
-        hits = np.sum(((self.X[None, :, :] - C[:, None, :]) / s[:, None, :]) ** 2, axis=2) \
-            < DUPLICATE_TOL**2
+        hits = _coincide(self.X, C, np.maximum(self.X.max(axis=0), C)
+                         - np.minimum(self.X.min(axis=0), C))
         return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
 
     def drop(self, index: int) -> "Dataset":
@@ -317,12 +322,12 @@ class GprModel:
         """dG/dA at x minus its value without training point i, for every i.
 
         Closed form (Rasmussen & Williams eq. 5.12): the mean at x exceeds the
-        one without point i by (K^-1 k_x)_i alpha_i / (K^-1)_ii; no downdate.
+        one without point i by (K^-1 k_x)_i alpha_i / (K^-1)_ii; no model is rebuilt.
         """
         Kinv = cho_solve((self.chol, True), np.eye(self.n))
         return Kinv @ _kernel_vec_d_A(self.dataset.X, x, self.hyper) * self.alpha / np.diag(Kinv)
 
-    # -- incremental updates -----------------------------------------------
+    # -- updates -----------------------------------------------------------
 
     def add_point(self, x, F_value: float) -> "GprModel":
         """Extend the model with one observation; O(n^2) factor update.
@@ -345,16 +350,11 @@ class GprModel:
         return GprModel(data, self.hyper, L, alpha, self.jitter)
 
     def remove_point(self, index: int) -> "GprModel":
-        """Drop training point `index`; rank-one factor downdate, O(n^2)."""
-        data = self.dataset.drop(index)
-        if data.n == 0:
-            return build(data, self.hyper)
-        L = np.delete(np.delete(self.chol, index, axis=0), index, axis=1)
-        # trailing block absorbs the deleted column segment: M M^T = L33 L33^T + l32 l32^T
-        w = self.chol[index + 1:, index].copy()
-        _rank_one_update(L[index:, index:], w)
-        alpha = cho_solve((L, True), data.F)
-        return GprModel(data, self.hyper, L, alpha, self.jitter)
+        """Drop training point `index` and factorize the rest afresh, O(n^3).
+
+        The jitter ladder restarts from zero, as in `build`.
+        """
+        return build(self.dataset.drop(index), self.hyper)
 
 
 def _clamped_var(var):
@@ -362,19 +362,6 @@ def _clamped_var(var):
     if np.any(var < -1e-10):
         raise NumericalBreakdown(f"predictive variance {np.min(var)} below -1e-10")
     return np.maximum(var, 0.0)
-
-
-def _rank_one_update(L: np.ndarray, w: np.ndarray):
-    """In-place lower-triangular update: L L^T + w w^T -> L L^T."""
-    m = len(w)
-    for k in range(m):
-        r = math.hypot(L[k, k], w[k])
-        c = r / L[k, k]
-        s = w[k] / L[k, k]
-        L[k, k] = r
-        if k + 1 < m:
-            L[k + 1:, k] = (L[k + 1:, k] + s * w[k + 1:]) / c
-            w[k + 1:] = c * w[k + 1:] - s * L[k + 1:, k]
 
 
 def build(dataset: Dataset, hyper: Hyperparameters) -> GprModel:

@@ -17,8 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .continuation import (ContinuationConfig, FoldPoint, Tangent, _cloud_ok, advance,
-                           find_first_fold, tangent_at)
+from .continuation import (ContinuationConfig, FoldPoint, Tangent, advance, find_first_fold,
+                           in_data_cloud, tangent_at)
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
 from .errors import (ContinuationError, EmptySliceWarning, FoldtrackError, OracleError,
                      SingularJacobian, StepUnderflow)
@@ -111,10 +111,9 @@ def seed_scan(model: GprModel, box: DomainBox, n_grid: int = 40):
     omegas = np.linspace(box.omega_min, box.omega_max, n_grid)
     As = np.linspace(box.A_min, box.A_max, n_grid)
     best, best_val = None, math.inf
-    hyp = model.hyper
     for omega in omegas:
         for A in As:
-            if not _cloud_ok(model, omega / hyp.l_omega, A / hyp.l_A):
+            if not in_data_cloud(model, omega, A):
                 continue
             val = abs(model.predict_mean_derivs((omega, A)).d_A)
             if val < best_val:

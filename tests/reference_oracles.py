@@ -108,7 +108,7 @@ def add_point_beta(model, x_cand, x_sol) -> float:
 
 
 def downdate_influences(model, x_sol) -> np.ndarray:
-    """|Leave-one-out change of dG/dA at x_sol|, by one factor downdate per point."""
+    """|Leave-one-out change of dG/dA at x_sol|, by one `remove_point` per point."""
     g = model.predict_mean_derivs(x_sol).d_A
     return np.array([abs(model.remove_point(i).predict_mean_derivs(x_sol).d_A - g)
                      for i in range(model.n)])

@@ -107,14 +107,16 @@ class TestTrace:
         assert 1.19 < last["omega"] <= 1.2
 
     def test_reason_step_underflow_inside_box(self, tmp_path, monkeypatch):
-        # the stepper's corrector accepts two steps, then fails at every h
+        # the stepper's corrector (h > 0) accepts two steps, then fails at every h;
+        # find_first_fold's solve at h = 0 is not counted
         real, calls = continuation.correct, []
 
-        def fails_after_two_steps(*args):
-            calls.append(args)
-            if len(calls) > 2:
-                raise NoConvergence("injected failure")
-            return real(*args)
+        def fails_after_two_steps(model, x_pred, x_prev, t_prev, h, cfg):
+            if h > 0.0:
+                calls.append(h)
+                if len(calls) > 2:
+                    raise NoConvergence("injected failure")
+            return real(model, x_pred, x_prev, t_prev, h, cfg)
 
         monkeypatch.setattr(continuation, "correct", fails_after_two_steps)
         cfg = base_trace_config()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import TINY_NOISE, duffing_grid_dataset
 from reference_oracles import add_point_beta, cs_mean_derivs, downdate_influences
 
+from foldtrack import csvio
 from foldtrack.acquisition import prune, sensitivity_beta
 from foldtrack.errors import DuplicatePoint
 from foldtrack.gpr import DUPLICATE_TOL, Dataset, Hyperparameters, build
@@ -196,6 +197,16 @@ def test_duplicate_point_is_a_value_error():
     assert issubclass(DuplicatePoint, ValueError)
     with pytest.raises(DuplicatePoint):
         Dataset(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]), np.zeros(3))
+
+
+def test_appended_dataset_round_trips_through_csv(tmp_path):
+    # 5e-10 apart is no duplicate under the spread of the first two inputs,
+    # but would be under the spread the third input gives the whole set
+    ds = Dataset.empty().append((0.0, 0.0), 1.0).append((5e-10, 0.0), 1.0) \
+        .append((1.0, 1.0), 2.0)
+    csvio.write_dataset_csv(tmp_path / "dataset.csv", ds)
+    back = csvio.read_dataset_csv(tmp_path / "dataset.csv")
+    assert np.array_equal(back.X, ds.X) and np.array_equal(back.F, ds.F)
 
 
 def test_derivative_consistency_100_cases(duffing_params):
