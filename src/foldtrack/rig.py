@@ -26,6 +26,17 @@ record (the applied force plus sensor noise).
 The plant is ZOH-discretized per mode at the sample rate, with the cubic
 force held constant over each sample like the shaker input; this keeps the
 simulation exactly repeatable for a given seed.
+
+The per-sample loop runs on Python floats: the ZOH coefficients, the
+reference and any open-loop drive are converted once per segment, and the
+records are built from lists after the loop.  Each operation on a numpy
+scalar costs several times the same IEEE operation on a float, and the
+loop is most of a measurement's time.  The operations and their order are
+those of the numpy-scalar loop, so every record is bit-for-bit the same.
+The y, u and force records of a measurement window share one time grid,
+so one Fourier design matrix serves their three least-squares fits; each
+keeps its own one-column solve, because a single three-column solve moves
+the last bits of the coefficients.
 """
 
 from __future__ import annotations
@@ -101,7 +112,13 @@ def fourier_coeffs(signal: np.ndarray, omega_hz: float, sample_rate: float,
     Uses the longest window of whole oscillation cycles that fits the
     record, counted back from its end.
     """
-    n = len(signal)
+    return _fit_fourier(_fourier_basis(len(signal), omega_hz, sample_rate, n_modes, t0),
+                        signal)
+
+
+def _fourier_basis(n: int, omega_hz: float, sample_rate: float, n_modes: int,
+                   t0: float) -> np.ndarray:
+    """Design matrix of fourier_coeffs' window for an n-sample record from t0."""
     period = sample_rate / omega_hz
     n_cyc = int(n / period)
     if n_cyc < 1:
@@ -113,8 +130,12 @@ def fourier_coeffs(signal: np.ndarray, omega_hz: float, sample_rate: float,
     for j in range(1, n_modes + 1):
         cols.append(np.cos(j * TWO_PI * omega_hz * t))
         cols.append(np.sin(j * TWO_PI * omega_hz * t))
-    M = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(M, signal[n - L:], rcond=None)
+    return np.stack(cols, axis=1)
+
+
+def _fit_fourier(M: np.ndarray, signal: np.ndarray):
+    """(a0, A_j, B_j) of the record's last len(M) samples on the basis M."""
+    coef, *_ = np.linalg.lstsq(M, signal[len(signal) - len(M):], rcond=None)
     a0 = coef[0]
     A = coef[1::2]
     B = coef[2::2]
@@ -159,7 +180,8 @@ class RigOracle(SeededOracle):
             Ac = np.array([[0.0, 1.0], [-w * w, -2.0 * zeta * w]])
             M = expm(np.block([[Ac, np.array([[0.0], [1.0]])], [np.zeros((1, 3))]]) * T)
             Ad, Bd = M[:2, :2], M[:2, 2]
-            self._modes.append((Ad[0, 0], Ad[0, 1], Ad[1, 0], Ad[1, 1], Bd[0], Bd[1]))
+            self._modes.append((float(Ad[0, 0]), float(Ad[0, 1]), float(Ad[1, 0]),
+                                float(Ad[1, 1]), float(Bd[0]), float(Bd[1])))
         self._q = [0.0, 0.0, 0.0, 0.0]  # q1, qd1, q2, qd2
         self._u_hist = [0.0, 0.0, 0.0]
         self._e_hist = [0.0, 0.0, 0.0]
@@ -174,7 +196,9 @@ class RigOracle(SeededOracle):
         T = self._T
         t0 = self._t
         t = t0 + np.arange(n) * T
-        ystar = target.sample(t) if target is not None else None
+        # Python floats, not numpy scalars, in the per-sample loop (module doc)
+        ystar = target.sample(t).tolist() if target is not None else None
+        drive = open_loop_u.tolist() if open_loop_u is not None else None
         noise = rng.standard_normal(n) * p.noise_sigma if (rng is not None and p.noise_sigma > 0) else None
         phi1, phi2 = p.phi
         psi1, psi2 = p.psi
@@ -185,10 +209,11 @@ class RigOracle(SeededOracle):
         u1, u2, u3 = self._u_hist
         e1, e2, e3 = self._e_hist
         den = p.controller_den
+        r1, r2, r3 = -den[1], den[2], den[3]  # negation is exact; the sum keeps its order
         gain = p.controller_num[0]
         sat = p.saturation_mm
-        y_rec = np.empty(n)
-        u_rec = np.empty(n)
+        ys = []
+        us = []
         for k in range(n):
             y_m = phi1 * q1 + phi2 * q2   # metres
             y_mm = 1000.0 * y_m
@@ -198,24 +223,26 @@ class RigOracle(SeededOracle):
                 self._e_hist = [e1, e2, e3]
                 self._t = t0 + k * T
                 raise ControlDiverged(f"tip response {y_mm:.1f} mm exceeded saturation {sat} mm")
-            if open_loop_u is not None:
-                u = open_loop_u[k]
+            if drive is not None:
+                u = drive[k]
             else:
                 e = ystar[k] - y_mm
-                u = -den[1] * u1 - den[2] * u2 - den[3] * u3 + gain * e3
+                u = r1 * u1 - r2 * u2 - r3 * u3 + gain * e3
                 e1, e2, e3 = e, e1, e2
             cubic = k3 * y_m * y_m * y_m
             v1 = psi1 * u - phi1 * cubic
             v2 = psi2 * u - phi2 * cubic
             q1, qd1 = a11 * q1 + a12 * qd1 + b1 * v1, a21 * q1 + a22 * qd1 + b2 * v1
             q2, qd2 = c11 * q2 + c12 * qd2 + d1 * v2, c21 * q2 + c22 * qd2 + d2 * v2
-            y_rec[k] = y_mm
-            u_rec[k] = u
+            ys.append(y_mm)
+            us.append(u)
             u1, u2, u3 = u, u1, u2
         self._q = [q1, qd1, q2, qd2]
         self._u_hist = [u1, u2, u3]
         self._e_hist = [e1, e2, e3]
         self._t = t0 + n * T
+        y_rec = np.array(ys, dtype=float)
+        u_rec = np.array(us, dtype=float)
         f_rec = u_rec + noise if noise is not None else u_rec.copy()
         return y_rec, u_rec, f_rec, t0
 
@@ -254,11 +281,9 @@ class RigOracle(SeededOracle):
             target.A[0] = a1_star
         self._settle(target, omega_hz)
         y, u, f, t0 = self._run_segment(p.record_len, target, rng=rng)
-        coeffs = {
-            "y": fourier_coeffs(y, omega_hz, p.sample_rate, p.fourier_modes, t0=t0),
-            "u": fourier_coeffs(u, omega_hz, p.sample_rate, p.fourier_modes, t0=t0),
-            "f": fourier_coeffs(f, omega_hz, p.sample_rate, p.fourier_modes, t0=t0),
-        }
+        # y, u and f share one time grid, so one basis serves all three fits
+        M = _fourier_basis(p.record_len, omega_hz, p.sample_rate, p.fourier_modes, t0)
+        coeffs = {"y": _fit_fourier(M, y), "u": _fit_fourier(M, u), "f": _fit_fourier(M, f)}
         return {"y": y, "u": u, "f": f, "t0": t0}, coeffs
 
     def picard_noninvasive(self, omega_hz: float, a1_star: float, rng=None):

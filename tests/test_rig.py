@@ -94,6 +94,17 @@ class TestNonlinearBehaviour:
         with pytest.raises(ControlDiverged):
             rig.picard_noninvasive(11.49, 60.0)
 
+    def test_saturation_exit_saves_loop_state(self):
+        # the loop's other way out stores the state of the saturating sample
+        rig = make_rig(noise_sigma=0.0)
+        with pytest.raises(ControlDiverged):
+            rig.picard_noninvasive(11.49, 60.0)
+        samples = rig._t * rig.params.sample_rate
+        assert samples == pytest.approx(round(samples), abs=1e-9)
+        q1, _, q2, _ = rig._q
+        phi1, phi2 = rig.params.phi
+        assert abs(1000.0 * (phi1 * q1 + phi2 * q2)) > rig.params.saturation_mm
+
 
 class TestNonInvasiveness:
     def test_open_loop_replay_reproduces_amplitude(self):
@@ -123,6 +134,23 @@ class TestMeasureRealization:
             total += 1
             hits += abs(m.A - A_t) <= 0.02 * A_t
         assert hits / total >= 0.9
+
+    def test_pinned_measurement(self):
+        # values of the numpy-scalar loop; a rewrite of the loop must keep them
+        rig = RigOracle(RigParams(noise_sigma=0.05), DomainBox(11.0, 14.0, 0.2, 8.0), seed=7)
+        m = rig.measure(12.8, 2.8)
+        assert m.A == pytest.approx(2.7758491888470265, rel=1e-12)
+        assert m.F == pytest.approx(1.5742423451241332, rel=1e-12)
+        assert m.a1_star == pytest.approx(3.745329750200305, rel=1e-12)
+        assert m.harmonics_residual == pytest.approx(0.009046140855477097, rel=1e-12)
+        assert m.seed_state == "7:0"
+
+    def test_records_are_float_arrays_of_record_length(self):
+        rig = make_rig(noise_sigma=0.05)
+        records, _ = rig.rig_simulate(12.5, 1.5, rng=np.random.default_rng(0))
+        for key in ("y", "u", "f"):
+            assert records[key].dtype == np.float64
+            assert records[key].shape == (rig.params.record_len,)
 
     def test_reproducible_with_same_seed(self):
         a = make_rig(noise_sigma=0.05, seed=9)
