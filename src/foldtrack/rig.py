@@ -23,6 +23,16 @@ fundamental sine coefficient being pinned to zero as the phase reference.
 The reported force amplitude is sqrt(A1_u^2 + B1_u^2) of the measured force
 record (the applied force plus sensor noise).
 
+The loop keeps running between simulations, as on the hardware.  After each
+recorded window it is locked at that frequency on that window's reference.
+A simulation waits the fixed settle_time only when the loop is not locked at
+its frequency (a fresh rig, a new frequency, or after an open-loop replay or
+a saturation trip); a locked loop goes straight to the convergence check.
+Picard iteration on a locked loop starts from the locked higher harmonics
+instead of zeros, so later realization rounds at one frequency start close
+to their fixed point.  A loop left beyond saturation by a trip restarts from
+rest at its next simulation.
+
 The plant is ZOH-discretized per mode at the sample rate, with the cubic
 force held constant over each sample like the shaker input; this keeps the
 simulation exactly repeatable for a given seed.
@@ -80,7 +90,7 @@ class RigParams:
     picard_max_iter: int = 20
     noise_sigma: float = 0.05      # force-record noise std, N
     saturation_mm: float = 50.0    # ~10x the linear resonance deflection per newton
-    settle_time: float = 5.0
+    settle_time: float = 5.0       # fixed wait after the loop starts at a frequency, s
     settle_extend: float = 1.0
     settle_max_time: float = 30.0
     settle_rel_tol: float = 1e-3
@@ -186,6 +196,9 @@ class RigOracle(SeededOracle):
         self._u_hist = [0.0, 0.0, 0.0]
         self._e_hist = [0.0, 0.0, 0.0]
         self._t = 0.0
+        # (omega, a0, A[1:], B[1:]) of the reference the loop last settled
+        # and recorded on; None for a fresh, tripped or replayed loop
+        self._lock = None
 
     # -- core closed-loop simulation ----------------------------------------
 
@@ -222,6 +235,7 @@ class RigOracle(SeededOracle):
                 self._u_hist = [u1, u2, u3]
                 self._e_hist = [e1, e2, e3]
                 self._t = t0 + k * T
+                self._lock = None
                 raise ControlDiverged(f"tip response {y_mm:.1f} mm exceeded saturation {sat} mm")
             if drive is not None:
                 u = drive[k]
@@ -246,14 +260,37 @@ class RigOracle(SeededOracle):
         f_rec = u_rec + noise if noise is not None else u_rec.copy()
         return y_rec, u_rec, f_rec, t0
 
-    def _settle(self, target: _TargetSignal, omega_hz: float):
-        """Run the transient until the fundamental response amplitude is steady."""
+    def _locked_at(self, omega_hz: float) -> bool:
+        return self._lock is not None and self._lock[0] == omega_hz
+
+    def _restart_if_saturated(self):
+        """Restart a loop left beyond saturation from rest, unlocked.
+
+        A saturation exit saves the state of the saturating sample; run on
+        from there, every later simulation would trip on its first sample.
+        """
         p = self.params
-        self._run_segment(int(p.settle_time * p.sample_rate), target)
+        q1, _, q2, _ = self._q
+        if abs(1000.0 * (p.phi[0] * q1 + p.phi[1] * q2)) > p.saturation_mm:
+            self._q = [0.0, 0.0, 0.0, 0.0]
+            self._u_hist = [0.0, 0.0, 0.0]
+            self._e_hist = [0.0, 0.0, 0.0]
+            self._lock = None
+
+    def _settle(self, target: _TargetSignal, omega_hz: float):
+        """Run the transient until the fundamental response amplitude is steady.
+
+        The fixed settle_time wait runs only when the loop is not locked at
+        omega_hz; a locked loop goes straight to the convergence check.
+        """
+        p = self.params
+        elapsed = 0.0
+        if not self._locked_at(omega_hz):
+            self._run_segment(int(p.settle_time * p.sample_rate), target)
+            elapsed = p.settle_time
         # one oscillation period rounded up to whole samples, +1 so the
         # least-squares window always contains a full cycle
         period_samples = int(math.ceil(p.sample_rate / omega_hz)) + 1
-        elapsed = p.settle_time
         while True:
             y1, _, _, t0 = self._run_segment(period_samples, target)
             y2, _, _, t0b = self._run_segment(period_samples, target)
@@ -279,8 +316,10 @@ class RigOracle(SeededOracle):
         if target is None:
             target = _TargetSignal(omega_hz, p.fourier_modes)
             target.A[0] = a1_star
+        self._restart_if_saturated()
         self._settle(target, omega_hz)
         y, u, f, t0 = self._run_segment(p.record_len, target, rng=rng)
+        self._lock = (omega_hz, target.a0, target.A[1:].copy(), target.B[1:].copy())
         # y, u and f share one time grid, so one basis serves all three fits
         M = _fourier_basis(p.record_len, omega_hz, p.sample_rate, p.fourier_modes, t0)
         coeffs = {"y": _fit_fourier(M, y), "u": _fit_fourier(M, u), "f": _fit_fourier(M, f)}
@@ -290,10 +329,13 @@ class RigOracle(SeededOracle):
         """Cancel higher harmonics of the control signal by Picard iteration.
 
         Holds A1* fixed and B1* = 0; after convergence returns the realized
-        MeasuredPoint plus the final records and coefficients.
+        MeasuredPoint plus the final records and coefficients.  A loop locked
+        at omega_hz starts from its locked higher harmonics, not from zeros.
         """
         p = self.params
         target = _TargetSignal(omega_hz, p.fourier_modes)
+        if self._locked_at(omega_hz):
+            _, target.a0, target.A[1:], target.B[1:] = self._lock
         target.A[0] = a1_star
         residual = math.inf
         for _ in range(p.picard_max_iter):
@@ -329,6 +371,8 @@ class RigOracle(SeededOracle):
         converged control signal was non-invasive.
         """
         p = self.params
+        self._restart_if_saturated()
+        self._lock = None
 
         def u_of(n):
             t = self._t + np.arange(n) / p.sample_rate

@@ -5,6 +5,7 @@ import pytest
 
 from foldtrack.errors import ControlDiverged
 from foldtrack.geometry import DomainBox
+from foldtrack.postprocess import sweep_s_curve
 from foldtrack.rig import (RigOracle, RigParams, fourier_coeffs, linear_tip_frf,
                            update_a1star_mapping)
 
@@ -105,6 +106,71 @@ class TestNonlinearBehaviour:
         phi1, phi2 = rig.params.phi
         assert abs(1000.0 * (phi1 * q1 + phi2 * q2)) > rig.params.saturation_mm
 
+    def test_trip_does_not_fail_later_simulations(self):
+        # a loop left beyond saturation restarts from rest at its next simulation
+        rig = RigOracle(RigParams(noise_sigma=0.0), DomainBox(9.0, 16.0, 0.02, 80.0), seed=1)
+        tripped = sweep_s_curve(rig, 11.49, [1.0, 60.0])
+        assert len(tripped.failures) == 1
+        curve = sweep_s_curve(rig, 12.8, [1.0, 2.0, 3.0])
+        assert len(curve.points) == 3 and not curve.failures
+
+
+class TestLock:
+    """The fixed settle wait runs only when the loop is not locked at omega."""
+
+    def test_same_frequency_skips_the_fixed_wait(self):
+        rig = make_rig(noise_sigma=0.0)
+        rig.rig_simulate(12.8, 2.0)
+        t = rig._t
+        rig.rig_simulate(12.8, 2.1)
+        assert rig._t - t < rig.params.settle_time
+
+    def test_new_frequency_waits(self):
+        rig = make_rig(noise_sigma=0.0)
+        rig.rig_simulate(12.8, 2.0)
+        t = rig._t
+        rig.rig_simulate(12.9, 2.0)
+        assert rig._t - t >= rig.params.settle_time
+
+    def test_replay_unlocks(self):
+        rig = make_rig(noise_sigma=0.0)
+        rig.rig_simulate(12.8, 2.0)
+        rig.replay_open_loop(12.8, 1.0, 0.0)
+        t = rig._t
+        rig.rig_simulate(12.8, 2.0)
+        assert rig._t - t >= rig.params.settle_time
+
+    def test_trip_unlocks(self):
+        rig = make_rig(noise_sigma=0.0)
+        rig.rig_simulate(11.49, 1.0)
+        with pytest.raises(ControlDiverged):
+            rig.rig_simulate(11.49, 60.0)
+        t = rig._t
+        rig.rig_simulate(11.49, 1.0)
+        assert rig._t - t >= rig.params.settle_time
+
+    @pytest.mark.parametrize("omega, A_max, F_max", [
+        (12.8, 2.6349026385411345, 1.581826927749988),
+        (13.1, 2.9400923154422407, 2.127564102196547),
+    ])
+    def test_s_curve_force_maximum_kept(self, omega, A_max, F_max):
+        # the force maximum of a noise-free sweep stays where the loop that
+        # always waited the fixed settle_time and started Picard from zero
+        # harmonics put it
+        rig = RigOracle(RigParams(noise_sigma=0.0), DomainBox(11.0, 14.0, 0.2, 8.0), seed=0)
+        pts = [rig.measure(omega, float(a)) for a in np.arange(2.2, 3.6, 0.15)]
+        # simulated seconds per measurement; waiting the fixed settle_time
+        # before every simulation takes 23.6 s at 12.8 Hz
+        assert rig._t / len(pts) < 12.0
+        A = np.array([p.A for p in pts])
+        F = np.array([p.F for p in pts])
+        i = next(i for i in range(1, len(F) - 1) if F[i - 1] <= F[i] >= F[i + 1])
+        lo = max(i - 2, 0)
+        c2, c1, c0 = np.polyfit(A[lo:i + 3], F[lo:i + 3], 2)
+        a_star = -c1 / (2.0 * c2)
+        assert a_star == pytest.approx(A_max, abs=0.02)
+        assert c0 + c1 * a_star + c2 * a_star ** 2 == pytest.approx(F_max, rel=0.003)
+
 
 class TestNonInvasiveness:
     def test_open_loop_replay_reproduces_amplitude(self):
@@ -135,14 +201,26 @@ class TestMeasureRealization:
             hits += abs(m.A - A_t) <= 0.02 * A_t
         assert hits / total >= 0.9
 
+    def test_pinned_cold_simulation(self):
+        # a fresh rig's first simulation: fixed settle wait, Picard target from
+        # zero harmonics; values of the numpy-scalar loop
+        rig = RigOracle(RigParams(noise_sigma=0.05), DomainBox(11.0, 14.0, 0.2, 8.0), seed=7)
+        _, coeffs = rig.rig_simulate(12.8, 2.8, rng=np.random.default_rng((7, 0)))
+        assert coeffs["y"][1][0] == pytest.approx(1.7818808630615202, rel=1e-12)
+        assert coeffs["y"][2][0] == pytest.approx(0.8108077132635783, rel=1e-12)
+        assert coeffs["f"][1][0] == pytest.approx(1.1369576757261914, rel=1e-12)
+        assert rig._t == pytest.approx(7.16, rel=1e-12)
+
     def test_pinned_measurement(self):
-        # values of the numpy-scalar loop; a rewrite of the loop must keep them
+        # a whole measurement: a cold first simulation, then Picard and
+        # realization rounds on the locked loop; a rewrite of the loop's
+        # arithmetic must keep these values
         rig = RigOracle(RigParams(noise_sigma=0.05), DomainBox(11.0, 14.0, 0.2, 8.0), seed=7)
         m = rig.measure(12.8, 2.8)
-        assert m.A == pytest.approx(2.7758491888470265, rel=1e-12)
-        assert m.F == pytest.approx(1.5742423451241332, rel=1e-12)
-        assert m.a1_star == pytest.approx(3.745329750200305, rel=1e-12)
-        assert m.harmonics_residual == pytest.approx(0.009046140855477097, rel=1e-12)
+        assert m.A == pytest.approx(2.775105473871795, rel=1e-12)
+        assert m.F == pytest.approx(1.575597844143026, rel=1e-12)
+        assert m.a1_star == pytest.approx(3.745536907575487, rel=1e-12)
+        assert m.harmonics_residual == pytest.approx(0.0038707960273817476, rel=1e-12)
         assert m.seed_state == "7:0"
 
     def test_records_are_float_arrays_of_record_length(self):
