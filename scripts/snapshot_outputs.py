@@ -15,7 +15,12 @@ change moved.  The set:
   sweep, and `nlfr` over the CLI trace, each with its manifest;
 * the `repr` of every run of `dropout_ensemble` on the benchmark's sweep of
   seed 0 (`perfbench/dataset.py`), warm-started and on 2 worker processes,
-  as the benchmark's `ensemble-offline` workload calls it.
+  as the benchmark's `ensemble-offline` workload calls it;
+* the exit code and output of inputs the CLI refuses: `trace` on
+  `duffing.yaml` with an unknown key, with its seed grid outside the domain
+  box and with `alpha_3: 0`, `nlfr` with `band: 0.7`, `offline` with a
+  missing and with a 2-row dataset, and `ensemble` with
+  `dropout_fraction: 1.5`.
 
 It takes about a minute; the rig runs take most of it.  Every path written
 into a manifest is relative, so OUT may live anywhere.
@@ -24,6 +29,7 @@ into a manifest is relative, so OUT may live anywhere.
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import sys
 from dataclasses import replace
@@ -42,7 +48,7 @@ from foldtrack.config import load_config  # noqa: E402
 from foldtrack.continuation import ContinuationConfig  # noqa: E402
 from foldtrack.driver import run_trace, write_trace_artifacts  # noqa: E402
 from foldtrack.geometry import DomainBox  # noqa: E402
-from foldtrack.gpr import Hyperparameters, fit_hyperparameters  # noqa: E402
+from foldtrack.gpr import Dataset, Hyperparameters, fit_hyperparameters  # noqa: E402
 from foldtrack.postprocess import dropout_ensemble  # noqa: E402
 
 CONFIGS = ROOT / "configs"
@@ -82,6 +88,31 @@ def commands(out: Path):
     cli(out, "nlfr", "--config", "nlfr.yaml", "--out", "cli_nlfr")
 
 
+def rejected(out: Path):
+    """Run each refused input; its config is written into OUT next to its exit file."""
+    duffing = yaml.safe_load((CONFIGS / "duffing.yaml").read_text(encoding="utf-8"))
+    csvio.write_dataset_csv(out / "two_rows.csv", Dataset(np.array([[1.0, 1.0], [1.1, 1.5]]),
+                                                          np.array([0.3, 0.4])))
+    outside = copy.deepcopy(duffing)
+    outside["init"]["x0"] = {"omega": 1.44, "A": 4.9}
+    linear = copy.deepcopy(duffing)
+    linear["oracle"]["params"]["alpha_3"] = 0.0
+    cases = [
+        ("trace", "rejected_unknown_key", {**duffing, "surprise": 1}),
+        ("trace", "rejected_grid_outside_box", outside),
+        ("trace", "rejected_no_fold", linear),
+        ("nlfr", "rejected_band", {"inputs": {"datasets": ["two_rows.csv"]},
+                                   "gamma_level": 0.3, "band": 0.7}),
+        ("offline", "rejected_missing_dataset", {"inputs": {"dataset": "missing.csv"}}),
+        ("offline", "rejected_two_rows", {"inputs": {"dataset": "two_rows.csv"}}),
+        ("ensemble", "rejected_dropout", {"inputs": {"dataset": "ensemble_sweep0.csv"},
+                                          "n_runs": 2, "dropout_fraction": 1.5}),
+    ]
+    for command, name, cfg in cases:
+        Path(f"{name}.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        cli(out, command, "--config", f"{name}.yaml", "--out", name)
+
+
 def ensemble(out: Path):
     import dataset
     from workloads import ENSEMBLE
@@ -108,3 +139,4 @@ if __name__ == "__main__":
     traces(out)
     ensemble(out)
     commands(out)
+    rejected(out)

@@ -3,8 +3,9 @@
 Subcommands: trace (online fold tracking), sweep (S-curves through an
 oracle), nlfr (constant-force slice with fold markers), ensemble (dropout
 uncertainty runs), offline (fold trace of a recorded dataset).  Every
-command reads one declarative config file, writes CSV artifacts plus a
-manifest into --out, and is bit-reproducible from that manifest.
+command reads one declarative config file, whose relative input paths start
+at its directory, writes CSV artifacts plus a manifest into --out, and is
+bit-reproducible from that manifest.
 
 Only ensemble uses --threads (or the config's `threads`): it counts the
 worker processes of the dropout runs, forked where the platform allows,
@@ -12,7 +13,9 @@ and the ensemble's outputs are byte-identical for any count.  trace and
 sweep only record it in the manifest; nlfr and offline ignore it.
 
 Exit codes: 0 success, 1 config error, 2 oracle error, 3 continuation
-failure.
+failure.  The commands do not catch errors: `EXIT_CODES` maps each error
+they may raise to its exit code, and the `main` group prints it as one
+`error: <message>` line.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ import click
 from . import csvio
 from .config import (config_from_dict, ensemble_config_from_dict, load_raw, make_oracle,
                      nlfr_config_from_dict, offline_config_from_dict, sweep_config_from_dict)
-from .continuation import ContinuationConfig
 from .errors import ConfigError, ContinuationError, MissingInput, OracleError
 from .gpr import fit_hyperparameters
 from .postprocess import (dropout_ensemble, fold_curve_from_run_log, initial_guess, nlfr_slice,
                           offline_fold_trace, sweep_s_curve)
 
-EXIT_CONFIG, EXIT_ORACLE, EXIT_CONTINUATION = 1, 2, 3
+# The exit code of each error a command may raise.  A ValueError is a value
+# the command cannot take, as a ConfigError is.
+EXIT_CODES = {ConfigError: 1, MissingInput: 1, ValueError: 1, OracleError: 2,
+              ContinuationError: 3}
 FOLD_HEADER = ["omega", "A", "gamma_model"]
 
 
@@ -49,12 +54,18 @@ def _common(f):
     return f
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Main(click.Group):
+    """The command group: the one place where an error becomes an exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(EXIT_CODES) as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(next(code for cls, code in EXIT_CODES.items() if isinstance(e, cls)))
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Fold-curve tracking on GP surrogates with active data collection."""
 
@@ -65,53 +76,33 @@ def trace(config_path, out_dir, seed, threads):
     """Online continuation run against the configured measurement oracle."""
     from .driver import run_trace, write_trace_artifacts
 
-    try:
-        cfg = _load(config_path, config_from_dict, seed=seed, threads=threads)
-        oracle = make_oracle(cfg.oracle, run_seed=cfg.seed,
-                             base_dir=Path(config_path).parent)
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
-    try:
-        result = run_trace(cfg, oracle)
-    except OracleError as e:
-        _fail(EXIT_ORACLE, f"oracle failed during initialization: {e}")
-    except ContinuationError as e:
-        _fail(EXIT_CONTINUATION, f"no fold curve established: {e}")
+    cfg = _load(config_path, config_from_dict, seed=seed, threads=threads)
+    oracle = make_oracle(cfg.oracle, run_seed=cfg.seed, base_dir=Path(config_path).parent)
+    result = run_trace(cfg, oracle)
     write_trace_artifacts(out_dir, cfg, result)
     click.echo(f"traced {len(result.steps)} fold points ({result.reason}); "
                f"artifacts in {out_dir}")
-    if result.status == "oracle_error":
-        sys.exit(EXIT_ORACLE)
-    if result.status == "continuation_error":
-        sys.exit(EXIT_CONTINUATION)
+    if result.status != "ok":
+        sys.exit(EXIT_CODES[OracleError if result.status == "oracle_error" else ContinuationError])
 
 
 @main.command()
 @_common
 def sweep(config_path, out_dir, seed, threads):
     """S-curve sweeps: fixed-frequency runs over a target-amplitude grid."""
-    try:
-        cfg = _load(config_path, sweep_config_from_dict, seed=seed, threads=threads)
-        oracle = make_oracle(cfg.oracle, run_seed=cfg.seed,
-                             base_dir=Path(config_path).parent)
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
+    cfg = _load(config_path, sweep_config_from_dict, seed=seed, threads=threads)
+    oracle = make_oracle(cfg.oracle, run_seed=cfg.seed, base_dir=Path(config_path).parent)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    all_rows = []
-    n_failures = 0
-    outputs = []
-    try:
-        for i, omega in enumerate(cfg.omegas()):
-            curve = sweep_s_curve(oracle, omega, cfg.A_grid())
-            n_failures += len(curve.failures)
-            name = f"scurve_{i:03d}.csv"
-            csvio.write_rows(out / name, csvio.DATASET_HEADER,
-                             [(p.omega, p.A, p.F) for p in curve.points])
-            outputs.append(name)
-            all_rows.extend((p.omega, p.A, p.F) for p in curve.points)
-    except OracleError as e:
-        _fail(EXIT_ORACLE, str(e))
+    all_rows, outputs, n_failures = [], [], 0
+    for i, omega in enumerate(cfg.omegas()):
+        curve = sweep_s_curve(oracle, omega, cfg.A_grid())
+        n_failures += len(curve.failures)
+        name = f"scurve_{i:03d}.csv"
+        csvio.write_rows(out / name, csvio.DATASET_HEADER,
+                         [(p.omega, p.A, p.F) for p in curve.points])
+        outputs.append(name)
+        all_rows.extend((p.omega, p.A, p.F) for p in curve.points)
     csvio.write_rows(out / "dataset.csv", csvio.DATASET_HEADER, all_rows)
     outputs.append("dataset.csv")
     csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(), seed=cfg.seed,
@@ -126,21 +117,11 @@ def sweep(config_path, out_dir, seed, threads):
 @_common
 def nlfr(config_path, out_dir, seed, threads):
     """Constant-force slice of recorded data plus fold markers in the band."""
-    try:
-        cfg = _load(config_path, nlfr_config_from_dict)
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
+    cfg = _load(config_path, nlfr_config_from_dict)
     base = Path(config_path).parent
-    try:
-        datasets = [csvio.read_dataset_csv(_resolve(base, p)) for p in cfg.datasets]
-        curves = [fold_curve_from_run_log(csvio.read_run_log(_resolve(base, p)))
-                  for p in cfg.run_logs]
-    except (MissingInput, ValueError) as e:
-        _fail(EXIT_CONFIG, str(e))
-    try:
-        result = nlfr_slice(datasets, cfg.gamma_level, cfg.band, fold_curves=curves)
-    except ValueError as e:
-        _fail(EXIT_CONFIG, str(e))
+    datasets = [csvio.read_dataset_csv(base / p) for p in cfg.datasets]
+    curves = [fold_curve_from_run_log(csvio.read_run_log(base / p)) for p in cfg.run_logs]
+    result = nlfr_slice(datasets, cfg.gamma_level, cfg.band, fold_curves=curves)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_rows(out / "slice_points.csv", csvio.DATASET_HEADER, result.points)
@@ -158,21 +139,10 @@ def nlfr(config_path, out_dir, seed, threads):
 @_common
 def offline(config_path, out_dir, seed, threads):
     """Fold continuation on the surrogate of a recorded dataset (no new data)."""
-    try:
-        cfg = _load(config_path, offline_config_from_dict, seed=seed)
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
-    try:
-        dataset = csvio.read_dataset_csv(_resolve(Path(config_path).parent, cfg.dataset))
-    except (MissingInput, ValueError) as e:
-        _fail(EXIT_CONFIG, str(e))
-    ccfg = ContinuationConfig(h=cfg.h, h_max=cfg.h_max, max_steps=cfg.max_steps)
-    try:
-        curve = offline_fold_trace(dataset, hyper=cfg.hyper, cfg=ccfg, x0=cfg.x0, seed=cfg.seed)
-    except ContinuationError as e:
-        _fail(EXIT_CONTINUATION, str(e))
-    except ValueError as e:
-        _fail(EXIT_CONFIG, str(e))
+    cfg = _load(config_path, offline_config_from_dict, seed=seed)
+    dataset = csvio.read_dataset_csv(Path(config_path).parent / cfg.dataset)
+    curve = offline_fold_trace(dataset, hyper=cfg.hyper, cfg=cfg.continuation(), x0=cfg.x0,
+                               seed=cfg.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_run_log(out / "fold_curve.csv", curve.run_log_rows())
@@ -189,22 +159,12 @@ def offline(config_path, out_dir, seed, threads):
 @_common
 def ensemble(config_path, out_dir, seed, threads):
     """Dropout uncertainty ensemble over a recorded dataset."""
-    try:
-        cfg = _load(config_path, ensemble_config_from_dict, seed=seed, threads=threads)
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
-    try:
-        dataset = csvio.read_dataset_csv(_resolve(Path(config_path).parent, cfg.dataset))
-    except (MissingInput, ValueError) as e:
-        _fail(EXIT_CONFIG, str(e))
-    ccfg = ContinuationConfig(max_steps=cfg.max_steps)
-    try:
-        hyper_init = fit_hyperparameters(dataset, initial_guess(dataset), seed=cfg.seed)
-        result = dropout_ensemble(dataset, cfg.n_runs, cfg.dropout_fraction, seed=cfg.seed,
-                                  hyper_init=hyper_init, cfg=ccfg,
-                                  fit_n_starts=cfg.fit_n_starts, threads=cfg.threads)
-    except ValueError as e:
-        _fail(EXIT_CONFIG, str(e))
+    cfg = _load(config_path, ensemble_config_from_dict, seed=seed, threads=threads)
+    dataset = csvio.read_dataset_csv(Path(config_path).parent / cfg.dataset)
+    hyper_init = fit_hyperparameters(dataset, initial_guess(dataset), seed=cfg.seed)
+    result = dropout_ensemble(dataset, cfg.n_runs, cfg.dropout_fraction, seed=cfg.seed,
+                              hyper_init=hyper_init, cfg=cfg.continuation(),
+                              fit_n_starts=cfg.fit_n_starts, threads=cfg.threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     hyper_keys = ("sigma_n2", "sigma_f2", "l_omega", "l_A")
@@ -231,11 +191,6 @@ def ensemble(config_path, out_dir, seed, threads):
 def _load(path, parser, **overrides):
     """The parsed config at `path`, with each command-line override that was given."""
     return replace(parser(load_raw(path)), **{k: v for k, v in overrides.items() if v is not None})
-
-
-def _resolve(base: Path, p) -> Path:
-    p = Path(p)
-    return p if p.is_absolute() else base / p
 
 
 if __name__ == "__main__":

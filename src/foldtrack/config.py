@@ -5,7 +5,9 @@ artifacts embeds the resolved config so any run can be reproduced from its
 manifest alone.  Unknown keys are rejected everywhere: unit confusion and
 typos are the dominant operator errors with mixed Hz/mm/N quantities, so
 every field is explicit and optionally annotated in the free-form `units`
-block.
+block.  For the same reason no value is coerced: every scalar is read by
+the reader its key names, and a value of the wrong kind is a ConfigError
+that names its section and key.
 """
 
 from __future__ import annotations
@@ -23,27 +25,73 @@ from .geometry import DomainBox
 from .gpr import FitBounds, Hyperparameters
 
 
-def _opt_float(v):
-    return None if v is None else float(v)
+# Scalar readers.  Each refuses what bool() or int() would coerce: bool("false") is
+# True, int(2.7) is 2.  A numeric string is a number: PyYAML reads 1e-6 as a string.
+def _bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError("expected true or false")
+    return v
 
 
-# One table per flat config section: each key and the reader that parses its
+def _int(v) -> int:
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError("expected an integer")
+    return int(v)
+
+
+def _float(v) -> float:
+    if isinstance(v, bool):
+        raise ValueError("expected a number")
+    return float(v)
+
+
+def _str(v) -> str:
+    if not isinstance(v, str):
+        raise ValueError("expected a string")
+    return v
+
+
+def _optional(read):
+    """`read`, with null read as None."""
+    return lambda v: None if v is None else read(v)
+
+
+def _list(read, n=None):
+    """The reader of a list (of `n` values, if given), each value read by `read`."""
+    def values(v):
+        if not isinstance(v, list) or (n is not None and len(v) != n):
+            raise ValueError(f"expected a list of {n or 'values'}")
+        return tuple(read(x) for x in v)
+    return values
+
+
+# One table per config section: each key and the reader that parses its
 # value.  A parser passes on only the keys a config gives, so every default
 # lives in its dataclass alone, and `to_dict` writes back the same keys.
-CONTINUATION_KEYS = {"h": float, "h_min": float, "h_max": float, "newton_tol": float,
-                     "newton_max_iter": int, "max_steps": int}
-ACQUISITION_KEYS = {"n_test": int, "beta_tol": float, "n_max": int,
-                    "ellipse_semi_omega": _opt_float, "ellipse_semi_A": _opt_float,
-                    "max_points_per_step": int}
-HYPER_FLAG_KEYS = {"fit": bool, "refit_each_step": bool, "n_starts": int}
-SEED_THREADS_KEYS = {"seed": int, "threads": int}
-RUN_KEYS = {**SEED_THREADS_KEYS, "measure_at_solution": bool}
-SWEEP_KEYS = {"omega_start": float, "omega_stop": float, "omega_step": float,
-              "A_start": float, "A_stop": float, "A_step": float}
-NLFR_KEYS = {"gamma_level": float, "band": float}
-ENSEMBLE_KEYS = {"n_runs": int, "dropout_fraction": float, "fit_n_starts": int,
-                 "max_steps": int, **SEED_THREADS_KEYS}
-OFFLINE_KEYS = {"max_steps": int, "h": float, "h_max": float, "seed": int}
+CONTINUATION_KEYS = {"h": _float, "h_min": _float, "h_max": _float, "newton_tol": _float,
+                     "newton_max_iter": _int, "max_steps": _int}
+ACQUISITION_KEYS = {"n_test": _int, "beta_tol": _float, "n_max": _int,
+                    "ellipse_semi_omega": _optional(_float),
+                    "ellipse_semi_A": _optional(_float), "max_points_per_step": _int}
+HYPER_FLAG_KEYS = {"fit": _bool, "refit_each_step": _bool, "n_starts": _int}
+SEED_THREADS_KEYS = {"seed": _int, "threads": _int}
+RUN_KEYS = {**SEED_THREADS_KEYS, "measure_at_solution": _bool}
+SWEEP_KEYS = {k: _float for k in ("omega_start", "omega_stop", "omega_step",
+                                  "A_start", "A_stop", "A_step")}
+NLFR_KEYS = {"gamma_level": _float, "band": _float}
+ENSEMBLE_KEYS = {"n_runs": _int, "dropout_fraction": _float, "fit_n_starts": _int,
+                 "max_steps": _int, **SEED_THREADS_KEYS}
+OFFLINE_KEYS = {"x0": _optional(_list(_float, 2)), "max_steps": _int, "h": _float,
+                "h_max": _float, "seed": _int}
+ORACLE_KEYS = {"seed": _optional(_int)}
+INIT_KEYS = {"grid_shape": _list(_int, 2)}
+X0_KEYS = {"omega": _float, "A": _float}
+HALF_WIDTH_KEYS = {"omega": _optional(_float), "A": _optional(_float)}
+BOX_KEYS = {k: _float for k in ("omega_min", "omega_max", "A_min", "A_max")}
+HYPER_KEYS = {k: _float for k in ("sigma_n2", "sigma_f2", "l_omega", "l_A")}
+BOUNDS_KEYS = {k: _list(_float, 2) for k in HYPER_KEYS}
+INPUT_KEYS = {"dataset": _str}
+NLFR_INPUT_KEYS = {k: _optional(_list(_str)) for k in ("datasets", "run_logs")}
 
 
 def _read(d: dict, table: dict, where: str) -> dict:
@@ -56,6 +104,26 @@ def _read(d: dict, table: dict, where: str) -> dict:
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"{where}.{k}: cannot read {d[k]!r} ({e})") from e
     return out
+
+
+def _section(d, table: dict, where: str, required=()) -> dict:
+    """`_read` of the mapping `d`, whose keys come from `table`, `required` among them."""
+    _require_keys(d, set(table), set(required), where)
+    return _read(d, table, where)
+
+
+def _checked(where: str, cls, **kw):
+    """cls(**kw), with a value its checks refuse as a ConfigError that names `where`."""
+    try:
+        return cls(**kw)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def _at_least_one(obj, where: str, *keys: str):
+    for k in keys:
+        if getattr(obj, k) < 1:
+            raise ConfigError(f"{where}.{k} must be >= 1, got {getattr(obj, k)}")
 
 
 def _fields(obj, table: dict) -> dict:
@@ -105,7 +173,11 @@ class InitConfig:
 
     def __post_init__(self):
         if self.grid_shape[0] < 1 or self.grid_shape[1] < 1:
-            raise ConfigError("init grid_shape entries must be >= 1")
+            raise ConfigError("init.grid_shape entries must be >= 1")
+        for axis, n, w in zip(("omega", "A"), self.grid_shape,
+                              (self.half_width_omega, self.half_width_A)):
+            if n > 1 and w is not None and not w > 0:
+                raise ConfigError(f"init.half_widths.{axis} must be > 0 for {n} points, got {w}")
 
     @property
     def n0(self) -> int:
@@ -134,8 +206,7 @@ class RunConfig:
     units: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        _at_least_one(self, "config", "threads")
         if self.acquisition.n_max < self.init.n0:
             raise ConfigError(
                 f"acquisition.n_max ({self.acquisition.n_max}) must be >= the "
@@ -162,30 +233,17 @@ class RunConfig:
         }
 
 
-def _parse_domain_box(d, where) -> DomainBox:
-    _require_keys(d, {"omega_min", "omega_max", "A_min", "A_max"},
-                  {"omega_min", "omega_max", "A_min", "A_max"}, where)
-    try:
-        return DomainBox(float(d["omega_min"]), float(d["omega_max"]),
-                         float(d["A_min"]), float(d["A_max"]))
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
 def _parse_hyper(d, where) -> Hyperparameters:
-    _require_keys(d, {"sigma_n2", "sigma_f2", "l_omega", "l_A"},
-                  {"sigma_n2", "sigma_f2", "l_omega", "l_A"}, where)
-    try:
-        return Hyperparameters.from_dict(d)
-    except (ValueError, KeyError) as e:
-        raise ConfigError(f"{where}: {e}") from e
+    return _checked(where, Hyperparameters, **_section(d, HYPER_KEYS, where, HYPER_KEYS))
 
 
 def _parse_oracle(raw: dict) -> OracleSpec:
-    _require_keys(raw, {"name", "params", "domain_box", "seed"}, {"name"}, "oracle")
-    box = _parse_domain_box(raw["domain_box"], "oracle.domain_box") if raw.get("domain_box") else None
-    return OracleSpec(name=raw["name"], params=dict(raw.get("params") or {}),
-                      domain_box=box, seed=raw.get("seed"))
+    _require_keys(raw, {"name", "params", "domain_box", *ORACLE_KEYS}, {"name"}, "oracle")
+    where = "oracle.domain_box"
+    box = _checked(where, DomainBox, **_section(raw["domain_box"], BOX_KEYS, where, BOX_KEYS)) \
+        if raw.get("domain_box") else None
+    return OracleSpec(name=raw["name"], params=dict(raw.get("params") or {}), domain_box=box,
+                      **_read(raw, ORACLE_KEYS, "oracle"))
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -196,48 +254,24 @@ def config_from_dict(raw: dict) -> RunConfig:
     oracle = _parse_oracle(raw["oracle"])
 
     i = raw["init"]
-    _require_keys(i, {"x0", "grid_shape", "half_widths"}, {"x0"}, "init")
-    _require_keys(i["x0"], {"omega", "A"}, {"omega", "A"}, "init.x0")
-    hw = i.get("half_widths") or {}
-    _require_keys(hw, {"omega", "A"}, set(), "init.half_widths")
-    grid = {}
-    if i.get("grid_shape"):
-        shape = i["grid_shape"]
-        if len(shape) != 2:
-            raise ConfigError("init.grid_shape must have two entries")
-        grid["grid_shape"] = (int(shape[0]), int(shape[1]))
-    init = InitConfig(x0_omega=float(i["x0"]["omega"]), x0_A=float(i["x0"]["A"]), **grid,
-                      half_width_omega=_opt_float(hw.get("omega")),
-                      half_width_A=_opt_float(hw.get("A")))
+    _require_keys(i, {"x0", "half_widths", *INIT_KEYS}, {"x0"}, "init")
+    x0 = _section(i["x0"], X0_KEYS, "init.x0", X0_KEYS)
+    hw = _section(i.get("half_widths") or {}, HALF_WIDTH_KEYS, "init.half_widths")
+    init = InitConfig(x0_omega=x0["omega"], x0_A=x0["A"], half_width_omega=hw.get("omega"),
+                      half_width_A=hw.get("A"), **_read(i, INIT_KEYS, "init"))
 
     h = raw["hyperparameters"]
     _require_keys(h, {"init", "bounds", *HYPER_FLAG_KEYS}, {"init"}, "hyperparameters")
-    bounds = None
-    if h.get("bounds"):
-        b = h["bounds"]
-        _require_keys(b, {"sigma_n2", "sigma_f2", "l_omega", "l_A"},
-                      {"sigma_n2", "sigma_f2", "l_omega", "l_A"}, "hyperparameters.bounds")
-        try:
-            bounds = FitBounds(**{k: (float(v[0]), float(v[1])) for k, v in b.items()})
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"hyperparameters.bounds: {e}") from e
+    where = "hyperparameters.bounds"
+    bounds = _checked(where, FitBounds, **_section(h["bounds"], BOUNDS_KEYS, where, BOUNDS_KEYS)) \
+        if h.get("bounds") else None
     hyper = HyperConfig(init=_parse_hyper(h["init"], "hyperparameters.init"), bounds=bounds,
                         **_read(h, HYPER_FLAG_KEYS, "hyperparameters"))
 
-    c = raw.get("continuation") or {}
-    _require_keys(c, set(CONTINUATION_KEYS), set(), "continuation")
-    try:
-        cont = ContinuationConfig(domain_box=oracle.domain_box,
-                                  **_read(c, CONTINUATION_KEYS, "continuation"))
-    except ValueError as e:
-        raise ConfigError(f"continuation: {e}") from e
-
-    a = raw.get("acquisition") or {}
-    _require_keys(a, set(ACQUISITION_KEYS), set(), "acquisition")
-    try:
-        acq = AcquisitionConfig(**_read(a, ACQUISITION_KEYS, "acquisition"))
-    except ValueError as e:
-        raise ConfigError(f"acquisition: {e}") from e
+    cont = _checked("continuation", ContinuationConfig, domain_box=oracle.domain_box,
+                    **_section(raw.get("continuation") or {}, CONTINUATION_KEYS, "continuation"))
+    acq = _checked("acquisition", AcquisitionConfig,
+                   **_section(raw.get("acquisition") or {}, ACQUISITION_KEYS, "acquisition"))
 
     units = raw.get("units") or {}
     if not isinstance(units, dict):
@@ -272,13 +306,22 @@ class SweepConfig:
     threads: int = 1
     units: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        inf = float("inf")
+        for axis in ("omega", "A"):
+            start, stop, step = (getattr(self, f"{axis}_{k}") for k in ("start", "stop", "step"))
+            if not (0.0 < step < inf and -inf < start <= stop < inf):
+                raise ConfigError(f"sweep: need {axis}_step > 0 and {axis}_start <= {axis}_stop, "
+                                  f"all finite; got {step} from {start} to {stop}")
+        _at_least_one(self, "config", "threads")
+
     def omegas(self):
         n = int(round((self.omega_stop - self.omega_start) / self.omega_step)) + 1
-        return [self.omega_start + i * self.omega_step for i in range(max(n, 1))]
+        return [self.omega_start + i * self.omega_step for i in range(n)]
 
     def A_grid(self):
         n = int(round((self.A_stop - self.A_start) / self.A_step)) + 1
-        return [self.A_start + i * self.A_step for i in range(max(n, 1))]
+        return [self.A_start + i * self.A_step for i in range(n)]
 
     def to_dict(self) -> dict:
         return {
@@ -313,6 +356,13 @@ class EnsembleConfig:
     seed: int = 0
     threads: int = 1
 
+    def __post_init__(self):
+        _at_least_one(self, "ensemble", "n_runs", "fit_n_starts", "threads")
+        self.continuation()
+
+    def continuation(self) -> ContinuationConfig:
+        return _checked("ensemble", ContinuationConfig, max_steps=self.max_steps)
+
     def to_dict(self) -> dict:
         return {"inputs": {"dataset": self.dataset}, **_fields(self, ENSEMBLE_KEYS)}
 
@@ -327,51 +377,48 @@ class OfflineConfig:
     h_max: float = 0.3
     seed: int = 0
 
+    def __post_init__(self):
+        self.continuation()
+
+    def continuation(self) -> ContinuationConfig:
+        return _checked("offline", ContinuationConfig, h=self.h, h_max=self.h_max,
+                        max_steps=self.max_steps)
+
     def to_dict(self) -> dict:
         return {"inputs": {"dataset": self.dataset},
                 "hyperparameters": self.hyper.as_dict() if self.hyper else None,
-                "x0": list(self.x0) if self.x0 else None, **_fields(self, OFFLINE_KEYS)}
+                **_fields(self, OFFLINE_KEYS)}
 
 
 def sweep_config_from_dict(raw: dict) -> SweepConfig:
     _require_keys(raw, {"oracle", "sweep", "units", *SEED_THREADS_KEYS},
                   {"oracle", "sweep"}, "sweep config")
-    s = raw["sweep"]
-    _require_keys(s, set(SWEEP_KEYS), {"omega_start", "omega_stop", "A_start", "A_stop"}, "sweep")
+    sweep = _section(raw["sweep"], SWEEP_KEYS, "sweep",
+                     {"omega_start", "omega_stop", "A_start", "A_stop"})
     return SweepConfig(oracle=_parse_oracle(raw["oracle"]), units=dict(raw.get("units") or {}),
-                       **_read(s, SWEEP_KEYS, "sweep"), **_read(raw, SEED_THREADS_KEYS, "config"))
+                       **sweep, **_read(raw, SEED_THREADS_KEYS, "config"))
 
 
 def nlfr_config_from_dict(raw: dict) -> NlfrConfig:
     _require_keys(raw, {"inputs", *NLFR_KEYS}, {"inputs", "gamma_level"}, "nlfr config")
-    inp = raw["inputs"]
-    _require_keys(inp, {"datasets", "run_logs"}, set(), "nlfr.inputs")
-    return NlfrConfig(datasets=tuple(inp.get("datasets") or ()),
-                      run_logs=tuple(inp.get("run_logs") or ()), **_read(raw, NLFR_KEYS, "nlfr"))
+    inp = _section(raw["inputs"], NLFR_INPUT_KEYS, "nlfr.inputs")
+    return NlfrConfig(datasets=inp.get("datasets") or (), run_logs=inp.get("run_logs") or (),
+                      **_read(raw, NLFR_KEYS, "nlfr"))
 
 
 def ensemble_config_from_dict(raw: dict) -> EnsembleConfig:
     _require_keys(raw, {"inputs", *ENSEMBLE_KEYS}, {"inputs"}, "ensemble config")
-    inp = raw["inputs"]
-    _require_keys(inp, {"dataset"}, {"dataset"}, "ensemble.inputs")
-    return EnsembleConfig(dataset=inp["dataset"], **_read(raw, ENSEMBLE_KEYS, "ensemble"))
+    return EnsembleConfig(**_section(raw["inputs"], INPUT_KEYS, "ensemble.inputs", INPUT_KEYS),
+                          **_read(raw, ENSEMBLE_KEYS, "ensemble"))
 
 
 def offline_config_from_dict(raw: dict) -> OfflineConfig:
-    _require_keys(raw, {"inputs", "hyperparameters", "x0", *OFFLINE_KEYS}, {"inputs"},
+    _require_keys(raw, {"inputs", "hyperparameters", *OFFLINE_KEYS}, {"inputs"},
                   "offline config")
-    inp = raw["inputs"]
-    _require_keys(inp, {"dataset"}, {"dataset"}, "offline.inputs")
     hyper = _parse_hyper(raw["hyperparameters"], "offline.hyperparameters") \
         if raw.get("hyperparameters") else None
-    try:
-        x0 = tuple(float(v) for v in raw["x0"]) if raw.get("x0") else None
-    except (TypeError, ValueError):
-        x0 = ()
-    if x0 is not None and len(x0) != 2:
-        raise ConfigError(f"offline.x0: expected two numbers [omega, A], got {raw['x0']!r}")
-    return OfflineConfig(dataset=inp["dataset"], hyper=hyper, x0=x0,
-                         **_read(raw, OFFLINE_KEYS, "offline"))
+    return OfflineConfig(**_section(raw["inputs"], INPUT_KEYS, "offline.inputs", INPUT_KEYS),
+                         hyper=hyper, **_read(raw, OFFLINE_KEYS, "offline"))
 
 
 def load_raw(path) -> dict:
@@ -396,20 +443,18 @@ def make_oracle(spec: OracleSpec, run_seed: int = 0, base_dir: Path | None = Non
     from .oracles import (DuffingOracle, DuffingParams, IsolaOracle, IsolaParams,
                           ISOLA_DOMAIN, ReplayOracle)
 
+    if spec.domain_box is None and spec.name in ("duffing", "rig"):
+        raise ConfigError(f"{spec.name} oracle requires oracle.domain_box")
     seed = spec.seed if spec.seed is not None else run_seed
     params = dict(spec.params)
     try:
         if spec.name == "duffing":
-            if spec.domain_box is None:
-                raise ConfigError("duffing oracle requires oracle.domain_box")
             return DuffingOracle(DuffingParams(**params), spec.domain_box, seed=seed)
         if spec.name == "isola":
             return IsolaOracle(IsolaParams(**params),
                                spec.domain_box or ISOLA_DOMAIN, seed=seed)
         if spec.name == "rig":
             from .rig import RigOracle, RigParams
-            if spec.domain_box is None:
-                raise ConfigError("rig oracle requires oracle.domain_box")
             return RigOracle(RigParams(**params), spec.domain_box, seed=seed)
         if spec.name == "replay":
             from .csvio import read_dataset_csv
@@ -418,8 +463,7 @@ def make_oracle(spec: OracleSpec, run_seed: int = 0, base_dir: Path | None = Non
                 path = base_dir / path
             ds = read_dataset_csv(path)
             return ReplayOracle(ds.X, ds.F, **params)
-    except TypeError as e:
-        raise ConfigError(f"bad parameters for oracle '{spec.name}': {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"oracle.params: bad parameters for oracle '{spec.name}': {e}") from e
     except KeyError as e:
-        raise ConfigError(f"oracle '{spec.name}' missing parameter: {e}") from e
-    raise ConfigError(f"unknown oracle '{spec.name}'")
+        raise ConfigError(f"oracle.params: oracle '{spec.name}' missing parameter: {e}") from e

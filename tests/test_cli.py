@@ -273,19 +273,69 @@ class TestMissingInputs:
 
 
 class TestUnreadableInputs:
+    # each edit maps a dotted key path to its value; a value the command cannot
+    # take ends in one error line that names the key, not in a traceback or a
+    # silently coerced value
     @pytest.mark.parametrize("command, edit", [
         ("trace", {"seed": "x"}),
         ("offline", {"max_steps": "many"}),
         ("offline", {"x0": {"omega": 1.1, "A": 1.4}}),
-    ], ids=["trace_seed", "offline_max_steps", "offline_x0_mapping"])
+        ("trace", {"init.x0.omega": "abc"}),
+        ("trace", {"init.grid_shape": ["a", 5]}),
+        ("trace", {"init.half_widths.A": "wide"}),
+        ("trace", {"init.half_widths.omega": 0}),
+        ("trace", {"oracle.seed": "s"}),
+        ("trace", {"oracle.params.zeta": -1}),
+        ("offline", {"h": 0.5, "h_max": 0.1}),
+        ("ensemble", {"max_steps": -3}),
+        ("sweep", {"sweep.omega_step": 0}),
+        ("trace", {"measure_at_solution": "false"}),
+        ("trace", {"hyperparameters.fit": "no"}),
+        ("trace", {"seed": 2.7}),
+        ("trace", {"continuation.max_steps": 2.9}),
+        ("trace", {"seed": True}),
+        ("sweep", {"sweep.omega_step": -0.25}),
+        ("sweep", {"sweep.A_step": 0}),
+        ("sweep", {"sweep.omega_stop": 1.0}),
+        ("sweep", {"sweep.A_stop": 0.1}),
+        ("sweep", {"threads": 0}),
+        ("ensemble", {"threads": 0}),
+        ("ensemble", {"n_runs": 0}),
+        ("ensemble", {"fit_n_starts": 0}),
+        ("offline", {"inputs.dataset": ["d.csv"]}),
+        ("nlfr", {"inputs.datasets": "d.csv"}),
+    ], ids=["trace_seed", "offline_max_steps", "offline_x0_mapping", "trace_x0_string",
+            "trace_grid_shape_string", "trace_half_width_string", "trace_half_width_zero",
+            "trace_oracle_seed_string", "trace_oracle_param_rejected", "offline_h_above_h_max",
+            "ensemble_max_steps_negative", "sweep_omega_step_zero",
+            "trace_measure_at_solution_string", "trace_fit_string", "trace_seed_fraction",
+            "trace_max_steps_fraction", "trace_seed_bool", "sweep_omega_step_negative",
+            "sweep_A_step_zero", "sweep_omega_stop_below_start", "sweep_A_stop_below_start",
+            "sweep_threads_zero", "ensemble_threads_zero", "ensemble_n_runs_zero",
+            "ensemble_fit_n_starts_zero", "offline_dataset_list", "nlfr_datasets_string"])
     def test_unparseable_value_is_config_error(self, tmp_path, command, edit):
-        cfg = base_trace_config() if command == "trace" else {"inputs": {"dataset": "d.csv"}}
-        cfg.update(edit)
+        X = np.array([[w, a] for w in np.linspace(1.0, 1.2, 6) for a in np.linspace(0.5, 2.5, 5)])
+        write_dataset_csv(tmp_path / "d.csv",
+                          Dataset(X, duffing_gamma(DuffingParams(), X[:, 0], X[:, 1])))
+        cfg = {"trace": base_trace_config(),
+               "sweep": {"oracle": base_trace_config()["oracle"],
+                         "sweep": {"omega_start": 1.05, "omega_stop": 1.15, "omega_step": 0.05,
+                                   "A_start": 0.2, "A_stop": 1.0, "A_step": 0.4}},
+               "ensemble": {"inputs": {"dataset": "d.csv"}, "n_runs": 2, "max_steps": 5},
+               "offline": {"inputs": {"dataset": "d.csv"}},
+               "nlfr": {"inputs": {"datasets": ["d.csv"]}, "gamma_level": 0.3}}[command]
+        for path, value in edit.items():
+            *sections, key = path.split(".")
+            section = cfg
+            for s in sections:
+                section = section[s]
+            section[key] = value
         res = run_cli(command, "--config", write_cfg(tmp_path, cfg),
                       "--out", str(tmp_path / "out"))
         assert res.exit_code == 1
         assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
-        assert next(iter(edit)) in res.output
+        for path in edit:
+            assert path.split(".")[-1] in res.output
 
     def test_offline_too_few_points_is_config_error(self, tmp_path):
         X = np.array([[1.0, 1.0], [1.1, 1.5]])
