@@ -21,7 +21,6 @@ they may raise to its exit code, and the `main` group prints it as one
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -189,8 +188,10 @@ def ensemble(config_path, out_dir, seed, threads):
 
 
 def _load(path, parser, **overrides):
-    """The parsed config at `path`, with each command-line override that was given."""
-    return replace(parser(load_raw(path)), **{k: v for k, v in overrides.items() if v is not None})
+    """The parsed config at `path`, each command-line override given read in place of its key."""
+    raw = load_raw(path)
+    raw.update({k: v for k, v in overrides.items() if v is not None})
+    return parser(raw)
 
 
 if __name__ == "__main__":

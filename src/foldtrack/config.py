@@ -39,6 +39,13 @@ def _int(v) -> int:
     return int(v)
 
 
+def _seed(v) -> int:
+    v = _int(v)
+    if v < 0:
+        raise ValueError("expected a non-negative integer")
+    return v
+
+
 def _float(v) -> float:
     if isinstance(v, bool):
         raise ValueError("expected a number")
@@ -49,6 +56,15 @@ def _str(v) -> str:
     if not isinstance(v, str):
         raise ValueError("expected a string")
     return v
+
+
+def _mapping(v) -> dict:
+    """A mapping, with null read as an empty one."""
+    if v is None:
+        return {}
+    if not isinstance(v, dict):
+        raise ValueError("expected a mapping")
+    return dict(v)
 
 
 def _optional(read):
@@ -74,7 +90,7 @@ ACQUISITION_KEYS = {"n_test": _int, "beta_tol": _float, "n_max": _int,
                     "ellipse_semi_omega": _optional(_float),
                     "ellipse_semi_A": _optional(_float), "max_points_per_step": _int}
 HYPER_FLAG_KEYS = {"fit": _bool, "refit_each_step": _bool, "n_starts": _int}
-SEED_THREADS_KEYS = {"seed": _int, "threads": _int}
+SEED_THREADS_KEYS = {"seed": _seed, "threads": _int}
 RUN_KEYS = {**SEED_THREADS_KEYS, "measure_at_solution": _bool}
 SWEEP_KEYS = {k: _float for k in ("omega_start", "omega_stop", "omega_step",
                                   "A_start", "A_stop", "A_step")}
@@ -82,8 +98,8 @@ NLFR_KEYS = {"gamma_level": _float, "band": _float}
 ENSEMBLE_KEYS = {"n_runs": _int, "dropout_fraction": _float, "fit_n_starts": _int,
                  "max_steps": _int, **SEED_THREADS_KEYS}
 OFFLINE_KEYS = {"x0": _optional(_list(_float, 2)), "max_steps": _int, "h": _float,
-                "h_max": _float, "seed": _int}
-ORACLE_KEYS = {"seed": _optional(_int)}
+                "h_max": _float, "seed": _seed}
+ORACLE_KEYS = {"params": _mapping, "seed": _optional(_seed)}
 INIT_KEYS = {"grid_shape": _list(_int, 2)}
 X0_KEYS = {"omega": _float, "A": _float}
 HALF_WIDTH_KEYS = {"omega": _optional(_float), "A": _optional(_float)}
@@ -238,12 +254,11 @@ def _parse_hyper(d, where) -> Hyperparameters:
 
 
 def _parse_oracle(raw: dict) -> OracleSpec:
-    _require_keys(raw, {"name", "params", "domain_box", *ORACLE_KEYS}, {"name"}, "oracle")
+    _require_keys(raw, {"name", "domain_box", *ORACLE_KEYS}, {"name"}, "oracle")
     where = "oracle.domain_box"
     box = _checked(where, DomainBox, **_section(raw["domain_box"], BOX_KEYS, where, BOX_KEYS)) \
         if raw.get("domain_box") else None
-    return OracleSpec(name=raw["name"], params=dict(raw.get("params") or {}), domain_box=box,
-                      **_read(raw, ORACLE_KEYS, "oracle"))
+    return OracleSpec(name=raw["name"], domain_box=box, **_read(raw, ORACLE_KEYS, "oracle"))
 
 
 def config_from_dict(raw: dict) -> RunConfig:

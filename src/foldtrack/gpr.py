@@ -9,6 +9,11 @@ factor gives, with no model built, the closed-form scores that acquisition
 ranks candidates and points by: one triangular solve per candidate set, one
 inverse per set of points.
 
+A hyperparameter fit maximizes the log marginal likelihood with its analytic
+gradient.  It takes the input differences and its n x n work arrays once per
+fit, takes K^-1 from the factor by LAPACK dpotri, and evaluates its start
+point once.
+
 All quantities live in the physical units of the experiment; the prior
 mean is zero in those units, so predictions revert to zero force far away
 from the data.  Coordinates are only rescaled where a dimensionless
@@ -24,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from .errors import (
     DuplicatePoint,
@@ -245,7 +251,7 @@ def _factorize(K: np.ndarray, hyper: Hyperparameters):
     scale = hyper.sigma_f2 + hyper.sigma_n2  # equals trace(K)/n for the SE kernel
     for rel in _JITTER_LADDER:
         try:
-            L = cholesky(K + rel * scale * np.eye(n), lower=True)
+            L = cholesky(K + rel * scale * np.eye(n) if rel else K, lower=True)
             return L, rel * scale
         except np.linalg.LinAlgError:
             continue
@@ -386,29 +392,62 @@ def _log_marginal_from_factor(L, alpha, F) -> float:
     return float(-0.5 * F @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2.0 * math.pi))
 
 
-def _log_marginal_and_grad(dataset: Dataset, z: np.ndarray):
-    """Value and gradient of the log marginal likelihood w.r.t. log-parameters."""
-    hyper = Hyperparameters.from_array(np.exp(z))
-    X, F = dataset.X, dataset.F
-    n = dataset.n
-    Kse = _kernel_matrix(X, X, hyper)
-    K = Kse + hyper.sigma_n2 * np.eye(n)
-    L, _ = _factorize(K, hyper)
-    alpha = cho_solve((L, True), F)
-    value = _log_marginal_from_factor(L, alpha, F)
+class _LogMarginal:
+    """Log marginal likelihood of one dataset and its gradient w.r.t. log-parameters.
 
-    Kinv = cho_solve((L, True), np.eye(n))
-    W = np.outer(alpha, alpha) - Kinv
-    Do2 = ((X[:, 0:1] - X[:, 0:1].T) / hyper.l_omega) ** 2
-    Da2 = ((X[:, 1:2] - X[:, 1:2].T) / hyper.l_A) ** 2
-    # dK/dlog(theta) for theta = (sigma_n2, sigma_f2, l_omega, l_A)
-    grads = np.array([
-        0.5 * hyper.sigma_n2 * np.trace(W),
-        0.5 * np.sum(W * Kse),
-        0.5 * np.sum(W * (Kse * Do2)),
-        0.5 * np.sum(W * (Kse * Da2)),
-    ])
-    return value, grads
+    A fit calls it at many hyperparameters and one dataset, so the input
+    differences and the n x n work arrays are taken once, at construction.
+    K_se follows `_kernel_matrix`'s arithmetic, so the value is
+    `log_marginal`'s to the bit.  K^-1 comes from the Cholesky factor by LAPACK
+    dpotri.  With Q = (alpha alpha^T - K^-1) o K_se, the gradient (Rasmussen &
+    Williams eq. 5.9) is sigma_n2 (alpha.alpha - tr K^-1)/2 for the noise,
+    sum(Q)/2 for the signal variance, and sum(Q o D2)/2 for each length scale
+    l, D2 holding the squared input differences along its axis over l^2.
+    """
+
+    def __init__(self, dataset: Dataset):
+        X = dataset.X
+        self.F = dataset.F
+        self.Dw = np.subtract.outer(X[:, 0], X[:, 0])
+        self.Da = np.subtract.outer(X[:, 1], X[:, 1])
+        self.Do2, self.Da2, self.Kse, self.Q = (np.empty_like(self.Dw) for _ in range(4))
+
+    def __call__(self, z: np.ndarray):
+        hyper = Hyperparameters.from_array(np.exp(z))
+        F, Do2, Da2, Kse, Q = self.F, self.Do2, self.Da2, self.Kse, self.Q
+        n = len(F)
+        np.square(np.divide(self.Dw, hyper.l_omega, out=Do2), out=Do2)
+        np.square(np.divide(self.Da, hyper.l_A, out=Da2), out=Da2)
+        np.add(Do2, Da2, out=Kse)
+        Kse *= -0.5
+        np.exp(Kse, out=Kse)
+        Kse *= hyper.sigma_f2
+        # factor K = Kse + sigma_n2 I in place; the diagonal of Kse is sigma_f2 exactly
+        Kse.flat[::n + 1] += hyper.sigma_n2
+        L, _ = _factorize(Kse, hyper)
+        Kse.flat[::n + 1] = hyper.sigma_f2
+        alpha = cho_solve((L, True), F)
+        value = _log_marginal_from_factor(L, alpha, F)
+
+        # the lower triangle of K^-1, over L; the upper one stays zero, as in L
+        Kinv, info = dpotri(L, lower=1, overwrite_c=1)
+        if info != 0:
+            raise FactorizationFailure(f"inverting the covariance from its factor failed "
+                                       f"(info {info})")
+        tr_Kinv = np.trace(Kinv)
+        Kinv.flat[::n + 1] *= 0.5  # now K^-1 = Kinv + Kinv^T
+        np.outer(alpha, alpha, out=Q)
+        Q -= Kinv
+        Q -= Kinv.T
+        Q *= Kse
+        q = Q.ravel()
+        grads = 0.5 * np.array([
+            hyper.sigma_n2 * (alpha @ alpha - tr_Kinv),
+            q.sum(),
+            q @ Do2.ravel(),
+            q @ Da2.ravel(),
+        ])
+        return value, grads
 
 
 def default_fit_bounds(dataset: Dataset) -> FitBounds:
@@ -447,14 +486,25 @@ def fit_hyperparameters(dataset: Dataset, init: Hyperparameters,
     z_lo, z_hi = np.log(lo), np.log(hi)
     z0 = np.clip(np.log(init.as_array()), z_lo, z_hi)
 
-    def objective(z):
+    log_marginal_and_grad = _LogMarginal(dataset)
+
+    def evaluate(z):
         try:
-            value, grad = _log_marginal_and_grad(dataset, z)
+            value, grad = log_marginal_and_grad(z)
         except FactorizationFailure:
             return 1e25, np.zeros(4)
         if not np.isfinite(value):
             return 1e25, np.zeros(4)
         return -value, -grad
+
+    # The last point and its result: L-BFGS-B's first call repeats the guard's below.
+    last = {}
+
+    def objective(z):
+        if "z" not in last or not np.array_equal(z, last["z"]):
+            last.update(z=np.array(z), result=evaluate(z))
+        value, grad = last["result"]
+        return value, grad.copy()
 
     rng = np.random.default_rng(seed)
     starts = [z0]

@@ -36,6 +36,25 @@ def dense_log_marginal(X, F, sigma_n2, sigma_f2, l_omega, l_A):
     return float(-0.5 * F @ Kinv @ F - 0.5 * logdet - 0.5 * n * math.log(2.0 * math.pi))
 
 
+def dense_log_marginal_grad(X, F, sigma_n2, sigma_f2, l_omega, l_A):
+    """Gradient of the log marginal likelihood w.r.t. the log-parameters, by explicit inverse.
+
+    Rasmussen & Williams eq. 5.9: 1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)
+    for theta = (sigma_n2, sigma_f2, l_omega, l_A).
+    """
+    X = np.asarray(X, dtype=float)
+    F = np.asarray(F, dtype=float)
+    n = len(F)
+    Kse = se_kernel_matrix(X, X, sigma_f2, l_omega, l_A)
+    Kinv = np.linalg.inv(Kse + sigma_n2 * np.eye(n))
+    alpha = Kinv @ F
+    W = np.outer(alpha, alpha) - Kinv
+    Do2 = np.subtract.outer(X[:, 0], X[:, 0]) ** 2 / l_omega**2
+    Da2 = np.subtract.outer(X[:, 1], X[:, 1]) ** 2 / l_A**2
+    dK = (sigma_n2 * np.eye(n), Kse, Kse * Do2, Kse * Da2)
+    return np.array([0.5 * np.sum(W * d) for d in dK])
+
+
 def dense_predict(X, F, x_star, sigma_n2, sigma_f2, l_omega, l_A):
     """Posterior mean and variance by dense algebra."""
     n = len(F)

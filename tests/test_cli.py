@@ -272,6 +272,20 @@ class TestMissingInputs:
         assert res.exit_code == 1
 
 
+def _small_config(tmp_path, command):
+    """A small config `command` runs, with the dataset it reads written to `tmp_path`."""
+    X = np.array([[w, a] for w in np.linspace(1.0, 1.2, 6) for a in np.linspace(0.5, 2.5, 5)])
+    write_dataset_csv(tmp_path / "d.csv",
+                      Dataset(X, duffing_gamma(DuffingParams(), X[:, 0], X[:, 1])))
+    return {"trace": base_trace_config(),
+            "sweep": {"oracle": base_trace_config()["oracle"],
+                      "sweep": {"omega_start": 1.05, "omega_stop": 1.15, "omega_step": 0.05,
+                                "A_start": 0.2, "A_stop": 1.0, "A_step": 0.4}},
+            "ensemble": {"inputs": {"dataset": "d.csv"}, "n_runs": 2, "max_steps": 5},
+            "offline": {"inputs": {"dataset": "d.csv"}},
+            "nlfr": {"inputs": {"datasets": ["d.csv"]}, "gamma_level": 0.3}}[command]
+
+
 class TestUnreadableInputs:
     # each edit maps a dotted key path to its value; a value the command cannot
     # take ends in one error line that names the key, not in a traceback or a
@@ -304,6 +318,13 @@ class TestUnreadableInputs:
         ("ensemble", {"fit_n_starts": 0}),
         ("offline", {"inputs.dataset": ["d.csv"]}),
         ("nlfr", {"inputs.datasets": "d.csv"}),
+        ("trace", {"seed": -1}),
+        ("offline", {"seed": -1}),
+        ("ensemble", {"seed": -1}),
+        ("sweep", {"seed": -1}),
+        ("trace", {"oracle.seed": -1}),
+        ("trace", {"oracle.params": "abc"}),
+        ("sweep", {"oracle.params": [["zeta", 0.02]]}),
     ], ids=["trace_seed", "offline_max_steps", "offline_x0_mapping", "trace_x0_string",
             "trace_grid_shape_string", "trace_half_width_string", "trace_half_width_zero",
             "trace_oracle_seed_string", "trace_oracle_param_rejected", "offline_h_above_h_max",
@@ -312,18 +333,12 @@ class TestUnreadableInputs:
             "trace_max_steps_fraction", "trace_seed_bool", "sweep_omega_step_negative",
             "sweep_A_step_zero", "sweep_omega_stop_below_start", "sweep_A_stop_below_start",
             "sweep_threads_zero", "ensemble_threads_zero", "ensemble_n_runs_zero",
-            "ensemble_fit_n_starts_zero", "offline_dataset_list", "nlfr_datasets_string"])
+            "ensemble_fit_n_starts_zero", "offline_dataset_list", "nlfr_datasets_string",
+            "trace_seed_negative", "offline_seed_negative", "ensemble_seed_negative",
+            "sweep_seed_negative", "trace_oracle_seed_negative", "trace_oracle_params_string",
+            "sweep_oracle_params_pairs"])
     def test_unparseable_value_is_config_error(self, tmp_path, command, edit):
-        X = np.array([[w, a] for w in np.linspace(1.0, 1.2, 6) for a in np.linspace(0.5, 2.5, 5)])
-        write_dataset_csv(tmp_path / "d.csv",
-                          Dataset(X, duffing_gamma(DuffingParams(), X[:, 0], X[:, 1])))
-        cfg = {"trace": base_trace_config(),
-               "sweep": {"oracle": base_trace_config()["oracle"],
-                         "sweep": {"omega_start": 1.05, "omega_stop": 1.15, "omega_step": 0.05,
-                                   "A_start": 0.2, "A_stop": 1.0, "A_step": 0.4}},
-               "ensemble": {"inputs": {"dataset": "d.csv"}, "n_runs": 2, "max_steps": 5},
-               "offline": {"inputs": {"dataset": "d.csv"}},
-               "nlfr": {"inputs": {"datasets": ["d.csv"]}, "gamma_level": 0.3}}[command]
+        cfg = _small_config(tmp_path, command)
         for path, value in edit.items():
             *sections, key = path.split(".")
             section = cfg
@@ -336,6 +351,22 @@ class TestUnreadableInputs:
         assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
         for path in edit:
             assert path.split(".")[-1] in res.output
+
+    @pytest.mark.parametrize("command", ["trace", "offline", "ensemble", "sweep"])
+    def test_negative_seed_override_is_config_error(self, tmp_path, command):
+        res = run_cli(command, "--config", write_cfg(tmp_path, _small_config(tmp_path, command)),
+                      "--seed", "-1", "--out", str(tmp_path / "out"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
+        assert ".seed: " in res.output
+
+    def test_oracle_params_not_a_mapping_names_its_key(self, tmp_path):
+        cfg = base_trace_config()
+        cfg["oracle"]["params"] = "abc"
+        res = run_cli("trace", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: oracle.params: ")
 
     def test_offline_too_few_points_is_config_error(self, tmp_path):
         X = np.array([[1.0, 1.0], [1.1, 1.5]])

@@ -5,12 +5,13 @@ import pytest
 import yaml
 
 from conftest import TINY_NOISE, duffing_grid_dataset
-from reference_oracles import (cs_mean_derivs, dense_log_marginal, dense_predict,
-                               se_kernel_matrix)
+from reference_oracles import (cs_mean_derivs, dense_log_marginal, dense_log_marginal_grad,
+                               dense_predict, se_kernel_matrix)
 
 from foldtrack.errors import DuplicatePoint, IndexOutOfRange
-from foldtrack.gpr import (Dataset, FitBounds, Hyperparameters, build, default_fit_bounds,
-                           fit_hyperparameters, kernel, log_marginal)
+from foldtrack.gpr import (Dataset, FitBounds, Hyperparameters, _LogMarginal, build,
+                           default_fit_bounds, fit_hyperparameters, kernel, log_marginal)
+from foldtrack.oracles import DuffingParams, duffing_gamma
 
 
 class TestHyperparameters:
@@ -246,6 +247,48 @@ class TestLogMarginal:
         assert log_marginal(bigger, h) < log_marginal(ds, h)
 
 
+def _sweep_dataset() -> Dataset:
+    """A noisy Duffing S-curve sweep (15 x 19 points, 1% noise) with 256 of its points kept."""
+    W, A = np.meshgrid(np.linspace(1.0, 1.21, 15), np.linspace(0.2, 3.0, 19), indexing="ij")
+    W, A = W.ravel(), A.ravel()
+    rng = np.random.default_rng(0)
+    F = duffing_gamma(DuffingParams(), W, A)
+    F = np.maximum(F + 0.01 * F.mean() * rng.standard_normal(F.shape), 0.0)
+    keep = np.sort(rng.choice(len(F), 256, replace=False))
+    return Dataset(np.column_stack([W, A])[keep], F[keep])
+
+
+class TestLikelihoodGradient:
+    # hyperparameters away from the optimum, where every gradient entry is O(1) or larger
+    CASES = [("grid25", Hyperparameters(4e-4, 0.04, 0.05, 0.85)),
+             ("sweep256", Hyperparameters(1e-3, 1.0, 0.05, 0.5))]
+
+    @staticmethod
+    def _dataset(name, duffing_params):
+        return duffing_grid_dataset(duffing_params) if name == "grid25" else _sweep_dataset()
+
+    @pytest.mark.parametrize("name, hyper", CASES, ids=[c[0] for c in CASES])
+    def test_matches_central_differences_of_log_marginal(self, duffing_params, name, hyper):
+        ds = self._dataset(name, duffing_params)
+        z = np.log(hyper.as_array())
+        value, grad = _LogMarginal(ds)(z)
+        assert value == log_marginal(ds, Hyperparameters.from_array(np.exp(z)))
+        step = 1e-4
+        for i in range(4):
+            e = np.zeros(4)
+            e[i] = step
+            up, down = (log_marginal(ds, Hyperparameters.from_array(np.exp(z + s * e)))
+                        for s in (1, -1))
+            assert grad[i] == pytest.approx((up - down) / (2 * step), rel=1e-6)
+
+    @pytest.mark.parametrize("name, hyper", CASES, ids=[c[0] for c in CASES])
+    def test_matches_dense_algebra(self, duffing_params, name, hyper):
+        ds = self._dataset(name, duffing_params)
+        _, grad = _LogMarginal(ds)(np.log(hyper.as_array()))
+        ref = dense_log_marginal_grad(ds.X, ds.F, *hyper.as_array())
+        assert np.max(np.abs(grad - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 class TestFitHyperparameters:
     def test_recovers_length_scales_from_gp_draw(self):
         rng = np.random.default_rng(12)
@@ -282,6 +325,22 @@ class TestFitHyperparameters:
         fit = fit_hyperparameters(ds, Hyperparameters(0.01, 1.0, 0.5, 0.5), seed=0)
         lo, hi = default_fit_bounds(ds).sigma_f2
         assert lo <= fit.sigma_f2 <= hi
+
+    def test_evaluates_its_start_point_once(self, duffing_params, monkeypatch):
+        ds = duffing_grid_dataset(duffing_params)
+        init = Hyperparameters(1e-6, 0.05, 0.05, 0.45)
+        seen = []
+        call = _LogMarginal.__call__
+
+        def recording(self, z):
+            seen.append(np.array(z))
+            return call(self, z)
+
+        monkeypatch.setattr(_LogMarginal, "__call__", recording)
+        fit_hyperparameters(ds, init, n_starts=1, seed=0)
+        z0 = np.clip(np.log(init.as_array()), *np.log(default_fit_bounds(ds).as_arrays()))
+        assert np.array_equal(seen[0], z0)
+        assert sum(np.array_equal(z, z0) for z in seen) == 1
 
     def test_requires_five_points(self):
         ds = Dataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, 2.0]))

@@ -3,8 +3,8 @@
 Random inputs are drawn on coarse lattices so covariance conditioning stays
 bounded; the contracts under test (interpolation, variance bounds, update
 equivalence, permutation equivariance, closed-form beta, single and
-batched, and prune against their explicit-update references) are exactly
-the ones other modules rely on.
+batched, prune against their explicit-update references, and the fit's
+likelihood against `log_marginal`) are exactly the ones other modules rely on.
 """
 
 import numpy as np
@@ -17,8 +17,9 @@ from reference_oracles import add_point_beta, cs_mean_derivs, downdate_influence
 
 from foldtrack import csvio
 from foldtrack.acquisition import prune, sensitivity_beta
-from foldtrack.errors import DuplicatePoint
-from foldtrack.gpr import DUPLICATE_TOL, Dataset, Hyperparameters, build
+from foldtrack.errors import DuplicatePoint, FactorizationFailure
+from foldtrack.gpr import (DUPLICATE_TOL, Dataset, Hyperparameters, _LogMarginal, build,
+                           log_marginal)
 
 HYPER = Hyperparameters(sigma_n2=TINY_NOISE, sigma_f2=1.0, l_omega=0.6, l_A=1.0)
 
@@ -49,6 +50,27 @@ def test_variance_bounds(points, values, qx, qy):
     model = build(_dataset(points, values), HYPER)
     v = model.predict_var((qx, qy))
     assert 0.0 <= v <= HYPER.sigma_f2 + 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                       unique=True, min_size=5, max_size=30),
+       values=st.lists(outputs, min_size=30, max_size=30),
+       z=st.tuples(st.floats(-12.0, 0.0), st.floats(-3.0, 2.0), st.floats(-2.0, 1.0),
+                   st.floats(-2.0, 1.0)))
+def test_fit_likelihood_equals_log_marginal(points, values, z):
+    # the value a fit maximizes is the public log marginal likelihood
+    ds = _dataset(points, values)
+    z = np.array(z)
+    try:
+        expected = log_marginal(ds, Hyperparameters.from_array(np.exp(z)))
+    except FactorizationFailure:
+        with pytest.raises(FactorizationFailure):
+            _LogMarginal(ds)(z)
+        return
+    value, grad = _LogMarginal(ds)(z)
+    assert value == pytest.approx(expected, rel=1e-12)
+    assert np.all(np.isfinite(grad))
 
 
 @settings(max_examples=30, deadline=None)
