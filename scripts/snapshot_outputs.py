@@ -24,13 +24,24 @@ change moved.  The set:
 
 It takes about a minute; the rig runs take most of it.  Every path written
 into a manifest is relative, so OUT may live anywhere.
+
+    python3 scripts/snapshot_outputs.py --compare OUT_A OUT_B
+
+compares two such trees.  For every file that differs it prints the line
+count on each side, whether the text outside the numbers matches, and the
+largest relative change of a number, |a - b| / max(|a|, |b|), over lines
+whose text matches.  It exits 1 when a file is missing on one side or a
+line count or the non-numeric text differs, so a change that should move
+numbers by round-off only can be checked with one command.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import math
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -131,10 +142,65 @@ def ensemble(out: Path):
                                            encoding="utf-8")
 
 
+NUMBER = re.compile(r"[-+]?(?:\b(?:nan|inf)\b|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _rel_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare_file(a: Path, b: Path) -> tuple[bool, str]:
+    """(text differs, report line) for two versions of one file."""
+    lines_a = a.read_text(encoding="utf-8", errors="replace").splitlines()
+    lines_b = b.read_text(encoding="utf-8", errors="replace").splitlines()
+    text_same = len(lines_a) == len(lines_b)
+    worst = 0.0
+    for la, lb in zip(lines_a, lines_b):
+        if NUMBER.sub("#", la) != NUMBER.sub("#", lb):
+            text_same = False
+            continue
+        for x, y in zip(NUMBER.findall(la), NUMBER.findall(lb)):
+            worst = max(worst, _rel_change(float(x), float(y)))
+    text = "same" if text_same else "DIFFERS"
+    return not text_same, (f"lines {len(lines_a)} / {len(lines_b)}, text {text}, "
+                           f"max rel change {worst:.2e}")
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print every file of two snapshot trees that differs; 1 if any text differs."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    broken = 0
+    for rel in sorted(files_a ^ files_b):
+        print(f"{rel}: only in {a if rel in files_a else b}")
+        broken += 1
+    moved = 0
+    for rel in sorted(files_a & files_b):
+        if (a / rel).read_bytes() == (b / rel).read_bytes():
+            continue
+        differs, report = compare_file(a / rel, b / rel)
+        print(f"{rel}: {report}")
+        moved += 1
+        broken += differs
+    print(f"{moved} files differ, {broken} in line count, text or presence")
+    return 1 if broken else 0
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out", type=Path, help="output directory (created)")
-    out = ap.parse_args().out.resolve()
+    ap.add_argument("out", type=Path, nargs="?", help="output directory (created)")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                    help="compare two snapshot trees instead of writing one")
+    args = ap.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
+    if args.out is None:
+        ap.error("give OUT, or --compare A B")
+    out = args.out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     traces(out)
     ensemble(out)

@@ -330,8 +330,10 @@ class GprModel:
         Closed form (Rasmussen & Williams eq. 5.12): the mean at x exceeds the
         one without point i by (K^-1 k_x)_i alpha_i / (K^-1)_ii; no model is rebuilt.
         """
-        Kinv = cho_solve((self.chol, True), np.eye(self.n))
-        return Kinv @ _kernel_vec_d_A(self.dataset.X, x, self.hyper) * self.alpha / np.diag(Kinv)
+        W = _inverse_lower(self.chol)
+        d = np.diag(W)
+        k = _kernel_vec_d_A(self.dataset.X, x, self.hyper)
+        return (W @ k + W.T @ k - d * k) * self.alpha / d
 
     # -- updates -----------------------------------------------------------
 
@@ -361,6 +363,19 @@ class GprModel:
         The jitter ladder restarts from zero, as in `build`.
         """
         return build(self.dataset.drop(index), self.hyper)
+
+
+def _inverse_lower(L: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Lower triangle of K^-1 from the lower Cholesky factor L of K, by LAPACK dpotri.
+
+    The strict upper triangle is zero, as in L, so K^-1 = W + W^T - diag(W).
+    `overwrite` lets LAPACK work in L's memory.
+    """
+    W, info = dpotri(L, lower=1, overwrite_c=int(overwrite))
+    if info != 0:
+        raise FactorizationFailure(f"inverting the covariance from its factor failed "
+                                   f"(info {info})")
+    return W
 
 
 def _clamped_var(var):
@@ -429,11 +444,7 @@ class _LogMarginal:
         alpha = cho_solve((L, True), F)
         value = _log_marginal_from_factor(L, alpha, F)
 
-        # the lower triangle of K^-1, over L; the upper one stays zero, as in L
-        Kinv, info = dpotri(L, lower=1, overwrite_c=1)
-        if info != 0:
-            raise FactorizationFailure(f"inverting the covariance from its factor failed "
-                                       f"(info {info})")
+        Kinv = _inverse_lower(L, overwrite=True)
         tr_Kinv = np.trace(Kinv)
         Kinv.flat[::n + 1] *= 0.5  # now K^-1 = Kinv + Kinv^T
         np.outer(alpha, alpha, out=Q)

@@ -43,10 +43,15 @@ records are built from lists after the loop.  Each operation on a numpy
 scalar costs several times the same IEEE operation on a float, and the
 loop is most of a measurement's time.  The operations and their order are
 those of the numpy-scalar loop, so every record is bit-for-bit the same.
-The y, u and force records of a measurement window share one time grid,
-so one Fourier design matrix serves their three least-squares fits; each
-keeps its own one-column solve, because a single three-column solve moves
-the last bits of the coefficients.
+
+The numpy work around the loop rests on one phasor per closed-loop
+segment, E = exp(i 2 pi omega t) at its samples.  The reference is a
+Horner evaluation in E of the complex coefficients A_j - i B_j, and the
+Fourier design matrix of the segment's window holds the real and
+imaginary parts of the powers of E, so no other trigonometric array is
+taken.  The y, u and force records of a window are fitted together: one
+solve of the normal equations M^T M c = M^T [y u f], whose matrix is
+nearly diagonal because the window spans whole cycles.
 """
 
 from __future__ import annotations
@@ -122,34 +127,34 @@ def fourier_coeffs(signal: np.ndarray, omega_hz: float, sample_rate: float,
     Uses the longest window of whole oscillation cycles that fits the
     record, counted back from its end.
     """
-    return _fit_fourier(_fourier_basis(len(signal), omega_hz, sample_rate, n_modes, t0),
-                        signal)
+    E = _phasor(omega_hz, t0 + np.arange(len(signal)) / sample_rate)
+    return _fit_fourier(E, sample_rate / omega_hz, n_modes, signal)[0]
 
 
-def _fourier_basis(n: int, omega_hz: float, sample_rate: float, n_modes: int,
-                   t0: float) -> np.ndarray:
-    """Design matrix of fourier_coeffs' window for an n-sample record from t0."""
-    period = sample_rate / omega_hz
+def _phasor(omega_hz: float, t: np.ndarray) -> np.ndarray:
+    """exp(i 2 pi omega t): its j-th power holds cos and sin of harmonic j."""
+    return np.exp(1j * (TWO_PI * omega_hz) * t)
+
+
+def _fit_fourier(E: np.ndarray, period: float, n_modes: int, *signals: np.ndarray):
+    """fourier_coeffs of each signal, sampled at the times of the phasor E.
+
+    `period` is in samples.  The window is the last whole cycles of the
+    record; one normal-equations solve fits every signal on its basis.
+    """
+    n = len(E)
     n_cyc = int(n / period)
     if n_cyc < 1:
         raise ValueError("record shorter than one oscillation cycle")
-    L = int(round(n_cyc * period))
-    L = min(L, n)
-    t = t0 + (np.arange(n - L, n)) / sample_rate
-    cols = [np.full(L, 0.5)]
-    for j in range(1, n_modes + 1):
-        cols.append(np.cos(j * TWO_PI * omega_hz * t))
-        cols.append(np.sin(j * TWO_PI * omega_hz * t))
-    return np.stack(cols, axis=1)
-
-
-def _fit_fourier(M: np.ndarray, signal: np.ndarray):
-    """(a0, A_j, B_j) of the record's last len(M) samples on the basis M."""
-    coef, *_ = np.linalg.lstsq(M, signal[len(signal) - len(M):], rcond=None)
-    a0 = coef[0]
-    A = coef[1::2]
-    B = coef[2::2]
-    return float(a0), A.copy(), B.copy()
+    L = min(int(round(n_cyc * period)), n)
+    powers = np.cumprod(np.broadcast_to(E[n - L:, None], (L, n_modes)), axis=1)
+    M = np.empty((L, 2 * n_modes + 1))
+    M[:, 0] = 0.5
+    M[:, 1::2] = powers.real
+    M[:, 2::2] = powers.imag
+    Y = np.column_stack([s[n - L:] for s in signals])
+    coef = np.linalg.solve(M.T @ M, M.T @ Y)
+    return [(float(c[0]), c[1::2].copy(), c[2::2].copy()) for c in coef.T]
 
 
 class _TargetSignal:
@@ -161,12 +166,12 @@ class _TargetSignal:
         self.A = np.zeros(n_modes)
         self.B = np.zeros(n_modes)
 
-    def sample(self, t: np.ndarray) -> np.ndarray:
-        out = np.full(len(t), 0.5 * self.a0)
-        for j in range(len(self.A)):
-            ph = (j + 1) * TWO_PI * self.omega_hz * t
-            out += self.A[j] * np.cos(ph) + self.B[j] * np.sin(ph)
-        return out
+    def sample(self, E: np.ndarray) -> np.ndarray:
+        """y* at the times of the phasor E = _phasor(omega_hz, t).
+
+        Re sum_j (A_j - i B_j) E^j, by Horner's rule in E.
+        """
+        return 0.5 * self.a0 + np.polyval(np.append((self.A - 1j * self.B)[::-1], 0.0), E).real
 
 
 class RigOracle(SeededOracle):
@@ -204,13 +209,18 @@ class RigOracle(SeededOracle):
 
     def _run_segment(self, n: int, target: _TargetSignal | None, rng=None,
                      open_loop_u: np.ndarray | None = None):
-        """Advance the loop n samples; returns records (y_mm, u, f_meas, t0)."""
+        """Advance the loop n samples; returns records (y_mm, u, f_meas) and E.
+
+        E is the target's phasor at the segment's samples, None in open loop.
+        """
         p = self.params
         T = self._T
         t0 = self._t
-        t = t0 + np.arange(n) * T
-        # Python floats, not numpy scalars, in the per-sample loop (module doc)
-        ystar = target.sample(t).tolist() if target is not None else None
+        E = ystar = None
+        if target is not None:
+            E = _phasor(target.omega_hz, t0 + np.arange(n) * T)
+            # Python floats, not numpy scalars, in the per-sample loop (module doc)
+            ystar = target.sample(E).tolist()
         drive = open_loop_u.tolist() if open_loop_u is not None else None
         noise = rng.standard_normal(n) * p.noise_sigma if (rng is not None and p.noise_sigma > 0) else None
         phi1, phi2 = p.phi
@@ -258,7 +268,7 @@ class RigOracle(SeededOracle):
         y_rec = np.array(ys, dtype=float)
         u_rec = np.array(us, dtype=float)
         f_rec = u_rec + noise if noise is not None else u_rec.copy()
-        return y_rec, u_rec, f_rec, t0
+        return y_rec, u_rec, f_rec, E
 
     def _locked_at(self, omega_hz: float) -> bool:
         return self._lock is not None and self._lock[0] == omega_hz
@@ -290,12 +300,13 @@ class RigOracle(SeededOracle):
             elapsed = p.settle_time
         # one oscillation period rounded up to whole samples, +1 so the
         # least-squares window always contains a full cycle
-        period_samples = int(math.ceil(p.sample_rate / omega_hz)) + 1
+        period = p.sample_rate / omega_hz
+        period_samples = int(math.ceil(period)) + 1
         while True:
-            y1, _, _, t0 = self._run_segment(period_samples, target)
-            y2, _, _, t0b = self._run_segment(period_samples, target)
-            _, A1, B1 = fourier_coeffs(y1, omega_hz, p.sample_rate, 1, t0=t0)
-            _, A2, B2 = fourier_coeffs(y2, omega_hz, p.sample_rate, 1, t0=t0b)
+            y1, _, _, E1 = self._run_segment(period_samples, target)
+            y2, _, _, E2 = self._run_segment(period_samples, target)
+            [(_, A1, B1)] = _fit_fourier(E1, period, 1, y1)
+            [(_, A2, B2)] = _fit_fourier(E2, period, 1, y2)
             amp1 = math.hypot(A1[0], B1[0])
             amp2 = math.hypot(A2[0], B2[0])
             if abs(amp2 - amp1) <= p.settle_rel_tol * max(amp2, 1e-12):
@@ -318,11 +329,11 @@ class RigOracle(SeededOracle):
             target.A[0] = a1_star
         self._restart_if_saturated()
         self._settle(target, omega_hz)
-        y, u, f, t0 = self._run_segment(p.record_len, target, rng=rng)
+        t0 = self._t
+        y, u, f, E = self._run_segment(p.record_len, target, rng=rng)
         self._lock = (omega_hz, target.a0, target.A[1:].copy(), target.B[1:].copy())
-        # y, u and f share one time grid, so one basis serves all three fits
-        M = _fourier_basis(p.record_len, omega_hz, p.sample_rate, p.fourier_modes, t0)
-        coeffs = {"y": _fit_fourier(M, y), "u": _fit_fourier(M, u), "f": _fit_fourier(M, f)}
+        fits = _fit_fourier(E, p.sample_rate / omega_hz, p.fourier_modes, y, u, f)
+        coeffs = dict(zip("yuf", fits))
         return {"y": y, "u": u, "f": f, "t0": t0}, coeffs
 
     def picard_noninvasive(self, omega_hz: float, a1_star: float, rng=None):
@@ -380,7 +391,8 @@ class RigOracle(SeededOracle):
             return Au1 * np.cos(ph) + Bu1 * np.sin(ph)
 
         self._run_segment(int(transient * p.sample_rate), None, open_loop_u=u_of(int(transient * p.sample_rate)))
-        y, _, _, t0 = self._run_segment(p.record_len, None, open_loop_u=u_of(p.record_len))
+        t0 = self._t
+        y, _, _, _ = self._run_segment(p.record_len, None, open_loop_u=u_of(p.record_len))
         _, Ay, By = fourier_coeffs(y, omega_hz, p.sample_rate, p.fourier_modes, t0=t0)
         return math.hypot(Ay[0], By[0])
 

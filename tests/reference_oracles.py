@@ -66,6 +66,42 @@ def dense_predict(X, F, x_star, sigma_n2, sigma_f2, l_omega, l_A):
     return mean, var
 
 
+
+def dense_loo_mean_d_A_shift(X, F, x, sigma_n2, sigma_f2, l_omega, l_A):
+    """dG/dA at x minus its value without each training point, by explicit inverse.
+
+    Rasmussen & Williams eq. 5.12 with a dense K^-1: (K^-1 k')_i alpha_i / (K^-1)_ii,
+    k' the A-derivative at x of the covariances k(X, x).
+    """
+    X = np.asarray(X, dtype=float)
+    F = np.asarray(F, dtype=float)
+    Kinv = np.linalg.inv(se_kernel_matrix(X, X, sigma_f2, l_omega, l_A)
+                         + sigma_n2 * np.eye(len(F)))
+    k_d_A = -(x[1] - X[:, 1]) / l_A**2 * se_kernel_matrix(X, [x], sigma_f2, l_omega, l_A)[:, 0]
+    return (Kinv @ k_d_A) * (Kinv @ F) / np.diag(Kinv)
+
+
+def fourier_series(a0, A, B, omega_hz, t):
+    """a0/2 + sum_j A_j cos(2 pi j omega t) + B_j sin(2 pi j omega t), harmonic by harmonic."""
+    out = np.full(len(t), 0.5 * a0)
+    for j in range(len(A)):
+        phase = 2.0 * math.pi * (j + 1) * omega_hz * t
+        out += A[j] * np.cos(phase) + B[j] * np.sin(phase)
+    return out
+
+
+def lstsq_fourier_coeffs(signal, omega_hz, sample_rate, n_modes, t0):
+    """(a0, A_j, B_j) of the record's last whole cycles by np.linalg.lstsq on cos/sin columns."""
+    n = len(signal)
+    period = sample_rate / omega_hz
+    L = min(int(round(math.floor(n / period) * period)), n)
+    t = t0 + np.arange(n - L, n) / sample_rate
+    cols = [np.full(L, 0.5)]
+    for j in range(1, n_modes + 1):
+        cols += [np.cos(2.0 * math.pi * j * omega_hz * t), np.sin(2.0 * math.pi * j * omega_hz * t)]
+    coef = np.linalg.lstsq(np.column_stack(cols), signal[n - L:], rcond=None)[0]
+    return coef[0], coef[1::2], coef[2::2]
+
 def cs_mean_derivs(X, alpha, sigma_f2, l_omega, l_A, x, h_omega, h_A):
     """High-precision derivative oracle for a GP posterior mean.
 

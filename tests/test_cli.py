@@ -14,6 +14,8 @@ from foldtrack.errors import NoConvergence
 from foldtrack.gpr import Dataset
 from foldtrack.oracles import DuffingParams, duffing_gamma
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def base_trace_config(**overrides):
     cfg = {
@@ -56,6 +58,19 @@ class TestTrace:
         assert read_dataset_csv(out / "dataset.csv").n >= 25
         rows = read_run_log(out / "run_log.csv")
         assert len(rows) == 1 and rows[0]["step"] == 0
+
+    def test_isola_detached_branch_start_from_its_header(self, tmp_path):
+        # configs/isola.yaml documents the detached branch's start in its header
+        text = (CONFIGS / "isola.yaml").read_text()
+        header = [line.lstrip("#").strip() for line in text.splitlines() if line.startswith("#")]
+        start = yaml.safe_load(next(line for line in header if line.startswith("init:")))
+        cfg = yaml.safe_load(text)
+        cfg["init"].update(start["init"])
+        out = tmp_path / "out"
+        res = run_cli("trace", "--config", write_cfg(tmp_path, cfg), "--out", str(out))
+        assert res.exit_code == 0, res.output
+        assert "(domain_exit)" in res.output
+        assert len(read_run_log(out / "run_log.csv")) >= 3
 
     def test_full_run_completes_with_fold_curve(self, tmp_path):
         cfg = base_trace_config()

@@ -6,7 +6,7 @@ import yaml
 
 from conftest import TINY_NOISE, duffing_grid_dataset
 from reference_oracles import (cs_mean_derivs, dense_log_marginal, dense_log_marginal_grad,
-                               dense_predict, se_kernel_matrix)
+                               dense_loo_mean_d_A_shift, dense_predict, se_kernel_matrix)
 
 from foldtrack.errors import DuplicatePoint, IndexOutOfRange
 from foldtrack.gpr import (Dataset, FitBounds, Hyperparameters, _LogMarginal, build,
@@ -218,6 +218,20 @@ class TestPredictMeanDerivs:
         m = build(ds, Hyperparameters(1e-10, 1.0, 1.0, 0.5))
         assert abs(m.predict_mean_derivs((1.0, A0)).d_A) < 1e-10
 
+
+
+class TestLooMeanShift:
+    @pytest.mark.parametrize("x", [(1.08, 1.6), (1.13, 1.0)])
+    def test_matches_dense_inverse(self, duffing_params, x):
+        ds = duffing_grid_dataset(duffing_params)
+        m = build(ds, Hyperparameters(1e-3, 0.04, 0.05, 0.85))
+        ref = dense_loo_mean_d_A_shift(ds.X, ds.F, x, 1e-3, 0.04, 0.05, 0.85)
+        assert np.max(np.abs(m.loo_mean_d_A_shift(x) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_leaves_the_factor_alone(self, duffing_model):
+        chol = duffing_model.chol.copy()
+        duffing_model.loo_mean_d_A_shift((1.08, 1.6))
+        assert np.array_equal(duffing_model.chol, chol)
 
 class TestLogMarginal:
     def test_single_zero_output(self):

@@ -1,15 +1,21 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_oracles import fourier_series, lstsq_fourier_coeffs
 
+from foldtrack.config import load_config, make_oracle
+from foldtrack.driver import run_trace
 from foldtrack.errors import ControlDiverged
 from foldtrack.geometry import DomainBox
 from foldtrack.postprocess import sweep_s_curve
-from foldtrack.rig import (RigOracle, RigParams, fourier_coeffs, linear_tip_frf,
-                           update_a1star_mapping)
+from foldtrack.rig import (RigOracle, RigParams, _phasor, _TargetSignal, fourier_coeffs,
+                           linear_tip_frf, update_a1star_mapping)
 
 BOX = DomainBox(9.0, 16.0, 0.02, 25.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_rig(**kw) -> RigOracle:
@@ -29,6 +35,34 @@ class TestFourierCoeffs:
         assert B[0] == pytest.approx(-0.7, abs=1e-9)
         assert A[2] == pytest.approx(0.2, abs=1e-9)
         assert abs(A[1]) < 1e-9 and abs(B[2]) < 1e-9
+
+    def test_matches_lstsq_late_noisy_partial_cycles(self):
+        # 1,537 samples hold 18.9 cycles; the fit keeps the last 18
+        fs, f, t0 = 1000.0, 12.3, 700.0
+        rng = np.random.default_rng(5)
+        t = t0 + np.arange(1537) / fs
+        sig = fourier_series(0.6, [1.5, 0.0, 0.2, 0.05, 0.0, 0.0, 0.01],
+                             [-0.7, 0.1, 0.0, 0.0, 0.02, 0.0, 0.0], f, t)
+        sig += 0.05 * rng.standard_normal(len(t))
+        a0, A, B = fourier_coeffs(sig, f, fs, 7, t0=t0)
+        a0_ref, A_ref, B_ref = lstsq_fourier_coeffs(sig, f, fs, 7, t0)
+        assert a0 == pytest.approx(a0_ref, abs=1e-10)
+        np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(B, B_ref, rtol=0, atol=1e-10)
+
+
+class TestTargetSignal:
+    def test_horner_matches_harmonic_sum(self):
+        # a late window, where the phase is large and carries its own round-off
+        f = 12.8
+        target = _TargetSignal(f, 7)
+        target.a0 = 0.3
+        target.A[:] = [2.8, 0.0, -0.4, 0.05, 0.0, 0.01, 0.003]
+        target.B[:] = [0.0, 0.2, 0.1, -0.02, 0.01, 0.0, 0.002]
+        t = 700.0 + np.arange(2000) / 1000.0
+        ref = fourier_series(target.a0, target.A, target.B, f, t)
+        scale = np.sum(np.abs(target.A) + np.abs(target.B))
+        assert np.max(np.abs(target.sample(_phasor(f, t)) - ref)) <= 1e-9 * scale
 
 
 class TestEquilibriumAndLinear:
@@ -237,6 +271,23 @@ class TestMeasureRealization:
         pb = [b.measure(12.0, 1.0), b.measure(12.1, 1.2)]
         for x, y in zip(pa, pb):
             assert (x.omega, x.A, x.F, x.a1_star) == (y.omega, y.A, y.F, y.a1_star)
+
+
+class TestSimulatedPath:
+    def test_trace_runs_the_same_simulations(self, monkeypatch):
+        # rig_trace.yaml seed 0: the number of simulations and Picard runs and
+        # the simulated time of a whole trace; window arithmetic must not move them
+        counts = {"rig_simulate": 0, "picard_noninvasive": 0}
+        for name in counts:
+            def counted(self, *args, _method=getattr(RigOracle, name), _name=name, **kw):
+                counts[_name] += 1
+                return _method(self, *args, **kw)
+            monkeypatch.setattr(RigOracle, name, counted)
+        cfg = replace(load_config(CONFIGS / "rig_trace.yaml"), seed=0)
+        rig = make_oracle(cfg.oracle, run_seed=cfg.seed)
+        run_trace(cfg, oracle=rig)
+        assert counts == {"rig_simulate": 172, "picard_noninvasive": 110}
+        assert rig._t == pytest.approx(611.05, abs=1e-6)
 
 
 class TestMapping:
