@@ -65,9 +65,6 @@ class Tangent:
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError(f"tangent norm {nrm} deviates from 1 by more than 1e-12")
 
-    def dot(self, other: "Tangent") -> float:
-        return self.t_omega * other.t_omega + self.t_A * other.t_A
-
 
 @dataclass(frozen=True)
 class ContinuationConfig:
@@ -194,12 +191,6 @@ def predict_step(x, t: Tangent, h: float, hyper) -> tuple[float, float]:
     omega, A = (x.omega, x.A) if isinstance(x, FoldPoint) else (x[0], x[1])
     return (omega + h * t.t_omega * hyper.l_omega,
             A + h * t.t_A * hyper.l_A)
-
-
-def psa_residual(x, x_prev, t: Tangent, h: float, hyper) -> float:
-    """Pseudo-arclength constraint t . (x - x_prev) - h in normalized coords."""
-    return (t.t_omega * (x[0] - x_prev[0]) / hyper.l_omega
-            + t.t_A * (x[1] - x_prev[1]) / hyper.l_A - h)
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,16 @@ record (the applied force plus sensor noise).
 
 The loop keeps running between simulations, as on the hardware.  After each
 recorded window it is locked at that frequency on that window's reference.
-A simulation waits the fixed settle_time only when the loop is not locked at
-its frequency (a fresh rig, a new frequency, or after an open-loop replay or
-a saturation trip); a locked loop goes straight to the convergence check.
-Picard iteration on a locked loop starts from the locked higher harmonics
-instead of zeros, so later realization rounds at one frequency start close
-to their fixed point.  A loop left beyond saturation by a trip restarts from
-rest at its next simulation.
+A loop from rest (a fresh rig, or a loop restarted after a saturation trip
+or an open-loop replay) first waits the fixed settle_time.  A running loop,
+locked at this frequency or at another, skips that wait.  Either way the
+settle then checks convergence period by period: it compares each period's
+fundamental response amplitude with the previous period's and records at
+the first that agrees within settle_rel_tol, or once settle_max_time has
+run.  Picard iteration on a loop locked at its frequency starts from the
+locked higher harmonics instead of zeros, so later realization rounds at
+one frequency start close to their fixed point.  A loop left beyond
+saturation by a trip restarts from rest at its next simulation.
 
 The plant is ZOH-discretized per mode at the sample rate, with the cubic
 force held constant over each sample like the shaker input; this keeps the
@@ -95,10 +98,9 @@ class RigParams:
     picard_max_iter: int = 20
     noise_sigma: float = 0.05      # force-record noise std, N
     saturation_mm: float = 50.0    # ~10x the linear resonance deflection per newton
-    settle_time: float = 5.0       # fixed wait after the loop starts at a frequency, s
-    settle_extend: float = 1.0
-    settle_max_time: float = 30.0
-    settle_rel_tol: float = 1e-3
+    settle_time: float = 5.0       # fixed wait of a loop from rest before its first check, s
+    settle_max_time: float = 30.0  # cap on one settle, the fixed wait included, s
+    settle_rel_tol: float = 1e-3   # agreement of consecutive periods' fundamental amplitudes
 
     def __post_init__(self):
         if self.sample_rate <= 0 or self.record_len <= 0:
@@ -109,6 +111,10 @@ class RigParams:
             raise ValueError("fourier_modes and picard_max_iter must be >= 1")
         if self.noise_sigma < 0 or self.picard_tol <= 0:
             raise ValueError("noise_sigma >= 0 and picard_tol > 0 required")
+        if not (0 <= self.settle_time < math.inf and 0 <= self.settle_max_time < math.inf):
+            raise ValueError("settle_time and settle_max_time must be finite and >= 0")
+        if not (0 < self.settle_rel_tol < math.inf and 0 < self.saturation_mm < math.inf):
+            raise ValueError("settle_rel_tol and saturation_mm must be finite and > 0")
 
 
 def linear_tip_frf(p: RigParams, f_hz):
@@ -290,31 +296,32 @@ class RigOracle(SeededOracle):
     def _settle(self, target: _TargetSignal, omega_hz: float):
         """Run the transient until the fundamental response amplitude is steady.
 
-        The fixed settle_time wait runs only when the loop is not locked at
-        omega_hz; a locked loop goes straight to the convergence check.
+        A loop from rest first waits the fixed settle_time; a running loop
+        does not.  Then each period's fundamental amplitude is compared with
+        the previous period's, and the settle ends at the first period that
+        agrees within settle_rel_tol, or at the first period that ends after
+        settle_max_time (best effort; the Picard tolerance still guards the
+        measurement).
         """
         p = self.params
         elapsed = 0.0
-        if not self._locked_at(omega_hz):
+        if self._lock is None:
             self._run_segment(int(p.settle_time * p.sample_rate), target)
             elapsed = p.settle_time
         # one oscillation period rounded up to whole samples, +1 so the
         # least-squares window always contains a full cycle
         period = p.sample_rate / omega_hz
         period_samples = int(math.ceil(period)) + 1
+        amp_prev = None
         while True:
-            y1, _, _, E1 = self._run_segment(period_samples, target)
-            y2, _, _, E2 = self._run_segment(period_samples, target)
-            [(_, A1, B1)] = _fit_fourier(E1, period, 1, y1)
-            [(_, A2, B2)] = _fit_fourier(E2, period, 1, y2)
-            amp1 = math.hypot(A1[0], B1[0])
-            amp2 = math.hypot(A2[0], B2[0])
-            if abs(amp2 - amp1) <= p.settle_rel_tol * max(amp2, 1e-12):
+            y, _, _, E = self._run_segment(period_samples, target)
+            elapsed += period_samples / p.sample_rate
+            [(_, A, B)] = _fit_fourier(E, period, 1, y)
+            amp = math.hypot(A[0], B[0])
+            if amp_prev is not None and (abs(amp - amp_prev) <= p.settle_rel_tol * max(amp, 1e-12)
+                                         or elapsed >= p.settle_max_time):
                 return
-            if elapsed >= p.settle_max_time:
-                return  # accept best effort; Picard tolerance still guards quality
-            self._run_segment(int(p.settle_extend * p.sample_rate), target)
-            elapsed += p.settle_extend + 2.0 * period_samples / p.sample_rate
+            amp_prev = amp
 
     def rig_simulate(self, omega_hz: float, a1_star: float,
                      target: _TargetSignal | None = None, rng=None):

@@ -383,6 +383,20 @@ class TestUnreadableInputs:
         assert res.exit_code == 1
         assert res.output.startswith("error: oracle.params: ")
 
+    @pytest.mark.parametrize("key, value", [
+        ("settle_time", -1), ("settle_rel_tol", 0), ("settle_max_time", -5),
+        ("saturation_mm", -1), ("settle_extend", 1.0)])
+    def test_rig_value_it_cannot_run_is_config_error(self, tmp_path, key, value):
+        # each value would be refused only by its effect on the experiment:
+        # a skipped or endless settle, or a saturation trip on every sample
+        cfg = yaml.safe_load((CONFIGS / "rig_trace.yaml").read_text(encoding="utf-8"))
+        cfg["oracle"]["params"][key] = value
+        cfg["continuation"]["max_steps"] = 0
+        res = run_cli("trace", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: oracle.params: ") and key in res.output
+
     def test_offline_too_few_points_is_config_error(self, tmp_path):
         X = np.array([[1.0, 1.0], [1.1, 1.5]])
         write_dataset_csv(tmp_path / "data.csv", Dataset(X, np.array([0.3, 0.4])))

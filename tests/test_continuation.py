@@ -10,7 +10,7 @@ from reference_oracles import duffing_fold_amplitudes
 from foldtrack import continuation
 from foldtrack.continuation import (ContinuationConfig, CorrectResult, FoldPoint, Tangent,
                                     advance, correct, find_first_fold, in_data_cloud,
-                                    predict_step, psa_residual, tangent_at, tangent_from_jrow,
+                                    predict_step, tangent_at, tangent_from_jrow,
                                     zero_fn)
 from foldtrack.errors import (DomainExit, LeftDataCloud, NoConvergence, SingularJacobian,
                               StepUnderflow)
@@ -122,7 +122,7 @@ class TestTangent:
         for _ in range(6):
             t_new = tangent_at(duffing_model, fold, tangent)
             if tangent is not None:
-                dots.append(t_new.dot(tangent))
+                dots.append(t_new.t_omega * tangent.t_omega + t_new.t_A * tangent.t_A)
             tangent = t_new
             x_pred = predict_step(fold, tangent, cfg.h, duffing_model.hyper)
             fold = correct(duffing_model, x_pred, fold, tangent, cfg.h, cfg).point
@@ -137,13 +137,6 @@ class TestPredictStep:
     def test_unit_affine_formula(self):
         h = Hyperparameters(0.1, 1.0, 1.0, 1.0)
         assert predict_step((1.0, 1.0), Tangent(1.0, 0.0), 0.1, h) == (1.1, 1.0)
-
-    def test_psa_residual_exact(self, duffing_hyper):
-        t = Tangent(0.6, 0.8)
-        x, x_prev, h = (1.16, 1.6), (1.1, 1.4), 0.25
-        manual = (0.6 * (1.16 - 1.1) / duffing_hyper.l_omega
-                  + 0.8 * (1.6 - 1.4) / duffing_hyper.l_A - 0.25)
-        assert psa_residual(x, x_prev, t, h, duffing_hyper) == pytest.approx(manual, abs=1e-16)
 
     def test_quadratic_prediction_defect(self, duffing_model, fold_on_surrogate):
         t = tangent_at(duffing_model, fold_on_surrogate, None)
@@ -185,8 +178,8 @@ class TestCorrect:
                       fold_on_surrogate, t, 0.12, CFG)
         p = res.point
         g_norm = abs(zero_fn(duffing_model, (p.omega, p.A))[0]) * hyp.l_A / math.sqrt(hyp.sigma_f2)
-        psa = abs(psa_residual((p.omega, p.A), (fold_on_surrogate.omega, fold_on_surrogate.A),
-                               t, 0.12, hyp))
+        psa = abs(t.t_omega * (p.omega - fold_on_surrogate.omega) / hyp.l_omega
+                  + t.t_A * (p.A - fold_on_surrogate.A) / hyp.l_A - 0.12)
         assert g_norm < CFG.newton_tol
         assert psa < CFG.newton_tol
 

@@ -150,7 +150,13 @@ class TestNonlinearBehaviour:
 
 
 class TestLock:
-    """The fixed settle wait runs only when the loop is not locked at omega."""
+    """A loop from rest waits the fixed settle_time; a running loop skips it.
+
+    From rest means unlocked: a fresh rig, or a loop restarted after a
+    saturation trip or an open-loop replay.  A running loop, locked at the
+    requested frequency or at another, goes straight to the period-by-period
+    convergence check.
+    """
 
     def test_same_frequency_skips_the_fixed_wait(self):
         rig = make_rig(noise_sigma=0.0)
@@ -159,12 +165,19 @@ class TestLock:
         rig.rig_simulate(12.8, 2.1)
         assert rig._t - t < rig.params.settle_time
 
-    def test_new_frequency_waits(self):
+    def test_new_frequency_skips_the_fixed_wait(self):
         rig = make_rig(noise_sigma=0.0)
         rig.rig_simulate(12.8, 2.0)
         t = rig._t
         rig.rig_simulate(12.9, 2.0)
-        assert rig._t - t >= rig.params.settle_time
+        record = rig.params.record_len / rig.params.sample_rate
+        assert rig._t - t - record < rig.params.settle_time
+
+    def test_fresh_loop_waits_in_full(self):
+        rig = make_rig(noise_sigma=0.0)
+        rig.rig_simulate(12.8, 2.0)
+        record = rig.params.record_len / rig.params.sample_rate
+        assert rig._t - record >= rig.params.settle_time
 
     def test_replay_unlocks(self):
         rig = make_rig(noise_sigma=0.0)
@@ -172,7 +185,8 @@ class TestLock:
         rig.replay_open_loop(12.8, 1.0, 0.0)
         t = rig._t
         rig.rig_simulate(12.8, 2.0)
-        assert rig._t - t >= rig.params.settle_time
+        record = rig.params.record_len / rig.params.sample_rate
+        assert rig._t - t - record >= rig.params.settle_time
 
     def test_trip_unlocks(self):
         rig = make_rig(noise_sigma=0.0)
@@ -181,7 +195,32 @@ class TestLock:
             rig.rig_simulate(11.49, 60.0)
         t = rig._t
         rig.rig_simulate(11.49, 1.0)
-        assert rig._t - t >= rig.params.settle_time
+        record = rig.params.record_len / rig.params.sample_rate
+        assert rig._t - t - record >= rig.params.settle_time
+
+    @pytest.mark.parametrize("hop", [(12.8, 13.1), (13.25, 12.95), (12.5, 13.0)])
+    def test_measurement_after_a_hop_matches_one_from_rest(self, hop):
+        # the period check alone settles a loop moved from another frequency
+        # as well as the fixed wait settles one from rest
+        before, omega = hop
+        hopped = make_rig(noise_sigma=0.0)
+        hopped.measure(before, 2.5)
+        from_rest, _, _ = make_rig(noise_sigma=0.0).picard_noninvasive(omega, 2.5)
+        after_hop, _, _ = hopped.picard_noninvasive(omega, 2.5)
+        assert after_hop.A == pytest.approx(from_rest.A, rel=1e-3)
+        assert after_hop.F == pytest.approx(from_rest.F, rel=1e-3)
+
+    def test_settle_capped_at_max_time(self):
+        # no two periods ever agree to 1e-300, so each settle runs to its cap
+        rig = make_rig(noise_sigma=0.0, settle_rel_tol=1e-300, settle_max_time=8.0)
+        p = rig.params
+        record = p.record_len / p.sample_rate
+        for omega in (12.8, 12.8, 13.0):
+            period = (math.ceil(p.sample_rate / omega) + 1) / p.sample_rate
+            t = rig._t
+            rig.rig_simulate(omega, 2.0)
+            settle = rig._t - t - record
+            assert p.settle_max_time - 1e-9 <= settle <= p.settle_max_time + period + 1e-9
 
     @pytest.mark.parametrize("omega, A_max, F_max", [
         (12.8, 2.6349026385411345, 1.581826927749988),
@@ -251,10 +290,10 @@ class TestMeasureRealization:
         # arithmetic must keep these values
         rig = RigOracle(RigParams(noise_sigma=0.05), DomainBox(11.0, 14.0, 0.2, 8.0), seed=7)
         m = rig.measure(12.8, 2.8)
-        assert m.A == pytest.approx(2.775105473871795, rel=1e-12)
-        assert m.F == pytest.approx(1.575597844143026, rel=1e-12)
-        assert m.a1_star == pytest.approx(3.745536907575487, rel=1e-12)
-        assert m.harmonics_residual == pytest.approx(0.0038707960273817476, rel=1e-12)
+        assert m.A == pytest.approx(2.775189947922531, rel=1e-12)
+        assert m.F == pytest.approx(1.575663566272941, rel=1e-12)
+        assert m.a1_star == pytest.approx(3.7455387170758536, rel=1e-12)
+        assert m.harmonics_residual == pytest.approx(0.003891043262392992, rel=1e-12)
         assert m.seed_state == "7:0"
 
     def test_records_are_float_arrays_of_record_length(self):
@@ -286,8 +325,8 @@ class TestSimulatedPath:
         cfg = replace(load_config(CONFIGS / "rig_trace.yaml"), seed=0)
         rig = make_oracle(cfg.oracle, run_seed=cfg.seed)
         run_trace(cfg, oracle=rig)
-        assert counts == {"rig_simulate": 172, "picard_noninvasive": 110}
-        assert rig._t == pytest.approx(611.05, abs=1e-6)
+        assert counts == {"rig_simulate": 177, "picard_noninvasive": 114}
+        assert rig._t == pytest.approx(426.237, abs=1e-6)
 
 
 class TestMapping:
