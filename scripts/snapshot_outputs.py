@@ -30,9 +30,14 @@ into a manifest is relative, so OUT may live anywhere.
 compares two such trees.  For every file that differs it prints the line
 count on each side, whether the text outside the numbers matches, and the
 largest relative change of a number, |a - b| / max(|a|, |b|), over lines
-whose text matches.  It exits 1 when a file is missing on one side or a
-line count or the non-numeric text differs, so a change that should move
-numbers by round-off only can be checked with one command.
+whose text matches.  A file in run-log format is split into directions at
+its h = 0 rows, each of which starts one (an offline fold curve holds the
+backward direction, then the forward one from its h = 0 start); where the
+directions' row counts differ it prints them on each side, since rows that
+moved between directions pair wrongly by position.  It exits 1 when a file
+is missing on one side, or a line count, a direction's row count or the
+non-numeric text differs, so a change that should move numbers by
+round-off only can be checked with one command.
 """
 
 from __future__ import annotations
@@ -153,11 +158,31 @@ def _rel_change(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+RUN_LOG_HEADER = ",".join(csvio.RUN_LOG_HEADER)
+H_COLUMN = csvio.RUN_LOG_HEADER.index("h")
+
+
+def directions(lines: list[str]) -> list[int]:
+    """Row counts of a run-log file's directions; each h = 0 row starts one."""
+    counts = []
+    for line in lines[1:]:
+        if not counts or float(line.split(",")[H_COLUMN]) == 0.0:
+            counts.append(0)
+        counts[-1] += 1
+    return counts
+
+
 def compare_file(a: Path, b: Path) -> tuple[bool, str]:
-    """(text differs, report line) for two versions of one file."""
+    """(text or directions differ, report line) for two versions of one file."""
     lines_a = a.read_text(encoding="utf-8", errors="replace").splitlines()
     lines_b = b.read_text(encoding="utf-8", errors="replace").splitlines()
     text_same = len(lines_a) == len(lines_b)
+    rows = ""
+    if lines_a[:1] == lines_b[:1] == [RUN_LOG_HEADER]:
+        dirs_a, dirs_b = directions(lines_a), directions(lines_b)
+        if dirs_a != dirs_b:
+            rows = (f", rows per direction {'+'.join(map(str, dirs_a))} / "
+                    f"{'+'.join(map(str, dirs_b))}")
     worst = 0.0
     for la, lb in zip(lines_a, lines_b):
         if NUMBER.sub("#", la) != NUMBER.sub("#", lb):
@@ -166,12 +191,13 @@ def compare_file(a: Path, b: Path) -> tuple[bool, str]:
         for x, y in zip(NUMBER.findall(la), NUMBER.findall(lb)):
             worst = max(worst, _rel_change(float(x), float(y)))
     text = "same" if text_same else "DIFFERS"
-    return not text_same, (f"lines {len(lines_a)} / {len(lines_b)}, text {text}, "
-                           f"max rel change {worst:.2e}")
+    report = (f"lines {len(lines_a)} / {len(lines_b)}, text {text}{rows}, "
+              f"max rel change {worst:.2e}")
+    return not text_same or bool(rows), report
 
 
 def compare(a: Path, b: Path) -> int:
-    """Print every file of two snapshot trees that differs; 1 if any text differs."""
+    """Print every file of two snapshot trees that differs; 1 if any text or direction differs."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     broken = 0

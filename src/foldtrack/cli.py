@@ -142,6 +142,7 @@ def offline(config_path, out_dir, seed, threads):
     dataset = csvio.read_dataset_csv(Path(config_path).parent / cfg.dataset)
     curve = offline_fold_trace(dataset, hyper=cfg.hyper, cfg=cfg.continuation(), x0=cfg.x0,
                                seed=cfg.seed)
+    forward, backward = curve.reason
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_run_log(out / "fold_curve.csv", curve.run_log_rows())
@@ -150,8 +151,10 @@ def offline(config_path, out_dir, seed, threads):
                          reason=f"{len(curve.points)} fold points",
                          outputs=["fold_curve.csv"],
                          extra={"command": "offline",
-                                "hyperparameters_fitted": curve.hyper.as_dict()})
-    click.echo(f"offline trace: {len(curve.points)} fold points; artifacts in {out_dir}")
+                                "hyperparameters_fitted": curve.hyper.as_dict(),
+                                "stop_reasons": {"forward": forward, "backward": backward}})
+    click.echo(f"offline trace: {len(curve.points)} fold points (forward {forward}, "
+               f"backward {backward}); artifacts in {out_dir}")
 
 
 @main.command()

@@ -16,13 +16,17 @@ cannot make progress that way fails with NoConvergence or LeftDataCloud.
 `advance` is the one stepper and the only step-size control: tangent,
 prediction, domain-box check, correction and halving of the continuation
 step until a step is accepted, and the growth rule that sets the next step.
-The online driver (`trace`) and the offline traces (`offline`, `ensemble`)
-both step with it and take `Step.h_next` as their next h.
+`follow` is the one step loop around it: it counts accepted steps, carries
+the tangent and `Step.h_next`, names the stop, and after each accepted step
+hands the step to the caller's `accept`.  The online driver (`trace`) passes
+an `accept` that measures and refreshes the model; the offline traces
+(`offline`, `ensemble`) pass one that only records the step.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -282,3 +286,30 @@ def advance(model: GprModel, fold: FoldPoint, prev: Tangent | None, h: float,
                 raise DomainExit(f"predictions leave the domain box down to h_min={cfg.h_min}")
             raise StepUnderflow(f"step size would fall below h_min={cfg.h_min}")
         h = max(0.5 * h, cfg.h_min)
+
+
+def follow(model: GprModel, fold: FoldPoint, tangent: Tangent, cfg: ContinuationConfig,
+           accept: Callable[[GprModel, Step, int], tuple[GprModel, FoldPoint]]) -> str:
+    """Up to cfg.max_steps accepted steps from `fold` along `tangent`; returns why they stopped.
+
+    The first step tries h = cfg.h and is oriented along `tangent`; each
+    later one starts from the previous step's tangent and `Step.h_next`.
+    After accepted step k (counting from 1), `accept(model, step, k)`
+    returns the model and fold the next step starts from; an exception it
+    raises reaches the caller unchanged.  The reason is `max_steps`, or the
+    stop `advance` raised: `domain_exit`, `step_underflow` or
+    `singular_jacobian: <message>`.
+    """
+    h = cfg.h
+    for k in range(1, cfg.max_steps + 1):
+        try:
+            step = advance(model, fold, tangent, h, cfg)
+        except DomainExit:
+            return "domain_exit"
+        except StepUnderflow:
+            return "step_underflow"
+        except SingularJacobian as e:
+            return f"singular_jacobian: {e}"
+        model, fold = accept(model, step, k)
+        tangent, h = step.tangent, step.h_next
+    return "max_steps"

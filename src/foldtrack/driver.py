@@ -1,17 +1,19 @@
-"""Online fold-tracking driver: initialization, the online step loop,
-active data collection, artifact writing.
+"""Online fold-tracking driver: initialization, active data collection,
+artifact writing.
 
 One run: measure an n0 seed grid, fit kernel hyperparameters on it, locate
-a first fold at the starting frequency, then take accepted steps with the
-stepper `continuation.advance` until the step budget (reason `max_steps`),
-the domain boundary (`domain_exit`), a step underflow inside the box
-(`step_underflow`) or a cusp (`singular_jacobian`) ends the run.  After each
-accepted step the driver does what only an online run can: it measures at
-the solution (configurable, so the logged curve carries both the
-surrogate's force estimate and a directly measured one), collects data
-until the solution is robust to new measurements, and optionally refits
-the hyperparameters.  Every measurement after the seed grid enters the
-model through `acquisition.add_measurement`, which holds it to n_max points.
+a first fold at the starting frequency, then follow it with the step loop
+`continuation.follow`.  That loop ends the run at the step budget (reason
+`max_steps`), the domain boundary (`domain_exit`), a step underflow inside
+the box (`step_underflow`) or a cusp (`singular_jacobian`).  After each
+accepted step the driver does what only an online run can, as the loop's
+`accept`: it measures at the solution (configurable, so the logged curve
+carries both the surrogate's force estimate and a directly measured one),
+collects data until the solution is robust to new measurements, and
+optionally refits the hyperparameters.  A failure there ends the run with
+`oracle_error` or `refresh_failed`.  Every measurement after the seed grid
+enters the model through `acquisition.add_measurement`, which holds it to
+n_max points.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ import numpy as np
 from . import csvio
 from .acquisition import CollectionRecord, add_measurement, improve_solution
 from .config import RunConfig, make_oracle
-from .continuation import FoldPoint, Tangent, advance, find_first_fold, tangent_at
+from .continuation import FoldPoint, Tangent, find_first_fold, follow, tangent_at
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
-from .errors import (CollectionCap, ContinuationError, DomainExhausted, DomainExit,
-                     OracleError, SingularJacobian, StepUnderflow)
+from .errors import CollectionCap, ContinuationError, DomainExhausted, OracleError
 from .gpr import Dataset, GprModel, build, fit_hyperparameters
 
 log = logging.getLogger(__name__)
@@ -130,44 +131,32 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
     steps = [StepRecord(step=0, fold=fold, tangent=tangent, h=0.0, newton_iters=0,
                         collections=imp.collections, beta_final=imp.beta_max_final)]
 
-    h = ccfg.h
-    reason, status = "max_steps", "ok"
-    for k in range(1, ccfg.max_steps + 1):
-        try:
-            step = advance(model, fold, steps[-1].tangent, h, ccfg)
-        except DomainExit:
-            reason = "domain_exit"
-            break
-        except StepUnderflow:
-            reason = "step_underflow"
-            break
-        except SingularJacobian as e:
-            reason = f"singular_jacobian: {e}"
-            break
-
+    def accept(_, step, k):
+        # the run's model is kept here rather than in `follow`, so that a refresh
+        # that raises leaves it at the model its measurement at the solution built
+        nonlocal model, hyper
         fold_k = step.result.point
-        try:
-            if cfg.measure_at_solution:
-                model, fold_k = _measure_at_solution(model, oracle, fold_k, step.tangent, cfg)
-            imp = _improve(model, oracle, fold_k, step.tangent, cfg, seed=(cfg.seed, k))
-            model, fold_k = imp.model, imp.fold
-        except OracleError as e:
-            log.error("oracle failed mid-run at step %d: %s", k, e)
-            reason, status = f"oracle_error: {e}", "oracle_error"
-            break
-        except (ContinuationError, DomainExhausted) as e:
-            reason, status = f"refresh_failed: {e}", "continuation_error"
-            break
-
-        steps.append(StepRecord(step=k, fold=fold_k, tangent=step.tangent, h=step.h,
+        if cfg.measure_at_solution:
+            model, fold_k = _measure_at_solution(model, oracle, fold_k, step.tangent, cfg)
+        imp = _improve(model, oracle, fold_k, step.tangent, cfg, seed=(cfg.seed, k))
+        model = imp.model
+        steps.append(StepRecord(step=k, fold=imp.fold, tangent=step.tangent, h=step.h,
                                 newton_iters=step.result.iterations,
                                 collections=imp.collections, beta_final=imp.beta_max_final))
-        fold, h = fold_k, step.h_next
-
         if cfg.hyper.refit_each_step:
             hyper = fit_hyperparameters(model.dataset, hyper, bounds=cfg.hyper.bounds,
                                         n_starts=1, seed=cfg.seed)
             model = build(model.dataset, hyper)
+        return model, imp.fold
+
+    status = "ok"
+    try:
+        reason = follow(model, fold, tangent, ccfg, accept)
+    except OracleError as e:
+        log.error("oracle failed mid-run at step %d: %s", len(steps), e)
+        reason, status = f"oracle_error: {e}", "oracle_error"
+    except (ContinuationError, DomainExhausted) as e:
+        reason, status = f"refresh_failed: {e}", "continuation_error"
 
     return TraceResult(steps=steps, model=model, hyper_fitted=hyper,
                        reason=reason, status=status)

@@ -5,6 +5,11 @@ never trigger new measurements: full-surface surrogate fits with fold
 continuation, constant-force (NLFR) slices with fold markers, S-curve
 sweeps through an oracle, and dropout ensembles that quantify how sensitive
 a fold curve is to the particular points that were collected.
+
+An offline fold trace runs the online run's step loop, `continuation.follow`,
+once in each direction from its first fold, with an `accept` that records
+the step and leaves the model as it is; the curve keeps why each direction
+stopped.
 """
 
 from __future__ import annotations
@@ -17,11 +22,10 @@ from functools import partial
 
 import numpy as np
 
-from .continuation import (ContinuationConfig, FoldPoint, Tangent, advance, find_first_fold,
+from .continuation import (ContinuationConfig, FoldPoint, Tangent, find_first_fold, follow,
                            in_data_cloud, tangent_at)
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
-from .errors import (ContinuationError, EmptySliceWarning, FoldtrackError, OracleError,
-                     SingularJacobian, StepUnderflow)
+from .errors import ContinuationError, EmptySliceWarning, FoldtrackError, OracleError
 from .geometry import DomainBox
 from .gpr import Dataset, GprModel, Hyperparameters, build, fit_hyperparameters
 from .oracles import MeasuredPoint
@@ -63,7 +67,7 @@ class FoldCurve:
     points: list[FoldPoint]
     hyper: Hyperparameters | None = None
     meta: list[tuple[float, float, float, int]] | None = None  # t_omega, t_A, h, iters
-    reason: str = ""
+    reason: tuple[str, str] | None = None  # why the (forward, backward) directions stopped
 
     def as_array(self) -> np.ndarray:
         """(n, 3) array of omega, A, gamma_model."""
@@ -90,20 +94,6 @@ def fold_curve_from_run_log(rows, hyper: Hyperparameters | None = None) -> FoldC
               for r in rows]
     meta = [(r["t_omega"], r["t_A"], r["h"], r["newton_iters"]) for r in rows]
     return FoldCurve(points=points, hyper=hyper, meta=meta)
-
-
-def _trace_one_direction(model, fold0, t0: Tangent, cfg: ContinuationConfig):
-    """Up to max_steps accepted steps from fold0 along t0; underflow or a cusp ends them."""
-    steps = []
-    fold, tangent, h = fold0, t0, cfg.h
-    while len(steps) < cfg.max_steps:
-        try:
-            step = advance(model, fold, tangent, h, cfg)
-        except (StepUnderflow, SingularJacobian):
-            break
-        fold, tangent, h = step.result.point, step.tangent, step.h_next
-        steps.append((fold, (tangent.t_omega, tangent.t_A, step.h, step.result.iterations)))
-    return steps
 
 
 def seed_scan(model: GprModel, box: DomainBox, n_grid: int = 40):
@@ -143,13 +133,17 @@ def initial_guess(dataset: Dataset) -> Hyperparameters:
 
 def offline_fold_trace(dataset: Dataset, hyper: Hyperparameters | None = None,
                        cfg: ContinuationConfig | None = None, x0=None, seed: int = 0,
-                       bidirectional: bool = True, fit_n_starts: int = 5,
+                       fit_n_starts: int = 5,
                        fit_init: Hyperparameters | None = None) -> FoldCurve:
     """Fold curve of the surrogate built from all points of a recorded dataset.
 
     Hyperparameters are fitted when not supplied (optionally warm-started
     from `fit_init`); the starting point comes from a coarse |dGamma/dA|
-    scan unless given.  No new data is collected.
+    scan unless given.  From the first fold, `continuation.follow` takes up
+    to cfg.max_steps steps forward (along increasing omega) and as many
+    backward; the curve runs from the backward end to the forward end, and
+    its `reason` is the pair (forward, backward) of their stop reasons.
+    No new data is collected.
     """
     if dataset.n == 0:
         raise ValueError("cannot trace an empty dataset")
@@ -166,14 +160,21 @@ def offline_fold_trace(dataset: Dataset, hyper: Hyperparameters | None = None,
         x0 = seed_scan(model, cfg.domain_box)
     fold0 = find_first_fold(model, x0, cfg)
     t0 = tangent_at(model, fold0, None)
-    forward = _trace_one_direction(model, fold0, t0, cfg)
-    steps = [(fold0, (t0.t_omega, t0.t_A, 0.0, 0))] + forward
-    if bidirectional:
-        t_back = Tangent(-t0.t_omega, -t0.t_A)
-        backward = _trace_one_direction(model, fold0, t_back, cfg)
-        steps = list(reversed(backward)) + steps
+    forward, backward = [], []
+    reason = (follow(model, fold0, t0, cfg, _recorder(forward)),
+              follow(model, fold0, Tangent(-t0.t_omega, -t0.t_A), cfg, _recorder(backward)))
+    steps = backward[::-1] + [(fold0, (t0.t_omega, t0.t_A, 0.0, 0))] + forward
     return FoldCurve(points=[s[0] for s in steps], hyper=hyper,
-                     meta=[s[1] for s in steps])
+                     meta=[s[1] for s in steps], reason=reason)
+
+
+def _recorder(steps: list):
+    """A `follow` accept that appends each step's point and run-log meta to `steps`."""
+    def accept(model, step, k):
+        t = step.tangent
+        steps.append((step.result.point, (t.t_omega, t.t_A, step.h, step.result.iterations)))
+        return model, step.result.point
+    return accept
 
 
 @dataclass

@@ -7,10 +7,13 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from conftest import duffing_grid_dataset
+
 from foldtrack import continuation
 from foldtrack.cli import main
+from foldtrack.config import config_from_dict
 from foldtrack.csvio import read_dataset_csv, read_run_log, write_dataset_csv
-from foldtrack.errors import NoConvergence
+from foldtrack.errors import NoConvergence, SingularJacobian
 from foldtrack.gpr import Dataset
 from foldtrack.oracles import DuffingParams, duffing_gamma
 
@@ -143,6 +146,25 @@ class TestTrace:
         assert manifest["reason"] == "step_underflow"
         assert len(read_run_log(tmp_path / "out" / "run_log.csv")) == 3
 
+    def test_refresh_failure_ends_the_run(self, monkeypatch):
+        # step 0's refresh succeeds, step 1's raises a cusp: the run stops there
+        # and keeps the model its measurement at the solution built
+        from foldtrack import driver
+        real, models = driver.improve_solution, []
+
+        def cusp_at_step_1(model, *args, seed, **kwargs):
+            if seed == (42, 1):
+                models.append(model)
+                raise SingularJacobian("injected cusp")
+            return real(model, *args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(driver, "improve_solution", cusp_at_step_1)
+        result = driver.run_trace(config_from_dict(base_trace_config()))
+        assert result.reason == "refresh_failed: injected cusp"
+        assert result.status == "continuation_error"
+        assert [s.step for s in result.steps] == [0]
+        assert result.model is models[0]
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = base_trace_config()
         cfg["surprise"] = 1
@@ -176,17 +198,16 @@ class TestTrace:
     def test_n_max_holds_after_the_seed_grid(self, tmp_path, monkeypatch, seed):
         # the 40 dB Duffing run reaches the cap within its 60 steps; every model
         # a step starts from, and the written dataset, stays at n_max or below
-        from foldtrack import driver
         cfg = yaml.safe_load((Path(__file__).parent.parent / "configs" / "duffing_noisy.yaml")
                              .read_text())
         cfg["acquisition"]["n_max"] = 40
-        sizes = []
+        real, sizes = continuation.advance, []
 
         def advance(model, *args, **kwargs):
             sizes.append(model.n)
-            return continuation.advance(model, *args, **kwargs)
+            return real(model, *args, **kwargs)
 
-        monkeypatch.setattr(driver, "advance", advance)
+        monkeypatch.setattr(continuation, "advance", advance)
         res = run_cli("trace", "--config", write_cfg(tmp_path, cfg), "--seed", str(seed),
                       "--out", str(tmp_path / "out"))
         assert res.exit_code in (0, 3)  # seed 1 stops with refresh_failed, a separate defect
@@ -427,6 +448,30 @@ class TestOfflineAndEnsemble:
         assert len(rows) > 5
         manifest = json.loads((traced / "off" / "manifest.json").read_text())
         assert "hyperparameters_fitted" in manifest
+
+    def test_offline_names_each_directions_stop(self, tmp_path, duffing_params):
+        # a 13x13 grid over omega 1.05-1.35 and one far point at omega 0.8 that
+        # stretches the data box: the forward direction reaches the box edge, the
+        # backward one leaves the data cloud well inside the box
+        grid = duffing_grid_dataset(duffing_params, center=(1.2, 1.8), half=(0.15, 1.2),
+                                    shape=(13, 13))
+        X = np.vstack([grid.X, [[0.8, 0.6]]])
+        write_dataset_csv(tmp_path / "data.csv",
+                          Dataset(X, duffing_gamma(duffing_params, X[:, 0], X[:, 1])))
+        cfg = {"inputs": {"dataset": "data.csv"}, "x0": [1.15, 1.7], "max_steps": 100,
+               "hyperparameters": {"sigma_n2": 1e-8, "sigma_f2": 0.04, "l_omega": 0.05,
+                                   "l_A": 0.45}}
+        res = run_cli("offline", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 0
+        assert "(forward domain_exit, backward step_underflow)" in res.output
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["stop_reasons"] == {"forward": "domain_exit",
+                                            "backward": "step_underflow"}
+        rows = read_run_log(tmp_path / "out" / "fold_curve.csv")
+        omega_max = 1.35 + 0.05 * (1.35 - 0.8)  # the data box's 5% pad
+        assert omega_max - 0.01 < rows[-1]["omega"] <= omega_max
+        assert 0.9 < rows[0]["omega"] < 1.05
 
     def test_offline_seed_override_replays_from_manifest(self, tmp_path):
         # the seed draws the fit's random starts, which land apart in the last

@@ -8,9 +8,9 @@ from conftest import TINY_NOISE
 from reference_oracles import duffing_fold_amplitudes
 
 from foldtrack import continuation
-from foldtrack.continuation import (ContinuationConfig, CorrectResult, FoldPoint, Tangent,
-                                    advance, correct, find_first_fold, in_data_cloud,
-                                    predict_step, tangent_at, tangent_from_jrow,
+from foldtrack.continuation import (ContinuationConfig, CorrectResult, FoldPoint, Step,
+                                    Tangent, advance, correct, find_first_fold, follow,
+                                    in_data_cloud, predict_step, tangent_at, tangent_from_jrow,
                                     zero_fn)
 from foldtrack.errors import (DomainExit, LeftDataCloud, NoConvergence, SingularJacobian,
                               StepUnderflow)
@@ -373,3 +373,91 @@ class TestAdvance:
         m = build(ds, Hyperparameters(TINY_NOISE, 1.0, 0.1, 0.5))
         with pytest.raises(SingularJacobian):
             advance(m, FoldPoint(1.05, 1.4, 0.0), None, 0.1, CFG)
+
+
+class TestFollow:
+    """The one step loop around advance: count accepted steps, carry the tangent
+    and h, hand each step to `accept`, name the stop."""
+
+    CFG = ContinuationConfig(h=0.1, h_min=1e-3, h_max=0.3, max_steps=3)
+
+    @staticmethod
+    def step(i):
+        """A distinct accepted step; its h_next is what the next advance must try."""
+        return Step(CorrectResult(FoldPoint(1.0 + i, 2.0 + i, 0.5), i, 0.0),
+                    Tangent(math.cos(i), math.sin(i)), 0.01 * i, 0.02 * i)
+
+    @staticmethod
+    def stand_in(monkeypatch, outcomes):
+        """Replace advance by one that returns or raises `outcomes` in turn;
+        returns the list of (model, fold, prev, h) it is called with."""
+        calls = []
+
+        def advance(model, fold, prev, h, cfg):
+            calls.append((model, fold, prev, h))
+            out = outcomes[len(calls) - 1]
+            if isinstance(out, Exception):
+                raise out
+            return out
+
+        monkeypatch.setattr(continuation, "advance", advance)
+        return calls
+
+    def test_max_steps(self, monkeypatch):
+        calls = self.stand_in(monkeypatch, [self.step(1), self.step(2), self.step(3)])
+
+        def keep(model, step, k):
+            return model, step.result.point
+
+        assert follow("m", FoldPoint(1.0, 2.0, 0.5), Tangent(1.0, 0.0), self.CFG,
+                      keep) == "max_steps"
+        assert len(calls) == self.CFG.max_steps
+
+    @pytest.mark.parametrize("error, reason", [
+        (DomainExit("edge"), "domain_exit"),
+        (StepUnderflow("floor"), "step_underflow"),
+        (SingularJacobian("injected cusp"), "singular_jacobian: injected cusp"),
+    ], ids=["domain_exit", "step_underflow", "singular_jacobian"])
+    def test_stop_raised_by_advance_is_named(self, monkeypatch, error, reason):
+        calls = self.stand_in(monkeypatch, [self.step(1), error])
+        accepted = []
+
+        def accept(model, step, k):
+            accepted.append(k)
+            return model, step.result.point
+
+        assert follow("m", FoldPoint(1.0, 2.0, 0.5), Tangent(1.0, 0.0), self.CFG,
+                      accept) == reason
+        assert len(calls) == 2 and accepted == [1]
+
+    def test_accept_sees_each_step_and_sets_where_the_next_starts(self, monkeypatch):
+        steps = [self.step(1), self.step(2), self.step(3)]
+        calls = self.stand_in(monkeypatch, steps)
+        seen, returned = [], []
+
+        def accept(model, step, k):
+            seen.append((model, step, k))
+            returned.append((f"model after {k}", FoldPoint(10.0 + k, 20.0 + k, 0.5)))
+            return returned[-1]
+
+        fold0, t0 = FoldPoint(1.0, 2.0, 0.5), Tangent(1.0, 0.0)
+        follow("model 0", fold0, t0, self.CFG, accept)
+        assert seen == [("model 0", steps[0], 1), ("model after 1", steps[1], 2),
+                        ("model after 2", steps[2], 3)]
+        assert calls[0] == ("model 0", fold0, t0, self.CFG.h)
+        for k in (1, 2):
+            model, fold = returned[k - 1]
+            assert calls[k] == (model, fold, steps[k - 1].tangent, steps[k - 1].h_next)
+
+    @pytest.mark.parametrize("error", [SingularJacobian, StepUnderflow])
+    def test_exception_from_accept_propagates(self, monkeypatch, error):
+        calls = self.stand_in(monkeypatch, [self.step(1), self.step(2)])
+        raised = error("refresh failed")
+
+        def accept(model, step, k):
+            raise raised
+
+        with pytest.raises(error) as info:
+            follow("m", FoldPoint(1.0, 2.0, 0.5), Tangent(1.0, 0.0), self.CFG, accept)
+        assert info.value is raised
+        assert len(calls) == 1

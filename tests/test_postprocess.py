@@ -11,11 +11,12 @@ from reference_oracles import duffing_fold_amplitudes, duffing_force
 
 from foldtrack import postprocess
 from foldtrack.config import EnsembleConfig, SweepConfig, load_config
-from foldtrack.continuation import ContinuationConfig, FoldPoint
+from foldtrack.continuation import (ContinuationConfig, FoldPoint, find_first_fold, follow,
+                                    tangent_at)
 from foldtrack.driver import run_trace
 from foldtrack.errors import EmptySliceWarning, NoConvergence
 from foldtrack.geometry import DomainBox
-from foldtrack.gpr import Dataset, Hyperparameters
+from foldtrack.gpr import Dataset, Hyperparameters, build
 from foldtrack.oracles import DuffingOracle
 from foldtrack.postprocess import (FoldCurve, curve_distance, dropout_ensemble,
                                    nlfr_slice, offline_fold_trace, sweep_s_curve)
@@ -131,9 +132,15 @@ class TestOfflineTrace:
                                   shape=(13, 13))
         cfg = ContinuationConfig(h=1.0, h_max=1.0, max_steps=6,
                                  domain_box=DomainBox(1.0, 1.4, 0.5, 3.2))
-        curve = offline_fold_trace(ds, hyper=Hyperparameters(1e-8, 0.04, 0.05, 0.45), cfg=cfg,
-                                   x0=(1.15, 1.7), bidirectional=False)
-        hs = [m[2] for m in curve.meta[1:]]
+        model = build(ds, Hyperparameters(1e-8, 0.04, 0.05, 0.45))
+        fold0 = find_first_fold(model, (1.15, 1.7), cfg)
+        hs = []
+
+        def record(model, step, k):
+            hs.append(step.h)
+            return model, step.result.point
+
+        follow(model, fold0, tangent_at(model, fold0, None), cfg, record)
         assert min(hs) < cfg.h  # h only shrinks when an attempt is rejected
         assert len(hs) == cfg.max_steps
 
