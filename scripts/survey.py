@@ -11,9 +11,10 @@ config key before the config is read; the value is parsed as YAML, so
 this checkout's `src`.
 
 A row holds the seed, the stop reason, the fold points traced (the first
-fold included), the oracle's `measure` calls, the simulated rig seconds
-(`RigOracle._t`, null for the analytic back-ends) and the worst error of the
-traced fold points against the closed-form locus:
+fold included), the oracle's `measure` calls, the samples skipped as
+duplicates of a training input, the points pruned to hold `n_max`, the
+simulated rig seconds (`RigOracle._t`, null for the analytic back-ends) and
+the worst error of the traced fold points against the closed-form locus:
 
 * `duffing`: the largest relative force and frequency errors of the model's
   fold force against the lower fold of `perfbench/locus.py`;
@@ -24,6 +25,12 @@ traced fold points against the closed-form locus:
 A seed whose trace fails before its first fold point (the CLI's exit 2 or
 3) gets the reason `init_failed: <error>` and 0 fold points; the survey
 goes on with the next seed.
+
+Every measurement is either in the final dataset, a duplicate, or pruned,
+so on a run that ends cleanly the oracle calls equal the dataset's rows plus
+duplicates plus prunes.  A run that ends with `refresh_failed` or
+`oracle_error` keeps the model from before its last refresh, so the sum
+need not hold there.
 
 The last line is a summary over the seeds: stop-reason counts, totals, and
 oracle calls and rig seconds per fold point.  Nothing is timed, so two
@@ -37,6 +44,7 @@ import json
 import math
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,7 +56,8 @@ from locus import Duffing, lower_fold_errors  # noqa: E402
 
 from foldtrack.config import config_from_dict, load_raw, make_oracle  # noqa: E402
 from foldtrack.driver import run_trace  # noqa: E402
-from foldtrack.errors import ContinuationError, OracleError  # noqa: E402
+from foldtrack.errors import ContinuationError, DuplicatePoint, OracleError  # noqa: E402
+from foldtrack.gpr import GprModel  # noqa: E402
 
 
 def locus_errors(name: str, params, folds) -> dict | None:
@@ -61,6 +70,32 @@ def locus_errors(name: str, params, folds) -> dict | None:
         return {"A_abs": max(min((abs(f.A - a) for a in params.fold_amplitudes(f.omega)),
                                  default=math.inf) for f in folds)}
     return None
+
+
+@contextmanager
+def counting_updates(counts: Counter):
+    """Count samples refused as duplicates and points removed from any model, while open.
+
+    During a run only `add_measurement` adds points and only `prune` removes them.
+    """
+    add_point, remove_point = GprModel.add_point, GprModel.remove_point
+
+    def counted_add(self, x, F_value):
+        try:
+            return add_point(self, x, F_value)
+        except DuplicatePoint:
+            counts["duplicates"] += 1
+            raise
+
+    def counted_remove(self, index):
+        counts["prunes"] += 1
+        return remove_point(self, index)
+
+    GprModel.add_point, GprModel.remove_point = counted_add, counted_remove
+    try:
+        yield
+    finally:
+        GprModel.add_point, GprModel.remove_point = add_point, remove_point
 
 
 def survey_row(cfg, seed: int) -> dict:
@@ -76,14 +111,17 @@ def survey_row(cfg, seed: int) -> dict:
         return measure(*args, **kwargs)
 
     oracle.measure = counted
+    updates = Counter()
     try:
-        result = run_trace(cfg, oracle=oracle)
+        with counting_updates(updates):
+            result = run_trace(cfg, oracle=oracle)
     except (OracleError, ContinuationError) as e:  # before the first fold: nothing traced
         reason, folds = f"init_failed: {e}", []
     else:
         reason, folds = result.reason, result.fold_points
     return {"seed": seed, "reason": reason, "fold_points": len(folds),
-            "oracle_calls": calls, "rig_seconds": getattr(oracle, "_t", None),
+            "oracle_calls": calls, "duplicates": updates["duplicates"],
+            "prunes": updates["prunes"], "rig_seconds": getattr(oracle, "_t", None),
             "locus_error": locus_errors(cfg.oracle.name, oracle.params, folds) if folds else None}
 
 
@@ -94,6 +132,8 @@ def summary(rows: list[dict]) -> dict:
     out = {"seeds": len(rows),
            "reasons": dict(sorted(Counter(r["reason"].split(":")[0] for r in rows).items())),
            "fold_points": folds, "oracle_calls": calls,
+           "duplicates": sum(r["duplicates"] for r in rows),
+           "prunes": sum(r["prunes"] for r in rows),
            "oracle_calls_per_fold_point": calls / folds if folds else None}
     if rows and rows[0]["rig_seconds"] is not None:
         seconds = sum(r["rig_seconds"] for r in rows)

@@ -9,6 +9,13 @@ factor gives, with no model built, the closed-form scores that acquisition
 ranks candidates and points by: one triangular solve per candidate set, one
 inverse per set of points.
 
+The linear algebra calls LAPACK directly (dpotrf, dtrtrs, dpotrs, dpotri),
+without the scipy.linalg wrappers: at the sizes of a local model their
+checks and copies cost several times the routine itself.  The factor is
+kept Fortran-ordered, as LAPACK returns it, so no call copies it.  The
+wrappers' finiteness check is not needed: `Dataset` and `Hyperparameters`
+refuse non-finite values, so every covariance built from them is finite.
+
 A hyperparameter fit maximizes the log marginal likelihood with its analytic
 gradient.  It takes the input differences and its n x n work arrays once per
 fit, takes K^-1 from the factor by LAPACK dpotri, and evaluates its start
@@ -28,8 +35,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 from .errors import (
     DuplicatePoint,
@@ -111,10 +117,12 @@ def _coincide(X: np.ndarray, C: np.ndarray, s: np.ndarray) -> np.ndarray:
     """hits[i, j]: C[i] lies within DUPLICATE_TOL of X[j], coordinates divided by s[i].
 
     s holds one row of per-column spreads per row of C; a zero spread counts as 1.
+    The two scaled differences are (m, n) arrays, one per coordinate.
     """
     s = np.where(s == 0.0, 1.0, s)
-    return np.sum(((X[None, :, :] - C[:, None, :]) / s[:, None, :]) ** 2, axis=2) \
-        < DUPLICATE_TOL**2
+    d_omega = (X[:, 0] - C[:, 0:1]) / s[:, 0:1]
+    d_A = (X[:, 1] - C[:, 1:2]) / s[:, 1:2]
+    return d_omega * d_omega + d_A * d_A < DUPLICATE_TOL**2
 
 
 @dataclass(frozen=True)
@@ -128,7 +136,8 @@ class Dataset:
     covariance factor singular.  The constructor checks each row against the
     rows before it, `append` checks the new input against the others in
     O(n), so a dataset grown by `append` passes the constructor's check;
-    `drop` checks nothing, because removing a point only shrinks the spreads.
+    `take` and `drop` check nothing, because a subset kept in order only
+    shrinks the spreads.
     """
 
     X: np.ndarray  # (n, 2) columns omega, A
@@ -205,11 +214,23 @@ class Dataset:
                          - np.minimum(self.X.min(axis=0), C))
         return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
 
+    def take(self, rows) -> "Dataset":
+        """The rows at the strictly increasing indices `rows`, in order, unchecked.
+
+        Each kept row meets the rows kept before it with spreads no larger
+        than its own in this dataset, so the subset passes the constructor's
+        check whenever this dataset does.
+        """
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        if rows.size and not (0 <= rows[0] and rows[-1] < self.n
+                              and np.all(rows[1:] > rows[:-1])):
+            raise IndexOutOfRange(f"rows must increase strictly inside [0, {self.n})")
+        return Dataset._trusted(self.X[rows], self.F[rows])
+
     def drop(self, index: int) -> "Dataset":
         if not 0 <= index < self.n:
             raise IndexOutOfRange(f"index {index} outside [0, {self.n})")
-        keep = np.arange(self.n) != index
-        return Dataset._trusted(self.X[keep], self.F[keep])
+        return self.take(np.delete(np.arange(self.n), index))
 
 
 class MeanDerivs(NamedTuple):
@@ -250,11 +271,9 @@ def _factorize(K: np.ndarray, hyper: Hyperparameters):
     n = K.shape[0]
     scale = hyper.sigma_f2 + hyper.sigma_n2  # equals trace(K)/n for the SE kernel
     for rel in _JITTER_LADDER:
-        try:
-            L = cholesky(K + rel * scale * np.eye(n) if rel else K, lower=True)
+        L = _cholesky(K + rel * scale * np.eye(n) if rel else K)
+        if L is not None:
             return L, rel * scale
-        except np.linalg.LinAlgError:
-            continue
     raise FactorizationFailure(
         "covariance matrix not positive definite after jitter escalation; "
         "check for duplicate inputs or degenerate hyperparameters")
@@ -264,8 +283,9 @@ def _factorize(K: np.ndarray, hyper: Hyperparameters):
 class GprModel:
     """Immutable GP posterior: dataset, hyperparameters, Cholesky factor, alpha.
 
-    `chol` is the lower factor of K = kernel(X, X) + sigma_n2*I (+ jitter) and
-    `alpha` solves K alpha = F.  All update operations return new models.
+    `chol` is the lower factor of K = kernel(X, X) + sigma_n2*I (+ jitter),
+    Fortran-ordered with a zero upper triangle, and `alpha` solves K alpha = F.
+    All update operations return new models.
     """
 
     dataset: Dataset
@@ -292,7 +312,7 @@ class GprModel:
         violations raise NumericalBreakdown.
         """
         k = _kernel_vec(self.dataset.X, x, self.hyper)
-        v = solve_triangular(self.chol, k, lower=True)
+        v = _solve_lower(self.chol, k)
         return float(_clamped_var(self.hyper.sigma_f2 - float(v @ v)))
 
     def predict_mean_derivs(self, x) -> MeanDerivs:
@@ -318,8 +338,8 @@ class GprModel:
         """
         X, hyp = self.dataset.X, self.hyper
         C = np.reshape(C, (-1, 2))
-        V = solve_triangular(self.chol, np.column_stack(
-            [_kernel_vec_d_A(X, x, hyp), _kernel_matrix(X, C, hyp)]), lower=True)
+        V = _solve_lower(self.chol, np.column_stack(
+            [_kernel_vec_d_A(X, x, hyp), _kernel_matrix(X, C, hyp)]))
         var = _clamped_var(hyp.sigma_f2 - np.einsum("ij,ij->j", V[:, 1:], V[:, 1:]))
         cov_d_A = -(x[1] - C[:, 1]) / hyp.l_A**2 * _kernel_vec(C, x, hyp) - V[:, 0] @ V[:, 1:]
         return var, cov_d_A
@@ -345,16 +365,16 @@ class GprModel:
         x = (float(x[0]), float(x[1]))
         data = self.dataset.append(x, F_value)
         k = _kernel_vec(self.dataset.X, x, self.hyper)
-        col = solve_triangular(self.chol, k, lower=True)
+        col = _solve_lower(self.chol, k)
         s2 = self.hyper.sigma_f2 + self.hyper.sigma_n2 + self.jitter - float(col @ col)
         if s2 <= 0.0:
             raise FactorizationFailure(
                 "factor extension broke down; point is numerically dependent on the data")
-        L = np.zeros((self.n + 1, self.n + 1))
+        L = np.zeros((self.n + 1, self.n + 1), order="F")
         L[:-1, :-1] = self.chol
         L[-1, :-1] = col
         L[-1, -1] = math.sqrt(s2)
-        alpha = cho_solve((L, True), data.F)
+        alpha = _cho_solve(L, data.F)
         return GprModel(data, self.hyper, L, alpha, self.jitter)
 
     def remove_point(self, index: int) -> "GprModel":
@@ -363,6 +383,46 @@ class GprModel:
         The jitter ladder restarts from zero, as in `build`.
         """
         return build(self.dataset.drop(index), self.hyper)
+
+
+def _cholesky(K: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of the symmetric K by LAPACK dpotrf; None if K is not definite.
+
+    The factor is Fortran-ordered with its strict upper triangle zeroed.  K is
+    read from its lower triangle and left unchanged.
+    """
+    L, info = dpotrf(K, lower=1, clean=1)
+    if info > 0:
+        return None
+    if info != 0:
+        raise FactorizationFailure(f"Cholesky factorization failed (info {info})")
+    return L
+
+
+def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^-1 B for the lower-triangular L, by LAPACK dtrtrs; B is a vector or a matrix.
+
+    LAPACK refuses n = 0, whose solution is the empty B itself.
+    """
+    if L.shape[0] == 0:
+        return np.array(B, dtype=float)
+    X, info = dtrtrs(L, B, lower=1)
+    if info != 0:
+        raise FactorizationFailure(f"triangular solve with the factor failed (info {info})")
+    return X
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K^-1 b from the lower Cholesky factor L of K, by LAPACK dpotrs.
+
+    LAPACK refuses n = 0, whose solution is the empty b itself.
+    """
+    if L.shape[0] == 0:
+        return np.array(b, dtype=float)
+    x, info = dpotrs(L, b, lower=1)
+    if info != 0:
+        raise FactorizationFailure(f"solving with the factor failed (info {info})")
+    return x
 
 
 def _inverse_lower(L: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -390,7 +450,7 @@ def build(dataset: Dataset, hyper: Hyperparameters) -> GprModel:
     K = _kernel_matrix(dataset.X, dataset.X, hyper)
     K[np.diag_indices_from(K)] += hyper.sigma_n2
     L, jitter = _factorize(K, hyper)
-    alpha = cho_solve((L, True), dataset.F)
+    alpha = _cho_solve(L, dataset.F)
     return GprModel(dataset, hyper, L, alpha, jitter)
 
 
@@ -441,7 +501,7 @@ class _LogMarginal:
         Kse.flat[::n + 1] += hyper.sigma_n2
         L, _ = _factorize(Kse, hyper)
         Kse.flat[::n + 1] = hyper.sigma_f2
-        alpha = cho_solve((L, True), F)
+        alpha = _cho_solve(L, F)
         value = _log_marginal_from_factor(L, alpha, F)
 
         Kinv = _inverse_lower(L, overwrite=True)

@@ -278,7 +278,7 @@ def _ensemble_run(run_id: int, *, dataset: Dataset, n_drop: int, seed: int,
     """One dropout run; module level so that a worker process can be sent it."""
     rng = np.random.default_rng((seed, run_id))
     keep = np.sort(rng.choice(dataset.n, size=dataset.n - n_drop, replace=False))
-    sub = Dataset(dataset.X[keep], dataset.F[keep])
+    sub = dataset.take(keep)
     try:
         curve = offline_fold_trace(sub, cfg=cfg, x0=x0, seed=run_id,
                                    fit_n_starts=fit_n_starts, fit_init=hyper_init)

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 
 from conftest import TINY_NOISE, duffing_grid_dataset
 from reference_oracles import (cs_mean_derivs, dense_log_marginal, dense_log_marginal_grad,
                                dense_loo_mean_d_A_shift, dense_predict, se_kernel_matrix)
 
-from foldtrack.errors import DuplicatePoint, IndexOutOfRange
-from foldtrack.gpr import (Dataset, FitBounds, Hyperparameters, _LogMarginal, build,
-                           default_fit_bounds, fit_hyperparameters, kernel, log_marginal)
+from foldtrack import gpr
+from foldtrack.errors import DuplicatePoint, FactorizationFailure, IndexOutOfRange
+from foldtrack.gpr import (DUPLICATE_TOL, Dataset, FitBounds, Hyperparameters, _cho_solve,
+                           _cholesky, _coincide, _inverse_lower, _LogMarginal, _solve_lower,
+                           build, default_fit_bounds, fit_hyperparameters, kernel,
+                           log_marginal)
 from foldtrack.oracles import DuffingParams, duffing_gamma
 
 
@@ -56,6 +60,114 @@ class TestDataset:
         assert ds2.drop(1).n == 1
         with pytest.raises(IndexOutOfRange):
             ds2.drop(2)
+
+    def test_take_equals_the_checked_constructor(self):
+        rng = np.random.default_rng(8)
+        ds = Dataset(rng.uniform(size=(60, 2)), rng.standard_normal(60))
+        for size in (0, 1, 2, 30, 59, 60):
+            rows = np.sort(rng.choice(ds.n, size=size, replace=False))
+            sub, checked = ds.take(rows), Dataset(ds.X[rows], ds.F[rows])
+            assert np.array_equal(sub.X, checked.X) and np.array_equal(sub.F, checked.F)
+            assert sub.X.shape == (size, 2) and not sub.X.flags.writeable
+        assert np.array_equal(ds.drop(7).X, np.delete(ds.X, 7, axis=0))
+
+    @pytest.mark.parametrize("rows", [[3, 1], [1, 1], [-1, 2], [0, 60]])
+    def test_take_refuses_rows_out_of_order_or_range(self, rows):
+        rng = np.random.default_rng(9)
+        ds = Dataset(rng.uniform(size=(60, 2)), rng.standard_normal(60))
+        with pytest.raises(IndexOutOfRange):
+            ds.take(rows)
+
+
+def _coincide_3d(X, C, s):
+    """The duplicate test as one (m, n, 2) array of scaled differences."""
+    s = np.where(s == 0.0, 1.0, s)
+    return np.sum(((X[None, :, :] - C[:, None, :]) / s[:, None, :]) ** 2, axis=2) \
+        < DUPLICATE_TOL**2
+
+
+class TestCoincide:
+    def test_same_booleans_as_the_3d_formula(self):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(0.9, 1.5, size=(40, 2)) * [1.0, 3.0]
+        s = rng.uniform(0.1, 2.0, size=(50, 2))
+        s[:5, 0] = 0.0  # a zero spread counts as 1
+        C = rng.uniform(0.9, 1.5, size=(50, 2)) * [1.0, 3.0]
+        # plant each candidate at a scaled distance from 0.999 to 1.001 tolerances of
+        # a training input, in a random direction, so both sides of the edge occur
+        j = rng.integers(0, 40, size=50)
+        r = DUPLICATE_TOL * rng.uniform(0.999, 1.001, size=50)
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=50)
+        offsets = r[:, None] * np.column_stack([np.cos(phi), np.sin(phi)]) \
+            * np.where(s == 0.0, 1.0, s)
+        C[:40] = X[j[:40]] + offsets[:40]
+        hits = _coincide(X, C, s)
+        assert hits.dtype == bool and hits.shape == (50, 40)
+        assert np.array_equal(hits, _coincide_3d(X, C, s))
+        planted = hits[np.arange(40), j[:40]]
+        assert planted.any() and not planted.all()
+        assert planted[r[:40] < 0.9995 * DUPLICATE_TOL].all()
+        assert not planted[r[:40] > 1.0005 * DUPLICATE_TOL].any()
+
+
+def _spd(n, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, 2))
+    return se_kernel_matrix(X, X, 1.0, 0.3, 0.3) + 1e-2 * np.eye(n)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+class TestLapackHelpers:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_match_scipy_linalg(self, order):
+        K = np.asarray(_spd(40, 1), order=order)
+        K_before = K.copy()
+        L = _cholesky(K)
+        assert L.flags.f_contiguous and np.array_equal(K, K_before)
+        assert _rel(L, scipy.linalg.cholesky(K, lower=True)) < 1e-12
+        assert np.array_equal(np.triu(L, 1), np.zeros_like(L))
+        L = np.asarray(L, order=order)
+        rng = np.random.default_rng(2)
+        b, B = rng.standard_normal(40), rng.standard_normal((40, 7))
+        for rhs in (b, B):
+            assert _rel(_solve_lower(L, rhs),
+                        scipy.linalg.solve_triangular(L, rhs, lower=True)) < 1e-12
+        assert _rel(_cho_solve(L, b), scipy.linalg.cho_solve((L, True), b)) < 1e-12
+
+    def test_empty_factor(self):
+        L = _cholesky(np.zeros((0, 0)))
+        assert L.shape == (0, 0)
+        assert _solve_lower(L, np.zeros(0)).shape == (0,)
+        assert _solve_lower(L, np.zeros((0, 3))).shape == (0, 3)
+        assert _cho_solve(L, np.zeros(0)).shape == (0,)
+        assert scipy.linalg.solve_triangular(L, np.zeros((0, 3)), lower=True).shape == (0, 3)
+
+    def test_not_positive_definite_gives_none(self):
+        assert _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
+
+    def test_singular_factor_raises(self):
+        L = np.array([[1.0, 0.0], [1.0, 0.0]], order="F")
+        with pytest.raises(FactorizationFailure):
+            _solve_lower(L, np.ones(2))
+        with pytest.raises(FactorizationFailure):
+            _inverse_lower(L)
+
+    @pytest.mark.parametrize("name, call", [
+        ("dpotrf", lambda: _cholesky(np.eye(2))),
+        ("dtrtrs", lambda: _solve_lower(np.eye(2), np.ones(2))),
+        ("dpotrs", lambda: _cho_solve(np.eye(2), np.ones(2))),
+    ])
+    def test_illegal_argument_raises(self, monkeypatch, name, call):
+        monkeypatch.setattr(gpr, name, lambda *args, **kwargs: (np.zeros(2), -2))
+        with pytest.raises(FactorizationFailure, match="info -2"):
+            call()
+
+    def test_models_keep_a_fortran_factor(self, duffing_model):
+        assert duffing_model.chol.flags.f_contiguous
+        assert duffing_model.add_point((1.2, 2.2), 0.5).chol.flags.f_contiguous
 
 
 class TestKernel:
