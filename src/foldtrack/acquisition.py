@@ -26,9 +26,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .continuation import ContinuationConfig, FoldPoint, Tangent, correct
-from .errors import CollectionCap, DomainExhausted, DuplicatePoint
+from .errors import CollectionCap, ContinuationError, DomainExhausted, DuplicatePoint
 from .geometry import DomainBox
 from .gpr import GprModel
+
+# Farthest the h = 0 re-correct of `add_measurement` may move the fold, in
+# length scales.  On duffing_noisy.yaml with n_max 40, seeds 0-339 (one BLAS
+# thread), the median of each seed's largest move is 0.044 and all but two
+# seeds stay at or below 0.184; seeds 160 (0.41, then 1.95) and 249 (0.68)
+# jump onto another part of the zero set, and are the only ones whose folds
+# then miss the closed-form locus.  rig_trace.yaml seeds 0-99 reach at most
+# 0.357, and duffing_noisy.yaml itself (n_max 100) seeds 0-99 at most 0.116.
+MAX_REFRESH_MOVE = 0.4
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,9 @@ def add_measurement(model: GprModel, fold: FoldPoint, tangent: Tangent, meas, n_
 
     Adds the sample, prunes back to n_max and re-corrects the fold with an
     h = 0 arclength constraint, keeping its measured force.  A sample that
-    duplicates a training input leaves model and fold unchanged.
+    duplicates a training input leaves model and fold unchanged.  A re-correct
+    that moves the fold more than MAX_REFRESH_MOVE length scales raises
+    ContinuationError.
     """
     try:
         model = model.add_point((meas.omega, meas.A), meas.F)
@@ -148,6 +159,11 @@ def add_measurement(model: GprModel, fold: FoldPoint, tangent: Tangent, meas, n_
         return model, fold
     model = prune(model, fold, n_max)
     refreshed = correct(model, (fold.omega, fold.A), fold, tangent, 0.0, ccfg).point
+    move = math.hypot((refreshed.omega - fold.omega) / model.hyper.l_omega,
+                      (refreshed.A - fold.A) / model.hyper.l_A)
+    if move > MAX_REFRESH_MOVE:
+        raise ContinuationError(f"refresh moved the fold {move:.3g} length scales "
+                                f"(limit {MAX_REFRESH_MOVE})")
     return model, replace(refreshed, gamma_measured=fold.gamma_measured)
 
 

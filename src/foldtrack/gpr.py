@@ -82,11 +82,6 @@ class Hyperparameters:
         return {"sigma_n2": self.sigma_n2, "sigma_f2": self.sigma_f2,
                 "l_omega": self.l_omega, "l_A": self.l_A}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hyperparameters":
-        return cls(float(d["sigma_n2"]), float(d["sigma_f2"]),
-                   float(d["l_omega"]), float(d["l_A"]))
-
 
 @dataclass(frozen=True)
 class FitBounds:
@@ -242,14 +237,8 @@ class MeanDerivs(NamedTuple):
     d_omega_A: float
 
 
-def kernel(x1, x2, hyper: Hyperparameters) -> float:
-    """Anisotropic squared-exponential covariance between two input pairs."""
-    do = (x1[0] - x2[0]) / hyper.l_omega
-    da = (x1[1] - x2[1]) / hyper.l_A
-    return hyper.sigma_f2 * math.exp(-0.5 * (do * do + da * da))
-
-
 def _kernel_matrix(X1: np.ndarray, X2: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
+    """Anisotropic squared-exponential covariances between the rows of X1 and X2."""
     do = (X1[:, 0:1] - X2[:, 0:1].T) / hyper.l_omega
     da = (X1[:, 1:2] - X2[:, 1:2].T) / hyper.l_A
     return hyper.sigma_f2 * np.exp(-0.5 * (do**2 + da**2))
@@ -283,7 +272,7 @@ def _factorize(K: np.ndarray, hyper: Hyperparameters):
 class GprModel:
     """Immutable GP posterior: dataset, hyperparameters, Cholesky factor, alpha.
 
-    `chol` is the lower factor of K = kernel(X, X) + sigma_n2*I (+ jitter),
+    `chol` is the lower factor of K = _kernel_matrix(X, X) + sigma_n2*I (+ jitter),
     Fortran-ordered with a zero upper triangle, and `alpha` solves K alpha = F.
     All update operations return new models.
     """

@@ -203,15 +203,6 @@ def isola_gamma(p: IsolaParams, omega, A):
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
-def isola_gamma_dA(p: IsolaParams, omega, A):
-    """Exact dGamma/dA of the isola surface (the factored quartic)."""
-    omega = np.asarray(omega, dtype=float)
-    A = np.asarray(A, dtype=float)
-    q = p.scale * (((A - p.m1(omega)) ** 2 - p.rho1(omega))
-                   * ((A - p.m2) ** 2 - p.rho2(omega)))
-    return float(q) if q.ndim == 0 else q
-
-
 ISOLA_DOMAIN = DomainBox(omega_min=0.85, omega_max=1.45, A_min=0.0, A_max=4.0)
 
 

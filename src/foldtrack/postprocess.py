@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -78,14 +78,14 @@ class FoldCurve:
         for k, (p, m) in enumerate(zip(self.points, meta)):
             yield [k, p.omega, p.A, p.gamma_model, p.gamma_measured, m[0], m[1], m[2], m[3]]
 
-    def n_segments(self, gap: float = 1.0) -> int:
-        """Connected polyline segments, split at normalized jumps larger than `gap`."""
+    def n_segments(self) -> int:
+        """Connected polyline segments, split at jumps longer than one length scale."""
         if len(self.points) < 2 or self.hyper is None:
             return 1 if self.points else 0
         arr = self.as_array()
         du = np.diff(arr[:, 0]) / self.hyper.l_omega
         dv = np.diff(arr[:, 1]) / self.hyper.l_A
-        return int(1 + np.sum(np.hypot(du, dv) > gap))
+        return int(1 + np.sum(np.hypot(du, dv) > 1.0))
 
 
 def fold_curve_from_run_log(rows, hyper: Hyperparameters | None = None) -> FoldCurve:
@@ -96,10 +96,10 @@ def fold_curve_from_run_log(rows, hyper: Hyperparameters | None = None) -> FoldC
     return FoldCurve(points=points, hyper=hyper, meta=meta)
 
 
-def seed_scan(model: GprModel, box: DomainBox, n_grid: int = 40):
-    """Coarse grid scan for the in-cloud point with the smallest |dGamma/dA|."""
-    omegas = np.linspace(box.omega_min, box.omega_max, n_grid)
-    As = np.linspace(box.A_min, box.A_max, n_grid)
+def seed_scan(model: GprModel, box: DomainBox):
+    """40 x 40 grid scan for the in-cloud point with the smallest |dGamma/dA|."""
+    omegas = np.linspace(box.omega_min, box.omega_max, 40)
+    As = np.linspace(box.A_min, box.A_max, 40)
     best, best_val = None, math.inf
     for omega in omegas:
         for A in As:
@@ -113,12 +113,12 @@ def seed_scan(model: GprModel, box: DomainBox, n_grid: int = 40):
     return best
 
 
-def data_box(dataset: Dataset, pad: float = 0.0) -> DomainBox:
+def data_box(dataset: Dataset) -> DomainBox:
+    """The inputs' bounding box, widened by 5% of its span on each side."""
     lo = dataset.X.min(axis=0)
     hi = dataset.X.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    return DomainBox(lo[0] - pad * span[0], hi[0] + pad * span[0],
-                     lo[1] - pad * span[1], hi[1] + pad * span[1])
+    pad = 0.05 * np.maximum(hi - lo, 1e-9)
+    return DomainBox(lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1])
 
 
 def initial_guess(dataset: Dataset) -> Hyperparameters:
@@ -152,10 +152,9 @@ def offline_fold_trace(dataset: Dataset, hyper: Hyperparameters | None = None,
         hyper = fit_hyperparameters(dataset, init, n_starts=fit_n_starts, seed=seed)
     model = build(dataset, hyper)
     if cfg is None:
-        cfg = ContinuationConfig(domain_box=data_box(dataset, pad=0.05), max_steps=200)
+        cfg = ContinuationConfig(domain_box=data_box(dataset), max_steps=200)
     elif cfg.domain_box is None:
-        from dataclasses import replace
-        cfg = replace(cfg, domain_box=data_box(dataset, pad=0.05))
+        cfg = replace(cfg, domain_box=data_box(dataset))
     if x0 is None:
         x0 = seed_scan(model, cfg.domain_box)
     fold0 = find_first_fold(model, x0, cfg)
@@ -307,13 +306,3 @@ def _map_runs(one_run, n_runs: int, workers: int) -> list[EnsembleRun]:
                                      mp_context=multiprocessing.get_context("fork")) as pool:
                 return list(pool.map(one_run, range(n_runs)))
     return [one_run(run_id) for run_id in range(n_runs)]
-
-
-def curve_distance(curve_a: FoldCurve, curve_b: FoldCurve, hyper: Hyperparameters) -> float:
-    """Symmetric mean nearest-point distance in normalized (omega, A)."""
-    a = curve_a.as_array()[:, :2] / [hyper.l_omega, hyper.l_A]
-    b = curve_b.as_array()[:, :2] / [hyper.l_omega, hyper.l_A]
-    if len(a) == 0 or len(b) == 0:
-        return math.inf
-    d = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
-    return 0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean())

@@ -117,15 +117,6 @@ class RigParams:
             raise ValueError("settle_rel_tol and saturation_mm must be finite and > 0")
 
 
-def linear_tip_frf(p: RigParams, f_hz):
-    """Modal-model FRF from shaker force to tip displacement, mm/N (complex)."""
-    s = 2j * math.pi * np.asarray(f_hz, dtype=float)
-    w1, w2 = TWO_PI * p.f1, TWO_PI * p.f2
-    H = (p.psi[0] * p.phi[0] / (s**2 + 2 * p.zeta1 * w1 * s + w1**2)
-         + p.psi[1] * p.phi[1] / (s**2 + 2 * p.zeta2 * w2 * s + w2**2))
-    return 1000.0 * H
-
-
 def fourier_coeffs(signal: np.ndarray, omega_hz: float, sample_rate: float,
                    n_modes: int, t0: float = 0.0):
     """Least-squares Fourier coefficients (a0, A_j, B_j) over integer periods.

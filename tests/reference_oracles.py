@@ -229,6 +229,15 @@ def duffing_lower_fold_branch(omega_n, zeta, alpha_3, omega_lo, omega_hi, n=400,
 
 # -- isola surface brute force ------------------------------------------------
 
+def isola_gamma_dA(p, omega, A):
+    """Exact dGamma/dA of the isola surface (the factored quartic)."""
+    omega = np.asarray(omega, dtype=float)
+    A = np.asarray(A, dtype=float)
+    q = p.scale * (((A - p.m1(omega)) ** 2 - p.rho1(omega))
+                   * ((A - p.m2) ** 2 - p.rho2(omega)))
+    return float(q) if q.ndim == 0 else q
+
+
 def isola_fold_branches(params, box, n=6000):
     """Analytic fold branches of the engineered surface, as connected curves.
 
@@ -266,3 +275,14 @@ def isola_marker_count(params, box, level, band):
         in_band = np.abs(g - level) <= band * level
         count += int(np.sum(np.diff(np.concatenate([[0], in_band.astype(int), [0]])) == 1))
     return count
+
+
+# -- virtual rig --------------------------------------------------------------
+
+def linear_tip_frf(p, f_hz):
+    """Modal-model FRF from shaker force to tip displacement, mm/N (complex)."""
+    s = 2j * math.pi * np.asarray(f_hz, dtype=float)
+    w1, w2 = 2.0 * math.pi * p.f1, 2.0 * math.pi * p.f2
+    H = (p.psi[0] * p.phi[0] / (s**2 + 2 * p.zeta1 * w1 * s + w1**2)
+         + p.psi[1] * p.phi[1] / (s**2 + 2 * p.zeta2 * w2 * s + w2**2))
+    return 1000.0 * H

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from conftest import TINY_NOISE, duffing_grid_dataset
 from reference_oracles import (cs_mean_derivs, dense_log_marginal,
-                               duffing_lower_fold_branch, isola_marker_count)
+                               duffing_lower_fold_branch, isola_marker_count, linear_tip_frf)
 
 from foldtrack.acquisition import AcquisitionConfig, generate_candidates, sensitivity_beta
 from foldtrack.cli import main as cli_main
@@ -24,7 +24,7 @@ from foldtrack.geometry import DomainBox
 from foldtrack.gpr import Dataset, FitBounds, Hyperparameters, build, fit_hyperparameters, log_marginal
 from foldtrack.oracles import DuffingOracle, DuffingParams, IsolaOracle, duffing_gamma
 from foldtrack.postprocess import dropout_ensemble, nlfr_slice, offline_fold_trace
-from foldtrack.rig import RigOracle, RigParams, linear_tip_frf
+from foldtrack.rig import RigOracle, RigParams
 
 DUFFING = DuffingParams(omega_n=1.0, zeta=0.02, alpha_3=0.05, noise_sigma=0.0)
 BOX = DomainBox(0.95, 1.45, 0.05, 5.0)

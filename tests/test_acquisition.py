@@ -1,20 +1,26 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import duffing_grid_dataset
-from reference_oracles import artificial_measurement
+from reference_oracles import artificial_measurement, duffing_lower_fold_branch
 
-from foldtrack.acquisition import (AcquisitionConfig, generate_candidates, improve_solution,
-                                   prune, sensitivity_beta)
+from foldtrack import acquisition
+from foldtrack.acquisition import (AcquisitionConfig, add_measurement, generate_candidates,
+                                   improve_solution, prune, sensitivity_beta)
+from foldtrack.config import config_from_dict, load_raw
 from foldtrack.continuation import (ContinuationConfig, FoldPoint, find_first_fold,
                                     tangent_at)
-from foldtrack.errors import CollectionCap, DomainExhausted
+from foldtrack.driver import run_trace
+from foldtrack.errors import CollectionCap, ContinuationError, DomainExhausted
 from foldtrack.geometry import DomainBox
 from foldtrack.gpr import Dataset, GprModel, build
 
 CCFG = ContinuationConfig(h=0.1, h_min=1e-3, h_max=0.3, newton_tol=1e-8)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +214,31 @@ class TestImproveSolution:
             logs.append([(c.omega_meas, c.A_meas, c.F_meas, c.beta_max)
                          for c in res.collections])
         assert logs[0] == logs[1]
+
+
+class TestAddMeasurement:
+    def test_refresh_move_beyond_the_bound_raises(self, duffing_model, duffing_oracle, fold,
+                                                  monkeypatch):
+        t = tangent_at(duffing_model, fold, None)
+        meas = duffing_oracle.measure(fold.omega + 0.02, fold.A + 0.1)
+        model, moved = add_measurement(duffing_model, fold, t, meas, 100, CCFG)
+        assert model.n == duffing_model.n + 1 and moved != fold
+        monkeypatch.setattr(acquisition, "MAX_REFRESH_MOVE", 0.0)
+        with pytest.raises(ContinuationError, match="refresh moved the fold"):
+            add_measurement(duffing_model, fold, t, meas, 100, CCFG)
+
+    @pytest.mark.parametrize("seed", [160, 249])
+    def test_capped_noisy_folds_stay_on_the_locus(self, seed):
+        # at these seeds a refresh used to jump onto another part of the zero
+        # set, after which the logged folds missed the locus by up to 61% in force
+        raw = load_raw(CONFIGS / "duffing_noisy.yaml")
+        raw["acquisition"]["n_max"] = 40
+        result = run_trace(replace(config_from_dict(raw), seed=seed))
+        # the lower fold branch from just above its cusp (1.0352) to the box edge
+        ws, _, F_f = duffing_lower_fold_branch(1.0, 0.02, 0.05, 1.04, 1.45)
+        for p in result.fold_points:
+            g_ref = float(np.interp(p.omega, ws, F_f))
+            assert abs(p.gamma_model - g_ref) / g_ref <= 0.05
 
 
 class TestPrune:

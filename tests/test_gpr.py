@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import yaml
 
 from conftest import TINY_NOISE, duffing_grid_dataset
 from reference_oracles import (cs_mean_derivs, dense_log_marginal, dense_log_marginal_grad,
@@ -12,8 +11,8 @@ from reference_oracles import (cs_mean_derivs, dense_log_marginal, dense_log_mar
 from foldtrack import gpr
 from foldtrack.errors import DuplicatePoint, FactorizationFailure, IndexOutOfRange
 from foldtrack.gpr import (DUPLICATE_TOL, Dataset, FitBounds, Hyperparameters, _cho_solve,
-                           _cholesky, _coincide, _inverse_lower, _LogMarginal, _solve_lower,
-                           build, default_fit_bounds, fit_hyperparameters, kernel,
+                           _cholesky, _coincide, _inverse_lower, _kernel_matrix, _LogMarginal,
+                           _solve_lower, build, default_fit_bounds, fit_hyperparameters,
                            log_marginal)
 from foldtrack.oracles import DuffingParams, duffing_gamma
 
@@ -26,15 +25,6 @@ class TestHyperparameters:
             Hyperparameters(1.0, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             Hyperparameters(1.0, 1.0, math.inf, 1.0)
-
-    def test_dict_round_trip_exact(self):
-        h = Hyperparameters(0.02, 2.02, 0.30, 1.09)
-        assert Hyperparameters.from_dict(h.as_dict()) == h
-
-    def test_yaml_round_trip_exact(self):
-        h = Hyperparameters(1.2345678901234567e-5, 2.02, 0.1 + 0.2, 1.09)
-        loaded = Hyperparameters.from_dict(yaml.safe_load(yaml.safe_dump(h.as_dict())))
-        assert loaded == h
 
 
 class TestDataset:
@@ -173,25 +163,23 @@ class TestLapackHelpers:
 class TestKernel:
     def test_zero_distance_gives_signal_variance(self):
         h = Hyperparameters(0.1, 2.5, 0.3, 1.1)
-        assert kernel((1.2, 3.4), (1.2, 3.4), h) == 2.5
+        assert _kernel_matrix(np.array([[1.2, 3.4]]), np.array([[1.2, 3.4]]), h)[0, 0] == 2.5
 
     def test_unit_case(self):
         h = Hyperparameters(0.1, 1.0, 1.0, 1.0)
-        assert kernel((0.0, 0.0), (1.0, 0.0), h) == pytest.approx(math.exp(-0.5), rel=1e-15)
+        k = _kernel_matrix(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), h)[0, 0]
+        assert k == pytest.approx(math.exp(-0.5), rel=1e-15)
 
     def test_symmetry_exact(self):
         h = Hyperparameters(0.1, 1.7, 0.4, 2.0)
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            x1, x2 = rng.uniform(-3, 3, size=(2, 2))
-            assert kernel(tuple(x1), tuple(x2), h) == kernel(tuple(x2), tuple(x1), h)
+        X1, X2 = np.random.default_rng(3).uniform(-3, 3, size=(2, 100, 2))
+        np.testing.assert_array_equal(_kernel_matrix(X1, X2, h), _kernel_matrix(X2, X1, h).T)
 
     def test_bounded_by_signal_variance(self):
         h = Hyperparameters(0.1, 1.7, 0.4, 2.0)
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            x1, x2 = rng.uniform(-3, 3, size=(2, 2))
-            assert 0.0 < kernel(tuple(x1), tuple(x2), h) <= 1.7
+        X1, X2 = np.random.default_rng(4).uniform(-3, 3, size=(2, 50, 2))
+        K = _kernel_matrix(X1, X2, h)
+        assert np.all(K > 0.0) and np.all(K <= 1.7)
 
 
 class TestBuild:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from reference_oracles import (duffing_fold_amplitudes, duffing_force,
+from reference_oracles import (duffing_fold_amplitudes, duffing_force, isola_gamma_dA,
                                isola_marker_count)
 
 from foldtrack.errors import OutOfDomain
 from foldtrack.geometry import DomainBox
 from foldtrack.oracles import (DuffingOracle, DuffingParams, IsolaOracle, IsolaParams,
-                               ReplayOracle, duffing_gamma, isola_gamma, isola_gamma_dA)
+                               ReplayOracle, duffing_gamma, isola_gamma)
 
 
 class TestDuffingGamma:

@@ -18,7 +18,7 @@ from foldtrack.errors import EmptySliceWarning, NoConvergence
 from foldtrack.geometry import DomainBox
 from foldtrack.gpr import Dataset, Hyperparameters, build
 from foldtrack.oracles import DuffingOracle
-from foldtrack.postprocess import (FoldCurve, curve_distance, dropout_ensemble,
+from foldtrack.postprocess import (FoldCurve, dropout_ensemble,
                                    nlfr_slice, offline_fold_trace, sweep_s_curve)
 
 
@@ -367,14 +367,3 @@ class TestEnsembleProcesses:
         assert [r.run_id for r in res.runs] == [0, 1, 2, 3]
         assert _InProcessPool.sizes == []
 
-
-class TestCurveDistance:
-    def test_identical_curves_zero(self, duffing_hyper):
-        pts = [FoldPoint(1.0 + 0.1 * k, 1.0 + 0.2 * k, 0.5) for k in range(5)]
-        c = FoldCurve(pts)
-        assert curve_distance(c, c, duffing_hyper) == 0.0
-
-    def test_shifted_curve_positive(self, duffing_hyper):
-        a = FoldCurve([FoldPoint(1.0, 1.0, 0.5), FoldPoint(1.1, 1.2, 0.6)])
-        b = FoldCurve([FoldPoint(1.0, 1.45, 0.5), FoldPoint(1.1, 1.65, 0.6)])
-        assert curve_distance(a, b, duffing_hyper) == pytest.approx(1.0, rel=1e-6)

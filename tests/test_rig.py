@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_oracles import fourier_series, lstsq_fourier_coeffs
+from reference_oracles import fourier_series, linear_tip_frf, lstsq_fourier_coeffs
 
 from foldtrack.config import load_config, make_oracle
 from foldtrack.driver import run_trace
@@ -12,7 +12,7 @@ from foldtrack.errors import ControlDiverged
 from foldtrack.geometry import DomainBox
 from foldtrack.postprocess import sweep_s_curve
 from foldtrack.rig import (RigOracle, RigParams, _phasor, _TargetSignal, fourier_coeffs,
-                           linear_tip_frf, update_a1star_mapping)
+                           update_a1star_mapping)
 
 BOX = DomainBox(9.0, 16.0, 0.02, 25.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
