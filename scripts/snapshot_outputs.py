@@ -23,7 +23,9 @@ change moved.  The set:
   `dropout_fraction: 1.5`.
 
 It takes about a minute; the rig runs take most of it.  Every path written
-into a manifest is relative, so OUT may live anywhere.
+into a manifest is relative, so OUT may live anywhere.  numpy's and scipy's
+BLAS run on one thread, as in the CLI, so the bytes do not depend on the
+machine's core count.
 
     python3 scripts/snapshot_outputs.py --compare OUT_A OUT_B
 
@@ -59,6 +61,7 @@ import yaml  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
 
 from foldtrack import csvio  # noqa: E402
+from foldtrack.blas import pin_blas_threads  # noqa: E402
 from foldtrack.cli import main as cli_main  # noqa: E402
 from foldtrack.config import load_config  # noqa: E402
 from foldtrack.continuation import ContinuationConfig  # noqa: E402
@@ -226,6 +229,7 @@ if __name__ == "__main__":
         sys.exit(compare(*args.compare))
     if args.out is None:
         ap.error("give OUT, or --compare A B")
+    pin_blas_threads()
     out = args.out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     traces(out)

@@ -20,7 +20,14 @@ the worst error of the traced fold points against the closed-form locus:
   fold force against the lower fold of `perfbench/locus.py`;
 * `isola`: the largest distance in A to the nearest exact fold amplitude of
   `IsolaParams.fold_amplitudes` at the fold point's frequency;
-* `rig` and `replay`: null, as they have no closed form.
+* `rig`: at each reference frequency of `perfbench/checks.py` (12.8, 12.95,
+  13.1 and 13.25 Hz) that the traced fold curve reaches, read through
+  `checks.interpolate_fold`, |dA| in mm and the relative |dF| of the model's
+  fold against `checks.rig_reference`, the force maximum of a noise-free
+  S-curve sweep.  The reference is swept once per survey.  The start point
+  counts at the start frequency even where the curve, started a hair past
+  it, never crosses it;
+* `replay`: null, as it has no closed form.
 
 A seed whose trace fails before its first fold point (the CLI's exit 2 or
 3) gets the reason `init_failed: <error>` and 0 fold points; the survey
@@ -32,9 +39,12 @@ duplicates plus prunes.  A run that ends with `refresh_failed` or
 `oracle_error` keeps the model from before its last refresh, so the sum
 need not hold there.
 
-The last line is a summary over the seeds: stop-reason counts, totals, and
-oracle calls and rig seconds per fold point.  Nothing is timed, so two
-checkouts give the same output for the same experiment.
+The last line is a summary over the seeds: stop-reason counts, totals,
+oracle calls and rig seconds per fold point, and the worst locus error (for
+the rig, the median and worst of each error per reference frequency).
+Nothing is timed, so two checkouts give the same output for the same
+experiment.  Like the CLI, the survey runs numpy's and scipy's BLAS on one
+thread, so its rows do not depend on the machine's core count.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -52,16 +63,41 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import yaml  # noqa: E402
+from checks import interpolate_fold, rig_reference  # noqa: E402
 from locus import Duffing, lower_fold_errors  # noqa: E402
 
+from foldtrack.blas import pin_blas_threads  # noqa: E402
 from foldtrack.config import config_from_dict, load_raw, make_oracle  # noqa: E402
 from foldtrack.driver import run_trace  # noqa: E402
 from foldtrack.errors import ContinuationError, DuplicatePoint, OracleError  # noqa: E402
 from foldtrack.gpr import GprModel  # noqa: E402
+from foldtrack.rig import RigOracle, RigParams  # noqa: E402
 
 
-def locus_errors(name: str, params, folds) -> dict | None:
-    """Worst error of the fold points against the back-end's closed-form locus."""
+def rig_reference_of(cfg) -> dict:
+    """{omega: (A, F)} force maxima of noise-free sweeps through fresh rigs of `cfg`."""
+    params = RigParams(**{**cfg.oracle.params, "noise_sigma": 0.0})
+    return rig_reference(lambda: RigOracle(params, cfg.oracle.domain_box, seed=0))
+
+
+def rig_locus_errors(folds, reference: dict, start_omega: float) -> dict:
+    """{omega: {A_abs, F_rel}} of the traced folds at each reference frequency reached."""
+    line = [(f.omega, f.A, f.gamma_model) for f in folds]
+    out = {}
+    for omega, (A_ref, F_ref) in reference.items():
+        got = interpolate_fold(line, omega)
+        if got is None and omega == start_omega:
+            got = line[0][1:]
+        if got is not None:
+            out[str(omega)] = {"A_abs": abs(got[0] - A_ref), "F_rel": abs(got[1] - F_ref) / F_ref}
+    return out
+
+
+def locus_errors(cfg, params, folds, reference=None) -> dict | None:
+    """Error of the fold points against the back-end's closed form or rig reference."""
+    name = cfg.oracle.name
+    if name == "rig":
+        return rig_locus_errors(folds, reference, cfg.init.x0_omega)
     if name == "duffing":
         model = Duffing(params.omega_n, params.zeta, params.alpha_3)
         errs = [lower_fold_errors(model, f.omega, f.gamma_model) for f in folds]
@@ -98,8 +134,8 @@ def counting_updates(counts: Counter):
         GprModel.add_point, GprModel.remove_point = add_point, remove_point
 
 
-def survey_row(cfg, seed: int) -> dict:
-    """Trace `cfg` at `seed` and return its survey row."""
+def survey_row(cfg, seed: int, reference: dict | None = None) -> dict:
+    """Trace `cfg` at `seed` and return its survey row; `reference` is the rig's."""
     cfg = replace(cfg, seed=seed)
     oracle = make_oracle(cfg.oracle, run_seed=seed)
     calls = 0
@@ -122,7 +158,7 @@ def survey_row(cfg, seed: int) -> dict:
     return {"seed": seed, "reason": reason, "fold_points": len(folds),
             "oracle_calls": calls, "duplicates": updates["duplicates"],
             "prunes": updates["prunes"], "rig_seconds": getattr(oracle, "_t", None),
-            "locus_error": locus_errors(cfg.oracle.name, oracle.params, folds) if folds else None}
+            "locus_error": locus_errors(cfg, oracle.params, folds, reference) if folds else None}
 
 
 def summary(rows: list[dict]) -> dict:
@@ -135,12 +171,21 @@ def summary(rows: list[dict]) -> dict:
            "duplicates": sum(r["duplicates"] for r in rows),
            "prunes": sum(r["prunes"] for r in rows),
            "oracle_calls_per_fold_point": calls / folds if folds else None}
+    errors = [r["locus_error"] for r in rows if r["locus_error"] is not None]
     if rows and rows[0]["rig_seconds"] is not None:
         seconds = sum(r["rig_seconds"] for r in rows)
         out["rig_seconds"] = seconds
         out["rig_seconds_per_fold_point"] = seconds / folds if folds else None
-    errors = [r["locus_error"] for r in rows if r["locus_error"] is not None]
-    if errors:
+        at = {}
+        for e in errors:
+            for omega, err in e.items():
+                at.setdefault(omega, []).append(err)
+        out["locus_error"] = {
+            omega: {"seeds": len(errs),
+                    **{k: {"median": statistics.median(e[k] for e in errs),
+                           "worst": max(e[k] for e in errs)} for k in ("A_abs", "F_rel")}}
+            for omega, errs in sorted(at.items(), key=lambda kv: float(kv[0]))}
+    elif errors:
         out["worst_locus_error"] = {k: max(e[k] for e in errors) for k in errors[0]}
     return out
 
@@ -174,13 +219,15 @@ def main(argv=None):
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="set a dotted config key; repeatable")
     args = ap.parse_args(argv)
+    pin_blas_threads()
     raw = load_raw(args.config)
     for assignment in args.set:
         set_key(raw, assignment)
     cfg = config_from_dict(raw)
+    reference = rig_reference_of(cfg) if cfg.oracle.name == "rig" else None
     rows = []
     for seed in args.seeds:
-        rows.append(survey_row(cfg, seed))
+        rows.append(survey_row(cfg, seed, reference))
         print(json.dumps(rows[-1]), flush=True)
     print(json.dumps({"summary": summary(rows)}))
 

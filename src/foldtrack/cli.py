@@ -12,6 +12,10 @@ worker processes of the dropout runs, forked where the platform allows,
 and the ensemble's outputs are byte-identical for any count.  trace and
 sweep only record it in the manifest; nlfr and offline ignore it.
 
+Every command runs numpy's and scipy's BLAS on one thread (`blas`), so its
+outputs do not depend on the machine's core count; the manifest records the
+count read back.
+
 Exit codes: 0 success, 1 config error, 2 oracle error, 3 continuation
 failure.  The commands do not catch errors: `EXIT_CODES` maps each error
 they may raise to its exit code, and the `main` group prints it as one
@@ -26,6 +30,7 @@ from pathlib import Path
 import click
 
 from . import csvio
+from .blas import pin_blas_threads
 from .config import (config_from_dict, ensemble_config_from_dict, load_raw, make_oracle,
                      nlfr_config_from_dict, offline_config_from_dict, sweep_config_from_dict)
 from .errors import ConfigError, ContinuationError, MissingInput, OracleError
@@ -67,6 +72,7 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 def main():
     """Fold-curve tracking on GP surrogates with active data collection."""
+    pin_blas_threads()
 
 
 @main.command()

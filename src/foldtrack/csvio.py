@@ -103,12 +103,14 @@ def write_manifest(path, *, config_dict: dict, seed: int, threads: int,
     import scipy
 
     from . import __version__
+    from .blas import blas_threads
 
     manifest = {
         "config": config_dict,
         "config_sha256": config_digest(config_dict),
         "seed": seed,
         "threads": threads,
+        "blas_threads": blas_threads(),
         "status": status,
         "reason": reason,
         "outputs": sorted(outputs),

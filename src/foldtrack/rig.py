@@ -23,6 +23,18 @@ fundamental sine coefficient being pinned to zero as the phase reference.
 The reported force amplitude is sqrt(A1_u^2 + B1_u^2) of the measured force
 record (the applied force plus sensor noise).
 
+A measurement is one fixed-point loop on the reference, as in control-based
+continuation (Barton & Sieber, Phys. Rev. E 87, 052916, 2013).  Its first
+A1* is predicted from the running map of (realized amplitude, A1*) pairs.
+Every simulation then does two things: it sets the higher harmonics of the
+reference from the response record, and it adds its (A, A1*) pair to the
+map.  While the realized amplitude misses the request by more than
+REALIZATION_TOL and fewer than MAX_CORRECTIONS corrections were made, the
+next simulation also runs on the A1* the map predicts.  The loop ends once
+the higher-harmonic residual is below picard_tol and the amplitude hits or
+the corrections are used up, so a correction rides on a simulation the
+harmonics need anyway instead of starting a Picard loop of its own.
+
 The loop keeps running between simulations, as on the hardware.  After each
 recorded window it is locked at that frequency on that window's reference.
 A loop from rest (a fresh rig, or a loop restarted after a saturation trip
@@ -32,8 +44,8 @@ settle then checks convergence period by period: it compares each period's
 fundamental response amplitude with the previous period's and records at
 the first that agrees within settle_rel_tol, or once settle_max_time has
 run.  Picard iteration on a loop locked at its frequency starts from the
-locked higher harmonics instead of zeros, so later realization rounds at
-one frequency start close to their fixed point.  A loop left beyond
+locked higher harmonics instead of zeros, so a later measurement at one
+frequency starts close to its fixed point.  A loop left beyond
 saturation by a trip restarts from rest at its next simulation.
 
 The plant is ZOH-discretized per mode at the sample rate, with the cubic
@@ -60,7 +72,7 @@ nearly diagonal because the window spans whole cycles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -71,8 +83,9 @@ from .oracles import MeasuredPoint, SeededOracle
 
 TWO_PI = 2.0 * math.pi
 # Amplitude realization: A1* is fitted on the last MAPPING_WINDOW (A, A1*)
-# pairs, and a measurement corrects A1* up to MAX_CORRECTIONS times until the
-# realized amplitude is within REALIZATION_TOL (relative) of the request.
+# pairs, and a measurement's Picard loop corrects A1* up to MAX_CORRECTIONS
+# times until the realized amplitude is within REALIZATION_TOL (relative) of
+# the request.
 MAPPING_WINDOW = 30
 REALIZATION_TOL = 0.02
 MAX_CORRECTIONS = 2
@@ -334,38 +347,54 @@ class RigOracle(SeededOracle):
         coeffs = dict(zip("yuf", fits))
         return {"y": y, "u": u, "f": f, "t0": t0}, coeffs
 
-    def picard_noninvasive(self, omega_hz: float, a1_star: float, rng=None):
+    def picard_noninvasive(self, omega_hz: float, a1_star: float, rng=None,
+                           A_target: float | None = None):
         """Cancel higher harmonics of the control signal by Picard iteration.
 
-        Holds A1* fixed and B1* = 0; after convergence returns the realized
-        MeasuredPoint plus the final records and coefficients.  A loop locked
-        at omega_hz starts from its locked higher harmonics, not from zeros.
+        B1* = 0; returns the realized MeasuredPoint of the last simulation
+        plus its records and coefficients.  A loop locked at omega_hz starts
+        from its locked higher harmonics, not from zeros.
+
+        Without A_target, A1* stays at a1_star and the loop returns once the
+        higher-harmonic residual is below picard_tol.  With it, each
+        simulation's (A, A1*) pair joins mapping_history, and while the
+        realized amplitude misses A_target by more than REALIZATION_TOL and
+        fewer than MAX_CORRECTIONS corrections were made, the next
+        simulation also runs on the A1* that update_a1star_mapping predicts
+        from it.  The loop then returns once the residual is below
+        picard_tol and the amplitude hits or the corrections are used up.
         """
         p = self.params
         target = _TargetSignal(omega_hz, p.fourier_modes)
         if self._locked_at(omega_hz):
             _, target.a0, target.A[1:], target.B[1:] = self._lock
         target.A[0] = a1_star
+        corrections = 0
         residual = math.inf
         for _ in range(p.picard_max_iter):
             records, coeffs = self.rig_simulate(omega_hz, a1_star, target=target, rng=rng)
-            _, Au, Bu = coeffs["u"]
-            a0u = coeffs["u"][0]
+            a0u, Au, Bu = coeffs["u"]
             residual = max(abs(a0u) / 2.0,
                            max(math.hypot(Au[j], Bu[j]) for j in range(1, p.fourier_modes)))
-            if residual < p.picard_tol:
-                a0y, Ay, By = coeffs["y"]
-                _, Af, Bf = coeffs["f"]
-                F = math.hypot(Af[0], Bf[0])
-                A_real = math.hypot(Ay[0], By[0])
-                return (MeasuredPoint(omega=omega_hz, A=A_real, F=F, a1_star=a1_star,
-                                      harmonics_residual=residual, seed_state=""),
-                        records, coeffs)
             a0y, Ay, By = coeffs["y"]
+            A_real = math.hypot(Ay[0], By[0])
+            correct = False
+            if A_target is not None:
+                self.mapping_history.append((A_real, a1_star))
+                correct = (corrections < MAX_CORRECTIONS and abs(A_real - A_target)
+                           > REALIZATION_TOL * max(abs(A_target), 1e-9))
+            if residual < p.picard_tol and not correct:
+                _, Af, Bf = coeffs["f"]
+                return (MeasuredPoint(omega=omega_hz, A=A_real, F=math.hypot(Af[0], Bf[0]),
+                                      a1_star=a1_star, harmonics_residual=residual,
+                                      seed_state=""),
+                        records, coeffs)
             target.a0 = a0y
             target.A[1:] = Ay[1:]
-            target.B[0] = 0.0
             target.B[1:] = By[1:]
+            if correct:
+                a1_star = target.A[0] = update_a1star_mapping(self.mapping_history, A_target)
+                corrections += 1
         raise PicardDiverged(
             f"higher-harmonic residual {residual:.4g} N above tol {p.picard_tol} "
             f"after {p.picard_max_iter} iterations at {omega_hz} Hz")
@@ -400,16 +429,9 @@ class RigOracle(SeededOracle):
         """Realize a response of amplitude ~A_target at frequency omega (Hz)."""
         key = self._key(omega, A_target, seed)
         rng = np.random.default_rng((self.seed, key))
-        for _ in range(MAX_CORRECTIONS + 1):
-            a1 = update_a1star_mapping(self.mapping_history, A_target)
-            point, _, _ = self.picard_noninvasive(omega, a1, rng=rng)
-            self.mapping_history.append((point.A, a1))
-            if abs(point.A - A_target) <= REALIZATION_TOL * max(abs(A_target), 1e-9):
-                break
-        return MeasuredPoint(omega=point.omega, A=point.A, F=point.F,
-                             a1_star=point.a1_star,
-                             harmonics_residual=point.harmonics_residual,
-                             seed_state=f"{self.seed}:{key}")
+        a1 = update_a1star_mapping(self.mapping_history, A_target)
+        point, _, _ = self.picard_noninvasive(omega, a1, rng=rng, A_target=A_target)
+        return replace(point, seed_state=f"{self.seed}:{key}")
 
 
 def update_a1star_mapping(history, A_requested: float, window: int = MAPPING_WINDOW) -> float:

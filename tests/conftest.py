@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from foldtrack.blas import pin_blas_threads
 from foldtrack.geometry import DomainBox
 from foldtrack.gpr import Dataset, GprModel, Hyperparameters, build
 from foldtrack.oracles import DuffingOracle, DuffingParams, duffing_gamma
+
+# one BLAS thread, as the CLI runs, so no result depends on the core count
+pin_blas_threads()
 
 # "noise-free" in tests means a numerically negligible noise variance;
 # the hyperparameter type keeps all entries strictly positive.

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from reference_oracles import fourier_series, linear_tip_frf, lstsq_fourier_coeffs
 
+from foldtrack import rig as rig_module
 from foldtrack.config import load_config, make_oracle
 from foldtrack.driver import run_trace
 from foldtrack.errors import ControlDiverged
 from foldtrack.geometry import DomainBox
 from foldtrack.postprocess import sweep_s_curve
-from foldtrack.rig import (RigOracle, RigParams, _phasor, _TargetSignal, fourier_coeffs,
-                           update_a1star_mapping)
+from foldtrack.rig import (MAX_CORRECTIONS, REALIZATION_TOL, RigOracle, RigParams, _phasor,
+                           _TargetSignal, fourier_coeffs, update_a1star_mapping)
 
 BOX = DomainBox(9.0, 16.0, 0.02, 25.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -285,15 +286,15 @@ class TestMeasureRealization:
         assert rig._t == pytest.approx(7.16, rel=1e-12)
 
     def test_pinned_measurement(self):
-        # a whole measurement: a cold first simulation, then Picard and
-        # realization rounds on the locked loop; a rewrite of the loop's
+        # a whole measurement: a cold first simulation, then the one Picard
+        # loop that corrects A1* on the locked loop; a rewrite of the loop's
         # arithmetic must keep these values
         rig = RigOracle(RigParams(noise_sigma=0.05), DomainBox(11.0, 14.0, 0.2, 8.0), seed=7)
         m = rig.measure(12.8, 2.8)
-        assert m.A == pytest.approx(2.775189947922531, rel=1e-12)
-        assert m.F == pytest.approx(1.575663566272941, rel=1e-12)
-        assert m.a1_star == pytest.approx(3.7455387170758536, rel=1e-12)
-        assert m.harmonics_residual == pytest.approx(0.003891043262392992, rel=1e-12)
+        assert m.A == pytest.approx(2.7738749762539006, rel=1e-12)
+        assert m.F == pytest.approx(1.574000316641409, rel=1e-12)
+        assert m.a1_star == pytest.approx(3.7446469957541124, rel=1e-12)
+        assert m.harmonics_residual == pytest.approx(0.00937827271890765, rel=1e-12)
         assert m.seed_state == "7:0"
 
     def test_records_are_float_arrays_of_record_length(self):
@@ -325,8 +326,67 @@ class TestSimulatedPath:
         cfg = replace(load_config(CONFIGS / "rig_trace.yaml"), seed=0)
         rig = make_oracle(cfg.oracle, run_seed=cfg.seed)
         run_trace(cfg, oracle=rig)
-        assert counts == {"rig_simulate": 177, "picard_noninvasive": 114}
-        assert rig._t == pytest.approx(426.237, abs=1e-6)
+        assert counts == {"rig_simulate": 144, "picard_noninvasive": 48}
+        assert rig._t == pytest.approx(356.649, abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def seed0_loops():
+    """rig_trace.yaml seed 0: (A_target, point, A1* corrections) of each Picard loop,
+    and the number of measurements."""
+    loops, measures, predictions = [], [], []
+    mapping, picard, measure = (rig_module.update_a1star_mapping, RigOracle.picard_noninvasive,
+                                RigOracle.measure)
+
+    def counted_mapping(*args, **kw):
+        predictions.append(args[1])
+        return mapping(*args, **kw)
+
+    def recorded_picard(self, omega, a1_star, rng=None, A_target=None):
+        before = len(predictions)
+        out = picard(self, omega, a1_star, rng=rng, A_target=A_target)
+        loops.append((A_target, out[0], len(predictions) - before))
+        return out
+
+    def counted_measure(self, *args, **kw):
+        measures.append(args)
+        return measure(self, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rig_module, "update_a1star_mapping", counted_mapping)
+        mp.setattr(RigOracle, "picard_noninvasive", recorded_picard)
+        mp.setattr(RigOracle, "measure", counted_measure)
+        cfg = replace(load_config(CONFIGS / "rig_trace.yaml"), seed=0)
+        run_trace(cfg, oracle=make_oracle(cfg.oracle, run_seed=cfg.seed))
+    return loops, len(measures)
+
+
+class TestOneLoop:
+    """measure runs one Picard loop, whose simulations also correct A1*."""
+
+    def test_one_picard_loop_per_measurement(self, seed0_loops):
+        loops, n_measures = seed0_loops
+        assert len(loops) == n_measures > 25
+        assert all(A_target is not None for A_target, _, _ in loops)
+
+    def test_each_point_converged_and_realized_or_out_of_corrections(self, seed0_loops):
+        loops, _ = seed0_loops
+        hit = [abs(point.A - A_t) <= REALIZATION_TOL * A_t for A_t, point, _ in loops]
+        corrections = [c for _, _, c in loops]
+        assert all(point.harmonics_residual < RigParams().picard_tol for _, point, _ in loops)
+        assert all(h or c == MAX_CORRECTIONS for h, c in zip(hit, corrections))
+        assert max(corrections) == MAX_CORRECTIONS
+        # some loops hit after a correction, some run out of corrections
+        assert any(h and c > 0 for h, c in zip(hit, corrections))
+        assert not all(hit)
+
+    def test_without_a_target_a1_star_is_held_and_the_map_untouched(self):
+        rig = make_rig(noise_sigma=0.0)
+        rig.measure(12.8, 2.0)
+        history = list(rig.mapping_history)
+        point, _, _ = rig.picard_noninvasive(12.8, 2.7)
+        assert point.a1_star == 2.7
+        assert rig.mapping_history == history
 
 
 class TestMapping:

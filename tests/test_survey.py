@@ -2,7 +2,7 @@ import importlib.util
 import json
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +22,14 @@ def survey(*args):
                          text=True, check=True)
     *rows, last = [json.loads(line) for line in res.stdout.splitlines()]
     return rows, last["summary"]
+
+
+def load_survey(monkeypatch):
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the script puts src and perfbench first
+    spec = importlib.util.spec_from_file_location("survey", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_duffing_row_matches_a_direct_trace():
@@ -64,10 +72,7 @@ def test_every_measurement_is_kept_skipped_or_pruned():
 
 
 def test_counting_updates_counts_refused_duplicates_and_removals(duffing_model, monkeypatch):
-    monkeypatch.setattr(sys, "path", sys.path[:])  # the script puts src and perfbench first
-    spec = importlib.util.spec_from_file_location("survey", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_survey(monkeypatch)
     add_point = GprModel.add_point
     counts = Counter()
     with module.counting_updates(counts):
@@ -76,3 +81,40 @@ def test_counting_updates_counts_refused_duplicates_and_removals(duffing_model, 
         duffing_model.add_point((1.2, 2.2), 0.5).remove_point(0)
     assert counts == {"duplicates": 1, "prunes": 1}
     assert GprModel.add_point is add_point
+
+
+def test_rig_row_holds_the_fold_error_against_the_rig_reference(monkeypatch):
+    config = ROOT / "configs" / "rig_trace.yaml"
+    [row], summary = survey("--config", str(config), "--seeds", "0:1",
+                            "--set", "continuation.max_steps=2")
+    module = load_survey(monkeypatch)
+    raw = load_raw(config)
+    raw["continuation"]["max_steps"] = 2
+    cfg = replace(config_from_dict(raw), seed=0)
+    reference = module.rig_reference_of(cfg)
+    folds = run_trace(cfg, oracle=make_oracle(cfg.oracle, run_seed=0)).fold_points
+    assert row["fold_points"] == len(folds) == 3
+    # the three folds reach 12.8 and 12.95 Hz, not 13.1 Hz
+    assert set(row["locus_error"]) == {"12.8", "12.95"}
+    for omega, err in row["locus_error"].items():
+        A_ref, F_ref = reference[float(omega)]
+        A, F = module.interpolate_fold([(f.omega, f.A, f.gamma_model) for f in folds],
+                                       float(omega)) or (folds[0].A, folds[0].gamma_model)
+        assert err == {"A_abs": abs(A - A_ref), "F_rel": abs(F - F_ref) / F_ref}
+        # perfbench's rig check takes 1 mm and 10%
+        assert err["A_abs"] < 1.0 and err["F_rel"] < 0.1
+    assert summary["locus_error"]["12.8"] == {
+        "seeds": 1, **{k: {"median": v, "worst": v} for k, v in row["locus_error"]["12.8"].items()}}
+
+
+def test_start_point_counts_at_the_start_frequency(monkeypatch):
+    module = load_survey(monkeypatch)
+    Fold = namedtuple("Fold", "omega A gamma_model")
+    reference = {12.8: (2.6, 1.6), 12.95: (2.8, 1.9)}
+    # started a hair above 12.8 Hz and traced upward: the line never crosses 12.8
+    folds = [Fold(12.8 + 1e-9, 2.7, 1.5), Fold(13.0, 3.0, 2.0)]
+    errs = module.rig_locus_errors(folds, reference, start_omega=12.8)
+    assert errs["12.8"] == {"A_abs": abs(2.7 - 2.6), "F_rel": abs(1.5 - 1.6) / 1.6}
+    assert set(errs) == {"12.8", "12.95"}
+    # a start elsewhere counts only where the line reaches
+    assert set(module.rig_locus_errors(folds, reference, start_omega=12.7)) == {"12.95"}
