@@ -94,9 +94,14 @@ def rig_locus_errors(folds, reference: dict, start_omega: float) -> dict:
 
 
 def locus_errors(cfg, params, folds, reference=None) -> dict | None:
-    """Error of the fold points against the back-end's closed form or rig reference."""
+    """Error of the fold points against the back-end's closed form or rig reference.
+
+    A rig `reference` not given is swept here from `cfg`.
+    """
     name = cfg.oracle.name
     if name == "rig":
+        if reference is None:
+            reference = rig_reference_of(cfg)
         return rig_locus_errors(folds, reference, cfg.init.x0_omega)
     if name == "duffing":
         model = Duffing(params.omega_n, params.zeta, params.alpha_3)
@@ -135,7 +140,11 @@ def counting_updates(counts: Counter):
 
 
 def survey_row(cfg, seed: int, reference: dict | None = None) -> dict:
-    """Trace `cfg` at `seed` and return its survey row; `reference` is the rig's."""
+    """Trace `cfg` at `seed` and return its survey row.
+
+    `reference` is the rig's `rig_reference_of(cfg)`; a rig row sweeps it
+    itself when it is not given.
+    """
     cfg = replace(cfg, seed=seed)
     oracle = make_oracle(cfg.oracle, run_seed=seed)
     calls = 0

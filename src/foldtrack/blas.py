@@ -4,12 +4,12 @@ numpy and scipy each load their own OpenBLAS (`scipy_openblas64_` beside
 numpy, `scipy_openblas` beside scipy), and each starts one thread per core.
 A threaded reduction sums in another order, so the same seed and config
 would write other bytes on a machine with another core count, and the
-small matrices of a local model gain nothing from threads.  The CLI, the
-ensemble's worker processes and the scripts therefore pin both copies to
-one thread through the libraries' own `scipy_openblas_set_num_threads*`;
-importing the package changes nothing.  Where a copy is not found beside
-its package (a build that links another BLAS), it is left as it is and
-missing from the counts read back.
+small matrices of a local model gain nothing from threads.  The CLI and
+the scripts therefore pin both copies to one thread through the libraries'
+own `scipy_openblas_set_num_threads*`, and the ensemble's forked worker
+processes inherit the count; importing the package changes nothing.  Where
+a copy is not found beside its package (a build that links another BLAS),
+it is left as it is and missing from the counts read back.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ def blas_threads() -> dict:
     return {package: int(get()) for package, (_, get) in _openblas().items()}
 
 
-def pin_blas_threads(n: int = 1) -> dict:
-    """Run numpy's and scipy's OpenBLAS on n threads; returns the counts read back."""
+def pin_blas_threads() -> dict:
+    """Run numpy's and scipy's OpenBLAS on one thread; returns the counts read back."""
     for set_threads, _ in _openblas().values():
-        set_threads(ctypes.c_int(n))
+        set_threads(ctypes.c_int(1))
     return blas_threads()

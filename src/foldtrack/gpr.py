@@ -132,9 +132,7 @@ class Dataset:
     rows before it, `append` checks the new input against the others in
     O(n), so a dataset grown by `append` passes the constructor's check;
     `take` and `drop` check nothing, because a subset kept in order only
-    shrinks the spreads.  The column minima and maxima of the inputs are
-    kept with the arrays: `append` updates them from the new input and
-    `duplicate_of` reads them, so neither scans the inputs for a spread.
+    shrinks the spreads.
     """
 
     X: np.ndarray  # (n, 2) columns omega, A
@@ -157,19 +155,7 @@ class Dataset:
         F.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "F", F)
-        self._set_range()
         self._check_duplicates()
-
-    def _set_range(self, lo: np.ndarray | None = None, hi: np.ndarray | None = None):
-        """Keep the column minima lo and maxima hi of X, taken from X if not given.
-
-        An empty dataset keeps +inf and -inf, which the first input replaces.
-        """
-        if lo is None:
-            lo = self.X.min(axis=0) if self.n else np.full(2, np.inf)
-            hi = self.X.max(axis=0) if self.n else np.full(2, -np.inf)
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
 
     def _check_duplicates(self):
         if self.n < 2:
@@ -183,17 +169,13 @@ class Dataset:
                                  f"within duplicate tolerance")
 
     @classmethod
-    def _trusted(cls, X: np.ndarray, F: np.ndarray, lo=None, hi=None) -> "Dataset":
-        """Wrap fresh arrays already known to form a valid dataset, unchecked.
-
-        lo and hi are X's column minima and maxima, taken from X if not given.
-        """
+    def _trusted(cls, X: np.ndarray, F: np.ndarray) -> "Dataset":
+        """Wrap fresh arrays already known to form a valid dataset, unchecked."""
         ds = object.__new__(cls)
         X.setflags(write=False)
         F.setflags(write=False)
         object.__setattr__(ds, "X", X)
         object.__setattr__(ds, "F", F)
-        ds._set_range(lo, hi)
         return ds
 
     @property
@@ -207,15 +189,12 @@ class Dataset:
     def append(self, x, F_value: float) -> "Dataset":
         x = np.asarray(x, dtype=float).reshape(1, 2)
         F_value = float(F_value)
-        if not (math.isfinite(x[0, 0]) and math.isfinite(x[0, 1]) and math.isfinite(F_value)):
+        if not (np.all(np.isfinite(x)) and math.isfinite(F_value)):
             raise ValueError(f"non-finite sample {x.ravel().tolist()}, {F_value}")
-        lo, hi = np.minimum(self._lo, x[0]), np.maximum(self._hi, x[0])
-        hits = _coincide(self.X, x, (hi - lo)[None, :])[0]
-        if hits.any():
-            raise DuplicatePoint(f"input {x.ravel().tolist()} duplicates training input "
-                                 f"{int(hits.argmax())}")
-        return Dataset._trusted(np.concatenate((self.X, x)),
-                                np.concatenate((self.F, (F_value,))), lo, hi)
+        i = int(self.duplicate_of(x)[0])
+        if i >= 0:
+            raise DuplicatePoint(f"input {x.ravel().tolist()} duplicates training input {i}")
+        return Dataset._trusted(np.vstack([self.X, x]), np.append(self.F, F_value))
 
     def duplicate_of(self, C) -> np.ndarray:
         """For each row of C, the first training input it duplicates, or -1; O(n*m).
@@ -226,7 +205,8 @@ class Dataset:
         C = np.reshape(np.asarray(C, dtype=float), (-1, 2))
         if self.n == 0:
             return np.full(len(C), -1)
-        hits = _coincide(self.X, C, np.maximum(self._hi, C) - np.minimum(self._lo, C))
+        hits = _coincide(self.X, C, np.maximum(self.X.max(axis=0), C)
+                         - np.minimum(self.X.min(axis=0), C))
         return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
 
     def take(self, rows) -> "Dataset":

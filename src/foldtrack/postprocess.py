@@ -22,7 +22,6 @@ from functools import partial
 
 import numpy as np
 
-from .blas import pin_blas_threads
 from .continuation import (ContinuationConfig, FoldPoint, Tangent, find_first_fold, follow,
                            in_data_cloud, tangent_at)
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
@@ -296,9 +295,10 @@ def _map_runs(one_run, n_runs: int, workers: int) -> list[EnsembleRun]:
     ones would import numpy, scipy and foldtrack again on every call; each
     task pickles one_run with its run id, and each result comes back
     pickled.  A forked child holds only the calling thread, so no other
-    thread of the caller may hold a lock the runs need.  A worker pins its
-    BLAS to one thread before each run.  The pool machinery
-    is imported here, so that importing the package does not pay for it.
+    thread of the caller may hold a lock the runs need, and it inherits the
+    caller's BLAS thread count, which the CLI pins to one.  The pool
+    machinery is imported here, so that importing the package does not pay
+    for it.
     """
     if workers > 1:
         import multiprocessing
@@ -306,11 +306,5 @@ def _map_runs(one_run, n_runs: int, workers: int) -> list[EnsembleRun]:
             from concurrent.futures.process import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=multiprocessing.get_context("fork")) as pool:
-                return list(pool.map(partial(_pinned_run, one_run), range(n_runs)))
+                return list(pool.map(one_run, range(n_runs)))
     return [one_run(run_id) for run_id in range(n_runs)]
-
-
-def _pinned_run(one_run, run_id: int) -> EnsembleRun:
-    """one_run in a worker process, with the worker's BLAS pinned to one thread."""
-    pin_blas_threads()
-    return one_run(run_id)

@@ -61,37 +61,6 @@ class TestDataset:
             assert sub.X.shape == (size, 2) and not sub.X.flags.writeable
         assert np.array_equal(ds.drop(7).X, np.delete(ds.X, 7, axis=0))
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_kept_spreads_give_the_duplicate_booleans_of_fresh_ones(self, seed):
-        # the spreads are those of the inputs together with the candidate, each
-        # taken afresh from the arrays here; the dataset keeps them across append
-        def fresh(X, C):
-            s = np.maximum(X.max(axis=0), C) - np.minimum(X.min(axis=0), C)
-            hits = _coincide(X, C, s)
-            return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
-
-        rng = np.random.default_rng(seed)
-        scale = rng.uniform(0.1, 10.0, size=2)
-        ds = Dataset.empty()
-        for _ in range(40):
-            x = rng.uniform(size=2) * scale
-            if ds.n and rng.uniform() < 0.3:  # near an input, on either side of the edge
-                x = ds.X[rng.integers(ds.n)] + DUPLICATE_TOL * rng.uniform(-1.5, 1.5, 2) \
-                    * (np.ptp(ds.X, axis=0) + (ds.n == 1))
-            expected = fresh(ds.X, x[None, :])[0] if ds.n else -1
-            try:
-                ds = ds.append(x, 0.0)
-                assert expected == -1
-            except DuplicatePoint:
-                assert expected >= 0
-            C = np.concatenate([rng.uniform(-0.5, 1.5, size=(20, 2)) * scale,
-                                ds.X[rng.integers(ds.n, size=5)]
-                                + DUPLICATE_TOL * rng.uniform(-1.0, 1.0, (5, 2)) * scale])
-            assert np.array_equal(ds.duplicate_of(C), fresh(ds.X, C))
-            sub = ds.take(np.flatnonzero(rng.uniform(size=ds.n) < 0.7))
-            if sub.n:
-                assert np.array_equal(sub.duplicate_of(C), fresh(sub.X, C))
-
     @pytest.mark.parametrize("rows", [[3, 1], [1, 1], [-1, 2], [0, 60]])
     def test_take_refuses_rows_out_of_order_or_range(self, rows):
         rng = np.random.default_rng(9)

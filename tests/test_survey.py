@@ -94,6 +94,7 @@ def test_rig_row_holds_the_fold_error_against_the_rig_reference(monkeypatch):
     reference = module.rig_reference_of(cfg)
     folds = run_trace(cfg, oracle=make_oracle(cfg.oracle, run_seed=0)).fold_points
     assert row["fold_points"] == len(folds) == 3
+    assert module.survey_row(cfg, 0) == row  # sweeps the reference itself
     # the three folds reach 12.8 and 12.95 Hz, not 13.1 Hz
     assert set(row["locus_error"]) == {"12.8", "12.95"}
     for omega, err in row["locus_error"].items():
