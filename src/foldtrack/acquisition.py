@@ -1,7 +1,7 @@
 """Active selection of the next measurement around the current fold solution.
 
-Candidates are drawn area-uniformly from an ellipse whose semi-axes default
-to twice the kernel length scales.  Every candidate of a round is scored
+Candidates are drawn area-uniformly from an ellipse whose semi-axes are
+twice the kernel length scales.  Every candidate of a round is scored
 by beta, the shift of the fold-condition value at the current solution
 caused by adding an artificial measurement (posterior mean plus one
 standard deviation) at the candidate, in closed form; one triangular solve
@@ -45,8 +45,6 @@ class AcquisitionConfig:
     n_test: int = 50
     beta_tol: float = 4e-2
     n_max: int = 100
-    ellipse_semi_omega: float | None = None  # None -> 2 * l_omega
-    ellipse_semi_A: float | None = None      # None -> 2 * l_A
     max_points_per_step: int = 10
 
     def __post_init__(self):
@@ -56,14 +54,6 @@ class AcquisitionConfig:
             raise ValueError("beta_tol must be positive")
         if self.n_max < 1 or self.max_points_per_step < 1:
             raise ValueError("n_max and max_points_per_step must be >= 1")
-        for a in (self.ellipse_semi_omega, self.ellipse_semi_A):
-            if a is not None and a < 0.0:
-                raise ValueError("ellipse semi-axes must be non-negative")
-
-    def semi_axes(self, hyper) -> tuple[float, float]:
-        a = 2.0 * hyper.l_omega if self.ellipse_semi_omega is None else self.ellipse_semi_omega
-        b = 2.0 * hyper.l_A if self.ellipse_semi_A is None else self.ellipse_semi_A
-        return a, b
 
 
 @dataclass
@@ -85,22 +75,17 @@ class ImproveResult:
     beta_max_final: float = 0.0
 
 
-def generate_candidates(center, cfg: AcquisitionConfig, rng_seed, hyper=None,
+def generate_candidates(center, cfg: AcquisitionConfig, rng_seed, hyper,
                         domain_box: DomainBox | None = None) -> list[tuple[float, float]]:
-    """Exactly n_test inputs, area-uniform in the ellipse around `center`.
+    """Exactly n_test inputs, area-uniform in the ellipse around `center`
+    whose semi-axes are twice `hyper`'s length scales.
 
     Points falling outside the domain box are redrawn; raises
     DomainExhausted when the admissible part of the ellipse is too small.
     Deterministic for a given rng_seed.
     """
     c_omega, c_A = (center.omega, center.A) if isinstance(center, FoldPoint) else (center[0], center[1])
-    a, b = cfg.semi_axes(hyper)
-
-    if a == 0.0 and b == 0.0:
-        if domain_box is not None and not domain_box.contains(c_omega, c_A):
-            raise DomainExhausted("degenerate ellipse centre lies outside the domain box")
-        return [(c_omega, c_A)] * cfg.n_test
-
+    a, b = 2.0 * hyper.l_omega, 2.0 * hyper.l_A
     rng = np.random.default_rng(rng_seed)
     out: list[tuple[float, float]] = []
     max_draws = 400 * cfg.n_test + 400

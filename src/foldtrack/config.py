@@ -23,6 +23,8 @@ from .continuation import ContinuationConfig
 from .errors import ConfigError
 from .geometry import DomainBox
 from .gpr import FitBounds, Hyperparameters
+from .oracles import (ISOLA_DOMAIN, DuffingOracle, DuffingParams, IsolaOracle, IsolaParams,
+                      ReplayOracle)
 
 
 # Scalar readers.  Each refuses what bool() or int() would coerce: bool("false") is
@@ -67,6 +69,14 @@ def _mapping(v) -> dict:
     return dict(v)
 
 
+def _units(v) -> dict:
+    """A mapping of strings to strings, with null read as an empty one."""
+    v = _mapping(v)
+    if not all(isinstance(s, str) for item in v.items() for s in item):
+        raise ValueError("expected a mapping of strings to strings")
+    return v
+
+
 def _optional(read):
     """`read`, with null read as None."""
     return lambda v: None if v is None else read(v)
@@ -84,14 +94,12 @@ def _list(read, n=None):
 # One table per config section: each key and the reader that parses its
 # value.  A parser passes on only the keys a config gives, so every default
 # lives in its dataclass alone, and `to_dict` writes back the same keys.
-CONTINUATION_KEYS = {"h": _float, "h_min": _float, "h_max": _float, "newton_tol": _float,
-                     "newton_max_iter": _int, "max_steps": _int}
-ACQUISITION_KEYS = {"n_test": _int, "beta_tol": _float, "n_max": _int,
-                    "ellipse_semi_omega": _optional(_float),
-                    "ellipse_semi_A": _optional(_float), "max_points_per_step": _int}
-HYPER_FLAG_KEYS = {"fit": _bool, "refit_each_step": _bool, "n_starts": _int}
+CONTINUATION_KEYS = {"h": _float, "h_max": _float, "max_steps": _int}
+ACQUISITION_KEYS = {"n_test": _int, "beta_tol": _float, "n_max": _int, "max_points_per_step": _int}
+HYPER_FLAG_KEYS = {"refit_each_step": _bool}
 SEED_THREADS_KEYS = {"seed": _seed, "threads": _int}
 RUN_KEYS = {**SEED_THREADS_KEYS, "measure_at_solution": _bool}
+UNITS_KEYS = {"units": _units}
 SWEEP_KEYS = {k: _float for k in ("omega_start", "omega_stop", "omega_step",
                                   "A_start", "A_stop", "A_step")}
 NLFR_KEYS = {"gamma_level": _float, "band": _float}
@@ -99,7 +107,7 @@ ENSEMBLE_KEYS = {"n_runs": _int, "dropout_fraction": _float, "fit_n_starts": _in
                  "max_steps": _int, **SEED_THREADS_KEYS}
 OFFLINE_KEYS = {"x0": _optional(_list(_float, 2)), "max_steps": _int, "h": _float,
                 "h_max": _float, "seed": _seed}
-ORACLE_KEYS = {"params": _mapping, "seed": _optional(_seed)}
+ORACLE_KEYS = {"params": _mapping}
 INIT_KEYS = {"grid_shape": _list(_int, 2)}
 X0_KEYS = {"omega": _float, "A": _float}
 HALF_WIDTH_KEYS = {"omega": _optional(_float), "A": _optional(_float)}
@@ -163,7 +171,6 @@ class OracleSpec:
     name: str
     params: dict = field(default_factory=dict)
     domain_box: DomainBox | None = None
-    seed: int | None = None
 
     KNOWN = ("duffing", "isola", "rig", "replay")
 
@@ -173,8 +180,7 @@ class OracleSpec:
 
     def to_dict(self) -> dict:
         return {"name": self.name, "params": dict(self.params),
-                "domain_box": self.domain_box.as_dict() if self.domain_box else None,
-                "seed": self.seed}
+                "domain_box": self.domain_box.as_dict() if self.domain_box else None}
 
 
 @dataclass(frozen=True)
@@ -204,9 +210,7 @@ class InitConfig:
 class HyperConfig:
     init: Hyperparameters
     bounds: FitBounds | None = None
-    fit: bool = True
     refit_each_step: bool = False
-    n_starts: int = 5
 
 
 @dataclass(frozen=True)
@@ -254,16 +258,19 @@ def _parse_hyper(d, where) -> Hyperparameters:
 
 
 def _parse_oracle(raw: dict) -> OracleSpec:
+    """The oracle section; an isola oracle without a domain box gets ISOLA_DOMAIN."""
     _require_keys(raw, {"name", "domain_box", *ORACLE_KEYS}, {"name"}, "oracle")
     where = "oracle.domain_box"
-    box = _checked(where, DomainBox, **_section(raw["domain_box"], BOX_KEYS, where, BOX_KEYS)) \
-        if raw.get("domain_box") else None
+    if raw.get("domain_box"):
+        box = _checked(where, DomainBox, **_section(raw["domain_box"], BOX_KEYS, where, BOX_KEYS))
+    else:
+        box = ISOLA_DOMAIN if raw["name"] == "isola" else None
     return OracleSpec(name=raw["name"], domain_box=box, **_read(raw, ORACLE_KEYS, "oracle"))
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     _require_keys(raw, {"oracle", "init", "hyperparameters", "continuation",
-                        "acquisition", "units", *RUN_KEYS},
+                        "acquisition", *RUN_KEYS, *UNITS_KEYS},
                   {"oracle", "init", "hyperparameters"}, "config")
 
     oracle = _parse_oracle(raw["oracle"])
@@ -288,13 +295,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     acq = _checked("acquisition", AcquisitionConfig,
                    **_section(raw.get("acquisition") or {}, ACQUISITION_KEYS, "acquisition"))
 
-    units = raw.get("units") or {}
-    if not isinstance(units, dict):
-        raise ConfigError("units must be a mapping of field name to unit string")
-
     return RunConfig(oracle=oracle, init=init, hyper=hyper, continuation=cont,
-                     acquisition=acq, units={str(k): str(v) for k, v in units.items()},
-                     **_read(raw, RUN_KEYS, "config"))
+                     acquisition=acq, **_read(raw, {**RUN_KEYS, **UNITS_KEYS}, "config"))
 
 
 def load_config(path) -> RunConfig:
@@ -406,12 +408,12 @@ class OfflineConfig:
 
 
 def sweep_config_from_dict(raw: dict) -> SweepConfig:
-    _require_keys(raw, {"oracle", "sweep", "units", *SEED_THREADS_KEYS},
+    _require_keys(raw, {"oracle", "sweep", *SEED_THREADS_KEYS, *UNITS_KEYS},
                   {"oracle", "sweep"}, "sweep config")
     sweep = _section(raw["sweep"], SWEEP_KEYS, "sweep",
                      {"omega_start", "omega_stop", "A_start", "A_stop"})
-    return SweepConfig(oracle=_parse_oracle(raw["oracle"]), units=dict(raw.get("units") or {}),
-                       **sweep, **_read(raw, SEED_THREADS_KEYS, "config"))
+    return SweepConfig(oracle=_parse_oracle(raw["oracle"]), **sweep,
+                       **_read(raw, {**SEED_THREADS_KEYS, **UNITS_KEYS}, "config"))
 
 
 def nlfr_config_from_dict(raw: dict) -> NlfrConfig:
@@ -454,23 +456,18 @@ def load_raw(path) -> dict:
 
 
 def make_oracle(spec: OracleSpec, run_seed: int = 0, base_dir: Path | None = None):
-    """Instantiate the measurement back-end named by the config."""
-    from .oracles import (DuffingOracle, DuffingParams, IsolaOracle, IsolaParams,
-                          ISOLA_DOMAIN, ReplayOracle)
-
-    if spec.domain_box is None and spec.name in ("duffing", "rig"):
+    """Instantiate the measurement back-end named by the config, seeded by `run_seed`."""
+    if spec.domain_box is None and spec.name != "replay":
         raise ConfigError(f"{spec.name} oracle requires oracle.domain_box")
-    seed = spec.seed if spec.seed is not None else run_seed
     params = dict(spec.params)
     try:
         if spec.name == "duffing":
-            return DuffingOracle(DuffingParams(**params), spec.domain_box, seed=seed)
+            return DuffingOracle(DuffingParams(**params), spec.domain_box, seed=run_seed)
         if spec.name == "isola":
-            return IsolaOracle(IsolaParams(**params),
-                               spec.domain_box or ISOLA_DOMAIN, seed=seed)
+            return IsolaOracle(IsolaParams(**params), spec.domain_box, seed=run_seed)
         if spec.name == "rig":
             from .rig import RigOracle, RigParams
-            return RigOracle(RigParams(**params), spec.domain_box, seed=seed)
+            return RigOracle(RigParams(**params), spec.domain_box, seed=run_seed)
         if spec.name == "replay":
             from .csvio import read_dataset_csv
             path = Path(params.pop("path"))

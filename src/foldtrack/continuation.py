@@ -43,6 +43,13 @@ CLOUD_MIN_POINTS = 3
 _MAX_NEWTON_STEP = 1.0  # length scales per iteration
 _MAX_BACKTRACKS = 8
 
+# The floor of the step size h, in length scales, and the corrector's
+# tolerance and iteration budget.  The tolerance bounds the dimensionless
+# residuals, so one value serves desk-scale and rig-scale units.
+H_MIN = 1e-3
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 20
+
 
 @dataclass(frozen=True)
 class FoldPoint:
@@ -72,27 +79,22 @@ class Tangent:
 
 @dataclass(frozen=True)
 class ContinuationConfig:
-    """Step sizes, corrector tolerance, domain box and the step budget.
+    """Step sizes, domain box and the step budget.
 
     `max_steps` counts accepted steps, online and offline alike; attempts
     rejected on the way to an accepted step do not use it up.
     """
 
     h: float = 0.1
-    h_min: float = 1e-3
     h_max: float = 0.5
-    newton_tol: float = 1e-8
-    newton_max_iter: int = 20
     domain_box: DomainBox | None = None
     max_steps: int = 50
 
     def __post_init__(self):
-        if not (0.0 < self.h_min <= self.h <= self.h_max):
-            raise ValueError("need 0 < h_min <= h <= h_max")
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
-        if self.newton_max_iter < 1 or self.max_steps < 0:
-            raise ValueError("newton_max_iter >= 1 and max_steps >= 0 required")
+        if not H_MIN <= self.h <= self.h_max:
+            raise ValueError(f"need H_MIN ({H_MIN}) <= h <= h_max")
+        if self.max_steps < 0:
+            raise ValueError("max_steps >= 0 required")
 
 
 # -- zero problem -----------------------------------------------------------
@@ -154,7 +156,7 @@ def _damped_step(model, u, v, du, dv, box):
 
 # -- operations -------------------------------------------------------------
 
-def find_first_fold(model: GprModel, x0, cfg: ContinuationConfig = ContinuationConfig()) -> FoldPoint:
+def find_first_fold(model: GprModel, x0, cfg: ContinuationConfig) -> FoldPoint:
     """The fold at x0's omega: `correct` from x0 with tangent (1, 0) and h = 0.
 
     That arclength constraint freezes omega, so each Newton step moves A
@@ -219,11 +221,11 @@ def correct(model: GprModel, x_pred, x_prev, t_prev: Tangent, h: float,
     if not _admissible(model, u, v, cfg.domain_box):
         raise LeftDataCloud("predicted point is outside the data cloud or domain box")
 
-    for it in range(cfg.newton_max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         r1, (j11, j12) = _scaled_system(model, u, v)
         r2 = t_prev.t_omega * (u - up) + t_prev.t_A * (v - vp) - h
         res = max(abs(r1), abs(r2))
-        if res < cfg.newton_tol:
+        if res < NEWTON_TOL:
             omega, A = u * hyp.l_omega, v * hyp.l_A
             point = FoldPoint(omega, A, model.predict_mean((omega, A)))
             return CorrectResult(point, it, res)
@@ -236,8 +238,8 @@ def correct(model: GprModel, x_pred, x_prev, t_prev: Tangent, h: float,
         du = (-r1 * t_prev.t_A + r2 * j12) / det
         dv = (-r2 * j11 + r1 * t_prev.t_omega) / det
         u, v = _damped_step(model, u, v, du, dv, cfg.domain_box)
-    raise NoConvergence(f"corrector did not reach tol={cfg.newton_tol} "
-                        f"in {cfg.newton_max_iter} iterations")
+    raise NoConvergence(f"corrector did not reach tol={NEWTON_TOL} "
+                        f"in {NEWTON_MAX_ITER} iterations")
 
 
 # -- stepper ----------------------------------------------------------------
@@ -259,8 +261,8 @@ def advance(model: GprModel, fold: FoldPoint, prev: Tangent | None, h: float,
 
     The tangent at `fold` is oriented along `prev`.  A prediction outside the
     domain box, and a corrector that fails with NoConvergence or
-    LeftDataCloud, halve h (floor h_min) and retry.  Raises StepUnderflow
-    when h is already h_min, as DomainExit when that last attempt's
+    LeftDataCloud, halve h (floor H_MIN) and retry.  Raises StepUnderflow
+    when h is already H_MIN, as DomainExit when that last attempt's
     prediction left the box, and SingularJacobian at a cusp; the model is
     never changed.
 
@@ -281,11 +283,11 @@ def advance(model: GprModel, fold: FoldPoint, prev: Tangent | None, h: float,
                 h_next = min(1.2 * h, cfg.h_max, 1.0) if result.iterations <= 3 \
                     else min(h, cfg.h_max)
                 return Step(result, tangent, h, h_next)
-        if h <= cfg.h_min * (1.0 + 1e-12):
+        if h <= H_MIN * (1.0 + 1e-12):
             if outside:
-                raise DomainExit(f"predictions leave the domain box down to h_min={cfg.h_min}")
-            raise StepUnderflow(f"step size would fall below h_min={cfg.h_min}")
-        h = max(0.5 * h, cfg.h_min)
+                raise DomainExit(f"predictions leave the domain box down to H_MIN={H_MIN}")
+            raise StepUnderflow(f"step size would fall below H_MIN={H_MIN}")
+        h = max(0.5 * h, H_MIN)
 
 
 def follow(model: GprModel, fold: FoldPoint, tangent: Tangent, cfg: ContinuationConfig,

@@ -115,9 +115,9 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
     ccfg = cfg.continuation
 
     dataset = measure_init_grid(oracle, cfg, cfg.hyper.init)
-    if cfg.hyper.fit and dataset.n >= 5:
+    if dataset.n >= 5:
         hyper = fit_hyperparameters(dataset, cfg.hyper.init, bounds=cfg.hyper.bounds,
-                                    n_starts=cfg.hyper.n_starts, seed=cfg.seed)
+                                    seed=cfg.seed)
     else:
         hyper = cfg.hyper.init
     model = build(dataset, hyper)

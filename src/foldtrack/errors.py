@@ -46,7 +46,7 @@ class SingularJacobian(ContinuationError):
 
 
 class StepUnderflow(ContinuationError):
-    """Step-size control would shrink h below h_min."""
+    """Step-size control would shrink h below continuation.H_MIN."""
 
 
 class DomainExit(StepUnderflow):

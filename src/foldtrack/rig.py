@@ -434,13 +434,14 @@ class RigOracle(SeededOracle):
         return replace(point, seed_state=f"{self.seed}:{key}")
 
 
-def update_a1star_mapping(history, A_requested: float, window: int = MAPPING_WINDOW) -> float:
+def update_a1star_mapping(history, A_requested: float) -> float:
     """Predict the reference coefficient A1* that realizes a requested amplitude.
 
-    Least-squares linear fit A1* = c0 + c1 A over the most recent `window`
-    pairs; proportional fallback with fewer than two (or degenerate) points.
+    Least-squares linear fit A1* = c0 + c1 A over the most recent
+    MAPPING_WINDOW pairs; proportional fallback with fewer than two (or
+    degenerate) points.
     """
-    pts = list(history)[-window:]
+    pts = list(history)[-MAPPING_WINDOW:]
     if len(pts) >= 2:
         A = np.array([p[0] for p in pts])
         a1 = np.array([p[1] for p in pts])

@@ -19,7 +19,7 @@ from foldtrack.errors import CollectionCap, ContinuationError, DomainExhausted
 from foldtrack.geometry import DomainBox
 from foldtrack.gpr import Dataset, GprModel, build
 
-CCFG = ContinuationConfig(h=0.1, h_min=1e-3, h_max=0.3, newton_tol=1e-8)
+CCFG = ContinuationConfig(h=0.1, h_max=0.3)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -29,16 +29,9 @@ def fold(duffing_model):
 
 
 class TestGenerateCandidates:
-    def test_degenerate_ellipse_returns_center(self):
-        cfg = AcquisitionConfig(n_test=1, beta_tol=0.01,
-                                ellipse_semi_omega=0.0, ellipse_semi_A=0.0)
-        pts = generate_candidates((1.0, 2.0), cfg, rng_seed=0)
-        assert pts == [(1.0, 2.0)]
-
     def test_all_candidates_inside_ellipse(self, duffing_hyper):
         cfg = AcquisitionConfig(n_test=50, beta_tol=0.01)
-        a, b = cfg.semi_axes(duffing_hyper)
-        assert a == 2 * duffing_hyper.l_omega and b == 2 * duffing_hyper.l_A
+        a, b = 2 * duffing_hyper.l_omega, 2 * duffing_hyper.l_A
         pts = generate_candidates((1.1, 1.4), cfg, rng_seed=3, hyper=duffing_hyper)
         assert len(pts) == 50
         for om, A in pts:
@@ -46,13 +39,13 @@ class TestGenerateCandidates:
 
     def test_empirical_mean_near_center(self, duffing_hyper):
         cfg = AcquisitionConfig(n_test=50, beta_tol=0.01)
-        a, _ = cfg.semi_axes(duffing_hyper)
+        a = 2 * duffing_hyper.l_omega
         pts = np.array(generate_candidates((1.1, 1.4), cfg, rng_seed=3, hyper=duffing_hyper))
         assert abs(pts[:, 0].mean() - 1.1) < 0.15 * a
 
     def test_area_uniform_radial_distribution(self, duffing_hyper):
         cfg = AcquisitionConfig(n_test=4000, beta_tol=0.01)
-        a, b = cfg.semi_axes(duffing_hyper)
+        a, b = 2 * duffing_hyper.l_omega, 2 * duffing_hyper.l_A
         pts = np.array(generate_candidates((1.1, 1.4), cfg, rng_seed=9, hyper=duffing_hyper))
         r2 = ((pts[:, 0] - 1.1) / a) ** 2 + ((pts[:, 1] - 1.4) / b) ** 2
         # for an area-uniform draw, P(r^2 <= q) = q

@@ -324,8 +324,8 @@ def _small_config(tmp_path, command):
 
 class TestUnreadableInputs:
     # each edit maps a dotted key path to its value; a value the command cannot
-    # take ends in one error line that names the key, not in a traceback or a
-    # silently coerced value
+    # take, or a key its section does not have, ends in one error line that names
+    # the key, not in a traceback or a silently coerced value
     @pytest.mark.parametrize("command, edit", [
         ("trace", {"seed": "x"}),
         ("offline", {"max_steps": "many"}),
@@ -334,13 +334,12 @@ class TestUnreadableInputs:
         ("trace", {"init.grid_shape": ["a", 5]}),
         ("trace", {"init.half_widths.A": "wide"}),
         ("trace", {"init.half_widths.omega": 0}),
-        ("trace", {"oracle.seed": "s"}),
         ("trace", {"oracle.params.zeta": -1}),
         ("offline", {"h": 0.5, "h_max": 0.1}),
         ("ensemble", {"max_steps": -3}),
         ("sweep", {"sweep.omega_step": 0}),
         ("trace", {"measure_at_solution": "false"}),
-        ("trace", {"hyperparameters.fit": "no"}),
+        ("trace", {"hyperparameters.refit_each_step": "no"}),
         ("trace", {"seed": 2.7}),
         ("trace", {"continuation.max_steps": 2.9}),
         ("trace", {"seed": True}),
@@ -358,12 +357,19 @@ class TestUnreadableInputs:
         ("offline", {"seed": -1}),
         ("ensemble", {"seed": -1}),
         ("sweep", {"seed": -1}),
-        ("trace", {"oracle.seed": -1}),
         ("trace", {"oracle.params": "abc"}),
         ("sweep", {"oracle.params": [["zeta", 0.02]]}),
+        ("trace", {"continuation.h_min": 1e-3}),
+        ("trace", {"acquisition.ellipse_semi_A": 0.9}),
+        ("trace", {"hyperparameters.n_starts": 5}),
+        ("trace", {"oracle.seed": 3}),
+        ("sweep", {"units": 5}),
+        ("sweep", {"units": "Hz"}),
+        ("sweep", {"units": ["Hz"]}),
+        ("trace", {"units": {"omega": 5}}),
     ], ids=["trace_seed", "offline_max_steps", "offline_x0_mapping", "trace_x0_string",
             "trace_grid_shape_string", "trace_half_width_string", "trace_half_width_zero",
-            "trace_oracle_seed_string", "trace_oracle_param_rejected", "offline_h_above_h_max",
+            "trace_oracle_param_rejected", "offline_h_above_h_max",
             "ensemble_max_steps_negative", "sweep_omega_step_zero",
             "trace_measure_at_solution_string", "trace_fit_string", "trace_seed_fraction",
             "trace_max_steps_fraction", "trace_seed_bool", "sweep_omega_step_negative",
@@ -371,8 +377,10 @@ class TestUnreadableInputs:
             "sweep_threads_zero", "ensemble_threads_zero", "ensemble_n_runs_zero",
             "ensemble_fit_n_starts_zero", "offline_dataset_list", "nlfr_datasets_string",
             "trace_seed_negative", "offline_seed_negative", "ensemble_seed_negative",
-            "sweep_seed_negative", "trace_oracle_seed_negative", "trace_oracle_params_string",
-            "sweep_oracle_params_pairs"])
+            "sweep_seed_negative", "trace_oracle_params_string", "sweep_oracle_params_pairs",
+            "trace_h_min_unknown", "trace_ellipse_semi_A_unknown", "trace_n_starts_unknown",
+            "trace_oracle_seed_unknown", "sweep_units_number", "sweep_units_string",
+            "sweep_units_list", "trace_units_number_value"])
     def test_unparseable_value_is_config_error(self, tmp_path, command, edit):
         cfg = _small_config(tmp_path, command)
         for path, value in edit.items():

@@ -15,6 +15,7 @@ from foldtrack.config import (ACQUISITION_KEYS, CONTINUATION_KEYS, ENSEMBLE_KEYS
                               load_raw, nlfr_config_from_dict, offline_config_from_dict,
                               sweep_config_from_dict)
 from foldtrack.continuation import ContinuationConfig
+from foldtrack.oracles import ISOLA_DOMAIN
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -34,6 +35,13 @@ def test_rig_trace_carries_calibration_fixture():
     assert cfg.acquisition.beta_tol == 4.0e-2
     assert cfg.init.n0 == 25
     assert cfg.acquisition.n_test == 50
+
+
+def test_isola_without_domain_box_traces_in_the_isola_domain():
+    raw = load_raw(CONFIGS / "isola.yaml")
+    del raw["oracle"]["domain_box"]
+    cfg = config_from_dict(raw)
+    assert cfg.continuation.domain_box == cfg.oracle.domain_box == ISOLA_DOMAIN
 
 
 def test_rig_offline_carries_full_surface_fixture():

@@ -8,16 +8,16 @@ from conftest import TINY_NOISE
 from reference_oracles import duffing_fold_amplitudes
 
 from foldtrack import continuation
-from foldtrack.continuation import (ContinuationConfig, CorrectResult, FoldPoint, Step,
-                                    Tangent, advance, correct, find_first_fold, follow,
-                                    in_data_cloud, predict_step, tangent_at, tangent_from_jrow,
-                                    zero_fn)
+from foldtrack.continuation import (H_MIN, NEWTON_TOL, ContinuationConfig, CorrectResult,
+                                    FoldPoint, Step, Tangent, advance, correct, find_first_fold,
+                                    follow, in_data_cloud, predict_step, tangent_at,
+                                    tangent_from_jrow, zero_fn)
 from foldtrack.errors import (DomainExit, LeftDataCloud, NoConvergence, SingularJacobian,
                               StepUnderflow)
 from foldtrack.geometry import DomainBox
 from foldtrack.gpr import Dataset, Hyperparameters, build
 
-CFG = ContinuationConfig(h=0.1, h_min=1e-3, h_max=0.3, newton_tol=1e-8, newton_max_iter=20)
+CFG = ContinuationConfig(h=0.1, h_max=0.3)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ class TestFindFirstFold:
         fold = find_first_fold(duffing_model, (1.10, start_A), CFG)
         assert abs(fold.A - A_ref) / duffing_model.hyper.l_A < 1e-3
         assert abs(zero_fn(duffing_model, (fold.omega, fold.A))[0]) \
-            * duffing_model.hyper.l_A / math.sqrt(duffing_model.hyper.sigma_f2) < CFG.newton_tol
+            * duffing_model.hyper.l_A / math.sqrt(duffing_model.hyper.sigma_f2) < NEWTON_TOL
 
     def test_flat_region_no_convergence(self):
         # linear-in-A surface: dGamma/dA is a positive constant, no root anywhere
@@ -116,7 +116,7 @@ class TestTangent:
             Tangent(0.5, 0.5)
 
     def test_consecutive_tangents_stay_aligned(self, duffing_model, fold_on_surrogate):
-        cfg = ContinuationConfig(h=0.1, h_min=1e-3, h_max=0.1, newton_tol=1e-8)
+        cfg = ContinuationConfig(h=0.1, h_max=0.1)
         fold, tangent = fold_on_surrogate, None
         dots = []
         for _ in range(6):
@@ -180,8 +180,8 @@ class TestCorrect:
         g_norm = abs(zero_fn(duffing_model, (p.omega, p.A))[0]) * hyp.l_A / math.sqrt(hyp.sigma_f2)
         psa = abs(t.t_omega * (p.omega - fold_on_surrogate.omega) / hyp.l_omega
                   + t.t_A * (p.A - fold_on_surrogate.A) / hyp.l_A - 0.12)
-        assert g_norm < CFG.newton_tol
-        assert psa < CFG.newton_tol
+        assert g_norm < NEWTON_TOL
+        assert psa < NEWTON_TOL
 
     def test_corrected_force_matches_analytic_folds(self, duffing_params, duffing_model,
                                                     fold_on_surrogate):
@@ -245,7 +245,7 @@ class TestStepSizeControl:
             return CorrectResult(FoldPoint(x_pred[0], x_pred[1], 0.0), 1, 0.0)
 
         monkeypatch.setattr(continuation, "correct", fails_once)
-        cfg = ContinuationConfig(h=0.05, h_min=1e-3, h_max=0.1)
+        cfg = ContinuationConfig(h=0.05, h_max=0.1)
         step = advance(duffing_model, fold_on_surrogate, None, 0.05, cfg)
         assert tried == [0.05, pytest.approx(0.025, rel=1e-15)]
         assert step.h == pytest.approx(0.025, rel=1e-15)
@@ -258,7 +258,7 @@ class TestStepSizeControl:
             raise NoConvergence("injected failure")
 
         monkeypatch.setattr(continuation, "correct", never_converges)
-        cfg = ContinuationConfig(h=0.05, h_min=1e-3, h_max=0.1)
+        cfg = ContinuationConfig(h=0.05, h_max=0.1)
         with pytest.raises(StepUnderflow) as info:
             advance(duffing_model, fold_on_surrogate, None, 1e-3, cfg)
         assert not isinstance(info.value, DomainExit)
@@ -300,7 +300,7 @@ class TestAdvance:
             return CorrectResult(FoldPoint(x_pred[0], x_pred[1], 0.0), iters, 0.0)
 
         monkeypatch.setattr(continuation, "correct", converges_in_iters)
-        cfg = ContinuationConfig(h=h, h_min=1e-3, h_max=h_max)
+        cfg = ContinuationConfig(h=h, h_max=h_max)
         step = advance(duffing_model, fold_on_surrogate, None, h, cfg)
         assert step.h == h
         assert step.h_next == pytest.approx(h_next, rel=1e-15)
@@ -336,7 +336,7 @@ class TestAdvance:
         with pytest.raises(StepUnderflow) as info:
             advance(duffing_model, fold_on_surrogate, None, 0.3, replace(CFG, domain_box=box))
         assert not isinstance(info.value, DomainExit)
-        assert tried[0] == 0.15 and tried[-1] == CFG.h_min
+        assert tried[0] == 0.15 and tried[-1] == H_MIN
 
     @pytest.mark.parametrize("error", [NoConvergence, LeftDataCloud])
     def test_corrector_failure_retried_at_half_step(self, monkeypatch, duffing_model,
@@ -379,7 +379,7 @@ class TestFollow:
     """The one step loop around advance: count accepted steps, carry the tangent
     and h, hand each step to `accept`, name the stop."""
 
-    CFG = ContinuationConfig(h=0.1, h_min=1e-3, h_max=0.3, max_steps=3)
+    CFG = ContinuationConfig(h=0.1, h_max=0.3, max_steps=3)
 
     @staticmethod
     def step(i):

@@ -411,7 +411,7 @@ class TestMapping:
     def test_sliding_window(self):
         # old misleading points outside the window are ignored
         history = [(1.0, 100.0)] + [(a, 2.0 * a) for a in np.linspace(0.5, 3.0, 30)]
-        assert update_a1star_mapping(history, 2.0, window=30) == pytest.approx(4.0, rel=1e-6)
+        assert update_a1star_mapping(history, 2.0) == pytest.approx(4.0, rel=1e-6)
 
 
 class TestRigParamsValidation:
