@@ -18,14 +18,14 @@ change moved.  The set:
   as the benchmark's `ensemble-offline` workload calls it;
 * the exit code and output of inputs the CLI refuses: `trace` on
   `duffing.yaml` with an unknown key, with its seed grid outside the domain
-  box and with `alpha_3: 0`, `nlfr` with `band: 0.7`, `offline` with a
-  missing and with a 2-row dataset, and `ensemble` with
+  box, with `alpha_3: 0`, in a domain box too small for step 0's
+  candidates and with `--seed abc`, `nlfr` with `band: 0.7`, `offline`
+  with a missing and with a 2-row dataset, and `ensemble` with
   `dropout_fraction: 1.5`.
 
-It takes about a minute; the rig runs take most of it.  Every path written
-into a manifest is relative, so OUT may live anywhere.  numpy's and scipy's
-BLAS run on one thread, as in the CLI, so the bytes do not depend on the
-machine's core count.
+It takes a few seconds.  Every path written into a manifest is relative,
+so OUT may live anywhere.  numpy's and scipy's BLAS run on one thread, as
+in the CLI, so the bytes do not depend on the machine's core count.
 
     python3 scripts/snapshot_outputs.py --compare OUT_A OUT_B
 
@@ -116,10 +116,16 @@ def rejected(out: Path):
     outside["init"]["x0"] = {"omega": 1.44, "A": 4.9}
     linear = copy.deepcopy(duffing)
     linear["oracle"]["params"]["alpha_3"] = 0.0
+    tiny = copy.deepcopy(duffing)
+    tiny["oracle"]["domain_box"] = {"omega_min": 1.10, "omega_max": 1.12,
+                                    "A_min": 1.40, "A_max": 1.50}
+    tiny["init"]["half_widths"] = {"omega": 0.01, "A": 0.05}
+    tiny["seed"] = 1
     cases = [
         ("trace", "rejected_unknown_key", {**duffing, "surprise": 1}),
         ("trace", "rejected_grid_outside_box", outside),
         ("trace", "rejected_no_fold", linear),
+        ("trace", "rejected_tiny_box", tiny),
         ("nlfr", "rejected_band", {"inputs": {"datasets": ["two_rows.csv"]},
                                    "gamma_level": 0.3, "band": 0.7}),
         ("offline", "rejected_missing_dataset", {"inputs": {"dataset": "missing.csv"}}),
@@ -130,6 +136,8 @@ def rejected(out: Path):
     for command, name, cfg in cases:
         Path(f"{name}.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
         cli(out, command, "--config", f"{name}.yaml", "--out", name)
+    cli(out, "trace", "--config", str(CONFIGS / "duffing.yaml"), "--seed", "abc",
+        "--out", "rejected_seed_abc")
 
 
 def ensemble(out: Path):

@@ -16,10 +16,10 @@ Every command runs numpy's and scipy's BLAS on one thread (`blas`), so its
 outputs do not depend on the machine's core count; the manifest records the
 count read back.
 
-Exit codes: 0 success, 1 config error, 2 oracle error, 3 continuation
-failure.  The commands do not catch errors: `EXIT_CODES` maps each error
-they may raise to its exit code, and the `main` group prints it as one
-`error: <message>` line.
+Exit codes: 0 success, 1 config or usage error, 2 oracle error, 3
+continuation failure.  The commands do not catch errors: `EXIT_CODES` maps
+each error they, or click's reading of their options, may raise to its
+exit code, and the `main` group prints it as one `error: <message>` line.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from .postprocess import (dropout_ensemble, fold_curve_from_run_log, initial_gue
                           offline_fold_trace, sweep_s_curve)
 
 # The exit code of each error a command may raise.  A ValueError is a value
-# the command cannot take, as a ConfigError is.
-EXIT_CODES = {ConfigError: 1, MissingInput: 1, ValueError: 1, OracleError: 2,
-              ContinuationError: 3}
+# the command cannot take, as a ConfigError is; a UsageError is an option
+# click cannot read (a bad value, an unknown or a missing option).
+EXIT_CODES = {ConfigError: 1, MissingInput: 1, ValueError: 1, click.UsageError: 1,
+              OracleError: 2, ContinuationError: 3}
 FOLD_HEADER = ["omega", "A", "gamma_model"]
 
 
@@ -65,7 +66,8 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except tuple(EXIT_CODES) as e:
-            click.echo(f"error: {e}", err=True)
+            message = e.format_message() if isinstance(e, click.UsageError) else e
+            click.echo(f"error: {message}", err=True)
             sys.exit(next(code for cls, code in EXIT_CODES.items() if isinstance(e, cls)))
 
 

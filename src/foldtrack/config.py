@@ -98,7 +98,6 @@ CONTINUATION_KEYS = {"h": _float, "h_max": _float, "max_steps": _int}
 ACQUISITION_KEYS = {"n_test": _int, "beta_tol": _float, "n_max": _int, "max_points_per_step": _int}
 HYPER_FLAG_KEYS = {"refit_each_step": _bool}
 SEED_THREADS_KEYS = {"seed": _seed, "threads": _int}
-RUN_KEYS = {**SEED_THREADS_KEYS, "measure_at_solution": _bool}
 UNITS_KEYS = {"units": _units}
 SWEEP_KEYS = {k: _float for k in ("omega_start", "omega_stop", "omega_step",
                                   "A_start", "A_stop", "A_step")}
@@ -222,7 +221,6 @@ class RunConfig:
     acquisition: AcquisitionConfig
     seed: int = 0
     threads: int = 1
-    measure_at_solution: bool = True
     units: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -248,7 +246,7 @@ class RunConfig:
             },
             "continuation": _fields(self.continuation, CONTINUATION_KEYS),
             "acquisition": _fields(self.acquisition, ACQUISITION_KEYS),
-            **_fields(self, RUN_KEYS),
+            **_fields(self, SEED_THREADS_KEYS),
             "units": dict(self.units),
         }
 
@@ -270,7 +268,7 @@ def _parse_oracle(raw: dict) -> OracleSpec:
 
 def config_from_dict(raw: dict) -> RunConfig:
     _require_keys(raw, {"oracle", "init", "hyperparameters", "continuation",
-                        "acquisition", *RUN_KEYS, *UNITS_KEYS},
+                        "acquisition", *SEED_THREADS_KEYS, *UNITS_KEYS},
                   {"oracle", "init", "hyperparameters"}, "config")
 
     oracle = _parse_oracle(raw["oracle"])
@@ -296,7 +294,7 @@ def config_from_dict(raw: dict) -> RunConfig:
                    **_section(raw.get("acquisition") or {}, ACQUISITION_KEYS, "acquisition"))
 
     return RunConfig(oracle=oracle, init=init, hyper=hyper, continuation=cont,
-                     acquisition=acq, **_read(raw, {**RUN_KEYS, **UNITS_KEYS}, "config"))
+                     acquisition=acq, **_read(raw, {**SEED_THREADS_KEYS, **UNITS_KEYS}, "config"))
 
 
 def load_config(path) -> RunConfig:

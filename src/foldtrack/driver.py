@@ -7,13 +7,12 @@ a first fold at the starting frequency, then follow it with the step loop
 `max_steps`), the domain boundary (`domain_exit`), a step underflow inside
 the box (`step_underflow`) or a cusp (`singular_jacobian`).  After each
 accepted step the driver does what only an online run can, as the loop's
-`accept`: it measures at the solution (configurable, so the logged curve
-carries both the surrogate's force estimate and a directly measured one),
-collects data until the solution is robust to new measurements, and
-optionally refits the hyperparameters.  A failure there ends the run with
-`oracle_error` or `refresh_failed`.  Every measurement after the seed grid
-enters the model through `acquisition.add_measurement`, which holds it to
-n_max points.
+`accept`: it measures at the solution, so the logged curve carries both
+the surrogate's force estimate and a directly measured one, collects data
+until the solution is robust to new measurements, and optionally refits
+the hyperparameters.  A failure there ends the run with `oracle_error` or
+`refresh_failed`.  Every measurement after the seed grid enters the model
+through `acquisition.add_measurement`, which holds it to n_max points.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from .acquisition import CollectionRecord, add_measurement, improve_solution
 from .config import RunConfig, make_oracle
 from .continuation import FoldPoint, Tangent, find_first_fold, follow, tangent_at
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
-from .errors import CollectionCap, ContinuationError, DomainExhausted, OracleError
-from .gpr import Dataset, GprModel, build, fit_hyperparameters
+from .errors import CollectionCap, ContinuationError, OracleError
+from .gpr import Dataset, GprModel, Hyperparameters, build, fit_hyperparameters
 
 log = logging.getLogger(__name__)
 
@@ -50,10 +49,14 @@ class StepRecord:
 @dataclass
 class TraceResult:
     steps: list[StepRecord]
-    model: GprModel | None
-    hyper_fitted: "object"
+    model: GprModel
     reason: str
     status: str  # "ok" | "continuation_error" | "oracle_error"
+
+    @property
+    def hyper_fitted(self) -> Hyperparameters:
+        """The hyperparameters of the final model: the fit's, or the last refit's."""
+        return self.model.hyper
 
     @property
     def fold_points(self) -> list[FoldPoint]:
@@ -124,8 +127,7 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
 
     fold = find_first_fold(model, (cfg.init.x0_omega, cfg.init.x0_A), ccfg)
     tangent = tangent_at(model, fold, None)
-    if cfg.measure_at_solution:
-        model, fold = _measure_at_solution(model, oracle, fold, tangent, cfg)
+    model, fold = _measure_at_solution(model, oracle, fold, tangent, cfg)
     imp = _improve(model, oracle, fold, tangent, cfg, seed=(cfg.seed, 0))
     model, fold = imp.model, imp.fold
     steps = [StepRecord(step=0, fold=fold, tangent=tangent, h=0.0, newton_iters=0,
@@ -134,19 +136,16 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
     def accept(_, step, k):
         # the run's model is kept here rather than in `follow`, so that a refresh
         # that raises leaves it at the model its measurement at the solution built
-        nonlocal model, hyper
-        fold_k = step.result.point
-        if cfg.measure_at_solution:
-            model, fold_k = _measure_at_solution(model, oracle, fold_k, step.tangent, cfg)
+        nonlocal model
+        model, fold_k = _measure_at_solution(model, oracle, step.result.point, step.tangent, cfg)
         imp = _improve(model, oracle, fold_k, step.tangent, cfg, seed=(cfg.seed, k))
         model = imp.model
         steps.append(StepRecord(step=k, fold=imp.fold, tangent=step.tangent, h=step.h,
                                 newton_iters=step.result.iterations,
                                 collections=imp.collections, beta_final=imp.beta_max_final))
         if cfg.hyper.refit_each_step:
-            hyper = fit_hyperparameters(model.dataset, hyper, bounds=cfg.hyper.bounds,
-                                        n_starts=1, seed=cfg.seed)
-            model = build(model.dataset, hyper)
+            model = build(model.dataset, fit_hyperparameters(
+                model.dataset, model.hyper, bounds=cfg.hyper.bounds, n_starts=1, seed=cfg.seed))
         return model, imp.fold
 
     status = "ok"
@@ -155,11 +154,10 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
     except OracleError as e:
         log.error("oracle failed mid-run at step %d: %s", len(steps), e)
         reason, status = f"oracle_error: {e}", "oracle_error"
-    except (ContinuationError, DomainExhausted) as e:
+    except ContinuationError as e:
         reason, status = f"refresh_failed: {e}", "continuation_error"
 
-    return TraceResult(steps=steps, model=model, hyper_fitted=hyper,
-                       reason=reason, status=status)
+    return TraceResult(steps=steps, model=model, reason=reason, status=status)
 
 
 def write_trace_artifacts(out_dir, cfg: RunConfig, result: TraceResult) -> dict:
@@ -168,8 +166,7 @@ def write_trace_artifacts(out_dir, cfg: RunConfig, result: TraceResult) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_run_log(out / "run_log.csv", result.run_log_rows())
     csvio.write_collection_log(out / "collection_log.csv", result.collection_rows())
-    if result.model is not None:
-        csvio.write_dataset_csv(out / "dataset.csv", result.model.dataset)
+    csvio.write_dataset_csv(out / "dataset.csv", result.model.dataset)
     extra = {
         "n_steps": len(result.steps),
         "hyperparameters_fitted": result.hyper_fitted.as_dict(),

@@ -55,7 +55,7 @@ class DomainExit(StepUnderflow):
 
 # -- acquisition layer -----------------------------------------------------
 
-class DomainExhausted(FoldtrackError):
+class DomainExhausted(ContinuationError):
     """Candidate ellipse intersected with the domain box is too small to sample."""
 
 

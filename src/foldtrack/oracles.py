@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -147,20 +148,21 @@ class IsolaParams:
     edge of the domain, producing the detached fold section.  Gamma is the
     exact antiderivative in A, so Gamma(omega, 0) = 0.
 
-    The frozen defaults were certified by brute force: see
-    `three_fold_band` / `two_fold_level` / `three_fold_level` below.
+    The shape constants were certified by brute force: see
+    `IsolaOracle.three_fold_band` / `level_two_folds` / `level_three_folds`
+    below.  Only the force noise is settable.
     """
 
-    m1_0: float = 1.1
-    m1_slope: float = 0.7
-    omega_ref: float = 0.9
-    rho1_rate: float = 0.15
-    omega_c1: float = 0.95
-    m2: float = 3.1
-    rho2_rate: float = 3.0
-    omega_c2: float = 1.26
-    scale: float = 0.045
     noise_sigma: float = 0.0
+    m1_0: ClassVar[float] = 1.1
+    m1_slope: ClassVar[float] = 0.7
+    omega_ref: ClassVar[float] = 0.9
+    rho1_rate: ClassVar[float] = 0.15
+    omega_c1: ClassVar[float] = 0.95
+    m2: ClassVar[float] = 3.1
+    rho2_rate: ClassVar[float] = 3.0
+    omega_c2: ClassVar[float] = 1.26
+    scale: ClassVar[float] = 0.045
 
     def m1(self, omega):
         return self.m1_0 + self.m1_slope * (np.asarray(omega, dtype=float) - self.omega_ref)

@@ -187,6 +187,17 @@ class TestTrace:
                       "--out", str(tmp_path / "out"))
         assert res.exit_code == 3
 
+    def test_domain_exhausted_before_the_first_step_exits_3(self, tmp_path):
+        # step 0's collection cannot place its candidates in a box this small
+        cfg = base_trace_config(seed=1)
+        cfg["oracle"]["domain_box"] = {"omega_min": 1.10, "omega_max": 1.12,
+                                       "A_min": 1.40, "A_max": 1.50}
+        cfg["init"]["half_widths"] = {"omega": 0.01, "A": 0.05}
+        res = run_cli("trace", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 3
+        assert res.output == "error: could not place 30 candidates inside ellipse and domain box\n"
+
     def test_malformed_config_rejected_before_oracle(self, tmp_path):
         cfg = base_trace_config()
         cfg["acquisition"]["n_max"] = 4  # below the n0 = 25 grid
@@ -308,6 +319,23 @@ class TestMissingInputs:
         assert res.exit_code == 1
 
 
+class TestUsageErrors:
+    # an option click cannot read exits 1, as a config value the command cannot
+    # take does, with one error line that names the option
+    @pytest.mark.parametrize("args, flag", [
+        (["--seed", "abc"], "--seed"),
+        (["--surprise", "1"], "--surprise"),
+        ([], "--config"),
+    ], ids=["seed_not_an_integer", "unknown_option", "missing_config"])
+    def test_usage_error_is_one_error_line_and_exit_1(self, tmp_path, args, flag):
+        config = [] if flag == "--config" else [
+            "--config", write_cfg(tmp_path, base_trace_config())]
+        res = run_cli("trace", *config, *args, "--out", str(tmp_path / "out"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
+        assert flag in res.output
+
+
 def _small_config(tmp_path, command):
     """A small config `command` runs, with the dataset it reads written to `tmp_path`."""
     X = np.array([[w, a] for w in np.linspace(1.0, 1.2, 6) for a in np.linspace(0.5, 2.5, 5)])
@@ -367,6 +395,7 @@ class TestUnreadableInputs:
         ("sweep", {"units": "Hz"}),
         ("sweep", {"units": ["Hz"]}),
         ("trace", {"units": {"omega": 5}}),
+        ("trace", {"measure_at_solution": True}),
     ], ids=["trace_seed", "offline_max_steps", "offline_x0_mapping", "trace_x0_string",
             "trace_grid_shape_string", "trace_half_width_string", "trace_half_width_zero",
             "trace_oracle_param_rejected", "offline_h_above_h_max",
@@ -380,7 +409,8 @@ class TestUnreadableInputs:
             "sweep_seed_negative", "trace_oracle_params_string", "sweep_oracle_params_pairs",
             "trace_h_min_unknown", "trace_ellipse_semi_A_unknown", "trace_n_starts_unknown",
             "trace_oracle_seed_unknown", "sweep_units_number", "sweep_units_string",
-            "sweep_units_list", "trace_units_number_value"])
+            "sweep_units_list", "trace_units_number_value",
+            "trace_measure_at_solution_unknown"])
     def test_unparseable_value_is_config_error(self, tmp_path, command, edit):
         cfg = _small_config(tmp_path, command)
         for path, value in edit.items():
@@ -414,10 +444,10 @@ class TestUnreadableInputs:
 
     @pytest.mark.parametrize("key, value", [
         ("settle_time", -1), ("settle_rel_tol", 0), ("settle_max_time", -5),
-        ("saturation_mm", -1), ("settle_extend", 1.0)])
+        ("saturation_mm", -1), ("settle_extend", 1.0), ("f1", 12.0), ("record_len", 500)])
     def test_rig_value_it_cannot_run_is_config_error(self, tmp_path, key, value):
-        # each value would be refused only by its effect on the experiment:
-        # a skipped or endless settle, or a saturation trip on every sample
+        # the rig's constants are fixed in code, and only k3 and noise_sigma are
+        # settable: every other key is refused as unknown, whatever its value
         cfg = yaml.safe_load((CONFIGS / "rig_trace.yaml").read_text(encoding="utf-8"))
         cfg["oracle"]["params"][key] = value
         cfg["continuation"]["max_steps"] = 0
@@ -425,6 +455,17 @@ class TestUnreadableInputs:
                       "--out", str(tmp_path / "out"))
         assert res.exit_code == 1
         assert res.output.startswith("error: oracle.params: ") and key in res.output
+
+    def test_isola_shape_key_is_config_error(self, tmp_path):
+        # the isola's shape constants are fixed in code; only noise_sigma is settable
+        cfg = yaml.safe_load((CONFIGS / "isola.yaml").read_text(encoding="utf-8"))
+        cfg["oracle"]["params"] = {"m2": 3.1}
+        cfg["continuation"]["max_steps"] = 0
+        res = run_cli("trace", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: oracle.params: ") and "m2" in res.output
+        assert len(res.output.splitlines()) == 1
 
     def test_offline_too_few_points_is_config_error(self, tmp_path):
         X = np.array([[1.0, 1.0], [1.1, 1.5]])

@@ -8,7 +8,7 @@ import pytest
 
 from foldtrack.acquisition import AcquisitionConfig
 from foldtrack.config import (ACQUISITION_KEYS, CONTINUATION_KEYS, ENSEMBLE_KEYS,
-                              HYPER_FLAG_KEYS, NLFR_KEYS, OFFLINE_KEYS, RUN_KEYS,
+                              HYPER_FLAG_KEYS, NLFR_KEYS, OFFLINE_KEYS,
                               SEED_THREADS_KEYS, SWEEP_KEYS, EnsembleConfig, HyperConfig,
                               InitConfig, NlfrConfig, OfflineConfig, RunConfig, SweepConfig,
                               config_from_dict, ensemble_config_from_dict, load_config,
@@ -81,7 +81,7 @@ def test_minimal_configs_take_every_dataclass_default():
     for obj, cls, table in [(run.continuation, ContinuationConfig, CONTINUATION_KEYS),
                             (run.acquisition, AcquisitionConfig, ACQUISITION_KEYS),
                             (run.hyper, HyperConfig, HYPER_FLAG_KEYS),
-                            (run, RunConfig, RUN_KEYS),
+                            (run, RunConfig, SEED_THREADS_KEYS),
                             (sweep, SweepConfig, SWEEP_KEYS),
                             (sweep, SweepConfig, SEED_THREADS_KEYS),
                             (nlfr, NlfrConfig, NLFR_KEYS),
