@@ -66,7 +66,11 @@ Fourier design matrix of the segment's window holds the real and
 imaginary parts of the powers of E, so no other trigonometric array is
 taken.  The y, u and force records of a window are fitted together: one
 solve of the normal equations M^T M c = M^T [y u f], whose matrix is
-nearly diagonal because the window spans whole cycles.
+nearly diagonal because the window spans whole cycles.  The settle's
+period check takes the reference of SETTLE_BLOCK periods from one phasor,
+each period starting where the loop's clock stands after the one before,
+and fits each period's fundamental alone with the same three-column
+solve; its periods build no force records.
 """
 
 from __future__ import annotations
@@ -90,6 +94,9 @@ TWO_PI = 2.0 * math.pi
 MAPPING_WINDOW = 30
 REALIZATION_TOL = 0.02
 MAX_CORRECTIONS = 2
+# A running loop's settle computes the reference of this many periods at a
+# time; on rig_trace.yaml a settle takes 2-15 periods, most often 3-5.
+SETTLE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,23 @@ def _fit_fourier(E: np.ndarray, period: float, n_modes: int, *signals: np.ndarra
     return [(float(c[0]), c[1::2].copy(), c[2::2].copy()) for c in coef.T]
 
 
+def _fundamental_amplitude(E: np.ndarray, period: float, y: list) -> float:
+    """sqrt(A1^2 + B1^2) of y, as _fit_fourier(E, period, 1, y) gives it.
+
+    The same normal-equations matrix and solve on the same arrays, built
+    without the general fit's harmonic powers and column stack.
+    """
+    n = len(E)
+    L = min(int(round(int(n / period) * period)), n)
+    window = E[n - L:]
+    M = np.empty((L, 3))
+    M[:, 0] = 0.5
+    M[:, 1] = window.real
+    M[:, 2] = window.imag
+    c = np.linalg.solve(M.T @ M, M.T @ np.array(y[n - L:], dtype=float)[:, None])
+    return math.hypot(c[1, 0], c[2, 0])
+
+
 class _TargetSignal:
     """Reference y*(t) = A0/2 + sum_j A_j cos(j w t) + B_j sin(j w t)."""
 
@@ -212,22 +236,15 @@ class RigOracle(SeededOracle):
 
     # -- core closed-loop simulation ----------------------------------------
 
-    def _run_segment(self, n: int, target: _TargetSignal | None, rng=None,
-                     open_loop_u: np.ndarray | None = None):
-        """Advance the loop n samples; returns records (y_mm, u, f_meas) and E.
+    def _run_segment(self, n: int, ystar: list | None = None, drive: list | None = None):
+        """Advance the loop n samples; returns the lists of y (mm) and u samples.
 
-        E is the target's phasor at the segment's samples, None in open loop.
+        Closed loop on the reference samples ystar, or open loop on the force
+        samples drive; both are lists of Python floats (module doc).
         """
         p = self.params
         T = self._T
         t0 = self._t
-        E = ystar = None
-        if target is not None:
-            E = _phasor(target.omega_hz, t0 + np.arange(n) * T)
-            # Python floats, not numpy scalars, in the per-sample loop (module doc)
-            ystar = target.sample(E).tolist()
-        drive = open_loop_u.tolist() if open_loop_u is not None else None
-        noise = rng.standard_normal(n) * p.noise_sigma if (rng is not None and p.noise_sigma > 0) else None
         phi1, phi2 = p.phi
         psi1, psi2 = p.psi
         k3 = p.k3
@@ -270,10 +287,16 @@ class RigOracle(SeededOracle):
         self._u_hist = [u1, u2, u3]
         self._e_hist = [e1, e2, e3]
         self._t = t0 + n * T
-        y_rec = np.array(ys, dtype=float)
-        u_rec = np.array(us, dtype=float)
-        f_rec = u_rec + noise if noise is not None else u_rec.copy()
-        return y_rec, u_rec, f_rec, E
+        return ys, us
+
+    def _closed_loop(self, target: _TargetSignal, n: int):
+        """Run n samples on the target's reference; returns the y and u lists and E.
+
+        E is the target's phasor at the segment's samples.
+        """
+        E = _phasor(target.omega_hz, self._t + np.arange(n) * self._T)
+        ys, us = self._run_segment(n, target.sample(E).tolist())
+        return ys, us, E
 
     def _locked_at(self, omega_hz: float) -> bool:
         return self._lock is not None and self._lock[0] == omega_hz
@@ -305,22 +328,30 @@ class RigOracle(SeededOracle):
         p = self.params
         elapsed = 0.0
         if self._lock is None:
-            self._run_segment(int(p.settle_time * p.sample_rate), target)
+            self._closed_loop(target, int(p.settle_time * p.sample_rate))
             elapsed = p.settle_time
         # one oscillation period rounded up to whole samples, +1 so the
         # least-squares window always contains a full cycle
         period = p.sample_rate / omega_hz
-        period_samples = int(math.ceil(period)) + 1
+        n = int(math.ceil(period)) + 1
+        steps = np.arange(n) * self._T
         amp_prev = None
         while True:
-            y, _, _, E = self._run_segment(period_samples, target)
-            elapsed += period_samples / p.sample_rate
-            [(_, A, B)] = _fit_fourier(E, period, 1, y)
-            amp = math.hypot(A[0], B[0])
-            if amp_prev is not None and (abs(amp - amp_prev) <= p.settle_rel_tol * max(amp, 1e-12)
-                                         or elapsed >= p.settle_max_time):
-                return
-            amp_prev = amp
+            # the reference of SETTLE_BLOCK periods at once, each period
+            # starting where the loop's clock will stand after the one before
+            starts = [self._t]
+            for _ in range(SETTLE_BLOCK - 1):
+                starts.append(starts[-1] + n * self._T)
+            E = _phasor(target.omega_hz, np.array(starts)[:, None] + steps)
+            ystar = target.sample(E)
+            for k in range(SETTLE_BLOCK):
+                ys, _ = self._run_segment(n, ystar[k].tolist())
+                elapsed += n / p.sample_rate
+                amp = _fundamental_amplitude(E[k], period, ys)
+                if amp_prev is not None and (abs(amp - amp_prev) <= p.settle_rel_tol * max(amp, 1e-12)
+                                             or elapsed >= p.settle_max_time):
+                    return
+                amp_prev = amp
 
     def rig_simulate(self, omega_hz: float, a1_star: float,
                      target: _TargetSignal | None = None, rng=None):
@@ -336,7 +367,12 @@ class RigOracle(SeededOracle):
         self._restart_if_saturated()
         self._settle(target, omega_hz)
         t0 = self._t
-        y, u, f, E = self._run_segment(p.record_len, target, rng=rng)
+        noise = (rng.standard_normal(p.record_len) * p.noise_sigma
+                 if rng is not None and p.noise_sigma > 0 else None)
+        ys, us, E = self._closed_loop(target, p.record_len)
+        y = np.array(ys, dtype=float)
+        u = np.array(us, dtype=float)
+        f = u + noise if noise is not None else u.copy()
         self._lock = (omega_hz, target.a0, target.A[1:].copy(), target.B[1:].copy())
         fits = _fit_fourier(E, p.sample_rate / omega_hz, p.fourier_modes, y, u, f)
         coeffs = dict(zip("yuf", fits))
@@ -410,12 +446,13 @@ class RigOracle(SeededOracle):
         def u_of(n):
             t = self._t + np.arange(n) / p.sample_rate
             ph = TWO_PI * omega_hz * t
-            return Au1 * np.cos(ph) + Bu1 * np.sin(ph)
+            return (Au1 * np.cos(ph) + Bu1 * np.sin(ph)).tolist()
 
-        self._run_segment(int(transient * p.sample_rate), None, open_loop_u=u_of(int(transient * p.sample_rate)))
+        self._run_segment(int(transient * p.sample_rate), drive=u_of(int(transient * p.sample_rate)))
         t0 = self._t
-        y, _, _, _ = self._run_segment(p.record_len, None, open_loop_u=u_of(p.record_len))
-        _, Ay, By = fourier_coeffs(y, omega_hz, p.sample_rate, p.fourier_modes, t0=t0)
+        ys, _ = self._run_segment(p.record_len, drive=u_of(p.record_len))
+        _, Ay, By = fourier_coeffs(np.array(ys, dtype=float), omega_hz, p.sample_rate,
+                                   p.fourier_modes, t0=t0)
         return math.hypot(Ay[0], By[0])
 
     # -- amplitude realization ----------------------------------------------
