@@ -26,17 +26,23 @@ record (the applied force plus sensor noise).
 A measurement is one fixed-point loop on the reference, as in control-based
 continuation (Barton & Sieber, Phys. Rev. E 87, 052916, 2013).  Its first
 A1* is predicted from the running map of (realized amplitude, A1*) pairs.
-Every simulation then does two things: it sets the higher harmonics of the
-reference from the response record, and it adds its (A, A1*) pair to the
-map.  While the realized amplitude misses the request by more than
-REALIZATION_TOL and fewer than MAX_CORRECTIONS corrections were made, the
-next simulation also runs on the A1* the map predicts.  The loop ends once
-the higher-harmonic residual is below picard_tol and the amplitude hits or
-the corrections are used up, so a correction rides on a simulation the
-harmonics need anyway instead of starting a Picard loop of its own.
+Each iteration settles the loop and fits the response and control signals
+on a noise-free probe of PROBE_PERIODS whole periods.  The loop would end
+once the higher-harmonic residual is below picard_tol and the amplitude
+hits or MAX_CORRECTIONS corrections were made.  Only when the probe passes
+that test does the iteration record the full record_len window, straight
+on from the probe with no new settle, and the loop ends only when the full
+record passes the same test; so a measurement is accepted on a full
+record, and reports its force.  Otherwise the iteration's last fit, probe
+or record, sets the higher harmonics of the reference and adds its
+(A, A1*) pair to the map, and while the realized amplitude misses the
+request by more than REALIZATION_TOL the next iteration also runs on the
+A1* the map predicts.  A correction thus rides on an iteration the
+harmonics need anyway, and an iteration that cannot be the last costs a
+settle and a probe, not a 2 s record.
 
 The loop keeps running between simulations, as on the hardware.  After each
-recorded window it is locked at that frequency on that window's reference.
+probe or recorded window it is locked at that frequency on that reference.
 A loop from rest (a fresh rig, or a loop restarted after a saturation trip
 or an open-loop replay) first waits the fixed settle_time.  A running loop,
 locked at this frequency or at another, skips that wait.  Either way the
@@ -97,6 +103,10 @@ MAX_CORRECTIONS = 2
 # A running loop's settle computes the reference of this many periods at a
 # time; on rig_trace.yaml a settle takes 2-15 periods, most often 3-5.
 SETTLE_BLOCK = 8
+# A Picard iteration first fits y and u on a noise-free probe of this many
+# whole periods, and records the full window only when the probe says the
+# iteration can be the last.
+PROBE_PERIODS = 4
 
 
 @dataclass(frozen=True)
@@ -186,6 +196,20 @@ def _fundamental_amplitude(E: np.ndarray, period: float, y: list) -> float:
     return math.hypot(c[1, 0], c[2, 0])
 
 
+def _segment_references(target: "_TargetSignal", t0: float, n: int, T: float, count: int):
+    """Phasors E and references y* of `count` consecutive n-sample segments, as rows.
+
+    Segment k starts at t0 with n*T added k times, where the loop's clock
+    stands after the k segments before it, so each row is bit for bit the
+    phasor and reference of its segment taken alone.
+    """
+    starts = [t0]
+    for _ in range(count - 1):
+        starts.append(starts[-1] + n * T)
+    E = _phasor(target.omega_hz, np.array(starts)[:, None] + np.arange(n) * T)
+    return E, target.sample(E)
+
+
 class _TargetSignal:
     """Reference y*(t) = A0/2 + sum_j A_j cos(j w t) + B_j sin(j w t)."""
 
@@ -231,8 +255,10 @@ class RigOracle(SeededOracle):
         self._e_hist = [0.0, 0.0, 0.0]
         self._t = 0.0
         # (omega, a0, A[1:], B[1:]) of the reference the loop last settled
-        # and recorded on; None for a fresh, tripped or replayed loop
+        # on; None for a fresh, tripped or replayed loop
         self._lock = None
+        # the target whose probe ran the last segment: the loop is steady on it
+        self._probed = None
 
     # -- core closed-loop simulation ----------------------------------------
 
@@ -245,6 +271,7 @@ class RigOracle(SeededOracle):
         p = self.params
         T = self._T
         t0 = self._t
+        self._probed = None
         phi1, phi2 = p.phi
         psi1, psi2 = p.psi
         k3 = p.k3
@@ -314,6 +341,7 @@ class RigOracle(SeededOracle):
             self._u_hist = [0.0, 0.0, 0.0]
             self._e_hist = [0.0, 0.0, 0.0]
             self._lock = None
+            self._probed = None
 
     def _settle(self, target: _TargetSignal, omega_hz: float):
         """Run the transient until the fundamental response amplitude is steady.
@@ -334,16 +362,9 @@ class RigOracle(SeededOracle):
         # least-squares window always contains a full cycle
         period = p.sample_rate / omega_hz
         n = int(math.ceil(period)) + 1
-        steps = np.arange(n) * self._T
         amp_prev = None
         while True:
-            # the reference of SETTLE_BLOCK periods at once, each period
-            # starting where the loop's clock will stand after the one before
-            starts = [self._t]
-            for _ in range(SETTLE_BLOCK - 1):
-                starts.append(starts[-1] + n * self._T)
-            E = _phasor(target.omega_hz, np.array(starts)[:, None] + steps)
-            ystar = target.sample(E)
+            E, ystar = _segment_references(target, self._t, n, self._T, SETTLE_BLOCK)
             for k in range(SETTLE_BLOCK):
                 ys, _ = self._run_segment(n, ystar[k].tolist())
                 elapsed += n / p.sample_rate
@@ -353,19 +374,38 @@ class RigOracle(SeededOracle):
                     return
                 amp_prev = amp
 
+    def _probe(self, target: _TargetSignal, omega_hz: float):
+        """Run PROBE_PERIODS whole periods on the settled loop; returns the y and u fits.
+
+        No force record is taken, so the probe draws no noise.  The loop
+        stays locked on the target, and steady on it for a rig_simulate
+        straight after.
+        """
+        p = self.params
+        period = p.sample_rate / omega_hz
+        ys, us, E = self._closed_loop(target, int(math.ceil(PROBE_PERIODS * period)) + 1)
+        fits = _fit_fourier(E, period, p.fourier_modes, np.array(ys, dtype=float),
+                            np.array(us, dtype=float))
+        self._lock = (omega_hz, target.a0, target.A[1:].copy(), target.B[1:].copy())
+        self._probed = target
+        return dict(zip("yu", fits))
+
     def rig_simulate(self, omega_hz: float, a1_star: float,
                      target: _TargetSignal | None = None, rng=None):
         """Settle the loop on a reference signal and record one measurement window.
 
-        Returns (records, coeffs): records has keys y, u, f, t0; coeffs has the
-        least-squares Fourier coefficients of y, u and the noisy force record.
+        A loop that has just probed this target is steady on it and records
+        straight on, without a settle.  Returns (records, coeffs): records
+        has keys y, u, f, t0; coeffs has the least-squares Fourier
+        coefficients of y, u and the noisy force record.
         """
         p = self.params
         if target is None:
             target = _TargetSignal(omega_hz, p.fourier_modes)
             target.A[0] = a1_star
         self._restart_if_saturated()
-        self._settle(target, omega_hz)
+        if self._probed is not target:
+            self._settle(target, omega_hz)
         t0 = self._t
         noise = (rng.standard_normal(p.record_len) * p.noise_sigma
                  if rng is not None and p.noise_sigma > 0 else None)
@@ -382,18 +422,26 @@ class RigOracle(SeededOracle):
                            A_target: float | None = None):
         """Cancel higher harmonics of the control signal by Picard iteration.
 
-        B1* = 0; returns the realized MeasuredPoint of the last simulation
+        B1* = 0; returns the realized MeasuredPoint of the last full record
         plus its records and coefficients.  A loop locked at omega_hz starts
         from its locked higher harmonics, not from zeros.
 
-        Without A_target, A1* stays at a1_star and the loop returns once the
+        Each iteration settles the loop and fits y and u on a probe of
+        PROBE_PERIODS periods.  Only when the probe passes the tests that
+        end the loop does the iteration record the full window, straight
+        on; the loop returns only when that record passes them too.
+        Otherwise the higher harmonics of the reference are set from the
+        last fit, probe or record, and the loop goes on.
+
+        Without A_target, A1* stays at a1_star and the test is that the
         higher-harmonic residual is below picard_tol.  With it, each
-        simulation's (A, A1*) pair joins mapping_history, and while the
-        realized amplitude misses A_target by more than REALIZATION_TOL and
-        fewer than MAX_CORRECTIONS corrections were made, the next
-        simulation also runs on the A1* that update_a1star_mapping predicts
-        from it.  The loop then returns once the residual is below
-        picard_tol and the amplitude hits or the corrections are used up.
+        iteration's (A, A1*) pair, from its last fit, joins mapping_history,
+        and while the realized amplitude misses A_target by more than
+        REALIZATION_TOL and fewer than MAX_CORRECTIONS corrections were
+        made, the next iteration also runs on the A1* that
+        update_a1star_mapping predicts from it.  The loop ends once the
+        residual is below picard_tol and the amplitude hits or the
+        corrections are used up.
         """
         p = self.params
         target = _TargetSignal(omega_hz, p.fourier_modes)
@@ -401,26 +449,37 @@ class RigOracle(SeededOracle):
             _, target.a0, target.A[1:], target.B[1:] = self._lock
         target.A[0] = a1_star
         corrections = 0
-        residual = math.inf
-        for _ in range(p.picard_max_iter):
-            records, coeffs = self.rig_simulate(omega_hz, a1_star, target=target, rng=rng)
+
+        def verdict(coeffs):
+            """(residual, realized A, whether A1* is to be corrected) of one fit."""
             a0u, Au, Bu = coeffs["u"]
             residual = max(abs(a0u) / 2.0,
                            max(math.hypot(Au[j], Bu[j]) for j in range(1, p.fourier_modes)))
-            a0y, Ay, By = coeffs["y"]
+            _, Ay, By = coeffs["y"]
             A_real = math.hypot(Ay[0], By[0])
-            correct = False
+            correct = (A_target is not None and corrections < MAX_CORRECTIONS
+                       and abs(A_real - A_target) > REALIZATION_TOL * max(abs(A_target), 1e-9))
+            return residual, A_real, correct
+
+        residual = math.inf
+        for _ in range(p.picard_max_iter):
+            self._restart_if_saturated()
+            self._settle(target, omega_hz)
+            coeffs = self._probe(target, omega_hz)
+            residual, A_real, correct = verdict(coeffs)
+            records = None
+            if residual < p.picard_tol and not correct:
+                records, coeffs = self.rig_simulate(omega_hz, a1_star, target=target, rng=rng)
+                residual, A_real, correct = verdict(coeffs)
             if A_target is not None:
                 self.mapping_history.append((A_real, a1_star))
-                correct = (corrections < MAX_CORRECTIONS and abs(A_real - A_target)
-                           > REALIZATION_TOL * max(abs(A_target), 1e-9))
-            if residual < p.picard_tol and not correct:
+            if records is not None and residual < p.picard_tol and not correct:
                 _, Af, Bf = coeffs["f"]
                 return (MeasuredPoint(omega=omega_hz, A=A_real, F=math.hypot(Af[0], Bf[0]),
                                       a1_star=a1_star, harmonics_residual=residual,
                                       seed_state=""),
                         records, coeffs)
-            target.a0 = a0y
+            target.a0, Ay, By = coeffs["y"]
             target.A[1:] = Ay[1:]
             target.B[1:] = By[1:]
             if correct:

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from foldtrack.driver import run_trace
 from foldtrack.errors import ControlDiverged
 from foldtrack.geometry import DomainBox
 from foldtrack.postprocess import sweep_s_curve
-from foldtrack.rig import (MAX_CORRECTIONS, REALIZATION_TOL, RigOracle, RigParams, _phasor,
+from foldtrack.rig import (MAX_CORRECTIONS, PROBE_PERIODS, REALIZATION_TOL, RigOracle, RigParams,
+                           _fit_fourier, _fundamental_amplitude, _phasor, _segment_references,
                            _TargetSignal, fourier_coeffs, update_a1star_mapping)
 
 BOX = DomainBox(9.0, 16.0, 0.02, 25.0)
@@ -64,6 +66,40 @@ class TestTargetSignal:
         ref = fourier_series(target.a0, target.A, target.B, f, t)
         scale = np.sum(np.abs(target.A) + np.abs(target.B))
         assert np.max(np.abs(target.sample(_phasor(f, t)) - ref)) <= 1e-9 * scale
+
+
+class TestSettleArithmetic:
+    """The settle's block reference and lean fit give the per-period values exactly."""
+
+    def test_block_reference_equals_per_segment_sampling(self):
+        rng = np.random.default_rng(11)
+        T = 1.0 / RigParams.sample_rate
+        for _ in range(40):
+            omega = rng.uniform(9.0, 16.0)
+            target = _TargetSignal(omega, 7)
+            target.a0 = rng.normal()
+            target.A[:] = rng.normal(size=7)
+            target.B[:] = rng.normal(size=7)
+            n = math.ceil(RigParams.sample_rate / omega) + 1
+            count = int(rng.integers(1, 12))
+            t = rng.uniform(0.0, 600.0)
+            E, ystar = _segment_references(target, t, n, T, count)
+            for k in range(count):
+                E_k = _phasor(omega, t + np.arange(n) * T)
+                assert np.array_equal(E[k], E_k)
+                assert np.array_equal(ystar[k], target.sample(E_k))
+                t = t + n * T
+
+    def test_lean_fit_equals_one_mode_fit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            omega = rng.uniform(9.0, 16.0)
+            period = RigParams.sample_rate / omega
+            n = math.ceil(period) + 1
+            E = _phasor(omega, rng.uniform(0.0, 600.0) + np.arange(n) / RigParams.sample_rate)
+            y = rng.normal(size=n)
+            [(_, A, B)] = _fit_fourier(E, period, 1, y)
+            assert _fundamental_amplitude(E, period, y.tolist()) == math.hypot(A[0], B[0])
 
 
 class TestEquilibriumAndLinear:
@@ -288,16 +324,18 @@ class TestMeasureRealization:
         assert rig._t == pytest.approx(7.16, rel=1e-12)
 
     def test_pinned_measurement(self):
-        # a whole measurement: a cold first simulation, then the one Picard
-        # loop that corrects A1* on the locked loop; a rewrite of the loop's
-        # arithmetic must keep these values
+        # a whole measurement: a cold first settle, then the one Picard loop
+        # that probes each iteration, corrects A1* on the locked loop and
+        # ends on a full record; a rewrite of the loop's arithmetic must keep
+        # these values
         rig = RigOracle(RigParams(noise_sigma=0.05), DomainBox(11.0, 14.0, 0.2, 8.0), seed=7)
         m = rig.measure(12.8, 2.8)
-        assert m.A == pytest.approx(2.7738749762539006, rel=1e-12)
-        assert m.F == pytest.approx(1.574000316641409, rel=1e-12)
-        assert m.a1_star == pytest.approx(3.7446469957541124, rel=1e-12)
-        assert m.harmonics_residual == pytest.approx(0.00937827271890765, rel=1e-12)
+        assert m.A == pytest.approx(2.773700241605924, rel=1e-12)
+        assert m.F == pytest.approx(1.573537356304454, rel=1e-12)
+        assert m.a1_star == pytest.approx(3.744484853548487, rel=1e-12)
+        assert m.harmonics_residual == pytest.approx(0.009291597768000249, rel=1e-12)
         assert m.seed_state == "7:0"
+        assert rig._t == pytest.approx(9.542, rel=1e-12)
 
     def test_records_are_float_arrays_of_record_length(self):
         rig = make_rig(noise_sigma=0.05)
@@ -317,9 +355,10 @@ class TestMeasureRealization:
 
 class TestSimulatedPath:
     def test_trace_runs_the_same_simulations(self, monkeypatch):
-        # rig_trace.yaml seed 0: the number of simulations and Picard runs and
-        # the simulated time of a whole trace; window arithmetic must not move them
-        counts = {"rig_simulate": 0, "picard_noninvasive": 0}
+        # rig_trace.yaml seed 0: the number of probes, full records and Picard
+        # runs and the simulated time of a whole trace; window arithmetic must
+        # not move them
+        counts = {"_probe": 0, "rig_simulate": 0, "picard_noninvasive": 0}
         for name in counts:
             def counted(self, *args, _method=getattr(RigOracle, name), _name=name, **kw):
                 counts[_name] += 1
@@ -328,17 +367,29 @@ class TestSimulatedPath:
         cfg = replace(load_config(CONFIGS / "rig_trace.yaml"), seed=0)
         rig = make_oracle(cfg.oracle, run_seed=cfg.seed)
         run_trace(cfg, oracle=rig)
-        assert counts == {"rig_simulate": 144, "picard_noninvasive": 48}
-        assert rig._t == pytest.approx(356.649, abs=1e-6)
+        assert counts == {"_probe": 145, "rig_simulate": 51, "picard_noninvasive": 48}
+        assert rig._t == pytest.approx(213.117, abs=1e-6)
+
+
+class Loop(NamedTuple):
+    """One Picard loop: its request, result, A1* corrections and the simulations
+    it ran, in order ("p" a probe, "r" a full record)."""
+
+    A_target: float
+    point: object
+    records: dict
+    coeffs: dict
+    corrections: int
+    runs: str
 
 
 @pytest.fixture(scope="module")
 def seed0_loops():
-    """rig_trace.yaml seed 0: (A_target, point, A1* corrections) of each Picard loop,
-    and the number of measurements."""
-    loops, measures, predictions = [], [], []
-    mapping, picard, measure = (rig_module.update_a1star_mapping, RigOracle.picard_noninvasive,
-                                RigOracle.measure)
+    """rig_trace.yaml seed 0: each Picard loop (Loop), and the number of measurements."""
+    loops, measures, predictions, runs = [], [], [], []
+    mapping, picard, measure, probe, simulate = (
+        rig_module.update_a1star_mapping, RigOracle.picard_noninvasive, RigOracle.measure,
+        RigOracle._probe, RigOracle.rig_simulate)
 
     def counted_mapping(*args, **kw):
         predictions.append(args[1])
@@ -346,9 +397,19 @@ def seed0_loops():
 
     def recorded_picard(self, omega, a1_star, rng=None, A_target=None):
         before = len(predictions)
-        out = picard(self, omega, a1_star, rng=rng, A_target=A_target)
-        loops.append((A_target, out[0], len(predictions) - before))
-        return out
+        runs.clear()
+        point, records, coeffs = picard(self, omega, a1_star, rng=rng, A_target=A_target)
+        loops.append(Loop(A_target, point, records, coeffs, len(predictions) - before,
+                          "".join(runs)))
+        return point, records, coeffs
+
+    def counted_probe(self, *args, **kw):
+        runs.append("p")
+        return probe(self, *args, **kw)
+
+    def counted_simulate(self, *args, **kw):
+        runs.append("r")
+        return simulate(self, *args, **kw)
 
     def counted_measure(self, *args, **kw):
         measures.append(args)
@@ -357,6 +418,8 @@ def seed0_loops():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rig_module, "update_a1star_mapping", counted_mapping)
         mp.setattr(RigOracle, "picard_noninvasive", recorded_picard)
+        mp.setattr(RigOracle, "_probe", counted_probe)
+        mp.setattr(RigOracle, "rig_simulate", counted_simulate)
         mp.setattr(RigOracle, "measure", counted_measure)
         cfg = replace(load_config(CONFIGS / "rig_trace.yaml"), seed=0)
         run_trace(cfg, oracle=make_oracle(cfg.oracle, run_seed=cfg.seed))
@@ -364,23 +427,50 @@ def seed0_loops():
 
 
 class TestOneLoop:
-    """measure runs one Picard loop, whose simulations also correct A1*."""
+    """measure runs one Picard loop, whose iterations also correct A1*."""
 
     def test_one_picard_loop_per_measurement(self, seed0_loops):
         loops, n_measures = seed0_loops
         assert len(loops) == n_measures > 25
-        assert all(A_target is not None for A_target, _, _ in loops)
+        assert all(loop.A_target is not None for loop in loops)
 
     def test_each_point_converged_and_realized_or_out_of_corrections(self, seed0_loops):
         loops, _ = seed0_loops
-        hit = [abs(point.A - A_t) <= REALIZATION_TOL * A_t for A_t, point, _ in loops]
-        corrections = [c for _, _, c in loops]
-        assert all(point.harmonics_residual < RigParams().picard_tol for _, point, _ in loops)
+        hit = [abs(loop.point.A - loop.A_target) <= REALIZATION_TOL * loop.A_target
+               for loop in loops]
+        corrections = [loop.corrections for loop in loops]
+        assert all(loop.point.harmonics_residual < RigParams().picard_tol for loop in loops)
         assert all(h or c == MAX_CORRECTIONS for h, c in zip(hit, corrections))
         assert max(corrections) == MAX_CORRECTIONS
         # some loops hit after a correction, some run out of corrections
         assert any(h and c > 0 for h, c in zip(hit, corrections))
         assert not all(hit)
+
+    def test_each_point_comes_from_a_full_record(self, seed0_loops):
+        # the returned point is read from a record_len window, not from a probe
+        loops, _ = seed0_loops
+        p = RigParams()
+        for loop in loops:
+            assert loop.runs.endswith("r")
+            for key in "yuf":
+                assert loop.records[key].shape == (p.record_len,)
+            _, Ay, By = loop.coeffs["y"]
+            a0u, Au, Bu = loop.coeffs["u"]
+            _, Af, Bf = loop.coeffs["f"]
+            assert loop.point.A == math.hypot(Ay[0], By[0])
+            assert loop.point.F == math.hypot(Af[0], Bf[0])
+            assert loop.point.harmonics_residual == max(
+                abs(a0u) / 2.0, max(math.hypot(Au[j], Bu[j]) for j in range(1, p.fourier_modes)))
+
+    def test_full_record_only_straight_after_a_probe(self, seed0_loops):
+        # every iteration probes; a full record follows a probe, never a settle
+        loops, _ = seed0_loops
+        for loop in loops:
+            assert loop.runs.startswith("p") and "rr" not in loop.runs
+        runs = "".join(loop.runs for loop in loops)
+        n_probes, n_records = runs.count("p"), runs.count("r")
+        assert n_records > len(loops)              # some full records fail the tests
+        assert n_probes - n_records > n_records    # most iterations end at their probe
 
     def test_without_a_target_a1_star_is_held_and_the_map_untouched(self):
         rig = make_rig(noise_sigma=0.0)
