@@ -25,6 +25,7 @@ exit code, and the `main` group prints it as one `error: <message>` line.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -59,16 +60,35 @@ def _common(f):
     return f
 
 
+@contextmanager
+def _exit_codes():
+    """Print an error of EXIT_CODES as one `error:` line and exit with its code.
+
+    A bare `foldtrack` still prints click's help.
+    """
+    try:
+        yield
+    except click.exceptions.NoArgsIsHelpError:
+        raise
+    except tuple(EXIT_CODES) as e:
+        message = e.format_message() if isinstance(e, click.UsageError) else e
+        click.echo(f"error: {message}", err=True)
+        sys.exit(next(code for cls, code in EXIT_CODES.items() if isinstance(e, cls)))
+
+
 class _Main(click.Group):
-    """The command group: the one place where an error becomes an exit code."""
+    """The command group: the one place where an error becomes an exit code.
+
+    The group's own options are read in make_context, a command's in invoke.
+    """
+
+    def make_context(self, *args, **kwargs):
+        with _exit_codes():
+            return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        try:
+        with _exit_codes():
             return super().invoke(ctx)
-        except tuple(EXIT_CODES) as e:
-            message = e.format_message() if isinstance(e, click.UsageError) else e
-            click.echo(f"error: {message}", err=True)
-            sys.exit(next(code for cls, code in EXIT_CODES.items() if isinstance(e, cls)))
 
 
 @click.group(cls=_Main)

@@ -164,6 +164,10 @@ class IsolaParams:
     omega_c2: ClassVar[float] = 1.26
     scale: ClassVar[float] = 0.045
 
+    def __post_init__(self):
+        if not self.noise_sigma >= 0:
+            raise ValueError("noise_sigma >= 0 required")
+
     def m1(self, omega):
         return self.m1_0 + self.m1_slope * (np.asarray(omega, dtype=float) - self.omega_ref)
 

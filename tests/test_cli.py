@@ -336,6 +336,23 @@ class TestUsageErrors:
         assert flag in res.output
 
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--bogus"], "--bogus"),
+        (["--bogus", "trace"], "--bogus"),
+    ], ids=["alone", "before_a_command"])
+    def test_group_usage_error_is_one_error_line_and_exit_1(self, args, flag):
+        # the group's own options are read before any command runs
+        res = run_cli(*args)
+        assert res.exit_code == 1
+        assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
+        assert flag in res.output
+
+    def test_group_help_exits_0(self):
+        res = run_cli("--help")
+        assert res.exit_code == 0
+        assert res.output.startswith("Usage: ")
+
+
 def _small_config(tmp_path, command):
     """A small config `command` runs, with the dataset it reads written to `tmp_path`."""
     X = np.array([[w, a] for w in np.linspace(1.0, 1.2, 6) for a in np.linspace(0.5, 2.5, 5)])
@@ -465,6 +482,16 @@ class TestUnreadableInputs:
                       "--out", str(tmp_path / "out"))
         assert res.exit_code == 1
         assert res.output.startswith("error: oracle.params: ") and "m2" in res.output
+        assert len(res.output.splitlines()) == 1
+
+    def test_isola_negative_noise_is_config_error(self, tmp_path):
+        # a negative noise std was accepted and ran noiseless
+        cfg = yaml.safe_load((CONFIGS / "isola.yaml").read_text(encoding="utf-8"))
+        cfg["oracle"]["params"] = {"noise_sigma": -1}
+        res = run_cli("trace", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: oracle.params: ") and "noise_sigma" in res.output
         assert len(res.output.splitlines()) == 1
 
     def test_offline_too_few_points_is_config_error(self, tmp_path):
