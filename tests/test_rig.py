@@ -13,7 +13,7 @@ from foldtrack.driver import run_trace
 from foldtrack.errors import ControlDiverged
 from foldtrack.geometry import DomainBox
 from foldtrack.postprocess import sweep_s_curve
-from foldtrack.rig import (MAX_CORRECTIONS, PROBE_PERIODS, REALIZATION_TOL, RigOracle, RigParams,
+from foldtrack.rig import (MAX_CORRECTIONS, REALIZATION_TOL, RigOracle, RigParams,
                            _fit_fourier, _fundamental_amplitude, _phasor, _segment_references,
                            _TargetSignal, fourier_coeffs, update_a1star_mapping)
 
