@@ -47,9 +47,8 @@ A loop from rest (a fresh rig, or a loop restarted after a saturation trip
 or an open-loop replay) first waits the fixed settle_time.  A running loop,
 locked at this frequency or at another, skips that wait.  Either way the
 settle then checks convergence period by period: it compares each period's
-fundamental response amplitude with the previous period's and records at
-the first that agrees within settle_rel_tol, or once settle_max_time has
-run.  Picard iteration on a loop locked at its frequency starts from the
+fundamental response amplitude with the previous period's and ends at the
+first that agrees within settle_rel_tol, or once settle_max_time has run.  Picard iteration on a loop locked at its frequency starts from the
 locked higher harmonics instead of zeros, so a later measurement at one
 frequency starts close to its fixed point.  A loop left beyond
 saturation by a trip restarts from rest at its next simulation.
