@@ -12,7 +12,9 @@ change moved.  The set:
   0-2, `isola.yaml` seed 0 and `rig_trace.yaml` seed 0;
 * the CLI `trace` on `duffing.yaml` and its replay from the manifest,
   `sweep` on `rig_sweep.yaml`, `offline` on `rig_offline.yaml` over that
-  sweep, and `nlfr` over the CLI trace, each with its manifest;
+  sweep, `nlfr` over the CLI trace's run log and `nlfr` over the offline
+  `fold_curve.csv`, so the one run-log reader reads what both of its
+  writers wrote, each with its manifest;
 * the `repr` of every run of `dropout_ensemble` on the benchmark's sweep of
   seed 0 (`perfbench/dataset.py`), warm-started and on 2 worker processes,
   as the benchmark's `ensemble-offline` workload calls it;
@@ -105,6 +107,11 @@ def commands(out: Path):
             "gamma_level": 0.7, "band": 0.05}
     Path("nlfr.yaml").write_text(yaml.safe_dump(nlfr), encoding="utf-8")
     cli(out, "nlfr", "--config", "nlfr.yaml", "--out", "cli_nlfr")
+    nlfr = {"inputs": {"datasets": ["cli_sweep/dataset.csv"],
+                       "run_logs": ["cli_offline/fold_curve.csv"]},
+            "gamma_level": 1.6, "band": 0.05}
+    Path("nlfr_offline.yaml").write_text(yaml.safe_dump(nlfr), encoding="utf-8")
+    cli(out, "nlfr", "--config", "nlfr_offline.yaml", "--out", "cli_nlfr_offline")
 
 
 def rejected(out: Path):

@@ -21,7 +21,7 @@ costs a nonlinear solve per candidate for no better selections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,7 +133,7 @@ def add_measurement(model: GprModel, fold: FoldPoint, tangent: Tangent, meas, n_
     """The one way a realized (omega, A, F) sample enters the model during a run.
 
     Adds the sample, prunes back to n_max and re-corrects the fold with an
-    h = 0 arclength constraint, keeping its measured force.  A sample that
+    h = 0 arclength constraint.  A sample that
     duplicates a training input leaves model and fold unchanged.  A re-correct
     that moves the fold more than MAX_REFRESH_MOVE length scales raises
     ContinuationError.
@@ -149,7 +149,7 @@ def add_measurement(model: GprModel, fold: FoldPoint, tangent: Tangent, meas, n_
     if move > MAX_REFRESH_MOVE:
         raise ContinuationError(f"refresh moved the fold {move:.3g} length scales "
                                 f"(limit {MAX_REFRESH_MOVE})")
-    return model, replace(refreshed, gamma_measured=fold.gamma_measured)
+    return model, refreshed
 
 
 def improve_solution(model: GprModel, experiment, x_sol: FoldPoint, t_prev: Tangent,

@@ -36,7 +36,7 @@ from .config import (config_from_dict, ensemble_config_from_dict, load_raw, make
                      nlfr_config_from_dict, offline_config_from_dict, sweep_config_from_dict)
 from .errors import ConfigError, ContinuationError, MissingInput, OracleError
 from .gpr import fit_hyperparameters
-from .postprocess import (dropout_ensemble, fold_curve_from_run_log, initial_guess, nlfr_slice,
+from .postprocess import (FoldCurve, dropout_ensemble, initial_guess, nlfr_slice,
                           offline_fold_trace, sweep_s_curve)
 
 # The exit code of each error a command may raise.  A ValueError is a value
@@ -64,12 +64,13 @@ def _common(f):
 def _exit_codes():
     """Print an error of EXIT_CODES as one `error:` line and exit with its code.
 
-    A bare `foldtrack` still prints click's help.
+    A bare `foldtrack` prints the help and exits 0, as `--help` does.
     """
     try:
         yield
-    except click.exceptions.NoArgsIsHelpError:
-        raise
+    except click.exceptions.NoArgsIsHelpError as e:
+        click.echo(e.ctx.get_help(), color=e.ctx.color)
+        sys.exit(0)
     except tuple(EXIT_CODES) as e:
         message = e.format_message() if isinstance(e, click.UsageError) else e
         click.echo(f"error: {message}", err=True)
@@ -147,7 +148,7 @@ def nlfr(config_path, out_dir, seed, threads):
     cfg = _load(config_path, nlfr_config_from_dict)
     base = Path(config_path).parent
     datasets = [csvio.read_dataset_csv(base / p) for p in cfg.datasets]
-    curves = [fold_curve_from_run_log(csvio.read_run_log(base / p)) for p in cfg.run_logs]
+    curves = [FoldCurve(csvio.read_run_log(base / p)) for p in cfg.run_logs]
     result = nlfr_slice(datasets, cfg.gamma_level, cfg.band, fold_curves=curves)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -173,7 +174,7 @@ def offline(config_path, out_dir, seed, threads):
     forward, backward = curve.reason
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csvio.write_run_log(out / "fold_curve.csv", curve.run_log_rows())
+    csvio.write_run_log(out / "fold_curve.csv", curve.records)
     csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(), seed=cfg.seed,
                          threads=1, status="ok",
                          reason=f"{len(curve.points)} fold points",

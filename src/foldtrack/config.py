@@ -13,6 +13,7 @@ that names its section and key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,8 +50,8 @@ def _seed(v) -> int:
 
 
 def _float(v) -> float:
-    if isinstance(v, bool):
-        raise ValueError("expected a number")
+    if isinstance(v, bool) or not math.isfinite(float(v)):
+        raise ValueError("expected a finite number")
     return float(v)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,15 +53,11 @@ NEWTON_MAX_ITER = 20
 
 @dataclass(frozen=True)
 class FoldPoint:
-    """Accepted solution of the fold condition on the surrogate."""
+    """Solution of the fold condition on the surrogate, with the model's force there."""
 
     omega: float
     A: float
     gamma_model: float
-    gamma_measured: float | None = None
-
-    def with_measurement(self, F: float) -> "FoldPoint":
-        return replace(self, gamma_measured=float(F))
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,20 @@ class Tangent:
         nrm = math.hypot(self.t_omega, self.t_A)
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError(f"tangent norm {nrm} deviates from 1 by more than 1e-12")
+
+
+@dataclass(frozen=True)
+class CurvePoint:
+    """An accepted point of a traced fold curve, online or offline: one run-log row.
+
+    Tangent, h and Newton iterations are the step's (0 for the first fold);
+    `gamma_measured` is the force an online run measured there, else None."""
+
+    fold: FoldPoint
+    tangent: Tangent
+    h: float
+    newton_iters: int
+    gamma_measured: float | None = None
 
 
 @dataclass(frozen=True)

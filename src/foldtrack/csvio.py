@@ -1,7 +1,10 @@
 """CSV and manifest writers/readers; `write_rows` writes every CSV artifact.
 
 Floats are serialized with repr (shortest round-trip form) so that re-running
-a configuration reproduces every artifact byte for byte.
+a configuration reproduces every artifact byte for byte.  A traced fold
+curve, online (`run_log.csv`) or offline (`fold_curve.csv`), is one
+`continuation.CurvePoint` per row: `write_run_log` and `read_run_log` are the
+only code that maps between the two, and a log they read writes back the same.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .continuation import CurvePoint, FoldPoint, Tangent
 from .errors import MissingInput
 from .gpr import Dataset
 
@@ -49,44 +53,47 @@ def write_dataset_csv(path, dataset: Dataset):
 
 
 def read_dataset_csv(path) -> Dataset:
-    path = Path(path)
-    if not path.exists():
-        raise MissingInput(f"dataset file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != DATASET_HEADER:
-            raise ValueError(f"unexpected dataset header {header}, want {DATASET_HEADER}")
-        rows = [[float(c) for c in row] for row in r if row]
-    arr = np.array(rows, dtype=float).reshape(-1, 3)
+    rows = _read_rows(path, DATASET_HEADER, "dataset")
+    arr = np.array([[float(c) for c in row] for row in rows], dtype=float).reshape(-1, 3)
     return Dataset(arr[:, :2], arr[:, 2])
 
 
-def write_run_log(path, step_rows):
-    """step_rows: iterables matching RUN_LOG_HEADER order."""
-    write_rows(path, RUN_LOG_HEADER, step_rows)
-
-
-def read_run_log(path):
-    """Returns a list of dicts with floats (gamma_measured may be None)."""
+def _read_rows(path, header, what) -> list[list[str]]:
+    """The non-empty rows of the CSV file at `path`, after checking its header."""
     path = Path(path)
     if not path.exists():
-        raise MissingInput(f"run log not found: {path}")
-    out = []
+        raise MissingInput(f"{what} file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            out.append({
-                "step": int(rec["step"]),
-                "omega": float(rec["omega"]),
-                "A": float(rec["A"]),
-                "gamma_model": float(rec["gamma_model"]),
-                "gamma_measured": float(rec["gamma_measured"]) if rec["gamma_measured"] else None,
-                "t_omega": float(rec["t_omega"]),
-                "t_A": float(rec["t_A"]),
-                "h": float(rec["h"]),
-                "newton_iters": int(rec["newton_iters"]),
-            })
-    return out
+        r = csv.reader(fh)
+        got = next(r, [])
+        if got != header:
+            raise ValueError(f"{path}: unexpected {what} header {got}, want {header}")
+        return [row for row in r if row]
+
+
+def write_run_log(path, points):
+    """One RUN_LOG_HEADER row per CurvePoint of `points`; a row's step is its index."""
+    write_rows(path, RUN_LOG_HEADER, (
+        [k, p.fold.omega, p.fold.A, p.fold.gamma_model, p.gamma_measured,
+         p.tangent.t_omega, p.tangent.t_A, p.h, p.newton_iters]
+        for k, p in enumerate(points)))
+
+
+def read_run_log(path) -> list[CurvePoint]:
+    """The CurvePoints of a run log; refuses another header, row length, or step than its index."""
+    points = []
+    for k, row in enumerate(_read_rows(path, RUN_LOG_HEADER, "run log")):
+        try:
+            step, omega, A, gamma_model, gamma_measured, t_omega, t_A, h, iters = row
+            if int(step) != k:
+                raise ValueError(f"step {step}, want {k}")
+            points.append(CurvePoint(
+                FoldPoint(float(omega), float(A), float(gamma_model)),
+                Tangent(float(t_omega), float(t_A)), float(h), int(iters),
+                float(gamma_measured) if gamma_measured else None))
+        except ValueError as e:
+            raise ValueError(f"{path}: row {k + 1}: {e}") from e
+    return points
 
 
 def write_collection_log(path, rows):

@@ -5,21 +5,22 @@ One run: measure an n0 seed grid, fit kernel hyperparameters on it, locate
 a first fold at the starting frequency, then follow it with the step loop
 `continuation.follow`.  That loop ends the run at the step budget (reason
 `max_steps`), the domain boundary (`domain_exit`), a step underflow inside
-the box (`step_underflow`) or a cusp (`singular_jacobian`).  After each
-accepted step the driver does what only an online run can, as the loop's
-`accept`: it measures at the solution, so the logged curve carries both
-the surrogate's force estimate and a directly measured one, collects data
-until the solution is robust to new measurements, and optionally refits
-the hyperparameters.  A failure there ends the run with `oracle_error` or
-`refresh_failed`.  Every measurement after the seed grid enters the model
-through `acquisition.add_measurement`, which holds it to n_max points.
+the box (`step_underflow`) or a cusp (`singular_jacobian`).  The first fold
+and each accepted step go through one helper that does what only an online
+run can: it measures at the solution, collects data until the solution is
+robust to new measurements, and records a `continuation.CurvePoint` with
+both the surrogate's force and the measured one.  The loop's `accept` may
+then refit the hyperparameters.  A failure after the first fold ends the
+run with `oracle_error` or `refresh_failed`.  Every measurement after the
+seed grid enters the model through `acquisition.add_measurement`, which
+holds it to n_max points.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from . import csvio
 from .acquisition import CollectionRecord, add_measurement, improve_solution
 from .config import RunConfig, make_oracle
-from .continuation import FoldPoint, Tangent, find_first_fold, follow, tangent_at
+from .continuation import CurvePoint, FoldPoint, find_first_fold, follow, tangent_at
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
 from .errors import CollectionCap, ContinuationError, OracleError
 from .gpr import Dataset, GprModel, Hyperparameters, build, fit_hyperparameters
@@ -37,18 +38,14 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class StepRecord:
-    step: int
-    fold: FoldPoint
-    tangent: Tangent
-    h: float
-    newton_iters: int
-    collections: list[CollectionRecord] = field(default_factory=list)
-    beta_final: float = 0.0
+    point: CurvePoint
+    collections: list[CollectionRecord]
+    beta_final: float
 
 
 @dataclass
 class TraceResult:
-    steps: list[StepRecord]
+    steps: list[StepRecord]  # step k is steps[k]; step 0 is the first fold
     model: GprModel
     reason: str
     status: str  # "ok" | "continuation_error" | "oracle_error"
@@ -59,19 +56,17 @@ class TraceResult:
         return self.model.hyper
 
     @property
-    def fold_points(self) -> list[FoldPoint]:
-        return [s.fold for s in self.steps]
+    def curve(self) -> list[CurvePoint]:
+        return [s.point for s in self.steps]
 
-    def run_log_rows(self):
-        for s in self.steps:
-            f = s.fold
-            yield [s.step, f.omega, f.A, f.gamma_model, f.gamma_measured,
-                   s.tangent.t_omega, s.tangent.t_A, s.h, s.newton_iters]
+    @property
+    def fold_points(self) -> list[FoldPoint]:
+        return [s.point.fold for s in self.steps]
 
     def collection_rows(self):
-        for s in self.steps:
+        for k, s in enumerate(self.steps):
             for c in s.collections:
-                yield [s.step, c.collection_idx, c.omega_req, c.A_req,
+                yield [k, c.collection_idx, c.omega_req, c.A_req,
                        c.omega_meas, c.A_meas, c.F_meas, c.beta_max]
 
 
@@ -94,23 +89,6 @@ def measure_init_grid(oracle, cfg: RunConfig, hyper_init) -> Dataset:
     return Dataset(np.array(X), np.array(F))
 
 
-def _measure_at_solution(model, oracle, fold, tangent, cfg):
-    """Anchor the surrogate with a real measurement at the accepted solution."""
-    m = oracle.measure(fold.omega, fold.A)
-    model, fold = add_measurement(model, fold, tangent, m, cfg.acquisition.n_max,
-                                  cfg.continuation)
-    return model, fold.with_measurement(m.F)
-
-
-def _improve(model, oracle, fold, tangent, cfg, seed):
-    try:
-        return improve_solution(model, oracle, fold, tangent,
-                                cfg.acquisition, cfg.continuation, seed=seed)
-    except CollectionCap as cap:
-        warnings.warn(str(cap), stacklevel=2)
-        return cap.result
-
-
 def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
     """Execute one online continuation run; raises only on init-stage failures."""
     if oracle is None:
@@ -127,26 +105,37 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
 
     fold = find_first_fold(model, (cfg.init.x0_omega, cfg.init.x0_A), ccfg)
     tangent = tangent_at(model, fold, None)
-    model, fold = _measure_at_solution(model, oracle, fold, tangent, cfg)
-    imp = _improve(model, oracle, fold, tangent, cfg, seed=(cfg.seed, 0))
-    model, fold = imp.model, imp.fold
-    steps = [StepRecord(step=0, fold=fold, tangent=tangent, h=0.0, newton_iters=0,
-                        collections=imp.collections, beta_final=imp.beta_max_final)]
+    steps: list[StepRecord] = []
+
+    def measure_and_record(fold, tangent, h, newton_iters, k):
+        """Measure at `fold`, collect until it is robust, record it as step k.
+
+        The run's model is kept here rather than in `follow`, so that a refresh
+        that raises leaves it at the model its measurement at the solution built."""
+        nonlocal model
+        m = oracle.measure(fold.omega, fold.A)
+        model, fold = add_measurement(model, fold, tangent, m, cfg.acquisition.n_max, ccfg)
+        try:
+            imp = improve_solution(model, oracle, fold, tangent, cfg.acquisition, ccfg,
+                                   seed=(cfg.seed, k))
+        except CollectionCap as cap:
+            warnings.warn(str(cap), stacklevel=2)
+            imp = cap.result
+        model = imp.model
+        steps.append(StepRecord(CurvePoint(imp.fold, tangent, h, newton_iters, m.F),
+                                imp.collections, imp.beta_max_final))
+        return imp.fold
+
+    fold = measure_and_record(fold, tangent, 0.0, 0, 0)
 
     def accept(_, step, k):
-        # the run's model is kept here rather than in `follow`, so that a refresh
-        # that raises leaves it at the model its measurement at the solution built
         nonlocal model
-        model, fold_k = _measure_at_solution(model, oracle, step.result.point, step.tangent, cfg)
-        imp = _improve(model, oracle, fold_k, step.tangent, cfg, seed=(cfg.seed, k))
-        model = imp.model
-        steps.append(StepRecord(step=k, fold=imp.fold, tangent=step.tangent, h=step.h,
-                                newton_iters=step.result.iterations,
-                                collections=imp.collections, beta_final=imp.beta_max_final))
+        fold_k = measure_and_record(step.result.point, step.tangent, step.h,
+                                    step.result.iterations, k)
         if cfg.hyper.refit_each_step:
             model = build(model.dataset, fit_hyperparameters(
                 model.dataset, model.hyper, bounds=cfg.hyper.bounds, n_starts=1, seed=cfg.seed))
-        return model, imp.fold
+        return model, fold_k
 
     status = "ok"
     try:
@@ -164,7 +153,7 @@ def write_trace_artifacts(out_dir, cfg: RunConfig, result: TraceResult) -> dict:
     """Write run log, collection log, dataset, fitted hyperparameters, manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csvio.write_run_log(out / "run_log.csv", result.run_log_rows())
+    csvio.write_run_log(out / "run_log.csv", result.curve)
     csvio.write_collection_log(out / "collection_log.csv", result.collection_rows())
     csvio.write_dataset_csv(out / "dataset.csv", result.model.dataset)
     extra = {

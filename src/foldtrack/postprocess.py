@@ -8,7 +8,8 @@ a fold curve is to the particular points that were collected.
 
 An offline fold trace runs the online run's step loop, `continuation.follow`,
 once in each direction from its first fold, with an `accept` that records
-the step and leaves the model as it is; the curve keeps why each direction
+the step and leaves the model as it is.  Its `FoldCurve` holds the same
+`continuation.CurvePoint` records as an online run, and why each direction
 stopped.
 """
 
@@ -19,11 +20,12 @@ import os
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
-from .continuation import (ContinuationConfig, FoldPoint, Tangent, find_first_fold, follow,
-                           in_data_cloud, tangent_at)
+from .continuation import (ContinuationConfig, CurvePoint, FoldPoint, Tangent, find_first_fold,
+                           follow, in_data_cloud, tangent_at)
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
 from .errors import ContinuationError, EmptySliceWarning, FoldtrackError, OracleError
 from .geometry import DomainBox
@@ -64,36 +66,26 @@ def sweep_s_curve(oracle, omega: float, A_grid) -> SCurve:
 
 @dataclass
 class FoldCurve:
-    points: list[FoldPoint]
+    records: list[CurvePoint]
     hyper: Hyperparameters | None = None
-    meta: list[tuple[float, float, float, int]] | None = None  # t_omega, t_A, h, iters
     reason: tuple[str, str] | None = None  # why the (forward, backward) directions stopped
+
+    @property
+    def points(self) -> list[FoldPoint]:
+        return [r.fold for r in self.records]
 
     def as_array(self) -> np.ndarray:
         """(n, 3) array of omega, A, gamma_model."""
         return np.array([[p.omega, p.A, p.gamma_model] for p in self.points]).reshape(-1, 3)
 
-    def run_log_rows(self):
-        meta = self.meta or [(0.0, 0.0, 0.0, 0)] * len(self.points)
-        for k, (p, m) in enumerate(zip(self.points, meta)):
-            yield [k, p.omega, p.A, p.gamma_model, p.gamma_measured, m[0], m[1], m[2], m[3]]
-
     def n_segments(self) -> int:
         """Connected polyline segments, split at jumps longer than one length scale."""
-        if len(self.points) < 2 or self.hyper is None:
-            return 1 if self.points else 0
+        if len(self.records) < 2 or self.hyper is None:
+            return 1 if self.records else 0
         arr = self.as_array()
         du = np.diff(arr[:, 0]) / self.hyper.l_omega
         dv = np.diff(arr[:, 1]) / self.hyper.l_A
         return int(1 + np.sum(np.hypot(du, dv) > 1.0))
-
-
-def fold_curve_from_run_log(rows, hyper: Hyperparameters | None = None) -> FoldCurve:
-    """Rebuild a fold-curve polyline from run-log records (see csvio)."""
-    points = [FoldPoint(r["omega"], r["A"], r["gamma_model"], r["gamma_measured"])
-              for r in rows]
-    meta = [(r["t_omega"], r["t_A"], r["h"], r["newton_iters"]) for r in rows]
-    return FoldCurve(points=points, hyper=hyper, meta=meta)
 
 
 def seed_scan(model: GprModel, box: DomainBox):
@@ -162,16 +154,14 @@ def offline_fold_trace(dataset: Dataset, hyper: Hyperparameters | None = None,
     forward, backward = [], []
     reason = (follow(model, fold0, t0, cfg, _recorder(forward)),
               follow(model, fold0, Tangent(-t0.t_omega, -t0.t_A), cfg, _recorder(backward)))
-    steps = backward[::-1] + [(fold0, (t0.t_omega, t0.t_A, 0.0, 0))] + forward
-    return FoldCurve(points=[s[0] for s in steps], hyper=hyper,
-                     meta=[s[1] for s in steps], reason=reason)
+    return FoldCurve(backward[::-1] + [CurvePoint(fold0, t0, 0.0, 0)] + forward, hyper, reason)
 
 
-def _recorder(steps: list):
-    """A `follow` accept that appends each step's point and run-log meta to `steps`."""
+def _recorder(records: list):
+    """A `follow` accept that appends each step's CurvePoint to `records`."""
     def accept(model, step, k):
-        t = step.tangent
-        steps.append((step.result.point, (t.t_omega, t.t_A, step.h, step.result.iterations)))
+        records.append(CurvePoint(step.result.point, step.tangent, step.h,
+                                  step.result.iterations))
         return model, step.result.point
     return accept
 
@@ -194,24 +184,23 @@ def nlfr_slice(datasets, gamma_level: float, band: float, fold_curves=()) -> Sli
     """
     if not 0.0 < band < 0.5:
         raise ValueError("band must lie in (0, 0.5)")
+    if not gamma_level > 0.0:
+        raise ValueError(f"gamma_level must be positive, got {gamma_level}")
     rows = []
     for ds in datasets:
         mask = np.abs(ds.F - gamma_level) <= band * gamma_level
         rows.extend(np.column_stack([ds.X[mask], ds.F[mask]]))
     points = np.array(rows).reshape(-1, 3)
 
+    def miss(p: FoldPoint) -> float:
+        return abs(p.gamma_model - gamma_level)
+
     markers: list[FoldPoint] = []
     for curve in fold_curves:
-        pts = curve.points if isinstance(curve, FoldCurve) else list(curve)
-        arc: list[FoldPoint] = []
-        for p in pts:
-            if abs(p.gamma_model - gamma_level) <= band * gamma_level:
-                arc.append(p)
-            elif arc:
-                markers.append(min(arc, key=lambda q: abs(q.gamma_model - gamma_level)))
-                arc = []
-        if arc:
-            markers.append(min(arc, key=lambda q: abs(q.gamma_model - gamma_level)))
+        pts = curve.points if isinstance(curve, FoldCurve) else curve
+        for in_band, arc in groupby(pts, key=lambda p: miss(p) <= band * gamma_level):
+            if in_band:
+                markers.append(min(arc, key=miss))
     if len(points) == 0 and not markers:
         warnings.warn(f"no measurements or fold points within +-{band:.0%} of "
                       f"{gamma_level}", EmptySliceWarning, stacklevel=2)

@@ -12,7 +12,7 @@ from conftest import duffing_grid_dataset
 from foldtrack import continuation
 from foldtrack.cli import main
 from foldtrack.config import config_from_dict
-from foldtrack.csvio import read_dataset_csv, read_run_log, write_dataset_csv
+from foldtrack.csvio import read_dataset_csv, read_run_log, write_dataset_csv, write_run_log
 from foldtrack.errors import NoConvergence, SingularJacobian
 from foldtrack.gpr import Dataset
 from foldtrack.oracles import DuffingParams, duffing_gamma
@@ -60,7 +60,7 @@ class TestTrace:
         assert (out / "manifest.json").exists()
         assert read_dataset_csv(out / "dataset.csv").n >= 25
         rows = read_run_log(out / "run_log.csv")
-        assert len(rows) == 1 and rows[0]["step"] == 0
+        assert len(rows) == 1 and rows[0].h == 0.0
 
     def test_isola_detached_branch_start_from_its_header(self, tmp_path):
         # configs/isola.yaml documents the detached branch's start in its header
@@ -122,7 +122,7 @@ class TestTrace:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["reason"] == "domain_exit"
         last = read_run_log(tmp_path / "out" / "run_log.csv")[-1]
-        assert 1.19 < last["omega"] <= 1.2
+        assert 1.19 < last.fold.omega <= 1.2
 
     def test_reason_step_underflow_inside_box(self, tmp_path, monkeypatch):
         # the stepper's corrector (h > 0) accepts two steps, then fails at every h;
@@ -162,7 +162,7 @@ class TestTrace:
         result = driver.run_trace(config_from_dict(base_trace_config()))
         assert result.reason == "refresh_failed: injected cusp"
         assert result.status == "continuation_error"
-        assert [s.step for s in result.steps] == [0]
+        assert len(result.steps) == 1
         assert result.model is models[0]
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -305,6 +305,22 @@ class TestNlfrCommand:
 
 
 class TestMissingInputs:
+    @pytest.mark.parametrize("run_log", ["dataset", "no_gamma_model"])
+    def test_nlfr_run_log_of_another_format_is_config_error(self, tmp_path, run_log):
+        # a dataset CSV, or a run log without its gamma_model column, ended in a
+        # KeyError traceback
+        write_dataset_csv(tmp_path / "dataset.csv",
+                          Dataset(np.array([[1.0, 1.0], [1.1, 1.5]]), np.array([0.3, 0.4])))
+        (tmp_path / "no_gamma_model.csv").write_text(
+            "step,omega,A,gamma_measured,t_omega,t_A,h,newton_iters\n"
+            "0,1.1,1.4,,1.0,0.0,0.0,0\n")
+        cfg = {"inputs": {"run_logs": [f"{run_log}.csv"]}, "gamma_level": 0.3}
+        res = run_cli("nlfr", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
+        assert "unexpected run log header" in res.output
+
     def test_nlfr_missing_dataset_is_config_error(self, tmp_path):
         cfg = {"inputs": {"datasets": ["nope.csv"]}, "gamma_level": 1.0}
         res = run_cli("nlfr", "--config", write_cfg(tmp_path, cfg),
@@ -351,6 +367,12 @@ class TestUsageErrors:
         res = run_cli("--help")
         assert res.exit_code == 0
         assert res.output.startswith("Usage: ")
+
+    def test_bare_main_prints_the_help_and_exits_0(self):
+        # it exited 2, the oracle-error code
+        res = CliRunner().invoke(main, [])
+        assert res.exit_code == 0
+        assert res.output == run_cli("--help").output
 
 
 def _small_config(tmp_path, command):
@@ -413,6 +435,11 @@ class TestUnreadableInputs:
         ("sweep", {"units": ["Hz"]}),
         ("trace", {"units": {"omega": 5}}),
         ("trace", {"measure_at_solution": True}),
+        ("trace", {"acquisition.beta_tol": float("nan")}),
+        ("trace", {"init.x0.omega": float("nan")}),
+        ("trace", {"init.x0.A": float("-inf")}),
+        ("nlfr", {"gamma_level": float("nan")}),
+        ("nlfr", {"gamma_level": -0.3}),
     ], ids=["trace_seed", "offline_max_steps", "offline_x0_mapping", "trace_x0_string",
             "trace_grid_shape_string", "trace_half_width_string", "trace_half_width_zero",
             "trace_oracle_param_rejected", "offline_h_above_h_max",
@@ -427,7 +454,8 @@ class TestUnreadableInputs:
             "trace_h_min_unknown", "trace_ellipse_semi_A_unknown", "trace_n_starts_unknown",
             "trace_oracle_seed_unknown", "sweep_units_number", "sweep_units_string",
             "sweep_units_list", "trace_units_number_value",
-            "trace_measure_at_solution_unknown"])
+            "trace_measure_at_solution_unknown", "trace_beta_tol_nan", "trace_x0_nan",
+            "trace_x0_minus_inf", "nlfr_gamma_level_nan", "nlfr_gamma_level_negative"])
     def test_unparseable_value_is_config_error(self, tmp_path, command, edit):
         cfg = _small_config(tmp_path, command)
         for path, value in edit.items():
@@ -525,6 +553,24 @@ class TestOfflineAndEnsemble:
         manifest = json.loads((traced / "off" / "manifest.json").read_text())
         assert "hyperparameters_fitted" in manifest
 
+    def test_run_log_and_fold_curve_round_trip(self, traced):
+        # one format for online and offline curves: each reads back and rewrites
+        # to the same bytes, and nlfr takes either as a run log
+        cfg = {"inputs": {"dataset": "run/dataset.csv"}, "x0": [1.15, 1.6], "max_steps": 40}
+        res = run_cli("offline", "--config", write_cfg(traced, cfg, "off.yaml"),
+                      "--out", str(traced / "off"))
+        assert res.exit_code == 0
+        for path in (traced / "run" / "run_log.csv", traced / "off" / "fold_curve.csv"):
+            points = read_run_log(path)
+            write_run_log(traced / "again.csv", points)
+            assert (traced / "again.csv").read_bytes() == path.read_bytes()
+            cfg = {"inputs": {"run_logs": [str(path)]},
+                   "gamma_level": points[len(points) // 2].fold.gamma_model}
+            res = run_cli("nlfr", "--config", write_cfg(traced, cfg, "nlfr.yaml"),
+                          "--out", str(traced / "nlfr"))
+            assert res.exit_code == 0
+            assert ", 1 fold markers;" in res.output
+
     def test_offline_names_each_directions_stop(self, tmp_path, duffing_params):
         # a 13x13 grid over omega 1.05-1.35 and one far point at omega 0.8 that
         # stretches the data box: the forward direction reaches the box edge, the
@@ -546,8 +592,8 @@ class TestOfflineAndEnsemble:
                                             "backward": "step_underflow"}
         rows = read_run_log(tmp_path / "out" / "fold_curve.csv")
         omega_max = 1.35 + 0.05 * (1.35 - 0.8)  # the data box's 5% pad
-        assert omega_max - 0.01 < rows[-1]["omega"] <= omega_max
-        assert 0.9 < rows[0]["omega"] < 1.05
+        assert omega_max - 0.01 < rows[-1].fold.omega <= omega_max
+        assert 0.9 < rows[0].fold.omega < 1.05
 
     def test_offline_seed_override_replays_from_manifest(self, tmp_path):
         # the seed draws the fit's random starts, which land apart in the last

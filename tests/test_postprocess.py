@@ -74,7 +74,7 @@ class TestSweep:
 
 class TestOfflineTrace:
     def test_matches_online_curve(self, online_run):
-        online = FoldCurve(points=online_run.fold_points, hyper=online_run.hyper_fitted)
+        online = FoldCurve(online_run.curve, hyper=online_run.hyper_fitted)
         offline = offline_fold_trace(online_run.model.dataset, seed=0)
         on = online.as_array()
         on = on[np.argsort(on[:, 0])]
@@ -144,13 +144,6 @@ class TestOfflineTrace:
         assert min(hs) < cfg.h  # h only shrinks when an attempt is rejected
         assert len(hs) == cfg.max_steps
 
-    def test_run_log_rows_shape(self, online_run):
-        curve = offline_fold_trace(online_run.model.dataset,
-                                   hyper=online_run.hyper_fitted)
-        rows = list(curve.run_log_rows())
-        assert len(rows) == len(curve.points)
-        assert all(len(r) == 9 for r in rows)
-
 
 class TestNlfrSlice:
     def test_band_covering_all_points(self):
@@ -174,18 +167,18 @@ class TestNlfrSlice:
         # synthetic fold curve crossing the level once: exactly one marker,
         # independent of how densely the polyline samples the band
         pts = [FoldPoint(1.0 + 0.01 * k, 1.0, 0.20 + 0.004 * k) for k in range(40)]
-        res = nlfr_slice([], gamma_level=0.25, band=0.05, fold_curves=[FoldCurve(pts)])
+        res = nlfr_slice([], gamma_level=0.25, band=0.05, fold_curves=[pts])
         assert len(res.markers) == 1
         assert res.markers[0].gamma_model == pytest.approx(0.25, abs=0.004)
 
     def test_two_markers_for_two_crossings(self):
         gammas = np.concatenate([np.linspace(0.1, 0.4, 25), np.linspace(0.4, 0.1, 25)])
         pts = [FoldPoint(1.0 + 0.01 * k, 1.0, g) for k, g in enumerate(gammas)]
-        res = nlfr_slice([], gamma_level=0.25, band=0.04, fold_curves=[FoldCurve(pts)])
+        res = nlfr_slice([], gamma_level=0.25, band=0.04, fold_curves=[pts])
         assert len(res.markers) == 2
 
     def test_duffing_slice_has_two_markers(self, online_run):
-        curve = FoldCurve(points=online_run.fold_points, hyper=online_run.hyper_fitted)
+        curve = FoldCurve(online_run.curve, hyper=online_run.hyper_fitted)
         gammas = curve.as_array()[:, 2]
         # a level both fold branches reach inside the domain box; the online
         # curve covers the lower-amplitude branch, the analytically known
@@ -197,7 +190,7 @@ class TestNlfrSlice:
             a = duffing_fold_amplitudes(1.0, 0.02, 0.05, w, A_max=9.0)[1]
             other.append(FoldPoint(w, a, duffing_force(1.0, 0.02, 0.05, w, a)))
         res = nlfr_slice([online_run.model.dataset], level, 0.05,
-                         fold_curves=[curve, FoldCurve(other)])
+                         fold_curves=[curve, other])
         assert len(res.markers) == 2
 
     def test_empty_slice_warns(self):
