@@ -21,6 +21,7 @@ costs a nonlinear solve per candidate for no better selections.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +102,7 @@ def generate_candidates(center, cfg: AcquisitionConfig, rng_seed, hyper,
         A = c_A + b * r * np.sin(phi)
         drawn += m
         if domain_box is not None:
-            ok = ((om >= domain_box.omega_min) & (om <= domain_box.omega_max)
-                  & (A >= domain_box.A_min) & (A <= domain_box.A_max))
+            ok = domain_box.contains(om, A)
             om, A = om[ok], A[ok]
         out.extend(zip(om.tolist(), A.tolist()))
     return out[:cfg.n_test]
@@ -160,8 +160,8 @@ def improve_solution(model: GprModel, experiment, x_sol: FoldPoint, t_prev: Tang
     Each round scores a fresh candidate set with one `sensitivity_beta`
     call; if the largest beta exceeds beta_tol the winning candidate is
     measured through `experiment` and the realized sample enters the model
-    through `add_measurement`.  Raises CollectionCap, carrying the partial
-    result, if max_points_per_step rounds were not enough.
+    through `add_measurement`.  Warns CollectionCap, and returns the result
+    as it stands, if max_points_per_step rounds were not enough.
     """
     result = ImproveResult(model=model, fold=x_sol)
     for round_idx in range(cfg.max_points_per_step + 1):
@@ -173,9 +173,7 @@ def improve_solution(model: GprModel, experiment, x_sol: FoldPoint, t_prev: Tang
         if beta_max < cfg.beta_tol:
             return result
         if round_idx == cfg.max_points_per_step:
-            raise CollectionCap(
-                f"max beta {beta_max:.3g} still above tol {cfg.beta_tol:.3g} "
-                f"after {cfg.max_points_per_step} collections", result)
+            break
         x_req = candidates[int(np.argmax(betas))]
         meas = experiment.measure(x_req[0], x_req[1])
         result.collections.append(CollectionRecord(
@@ -183,7 +181,9 @@ def improve_solution(model: GprModel, experiment, x_sol: FoldPoint, t_prev: Tang
             omega_meas=meas.omega, A_meas=meas.A, F_meas=meas.F, beta_max=beta_max))
         result.model, result.fold = add_measurement(result.model, result.fold, t_prev, meas,
                                                     cfg.n_max, ccfg)
-    raise AssertionError("unreachable")
+    warnings.warn(CollectionCap(f"max beta {beta_max:.3g} still above tol {cfg.beta_tol:.3g} "
+                                f"after {cfg.max_points_per_step} collections"), stacklevel=2)
+    return result
 
 
 def prune(model: GprModel, x_sol, n_max: int) -> GprModel:

@@ -201,8 +201,8 @@ def ensemble(config_path, out_dir, seed, threads):
     hyper_keys = ("sigma_n2", "sigma_f2", "l_omega", "l_A")
     csvio.write_rows(out / "summary.csv",
                      ["run_id", "completed", "n_segments", *hyper_keys, "error"],
-                     [(r.run_id, int(r.completed), r.n_segments,
-                       *(getattr(r.hyper, k) if r.hyper else None for k in hyper_keys),
+                     [(r.run_id, int(r.completed), r.curve.n_segments() if r.curve else 0,
+                       *(getattr(r.curve.hyper, k) if r.curve else None for k in hyper_keys),
                        r.error) for r in result.runs])
     outputs = ["summary.csv"]
     for r in result.runs:

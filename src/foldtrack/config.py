@@ -303,6 +303,16 @@ def load_config(path) -> RunConfig:
     return config_from_dict(load_raw(path))
 
 
+def _grid(start: float, stop: float, step: float) -> list[float]:
+    """start + i * step for i = 0, 1, ... while i * step <= stop - start.
+
+    A whole number of steps that reaches stop to within 1e-9 of a step
+    counts as reaching it, so no value lies past stop by more than the
+    round-off of start + i * step."""
+    n = math.floor((stop - start) / step + 1e-9) + 1
+    return [start + i * step for i in range(n)]
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """S-curve sweep plan: frequencies and the target-amplitude grid.
@@ -332,12 +342,10 @@ class SweepConfig:
         _at_least_one(self, "config", "threads")
 
     def omegas(self):
-        n = int(round((self.omega_stop - self.omega_start) / self.omega_step)) + 1
-        return [self.omega_start + i * self.omega_step for i in range(n)]
+        return _grid(self.omega_start, self.omega_stop, self.omega_step)
 
     def A_grid(self):
-        n = int(round((self.A_stop - self.A_start) / self.A_step)) + 1
-        return [self.A_start + i * self.A_step for i in range(n)]
+        return _grid(self.A_start, self.A_stop, self.A_step)
 
     def to_dict(self) -> dict:
         return {

@@ -18,9 +18,10 @@ prediction, domain-box check, correction and halving of the continuation
 step until a step is accepted, and the growth rule that sets the next step.
 `follow` is the one step loop around it: it counts accepted steps, carries
 the tangent and `Step.h_next`, names the stop, and after each accepted step
-hands the step to the caller's `accept`.  The online driver (`trace`) passes
-an `accept` that measures and refreshes the model; the offline traces
-(`offline`, `ensemble`) pass one that only records the step.
+hands the step, whose `CurvePoint` is the run-log row, to the caller's
+`accept`.  The online driver (`trace`) passes an `accept` that measures and
+refreshes the model; the offline traces (`offline`, `ensemble`) pass one
+that only records the step's point.
 """
 
 from __future__ import annotations
@@ -213,7 +214,6 @@ def predict_step(x, t: Tangent, h: float, hyper) -> tuple[float, float]:
 class CorrectResult:
     point: FoldPoint
     iterations: int
-    residual: float
 
 
 def correct(model: GprModel, x_pred, x_prev, t_prev: Tangent, h: float,
@@ -234,11 +234,10 @@ def correct(model: GprModel, x_pred, x_prev, t_prev: Tangent, h: float,
     for it in range(NEWTON_MAX_ITER + 1):
         r1, (j11, j12) = _scaled_system(model, u, v)
         r2 = t_prev.t_omega * (u - up) + t_prev.t_A * (v - vp) - h
-        res = max(abs(r1), abs(r2))
-        if res < NEWTON_TOL:
+        if max(abs(r1), abs(r2)) < NEWTON_TOL:
             omega, A = u * hyp.l_omega, v * hyp.l_A
             point = FoldPoint(omega, A, model.predict_mean((omega, A)))
-            return CorrectResult(point, it, res)
+            return CorrectResult(point, it)
         det = j11 * t_prev.t_A - j12 * t_prev.t_omega
         scale = math.hypot(j11, j12)
         if abs(det) < 1e-12 * max(scale, 1e-30):
@@ -256,12 +255,9 @@ def correct(model: GprModel, x_pred, x_prev, t_prev: Tangent, h: float,
 
 @dataclass(frozen=True)
 class Step:
-    """An accepted step: the corrector's result, its tangent, the h it used
-    and the h to try next."""
+    """An accepted step: its curve point and the h to try next."""
 
-    result: CorrectResult
-    tangent: Tangent
-    h: float
+    point: CurvePoint
     h_next: float
 
 
@@ -276,7 +272,9 @@ def advance(model: GprModel, fold: FoldPoint, prev: Tangent | None, h: float,
     prediction left the box, and SingularJacobian at a cusp; the model is
     never changed.
 
-    The accepted step carries the step-size rule's next h: grown by 1.2
+    The accepted step's point holds the corrected fold, the tangent at
+    `fold`, the h it used and its Newton iterations.  Its h_next is the
+    step-size rule's next h: grown by 1.2
     after at most 3 Newton iterations, capped by h_max and by one length
     scale (1.0 normalized), and otherwise kept, capped by h_max.
     """
@@ -292,7 +290,7 @@ def advance(model: GprModel, fold: FoldPoint, prev: Tangent | None, h: float,
             else:
                 h_next = min(1.2 * h, cfg.h_max, 1.0) if result.iterations <= 3 \
                     else min(h, cfg.h_max)
-                return Step(result, tangent, h, h_next)
+                return Step(CurvePoint(result.point, tangent, h, result.iterations), h_next)
         if h <= H_MIN * (1.0 + 1e-12):
             if outside:
                 raise DomainExit(f"predictions leave the domain box down to H_MIN={H_MIN}")
@@ -305,7 +303,7 @@ def follow(model: GprModel, fold: FoldPoint, tangent: Tangent, cfg: Continuation
     """Up to cfg.max_steps accepted steps from `fold` along `tangent`; returns why they stopped.
 
     The first step tries h = cfg.h and is oriented along `tangent`; each
-    later one starts from the previous step's tangent and `Step.h_next`.
+    later one starts from the previous step's `point.tangent` and `h_next`.
     After accepted step k (counting from 1), `accept(model, step, k)`
     returns the model and fold the next step starts from; an exception it
     raises reaches the caller unchanged.  The reason is `max_steps`, or the
@@ -323,5 +321,5 @@ def follow(model: GprModel, fold: FoldPoint, tangent: Tangent, cfg: Continuation
         except SingularJacobian as e:
             return f"singular_jacobian: {e}"
         model, fold = accept(model, step, k)
-        tangent, h = step.tangent, step.h_next
+        tangent, h = step.point.tangent, step.h_next
     return "max_steps"

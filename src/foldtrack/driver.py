@@ -9,18 +9,18 @@ the box (`step_underflow`) or a cusp (`singular_jacobian`).  The first fold
 and each accepted step go through one helper that does what only an online
 run can: it measures at the solution, collects data until the solution is
 robust to new measurements, and records a `continuation.CurvePoint` with
-both the surrogate's force and the measured one.  The loop's `accept` may
-then refit the hyperparameters.  A failure after the first fold ends the
-run with `oracle_error` or `refresh_failed`.  Every measurement after the
-seed grid enters the model through `acquisition.add_measurement`, which
-holds it to n_max points.
+both the surrogate's force and the measured one; a step whose collection
+hit its cap is recorded too, with `beta_final` at least beta_tol.  The
+loop's `accept` may then refit the hyperparameters.  A failure after the
+first fold ends the run with `oracle_error` or `refresh_failed`.  Every
+measurement after the seed grid enters the model through
+`acquisition.add_measurement`, which holds it to n_max points.
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .acquisition import CollectionRecord, add_measurement, improve_solution
 from .config import RunConfig, make_oracle
 from .continuation import CurvePoint, FoldPoint, find_first_fold, follow, tangent_at
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
-from .errors import CollectionCap, ContinuationError, OracleError
+from .errors import ContinuationError, OracleError
 from .gpr import Dataset, GprModel, Hyperparameters, build, fit_hyperparameters
 
 log = logging.getLogger(__name__)
@@ -107,31 +107,27 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
     tangent = tangent_at(model, fold, None)
     steps: list[StepRecord] = []
 
-    def measure_and_record(fold, tangent, h, newton_iters, k):
-        """Measure at `fold`, collect until it is robust, record it as step k.
+    def measure_and_record(point, k):
+        """Measure at `point`'s fold, collect until it is robust, record it as step k.
 
         The run's model is kept here rather than in `follow`, so that a refresh
         that raises leaves it at the model its measurement at the solution built."""
         nonlocal model
-        m = oracle.measure(fold.omega, fold.A)
-        model, fold = add_measurement(model, fold, tangent, m, cfg.acquisition.n_max, ccfg)
-        try:
-            imp = improve_solution(model, oracle, fold, tangent, cfg.acquisition, ccfg,
-                                   seed=(cfg.seed, k))
-        except CollectionCap as cap:
-            warnings.warn(str(cap), stacklevel=2)
-            imp = cap.result
+        m = oracle.measure(point.fold.omega, point.fold.A)
+        model, fold = add_measurement(model, point.fold, point.tangent, m,
+                                      cfg.acquisition.n_max, ccfg)
+        imp = improve_solution(model, oracle, fold, point.tangent, cfg.acquisition, ccfg,
+                               seed=(cfg.seed, k))
         model = imp.model
-        steps.append(StepRecord(CurvePoint(imp.fold, tangent, h, newton_iters, m.F),
+        steps.append(StepRecord(replace(point, fold=imp.fold, gamma_measured=m.F),
                                 imp.collections, imp.beta_max_final))
         return imp.fold
 
-    fold = measure_and_record(fold, tangent, 0.0, 0, 0)
+    fold = measure_and_record(CurvePoint(fold, tangent, 0.0, 0), 0)
 
     def accept(_, step, k):
         nonlocal model
-        fold_k = measure_and_record(step.result.point, step.tangent, step.h,
-                                    step.result.iterations, k)
+        fold_k = measure_and_record(step.point, k)
         if cfg.hyper.refit_each_step:
             model = build(model.dataset, fit_hyperparameters(
                 model.dataset, model.hyper, bounds=cfg.hyper.bounds, n_starts=1, seed=cfg.seed))

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all foldtrack modules."""
+"""Exception hierarchy and warnings shared by all foldtrack modules."""
 
 
 class FoldtrackError(Exception):
@@ -59,15 +59,8 @@ class DomainExhausted(ContinuationError):
     """Candidate ellipse intersected with the domain box is too small to sample."""
 
 
-class CollectionCap(FoldtrackError):
-    """improve_solution hit max_points_per_step with max beta still above threshold.
-
-    Carries the partial result so a driver can log a warning and continue.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+class CollectionCap(UserWarning):
+    """improve_solution hit max_points_per_step with max beta still above threshold."""
 
 
 # -- experiment oracles ----------------------------------------------------

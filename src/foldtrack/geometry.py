@@ -23,9 +23,10 @@ class DomainBox:
         if self.omega_min >= self.omega_max or self.A_min >= self.A_max:
             raise ValueError("domain box must have positive extent")
 
-    def contains(self, omega: float, A: float) -> bool:
-        return (self.omega_min <= omega <= self.omega_max
-                and self.A_min <= A <= self.A_max)
+    def contains(self, omega, A):
+        """Whether (omega, A) lies in the box, edges included; elementwise on arrays."""
+        return ((self.omega_min <= omega) & (omega <= self.omega_max)
+                & (self.A_min <= A) & (A <= self.A_max))
 
     def as_dict(self) -> dict:
         return {"omega_min": self.omega_min, "omega_max": self.omega_max,

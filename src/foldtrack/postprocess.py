@@ -160,27 +160,26 @@ def offline_fold_trace(dataset: Dataset, hyper: Hyperparameters | None = None,
 def _recorder(records: list):
     """A `follow` accept that appends each step's CurvePoint to `records`."""
     def accept(model, step, k):
-        records.append(CurvePoint(step.result.point, step.tangent, step.h,
-                                  step.result.iterations))
-        return model, step.result.point
+        records.append(step.point)
+        return model, step.point.fold
     return accept
 
 
 @dataclass
 class SliceResult:
-    gamma_level: float
-    band: float
     points: np.ndarray             # (n, 3) omega, A, F of in-band measurements
-    markers: list[FoldPoint]       # one representative per in-band fold-curve arc
+    markers: list[FoldPoint]       # one per crossing of the level by a fold curve
 
 
 def nlfr_slice(datasets, gamma_level: float, band: float, fold_curves=()) -> SliceResult:
     """Constant-force cross-section: measured points and fold markers in-band.
 
-    A marker is one fold point per contiguous in-band arc of each fold
-    curve (the arc's point with force closest to the level), so a curve
-    crossing the level once yields exactly one marker however densely it
-    was sampled.
+    Each fold curve gets one marker per crossing of the level, in curve
+    order: the point with force closest to the level of each contiguous
+    in-band arc, so a curve crossing the level once yields exactly one
+    marker however densely it was sampled; and where the curve steps from
+    below the band straight to above it, or back, the point on that segment
+    where gamma_model equals the level, by linear interpolation.
     """
     if not 0.0 < band < 0.5:
         raise ValueError("band must lie in (0, 0.5)")
@@ -195,16 +194,33 @@ def nlfr_slice(datasets, gamma_level: float, band: float, fold_curves=()) -> Sli
     def miss(p: FoldPoint) -> float:
         return abs(p.gamma_model - gamma_level)
 
+    def side(p: FoldPoint) -> int:
+        """0 in the band, else +1 above it and -1 below."""
+        if miss(p) <= band * gamma_level:
+            return 0
+        return 1 if p.gamma_model > gamma_level else -1
+
     markers: list[FoldPoint] = []
     for curve in fold_curves:
         pts = curve.points if isinstance(curve, FoldCurve) else curve
-        for in_band, arc in groupby(pts, key=lambda p: miss(p) <= band * gamma_level):
-            if in_band:
+        last_side, last = 0, None
+        for arc_side, arc in groupby(pts, key=side):
+            arc = list(arc)
+            if arc_side == 0:
                 markers.append(min(arc, key=miss))
+            elif arc_side == -last_side:
+                markers.append(_level_crossing(last, arc[0], gamma_level))
+            last_side, last = arc_side, arc[-1]
     if len(points) == 0 and not markers:
         warnings.warn(f"no measurements or fold points within +-{band:.0%} of "
                       f"{gamma_level}", EmptySliceWarning, stacklevel=2)
-    return SliceResult(gamma_level=gamma_level, band=band, points=points, markers=markers)
+    return SliceResult(points=points, markers=markers)
+
+
+def _level_crossing(p: FoldPoint, q: FoldPoint, level: float) -> FoldPoint:
+    """The point of segment p-q where gamma_model, linear along it, equals `level`."""
+    s = (level - p.gamma_model) / (q.gamma_model - p.gamma_model)
+    return FoldPoint(p.omega + s * (q.omega - p.omega), p.A + s * (q.A - p.A), level)
 
 
 @dataclass
@@ -212,16 +228,12 @@ class EnsembleRun:
     run_id: int
     completed: bool
     curve: FoldCurve | None
-    hyper: Hyperparameters | None
-    n_segments: int
     error: str = ""
 
 
 @dataclass
 class EnsembleResult:
     runs: list[EnsembleRun]
-    dropout_fraction: float
-    seed: int
 
     @property
     def completed_fraction(self) -> float:
@@ -256,8 +268,7 @@ def dropout_ensemble(dataset: Dataset, n_runs: int, dropout_fraction: float, see
     one_run = partial(_ensemble_run, dataset=dataset, n_drop=n_drop, seed=seed,
                       hyper_init=hyper_init, cfg=cfg, x0=x0, fit_n_starts=fit_n_starts)
     workers = min(threads, n_runs, os.cpu_count() or 1)
-    return EnsembleResult(runs=_map_runs(one_run, n_runs, workers),
-                          dropout_fraction=dropout_fraction, seed=seed)
+    return EnsembleResult(runs=_map_runs(one_run, n_runs, workers))
 
 
 def _ensemble_run(run_id: int, *, dataset: Dataset, n_drop: int, seed: int,
@@ -270,11 +281,10 @@ def _ensemble_run(run_id: int, *, dataset: Dataset, n_drop: int, seed: int,
     try:
         curve = offline_fold_trace(sub, cfg=cfg, x0=x0, seed=run_id,
                                    fit_n_starts=fit_n_starts, fit_init=hyper_init)
-        return EnsembleRun(run_id=run_id, completed=True, curve=curve,
-                           hyper=curve.hyper, n_segments=curve.n_segments())
+        return EnsembleRun(run_id=run_id, completed=True, curve=curve)
     except FoldtrackError as e:
-        return EnsembleRun(run_id=run_id, completed=False, curve=None, hyper=None,
-                           n_segments=0, error=f"{type(e).__name__}: {e}")
+        return EnsembleRun(run_id=run_id, completed=False, curve=None,
+                           error=f"{type(e).__name__}: {e}")
 
 
 def _map_runs(one_run, n_runs: int, workers: int) -> list[EnsembleRun]:

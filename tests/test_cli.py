@@ -273,6 +273,26 @@ class TestSweep:
         assert json.loads((tmp_path / "out" / "manifest.json").read_text())["threads"] == 3
 
 
+    def test_grid_stops_at_its_stop(self, tmp_path):
+        # 0.5 / 0.3 and 0.8 / 0.3 steps are not whole: the grids end at the
+        # last value before their stops, inside the oracle's domain box
+        cfg = {
+            "oracle": {"name": "duffing",
+                       "params": {"noise_sigma": 0.0},
+                       "domain_box": {"omega_min": 0.95, "omega_max": 1.45,
+                                      "A_min": 0.05, "A_max": 5.0}},
+            "sweep": {"omega_start": 0.95, "omega_stop": 1.45, "omega_step": 0.3,
+                      "A_start": 0.2, "A_stop": 1.0, "A_step": 0.3},
+        }
+        out = tmp_path / "out"
+        res = run_cli("sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out))
+        assert res.exit_code == 0
+        assert json.loads((out / "manifest.json").read_text())["reason"] == "complete"
+        X = read_dataset_csv(out / "dataset.csv").X
+        assert X[:, 0].tolist() == pytest.approx([0.95] * 3 + [1.25] * 3)
+        assert X[:, 1].tolist() == pytest.approx([0.2, 0.5, 0.8] * 2)
+
+
 class TestNlfrCommand:
     def test_matches_hand_filter(self, tmp_path):
         p = DuffingParams()

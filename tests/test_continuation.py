@@ -9,9 +9,9 @@ from reference_oracles import duffing_fold_amplitudes
 
 from foldtrack import continuation
 from foldtrack.continuation import (H_MIN, NEWTON_TOL, ContinuationConfig, CorrectResult,
-                                    FoldPoint, Step, Tangent, advance, correct, find_first_fold,
-                                    follow, in_data_cloud, predict_step, tangent_at,
-                                    tangent_from_jrow, zero_fn)
+                                    CurvePoint, FoldPoint, Step, Tangent, advance, correct,
+                                    find_first_fold, follow, in_data_cloud, predict_step,
+                                    tangent_at, tangent_from_jrow, zero_fn)
 from foldtrack.errors import (DomainExit, LeftDataCloud, NoConvergence, SingularJacobian,
                               StepUnderflow)
 from foldtrack.geometry import DomainBox
@@ -242,13 +242,13 @@ class TestStepSizeControl:
             tried.append(h)
             if len(tried) == 1:
                 raise NoConvergence("injected failure")
-            return CorrectResult(FoldPoint(x_pred[0], x_pred[1], 0.0), 1, 0.0)
+            return CorrectResult(FoldPoint(x_pred[0], x_pred[1], 0.0), 1)
 
         monkeypatch.setattr(continuation, "correct", fails_once)
         cfg = ContinuationConfig(h=0.05, h_max=0.1)
         step = advance(duffing_model, fold_on_surrogate, None, 0.05, cfg)
         assert tried == [0.05, pytest.approx(0.025, rel=1e-15)]
-        assert step.h == pytest.approx(0.025, rel=1e-15)
+        assert step.point.h == pytest.approx(0.025, rel=1e-15)
 
     def test_underflow_at_floor(self, monkeypatch, duffing_model, fold_on_surrogate):
         tried = []
@@ -283,9 +283,8 @@ class TestAdvance:
                                                    tangent):
         step = advance(duffing_model, fold_on_surrogate, None, 0.1, CFG)
         x_pred = predict_step(fold_on_surrogate, tangent, 0.1, duffing_model.hyper)
-        assert step.h == 0.1
-        assert step.tangent == tangent
-        assert step.result == correct(duffing_model, x_pred, fold_on_surrogate, tangent, 0.1, CFG)
+        result = correct(duffing_model, x_pred, fold_on_surrogate, tangent, 0.1, CFG)
+        assert step.point == CurvePoint(result.point, tangent, 0.1, result.iterations)
 
     @pytest.mark.parametrize("h, h_max, iters, h_next", [
         (0.05, 0.1, 3, 0.06),
@@ -297,12 +296,12 @@ class TestAdvance:
     def test_next_h(self, monkeypatch, duffing_model, fold_on_surrogate, h, h_max, iters,
                     h_next):
         def converges_in_iters(model, x_pred, x_prev, t, h, cfg):
-            return CorrectResult(FoldPoint(x_pred[0], x_pred[1], 0.0), iters, 0.0)
+            return CorrectResult(FoldPoint(x_pred[0], x_pred[1], 0.0), iters)
 
         monkeypatch.setattr(continuation, "correct", converges_in_iters)
         cfg = ContinuationConfig(h=h, h_max=h_max)
         step = advance(duffing_model, fold_on_surrogate, None, h, cfg)
-        assert step.h == h
+        assert step.point.h == h
         assert step.h_next == pytest.approx(h_next, rel=1e-15)
 
     def test_prediction_outside_box_halves_h(self, duffing_model, fold_on_surrogate, tangent):
@@ -311,10 +310,10 @@ class TestAdvance:
         assert not box.contains(*predict_step(fold_on_surrogate, tangent, 0.3,
                                               duffing_model.hyper))
         step = advance(duffing_model, fold_on_surrogate, None, 0.3, cfg)
-        assert step.h == 0.15
+        assert step.point.h == 0.15
         x_pred = predict_step(fold_on_surrogate, tangent, 0.15, duffing_model.hyper)
-        assert step.result == correct(duffing_model, x_pred, fold_on_surrogate, tangent, 0.15,
-                                      cfg)
+        result = correct(duffing_model, x_pred, fold_on_surrogate, tangent, 0.15, cfg)
+        assert step.point == CurvePoint(result.point, tangent, 0.15, result.iterations)
 
     def test_underflow_at_h_min(self, duffing_model, fold_on_surrogate, tangent):
         # the edge passes through the fold, so every prediction leaves the box
@@ -353,7 +352,7 @@ class TestAdvance:
         monkeypatch.setattr(continuation, "correct", fails_once)
         step = advance(duffing_model, fold_on_surrogate, None, 0.2, CFG)
         assert tried == [0.2, 0.1]
-        assert step.h == 0.1
+        assert step.point.h == 0.1
 
     def test_corrector_singular_jacobian_propagates(self, monkeypatch, duffing_model,
                                                     fold_on_surrogate):
@@ -384,8 +383,8 @@ class TestFollow:
     @staticmethod
     def step(i):
         """A distinct accepted step; its h_next is what the next advance must try."""
-        return Step(CorrectResult(FoldPoint(1.0 + i, 2.0 + i, 0.5), i, 0.0),
-                    Tangent(math.cos(i), math.sin(i)), 0.01 * i, 0.02 * i)
+        return Step(CurvePoint(FoldPoint(1.0 + i, 2.0 + i, 0.5),
+                               Tangent(math.cos(i), math.sin(i)), 0.01 * i, i), 0.02 * i)
 
     @staticmethod
     def stand_in(monkeypatch, outcomes):
@@ -407,7 +406,7 @@ class TestFollow:
         calls = self.stand_in(monkeypatch, [self.step(1), self.step(2), self.step(3)])
 
         def keep(model, step, k):
-            return model, step.result.point
+            return model, step.point.fold
 
         assert follow("m", FoldPoint(1.0, 2.0, 0.5), Tangent(1.0, 0.0), self.CFG,
                       keep) == "max_steps"
@@ -424,7 +423,7 @@ class TestFollow:
 
         def accept(model, step, k):
             accepted.append(k)
-            return model, step.result.point
+            return model, step.point.fold
 
         assert follow("m", FoldPoint(1.0, 2.0, 0.5), Tangent(1.0, 0.0), self.CFG,
                       accept) == reason
@@ -447,7 +446,7 @@ class TestFollow:
         assert calls[0] == ("model 0", fold0, t0, self.CFG.h)
         for k in (1, 2):
             model, fold = returned[k - 1]
-            assert calls[k] == (model, fold, steps[k - 1].tangent, steps[k - 1].h_next)
+            assert calls[k] == (model, fold, steps[k - 1].point.tangent, steps[k - 1].h_next)
 
     @pytest.mark.parametrize("error", [SingularJacobian, StepUnderflow])
     def test_exception_from_accept_propagates(self, monkeypatch, error):

@@ -137,8 +137,8 @@ class TestOfflineTrace:
         hs = []
 
         def record(model, step, k):
-            hs.append(step.h)
-            return model, step.result.point
+            hs.append(step.point.h)
+            return model, step.point.fold
 
         follow(model, fold0, tangent_at(model, fold0, None), cfg, record)
         assert min(hs) < cfg.h  # h only shrinks when an attempt is rejected
@@ -170,6 +170,16 @@ class TestNlfrSlice:
         res = nlfr_slice([], gamma_level=0.25, band=0.05, fold_curves=[pts])
         assert len(res.markers) == 1
         assert res.markers[0].gamma_model == pytest.approx(0.25, abs=0.004)
+
+    def test_crossing_between_two_out_of_band_points_gets_a_marker(self):
+        # 0.28 -> 0.32 steps over the band 0.3 +- 0.015 without a point in it;
+        # the marker sits where the segment's force equals the level
+        pts = [FoldPoint(1.0, 1.0, 0.26), FoldPoint(1.1, 1.2, 0.28),
+               FoldPoint(1.2, 1.6, 0.32), FoldPoint(1.3, 1.8, 0.34)]
+        res = nlfr_slice([], gamma_level=0.3, band=0.05, fold_curves=[pts])
+        assert len(res.markers) == 1
+        m = res.markers[0]
+        assert (m.omega, m.A, m.gamma_model) == pytest.approx((1.15, 1.4, 0.3), rel=1e-12)
 
     def test_two_markers_for_two_crossings(self):
         gammas = np.concatenate([np.linspace(0.1, 0.4, 25), np.linspace(0.4, 0.1, 25)])
@@ -284,7 +294,7 @@ class TestDropoutEnsemble:
         assert [r.run_id for r in forked.runs] == [0, 1, 2, 3]
         assert [r.completed for r in forked.runs] == [True, False, True, True]
         assert forked.runs[1].error == "NoConvergence: scripted failure"
-        # curve, hyper, n_segments, completed and error, byte for byte
+        # curve, completed and error, byte for byte
         assert [pickle.dumps(r) for r in forked.runs] == [pickle.dumps(r) for r in serial.runs]
 
     def test_curves_stay_in_tube_around_full_data_curve(self, online_run):
