@@ -85,7 +85,6 @@ def generate_candidates(center, cfg: AcquisitionConfig, rng_seed, hyper,
     DomainExhausted when the admissible part of the ellipse is too small.
     Deterministic for a given rng_seed.
     """
-    c_omega, c_A = (center.omega, center.A) if isinstance(center, FoldPoint) else (center[0], center[1])
     a, b = 2.0 * hyper.l_omega, 2.0 * hyper.l_A
     rng = np.random.default_rng(rng_seed)
     out: list[tuple[float, float]] = []
@@ -98,8 +97,8 @@ def generate_candidates(center, cfg: AcquisitionConfig, rng_seed, hyper,
                 f"could not place {cfg.n_test} candidates inside ellipse and domain box")
         r = np.sqrt(rng.uniform(size=m))
         phi = rng.uniform(0.0, 2.0 * math.pi, size=m)
-        om = c_omega + a * r * np.cos(phi)
-        A = c_A + b * r * np.sin(phi)
+        om = center[0] + a * r * np.cos(phi)
+        A = center[1] + b * r * np.sin(phi)
         drawn += m
         if domain_box is not None:
             ok = domain_box.contains(om, A)
@@ -120,9 +119,8 @@ def sensitivity_beta(model: GprModel, x_cand, x_sol):
     """
     x_cand = np.asarray(x_cand, dtype=float)
     C = x_cand.reshape(-1, 2)
-    x_sol_pair = (x_sol.omega, x_sol.A) if isinstance(x_sol, FoldPoint) else tuple(x_sol)
     fresh = model.dataset.duplicate_of(C) < 0
-    var, cov_d_A = model.predict_var_and_cov_d_A(x_sol_pair, C[fresh])
+    var, cov_d_A = model.predict_var_and_cov_d_A(x_sol, C[fresh])
     beta = np.zeros(len(C))
     beta[fresh] = np.abs(cov_d_A) * np.sqrt(var) / (var + model.hyper.sigma_n2 + model.jitter)
     return float(beta[0]) if x_cand.ndim == 1 else beta
@@ -143,7 +141,7 @@ def add_measurement(model: GprModel, fold: FoldPoint, tangent: Tangent, meas, n_
     except DuplicatePoint:
         return model, fold
     model = prune(model, fold, n_max)
-    refreshed = correct(model, (fold.omega, fold.A), fold, tangent, 0.0, ccfg).point
+    refreshed = correct(model, fold, fold, tangent, 0.0, ccfg).point
     move = math.hypot((refreshed.omega - fold.omega) / model.hyper.l_omega,
                       (refreshed.A - fold.A) / model.hyper.l_A)
     if move > MAX_REFRESH_MOVE:
@@ -193,11 +191,10 @@ def prune(model: GprModel, x_sol, n_max: int) -> GprModel:
     current solution, in closed form; ties are broken by removing the point
     farthest from the solution.
     """
-    x_sol_pair = (x_sol.omega, x_sol.A) if isinstance(x_sol, FoldPoint) else tuple(x_sol)
     while model.n > n_max:
-        influences = np.abs(model.loo_mean_d_A_shift(x_sol_pair))
-        dist = np.hypot((model.dataset.X[:, 0] - x_sol_pair[0]) / model.hyper.l_omega,
-                        (model.dataset.X[:, 1] - x_sol_pair[1]) / model.hyper.l_A)
+        influences = np.abs(model.loo_mean_d_A_shift(x_sol))
+        dist = np.hypot((model.dataset.X[:, 0] - x_sol[0]) / model.hyper.l_omega,
+                        (model.dataset.X[:, 1] - x_sol[1]) / model.hyper.l_A)
         order = np.lexsort((-dist, influences))
         model = model.remove_point(int(order[0]))
     return model

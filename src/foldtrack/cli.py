@@ -153,8 +153,7 @@ def nlfr(config_path, out_dir, seed, threads):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_rows(out / "slice_points.csv", csvio.DATASET_HEADER, result.points)
-    csvio.write_rows(out / "fold_markers.csv", FOLD_HEADER,
-                     [(m.omega, m.A, m.gamma_model) for m in result.markers])
+    csvio.write_rows(out / "fold_markers.csv", FOLD_HEADER, result.markers)
     csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(), seed=0, threads=1,
                          status="ok", reason=f"{len(result.markers)} fold markers",
                          outputs=["slice_points.csv", "fold_markers.csv"],

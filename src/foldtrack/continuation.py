@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +53,11 @@ NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 20
 
 
-@dataclass(frozen=True)
-class FoldPoint:
-    """Solution of the fold condition on the surrogate, with the model's force there."""
+class FoldPoint(NamedTuple):
+    """Solution of the fold condition on the surrogate, with the model's force there.
+
+    Its first two entries are its location, so it is an (omega, A) point
+    wherever one is taken."""
 
     omega: float
     A: float
@@ -205,9 +208,8 @@ def tangent_at(model: GprModel, x: FoldPoint, prev: Tangent | None = None) -> Ta
 
 def predict_step(x, t: Tangent, h: float, hyper) -> tuple[float, float]:
     """Euler predictor x + h t, taken in normalized coordinates."""
-    omega, A = (x.omega, x.A) if isinstance(x, FoldPoint) else (x[0], x[1])
-    return (omega + h * t.t_omega * hyper.l_omega,
-            A + h * t.t_A * hyper.l_A)
+    return (x[0] + h * t.t_omega * hyper.l_omega,
+            x[1] + h * t.t_A * hyper.l_A)
 
 
 @dataclass(frozen=True)
@@ -225,8 +227,7 @@ def correct(model: GprModel, x_pred, x_prev, t_prev: Tangent, h: float,
     update.  Iterates stay inside the data cloud and the domain box.
     """
     hyp = model.hyper
-    x_prev_omega, x_prev_A = (x_prev.omega, x_prev.A) if isinstance(x_prev, FoldPoint) else x_prev
-    up, vp = x_prev_omega / hyp.l_omega, x_prev_A / hyp.l_A
+    up, vp = x_prev[0] / hyp.l_omega, x_prev[1] / hyp.l_A
     u, v = x_pred[0] / hyp.l_omega, x_pred[1] / hyp.l_A
     if not _admissible(model, u, v, cfg.domain_box):
         raise LeftDataCloud("predicted point is outside the data cloud or domain box")

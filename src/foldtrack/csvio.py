@@ -74,7 +74,7 @@ def _read_rows(path, header, what) -> list[list[str]]:
 def write_run_log(path, points):
     """One RUN_LOG_HEADER row per CurvePoint of `points`; a row's step is its index."""
     write_rows(path, RUN_LOG_HEADER, (
-        [k, p.fold.omega, p.fold.A, p.fold.gamma_model, p.gamma_measured,
+        [k, *p.fold, p.gamma_measured,
          p.tangent.t_omega, p.tangent.t_A, p.h, p.newton_iters]
         for k, p in enumerate(points)))
 

@@ -76,7 +76,7 @@ class FoldCurve:
 
     def as_array(self) -> np.ndarray:
         """(n, 3) array of omega, A, gamma_model."""
-        return np.array([[p.omega, p.A, p.gamma_model] for p in self.points]).reshape(-1, 3)
+        return np.array(self.points, dtype=float).reshape(-1, 3)
 
     def n_segments(self) -> int:
         """Connected polyline segments, split at jumps longer than one length scale."""

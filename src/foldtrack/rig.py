@@ -43,15 +43,17 @@ settle and a probe, not a 2 s record.
 
 The loop keeps running between simulations, as on the hardware.  After each
 probe or recorded window it is locked at that frequency on that reference.
-A loop from rest (a fresh rig, or a loop restarted after a saturation trip
-or an open-loop replay) first waits the fixed settle_time.  A running loop,
-locked at this frequency or at another, skips that wait.  Either way the
-settle then checks convergence period by period: it compares each period's
-fundamental response amplitude with the previous period's and ends at the
-first that agrees within settle_rel_tol, or once settle_max_time has run.  Picard iteration on a loop locked at its frequency starts from the
+A saturation trip puts the loop at rest where it trips: zero plant state
+and histories, unlocked, as in a fresh rig, with the clock at the
+saturating sample.  An unlocked loop (a fresh rig, a tripped loop, or one
+after an open-loop replay) first waits the fixed settle_time.  A running
+loop, locked at this frequency or at another, skips that wait.  Either way
+the settle then checks convergence period by period: it compares each
+period's fundamental response amplitude with the previous period's and ends
+at the first that agrees within settle_rel_tol, or once settle_max_time has
+run.  Picard iteration on a loop locked at its frequency starts from the
 locked higher harmonics instead of zeros, so a later measurement at one
-frequency starts close to its fixed point.  A loop left beyond
-saturation by a trip restarts from rest at its next simulation.
+frequency starts close to its fixed point.
 
 The plant is ZOH-discretized per mode at the sample rate, with the cubic
 force held constant over each sample like the shaker input; this keeps the
@@ -106,6 +108,8 @@ SETTLE_BLOCK = 8
 # whole periods, and records the full window only when the probe says the
 # iteration can be the last.
 PROBE_PERIODS = 4
+# An open-loop replay settles this long, s, before its record.
+REPLAY_TRANSIENT = 3.0
 
 
 @dataclass(frozen=True)
@@ -249,15 +253,19 @@ class RigOracle(SeededOracle):
             Ad, Bd = M[:2, :2], M[:2, 2]
             self._modes.append((float(Ad[0, 0]), float(Ad[0, 1]), float(Ad[1, 0]),
                                 float(Ad[1, 1]), float(Bd[0]), float(Bd[1])))
+        self._rest()
+        self._t = 0.0
+        # the target whose probe ran the last segment: the loop is steady on it
+        self._probed = None
+
+    def _rest(self):
+        """Put the loop at rest: zero plant state and histories, unlocked."""
         self._q = [0.0, 0.0, 0.0, 0.0]  # q1, qd1, q2, qd2
         self._u_hist = [0.0, 0.0, 0.0]
         self._e_hist = [0.0, 0.0, 0.0]
-        self._t = 0.0
         # (omega, a0, A[1:], B[1:]) of the reference the loop last settled
-        # on; None for a fresh, tripped or replayed loop
+        # on; None for a loop at rest or replayed open loop
         self._lock = None
-        # the target whose probe ran the last segment: the loop is steady on it
-        self._probed = None
 
     # -- core closed-loop simulation ----------------------------------------
 
@@ -289,11 +297,8 @@ class RigOracle(SeededOracle):
             y_m = phi1 * q1 + phi2 * q2   # metres
             y_mm = 1000.0 * y_m
             if abs(y_mm) > sat:
-                self._q = [q1, qd1, q2, qd2]
-                self._u_hist = [u1, u2, u3]
-                self._e_hist = [e1, e2, e3]
+                self._rest()
                 self._t = t0 + k * T
-                self._lock = None
                 raise ControlDiverged(f"tip response {y_mm:.1f} mm exceeded saturation {sat} mm")
             if drive is not None:
                 u = drive[k]
@@ -327,25 +332,10 @@ class RigOracle(SeededOracle):
     def _locked_at(self, omega_hz: float) -> bool:
         return self._lock is not None and self._lock[0] == omega_hz
 
-    def _restart_if_saturated(self):
-        """Restart a loop left beyond saturation from rest, unlocked.
-
-        A saturation exit saves the state of the saturating sample; run on
-        from there, every later simulation would trip on its first sample.
-        """
-        p = self.params
-        q1, _, q2, _ = self._q
-        if abs(1000.0 * (p.phi[0] * q1 + p.phi[1] * q2)) > p.saturation_mm:
-            self._q = [0.0, 0.0, 0.0, 0.0]
-            self._u_hist = [0.0, 0.0, 0.0]
-            self._e_hist = [0.0, 0.0, 0.0]
-            self._lock = None
-            self._probed = None
-
-    def _settle(self, target: _TargetSignal, omega_hz: float):
+    def _settle(self, target: _TargetSignal):
         """Run the transient until the fundamental response amplitude is steady.
 
-        A loop from rest first waits the fixed settle_time; a running loop
+        An unlocked loop first waits the fixed settle_time; a running loop
         does not.  Then each period's fundamental amplitude is compared with
         the previous period's, and the settle ends at the first period that
         agrees within settle_rel_tol, or at the first period that ends after
@@ -359,7 +349,7 @@ class RigOracle(SeededOracle):
             elapsed = p.settle_time
         # one oscillation period rounded up to whole samples, +1 so the
         # least-squares window always contains a full cycle
-        period = p.sample_rate / omega_hz
+        period = p.sample_rate / target.omega_hz
         n = int(math.ceil(period)) + 1
         amp_prev = None
         while True:
@@ -373,7 +363,7 @@ class RigOracle(SeededOracle):
                     return
                 amp_prev = amp
 
-    def _probe(self, target: _TargetSignal, omega_hz: float):
+    def _probe(self, target: _TargetSignal):
         """Run PROBE_PERIODS whole periods on the settled loop; returns the y and u fits.
 
         No force record is taken, so the probe draws no noise.  The loop
@@ -381,11 +371,11 @@ class RigOracle(SeededOracle):
         straight after.
         """
         p = self.params
-        period = p.sample_rate / omega_hz
+        period = p.sample_rate / target.omega_hz
         ys, us, E = self._closed_loop(target, int(math.ceil(PROBE_PERIODS * period)) + 1)
         fits = _fit_fourier(E, period, p.fourier_modes, np.array(ys, dtype=float),
                             np.array(us, dtype=float))
-        self._lock = (omega_hz, target.a0, target.A[1:].copy(), target.B[1:].copy())
+        self._lock = (target.omega_hz, target.a0, target.A[1:].copy(), target.B[1:].copy())
         self._probed = target
         return dict(zip("yu", fits))
 
@@ -402,9 +392,8 @@ class RigOracle(SeededOracle):
         if target is None:
             target = _TargetSignal(omega_hz, p.fourier_modes)
             target.A[0] = a1_star
-        self._restart_if_saturated()
         if self._probed is not target:
-            self._settle(target, omega_hz)
+            self._settle(target)
         t0 = self._t
         noise = (rng.standard_normal(p.record_len) * p.noise_sigma
                  if rng is not None and p.noise_sigma > 0 else None)
@@ -462,9 +451,8 @@ class RigOracle(SeededOracle):
 
         residual = math.inf
         for _ in range(p.picard_max_iter):
-            self._restart_if_saturated()
-            self._settle(target, omega_hz)
-            coeffs = self._probe(target, omega_hz)
+            self._settle(target)
+            coeffs = self._probe(target)
             residual, A_real, correct = verdict(coeffs)
             records = None
             if residual < p.picard_tol and not correct:
@@ -488,17 +476,15 @@ class RigOracle(SeededOracle):
             f"higher-harmonic residual {residual:.4g} N above tol {p.picard_tol} "
             f"after {p.picard_max_iter} iterations at {omega_hz} Hz")
 
-    def replay_open_loop(self, omega_hz: float, Au1: float, Bu1: float,
-                         transient: float = 3.0):
+    def replay_open_loop(self, omega_hz: float, Au1: float, Bu1: float):
         """Drive the plant open loop with the fundamental force only.
 
         Continues from the current plant state (feedback removed), settles
-        for `transient` seconds, then records one measurement window and
+        for REPLAY_TRANSIENT seconds, then records one measurement window and
         returns the fundamental response amplitude.  Used to verify that a
         converged control signal was non-invasive.
         """
         p = self.params
-        self._restart_if_saturated()
         self._lock = None
 
         def u_of(n):
@@ -506,7 +492,8 @@ class RigOracle(SeededOracle):
             ph = TWO_PI * omega_hz * t
             return (Au1 * np.cos(ph) + Bu1 * np.sin(ph)).tolist()
 
-        self._run_segment(int(transient * p.sample_rate), drive=u_of(int(transient * p.sample_rate)))
+        n = int(REPLAY_TRANSIENT * p.sample_rate)
+        self._run_segment(n, drive=u_of(n))
         t0 = self._t
         ys, _ = self._run_segment(p.record_len, drive=u_of(p.record_len))
         _, Ay, By = fourier_coeffs(np.array(ys, dtype=float), omega_hz, p.sample_rate,

@@ -12,8 +12,8 @@ from foldtrack import acquisition
 from foldtrack.acquisition import (AcquisitionConfig, add_measurement, generate_candidates,
                                    improve_solution, prune, sensitivity_beta)
 from foldtrack.config import config_from_dict, load_raw
-from foldtrack.continuation import (ContinuationConfig, FoldPoint, find_first_fold,
-                                    tangent_at)
+from foldtrack.continuation import (ContinuationConfig, FoldPoint, correct, find_first_fold,
+                                    predict_step, tangent_at)
 from foldtrack.driver import run_trace
 from foldtrack.errors import CollectionCap, ContinuationError, DomainExhausted
 from foldtrack.geometry import DomainBox
@@ -267,3 +267,39 @@ class TestPrune:
         pruned = prune(m, fold, 10)
         g_after = pruned.predict_mean_derivs((fold.omega, fold.A)).d_A
         assert abs(g_after - g_before) < max(influences)
+
+
+class TestOnePointConvention:
+    """A FoldPoint is its (omega, A) point wherever one is taken."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, fold):
+        return (fold.omega, fold.A)
+
+    def test_continuation_and_acquisition_take_either(self, duffing_model, fold, pair):
+        t = tangent_at(duffing_model, fold)
+        assert predict_step(fold, t, 0.1, duffing_model.hyper) == \
+            predict_step(pair, t, 0.1, duffing_model.hyper)
+        x_pred = predict_step(pair, t, 0.1, duffing_model.hyper)
+        assert correct(duffing_model, fold, pair, t, 0.0, CCFG) == \
+            correct(duffing_model, pair, pair, t, 0.0, CCFG)
+        assert correct(duffing_model, x_pred, fold, t, 0.1, CCFG) == \
+            correct(duffing_model, x_pred, pair, t, 0.1, CCFG)
+        cfg = AcquisitionConfig(n_test=20)
+        candidates = generate_candidates(fold, cfg, 5, duffing_model.hyper)
+        assert candidates == generate_candidates(pair, cfg, 5, duffing_model.hyper)
+        np.testing.assert_array_equal(sensitivity_beta(duffing_model, candidates, fold),
+                                      sensitivity_beta(duffing_model, candidates, pair))
+        n_max = duffing_model.n - 2
+        np.testing.assert_array_equal(prune(duffing_model, fold, n_max).dataset.X,
+                                      prune(duffing_model, pair, n_max).dataset.X)
+
+    def test_gpr_model_takes_either(self, duffing_model, fold, pair):
+        m = duffing_model
+        assert m.predict_mean(fold) == m.predict_mean(pair)
+        assert m.predict_mean_derivs(fold) == m.predict_mean_derivs(pair)
+        assert m.predict_var(fold) == m.predict_var(pair)
+        np.testing.assert_array_equal(m.loo_mean_d_A_shift(fold), m.loo_mean_d_A_shift(pair))
+        a, b = m.add_point(fold, 0.3), m.add_point(pair, 0.3)
+        np.testing.assert_array_equal(a.dataset.X, b.dataset.X)
+        np.testing.assert_array_equal(a.alpha, b.alpha)

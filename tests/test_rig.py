@@ -166,19 +166,30 @@ class TestNonlinearBehaviour:
         with pytest.raises(ControlDiverged):
             rig.picard_noninvasive(11.49, 60.0)
 
-    def test_saturation_exit_saves_loop_state(self):
-        # the loop's other way out stores the state of the saturating sample
+    def test_saturation_exit_leaves_loop_at_rest(self):
+        # the trip puts the loop at rest as a fresh rig's, its clock on the
+        # saturating sample
         rig = make_rig(noise_sigma=0.0)
         with pytest.raises(ControlDiverged):
             rig.picard_noninvasive(11.49, 60.0)
         samples = rig._t * rig.params.sample_rate
         assert samples == pytest.approx(round(samples), abs=1e-9)
-        q1, _, q2, _ = rig._q
-        phi1, phi2 = rig.params.phi
-        assert abs(1000.0 * (phi1 * q1 + phi2 * q2)) > rig.params.saturation_mm
+        assert rig._q == [0.0] * 4
+        assert rig._u_hist == rig._e_hist == [0.0] * 3
+        assert rig._lock is None
+
+    def test_replay_after_a_trip_runs_from_rest(self):
+        # an open-loop replay straight after a trip runs as on a fresh rig
+        # whose clock stands at the saturating sample
+        tripped = make_rig(noise_sigma=0.0)
+        with pytest.raises(ControlDiverged):
+            tripped.picard_noninvasive(11.49, 60.0)
+        fresh = make_rig(noise_sigma=0.0)
+        fresh._t = tripped._t
+        assert tripped.replay_open_loop(12.8, 1.0, 0.0) == fresh.replay_open_loop(12.8, 1.0, 0.0)
 
     def test_trip_does_not_fail_later_simulations(self):
-        # a loop left beyond saturation restarts from rest at its next simulation
+        # a tripped loop is at rest, so its next simulation runs as a fresh rig's
         rig = RigOracle(RigParams(noise_sigma=0.0), DomainBox(9.0, 16.0, 0.02, 80.0), seed=1)
         tripped = sweep_s_curve(rig, 11.49, [1.0, 60.0])
         assert len(tripped.failures) == 1
