@@ -11,7 +11,8 @@ change moved.  The set:
   `duffing.yaml` seeds 0-1, `duffing_noisy.yaml` with `n_max: 40` seeds
   0-2, `isola.yaml` seed 0 and `rig_trace.yaml` seed 0;
 * the CLI `trace` on `duffing.yaml` and its replay from the manifest,
-  `sweep` on `rig_sweep.yaml`, `offline` on `rig_offline.yaml` over that
+  `sweep` on `rig_sweep.yaml` and on a Duffing grid whose amplitude stop
+  lies on the domain box edge, `offline` on `rig_offline.yaml` over the rig
   sweep, `nlfr` over the CLI trace's run log and `nlfr` over the offline
   `fold_curve.csv`, so the one run-log reader reads what both of its
   writers wrote, each with its manifest;
@@ -98,6 +99,13 @@ def commands(out: Path):
     cli(out, "trace", "--config", str(CONFIGS / "duffing.yaml"), "--out", "cli_trace")
     cli(out, "trace", "--config", "cli_trace/manifest.json", "--out", "cli_replay")
     cli(out, "sweep", "--config", str(CONFIGS / "rig_sweep.yaml"), "--out", "cli_sweep")
+    box_edge = {"oracle": {"name": "duffing", "params": {"noise_sigma": 0.0},
+                           "domain_box": {"omega_min": 0.95, "omega_max": 1.45,
+                                          "A_min": 0.05, "A_max": 5.0}},
+                "sweep": {"omega_start": 1.05, "omega_stop": 1.15, "omega_step": 0.05,
+                          "A_start": 0.2, "A_stop": 5.0, "A_step": 0.2}}
+    Path("box_edge.yaml").write_text(yaml.safe_dump(box_edge), encoding="utf-8")
+    cli(out, "sweep", "--config", "box_edge.yaml", "--out", "cli_sweep_box_edge")
     offline = yaml.safe_load((CONFIGS / "rig_offline.yaml").read_text(encoding="utf-8"))
     offline["inputs"]["dataset"] = "cli_sweep/dataset.csv"
     Path("offline.yaml").write_text(yaml.safe_dump(offline), encoding="utf-8")

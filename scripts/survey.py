@@ -82,12 +82,11 @@ def rig_reference_of(cfg) -> dict:
 
 def rig_locus_errors(folds, reference: dict, start_omega: float) -> dict:
     """{omega: {A_abs, F_rel}} of the traced folds at each reference frequency reached."""
-    line = [(f.omega, f.A, f.gamma_model) for f in folds]
     out = {}
     for omega, (A_ref, F_ref) in reference.items():
-        got = interpolate_fold(line, omega)
+        got = interpolate_fold(folds, omega)
         if got is None and omega == start_omega:
-            got = line[0][1:]
+            got = folds[0][1:]
         if got is not None:
             out[str(omega)] = {"A_abs": abs(got[0] - A_ref), "F_rel": abs(got[1] - F_ref) / F_ref}
     return out

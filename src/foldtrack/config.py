@@ -307,10 +307,10 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     """start + i * step for i = 0, 1, ... while i * step <= stop - start.
 
     A whole number of steps that reaches stop to within 1e-9 of a step
-    counts as reaching it, so no value lies past stop by more than the
-    round-off of start + i * step."""
+    counts as reaching it, and each value is clamped at stop, so no value
+    lies past stop even by the round-off of start + i * step."""
     n = math.floor((stop - start) / step + 1e-9) + 1
-    return [start + i * step for i in range(n)]
+    return [min(start + i * step, stop) for i in range(n)]
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,23 @@ class TestSweep:
         assert X[:, 0].tolist() == pytest.approx([0.95] * 3 + [1.25] * 3)
         assert X[:, 1].tolist() == pytest.approx([0.2, 0.5, 0.8] * 2)
 
+    def test_grid_ending_on_the_box_edge_measures_there(self, tmp_path):
+        # 0.2 + 24 * 0.2 rounds to 5.000000000000001; clamped at the stop,
+        # the last value lies on the box edge A_max = 5.0, not past it
+        cfg = {
+            "oracle": {"name": "duffing",
+                       "params": {"noise_sigma": 0.0},
+                       "domain_box": {"omega_min": 0.95, "omega_max": 1.45,
+                                      "A_min": 0.05, "A_max": 5.0}},
+            "sweep": {"omega_start": 1.05, "omega_stop": 1.15, "omega_step": 0.05,
+                      "A_start": 0.2, "A_stop": 5.0, "A_step": 0.2},
+        }
+        out = tmp_path / "out"
+        res = run_cli("sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out))
+        assert res.exit_code == 0
+        assert json.loads((out / "manifest.json").read_text())["reason"] == "complete"
+        assert read_dataset_csv(out / "dataset.csv").n == 75
+
 
 class TestNlfrCommand:
     def test_matches_hand_filter(self, tmp_path):

@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foldtrack.acquisition import AcquisitionConfig
 from foldtrack.config import (ACQUISITION_KEYS, CONTINUATION_KEYS, ENSEMBLE_KEYS,
@@ -58,6 +60,24 @@ def test_rig_sweep_uses_hardware_grid():
 
 ORACLE = {"name": "duffing",
           "domain_box": {"omega_min": 0.95, "omega_max": 1.45, "A_min": 0.05, "A_max": 5.0}}
+
+
+@settings(max_examples=200, deadline=None)
+@example(start=2, step=2, steps=24, past=0, digits=1)  # 0.2 + 24 * 0.2 = 5.000000000000001
+@given(start=st.integers(-500, 500), step=st.integers(1, 300), steps=st.integers(0, 60),
+       past=st.floats(0.0, 0.99), digits=st.integers(0, 3))
+def test_decimal_grid_ends_at_or_before_its_stop(start, step, steps, past, digits):
+    # a grid written in decimals has one value per whole step from start to
+    # stop, the last one on or below stop even where start + i * step rounds up
+    scale = 10 ** digits
+    stop = (start + steps * step + int(past * step)) / scale
+    cfg = sweep_config_from_dict({"oracle": ORACLE, "sweep": {
+        "omega_start": 1.0, "omega_stop": 1.0,
+        "A_start": start / scale, "A_stop": stop, "A_step": step / scale}})
+    grid = cfg.A_grid()
+    assert len(grid) == steps + 1
+    assert max(grid) <= stop
+    assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
 def defaults(cls, table):
