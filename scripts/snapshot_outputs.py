@@ -15,7 +15,9 @@ change moved.  The set:
   lies on the domain box edge, `offline` on `rig_offline.yaml` over the rig
   sweep, `nlfr` over the CLI trace's run log and `nlfr` over the offline
   `fold_curve.csv`, so the one run-log reader reads what both of its
-  writers wrote, each with its manifest;
+  writers wrote, and `ensemble` over the benchmark's sweep of seed 0 with
+  4 runs on 2 worker processes and no start point, so each run scans for
+  its own, each with its manifest;
 * the `repr` of every run of `dropout_ensemble` on the benchmark's sweep of
   seed 0 (`perfbench/dataset.py`), warm-started and on 2 worker processes,
   as the benchmark's `ensemble-offline` workload calls it;
@@ -120,6 +122,9 @@ def commands(out: Path):
             "gamma_level": 1.6, "band": 0.05}
     Path("nlfr_offline.yaml").write_text(yaml.safe_dump(nlfr), encoding="utf-8")
     cli(out, "nlfr", "--config", "nlfr_offline.yaml", "--out", "cli_nlfr_offline")
+    ensemble_cfg = {"inputs": {"dataset": "ensemble_sweep0.csv"}, "n_runs": 4, "threads": 2}
+    Path("ensemble.yaml").write_text(yaml.safe_dump(ensemble_cfg), encoding="utf-8")
+    cli(out, "ensemble", "--config", "ensemble.yaml", "--out", "cli_ensemble")
 
 
 def rejected(out: Path):

@@ -148,7 +148,7 @@ def nlfr(config_path, out_dir, seed, threads):
     cfg = _load(config_path, nlfr_config_from_dict)
     base = Path(config_path).parent
     datasets = [csvio.read_dataset_csv(base / p) for p in cfg.datasets]
-    curves = [FoldCurve(csvio.read_run_log(base / p)) for p in cfg.run_logs]
+    curves = [FoldCurve(csvio.read_run_log(base / p)).points for p in cfg.run_logs]
     result = nlfr_slice(datasets, cfg.gamma_level, cfg.band, fold_curves=curves)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

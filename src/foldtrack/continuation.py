@@ -131,19 +131,27 @@ def _scaled_system(model: GprModel, u: float, v: float):
     return r, (j_wa * hyp.l_omega * hyp.l_A / s, j_aa * hyp.l_A**2 / s)
 
 
-def in_data_cloud(model: GprModel, omega: float, A: float) -> bool:
-    """True when (omega, A) is supported by enough nearby training data."""
-    return _cloud_ok(model, omega / model.hyper.l_omega, A / model.hyper.l_A)
+def in_data_cloud(model: GprModel, omega, A):
+    """True where (omega, A) is supported by enough nearby training data.
+
+    omega and A broadcast against each other, so one frequency and an array
+    of amplitudes give one truth value per amplitude.
+    """
+    u, v = np.broadcast_arrays(np.divide(omega, model.hyper.l_omega),
+                               np.divide(A, model.hyper.l_A))
+    return _cloud_ok(model, u[..., None], v[..., None])
 
 
-def _cloud_ok(model: GprModel, u: float, v: float) -> bool:
+def _cloud_ok(model: GprModel, u, v):
+    """`in_data_cloud` in normalized coordinates: u and v are numbers, or arrays
+    of query points with a trailing axis of length 1, against which the
+    training inputs run."""
     X = model.dataset.X
+    if X.shape[0] < CLOUD_MIN_POINTS:
+        return np.zeros(np.shape(u)[:-1], dtype=bool)
     d2 = ((X[:, 0] / model.hyper.l_omega - u) ** 2
           + (X[:, 1] / model.hyper.l_A - v) ** 2)
-    if len(d2) < CLOUD_MIN_POINTS:
-        return False
-    near = np.partition(d2, CLOUD_MIN_POINTS - 1)[CLOUD_MIN_POINTS - 1]
-    return bool(near <= CLOUD_RADIUS**2)
+    return np.partition(d2, CLOUD_MIN_POINTS - 1)[..., CLOUD_MIN_POINTS - 1] <= CLOUD_RADIUS**2
 
 
 def _admissible(model: GprModel, u: float, v: float, box: DomainBox | None) -> bool:

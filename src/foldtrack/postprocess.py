@@ -29,7 +29,8 @@ from .continuation import (ContinuationConfig, CurvePoint, FoldPoint, Tangent, f
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
 from .errors import ContinuationError, EmptySliceWarning, FoldtrackError, OracleError
 from .geometry import DomainBox
-from .gpr import Dataset, GprModel, Hyperparameters, build, fit_hyperparameters
+from .gpr import (Dataset, GprModel, Hyperparameters, build, curvature_scale,
+                  fit_hyperparameters)
 from .oracles import MeasuredPoint
 
 
@@ -74,6 +75,10 @@ class FoldCurve:
     def points(self) -> list[FoldPoint]:
         return [r.fold for r in self.records]
 
+    def __iter__(self):
+        """The fold points in curve order, so a curve serves where a list of them does."""
+        return iter(self.points)
+
     def as_array(self) -> np.ndarray:
         """(n, 3) array of omega, A, gamma_model."""
         return np.array(self.points, dtype=float).reshape(-1, 3)
@@ -89,20 +94,24 @@ class FoldCurve:
 
 
 def seed_scan(model: GprModel, box: DomainBox):
-    """40 x 40 grid scan for the in-cloud point with the smallest |dGamma/dA|."""
+    """The point of a 40 x 40 grid over `box` inside the data cloud with the smallest |dGamma/dA|.
+
+    Each omega column of the grid is scored in one pass: one in-cloud test
+    and one (40 x n) kernel block.  Of equal scores the first in omega-major
+    order wins.  Raises ContinuationError when no grid point lies inside
+    the data cloud.
+    """
     omegas = np.linspace(box.omega_min, box.omega_max, 40)
     As = np.linspace(box.A_min, box.A_max, 40)
-    best, best_val = None, math.inf
-    for omega in omegas:
-        for A in As:
-            if not in_data_cloud(model, omega, A):
-                continue
-            val = abs(model.predict_mean_derivs((omega, A)).d_A)
-            if val < best_val:
-                best, best_val = (float(omega), float(A)), val
-    if best is None:
+    score = np.empty((len(omegas), len(As)))
+    for i, omega in enumerate(omegas):
+        d_A = model.predict_mean_d_A(np.column_stack([np.full_like(As, omega), As]))
+        score[i] = np.where(in_data_cloud(model, omega, As), np.abs(d_A), np.inf)
+    k = int(np.argmin(score))
+    if not score.flat[k] < np.inf:
         raise ContinuationError("no grid point lies inside the data cloud")
-    return best
+    i, j = divmod(k, len(As))
+    return float(omegas[i]), float(As[j])
 
 
 def data_box(dataset: Dataset) -> DomainBox:
@@ -124,15 +133,14 @@ def initial_guess(dataset: Dataset) -> Hyperparameters:
 
 
 def offline_fold_trace(dataset: Dataset, hyper: Hyperparameters | None = None,
-                       cfg: ContinuationConfig | None = None, x0=None, seed: int = 0,
-                       fit_n_starts: int = 5,
-                       fit_init: Hyperparameters | None = None) -> FoldCurve:
+                       cfg: ContinuationConfig | None = None, x0=None,
+                       seed: int = 0) -> FoldCurve:
     """Fold curve of the surrogate built from all points of a recorded dataset.
 
-    Hyperparameters are fitted when not supplied (optionally warm-started
-    from `fit_init`); the starting point comes from a coarse |dGamma/dA|
-    scan unless given.  From the first fold, `continuation.follow` takes up
-    to cfg.max_steps steps forward (along increasing omega) and as many
+    Hyperparameters are fitted when not supplied, from `initial_guess` and
+    four more starts drawn from `seed`; the starting point comes from
+    `seed_scan` unless given.  From the first fold, `continuation.follow`
+    takes up to cfg.max_steps steps forward (along increasing omega) and as many
     backward; the curve runs from the backward end to the forward end, and
     its `reason` is the pair (forward, backward) of their stop reasons.
     No new data is collected.
@@ -140,8 +148,7 @@ def offline_fold_trace(dataset: Dataset, hyper: Hyperparameters | None = None,
     if dataset.n == 0:
         raise ValueError("cannot trace an empty dataset")
     if hyper is None:
-        init = fit_init if fit_init is not None else initial_guess(dataset)
-        hyper = fit_hyperparameters(dataset, init, n_starts=fit_n_starts, seed=seed)
+        hyper = fit_hyperparameters(dataset, initial_guess(dataset), seed=seed)
     model = build(dataset, hyper)
     if cfg is None:
         cfg = ContinuationConfig(domain_box=data_box(dataset), max_steps=200)
@@ -174,12 +181,13 @@ class SliceResult:
 def nlfr_slice(datasets, gamma_level: float, band: float, fold_curves=()) -> SliceResult:
     """Constant-force cross-section: measured points and fold markers in-band.
 
-    Each fold curve gets one marker per crossing of the level, in curve
-    order: the point with force closest to the level of each contiguous
-    in-band arc, so a curve crossing the level once yields exactly one
-    marker however densely it was sampled; and where the curve steps from
-    below the band straight to above it, or back, the point on that segment
-    where gamma_model equals the level, by linear interpolation.
+    Each of `fold_curves` is a sequence of `FoldPoint`s in curve order, and
+    gets one marker per crossing of the level, in curve order: the point
+    with force closest to the level of each contiguous in-band arc, so a
+    curve crossing the level once yields exactly one marker however densely
+    it was sampled; and where the curve steps from below the band straight
+    to above it, or back, the point on that segment where gamma_model
+    equals the level, by linear interpolation.
     """
     if not 0.0 < band < 0.5:
         raise ValueError("band must lie in (0, 0.5)")
@@ -202,9 +210,8 @@ def nlfr_slice(datasets, gamma_level: float, band: float, fold_curves=()) -> Sli
 
     markers: list[FoldPoint] = []
     for curve in fold_curves:
-        pts = curve.points if isinstance(curve, FoldCurve) else curve
         last_side, last = 0, None
-        for arc_side, arc in groupby(pts, key=side):
+        for arc_side, arc in groupby(curve, key=side):
             arc = list(arc)
             if arc_side == 0:
                 markers.append(min(arc, key=miss))
@@ -249,8 +256,12 @@ def dropout_ensemble(dataset: Dataset, n_runs: int, dropout_fraction: float, see
     """Refit and retrace fold curves on datasets with points randomly removed.
 
     Each run drops exactly ceil(fraction * n) distinct points (fraction 0
-    drops none), re-maximizes the likelihood for its own data, and traces
-    offline.  Failures are recorded per run, never fatal.
+    drops none), re-maximizes the likelihood for its own data with
+    `fit_n_starts` starts, and traces offline.  With `hyper_init`, the
+    full dataset's optimum, every run's fit starts from it and works in the
+    scales `gpr.curvature_scale` takes there once per call, before any
+    worker is forked; without it each run starts from `initial_guess` of its
+    own data, unscaled.  Failures are recorded per run, never fatal.
 
     `threads` counts worker processes: min(threads, n_runs, cpu count) of
     them are forked for the call and joined before it returns.  With one
@@ -265,22 +276,25 @@ def dropout_ensemble(dataset: Dataset, n_runs: int, dropout_fraction: float, see
     if dataset.n - n_drop < 10:
         raise ValueError(f"only {dataset.n - n_drop} points would remain; need >= 10")
 
+    scale = curvature_scale(dataset, hyper_init) if hyper_init is not None else None
     one_run = partial(_ensemble_run, dataset=dataset, n_drop=n_drop, seed=seed,
-                      hyper_init=hyper_init, cfg=cfg, x0=x0, fit_n_starts=fit_n_starts)
+                      hyper_init=hyper_init, scale=scale, cfg=cfg, x0=x0,
+                      fit_n_starts=fit_n_starts)
     workers = min(threads, n_runs, os.cpu_count() or 1)
     return EnsembleResult(runs=_map_runs(one_run, n_runs, workers))
 
 
 def _ensemble_run(run_id: int, *, dataset: Dataset, n_drop: int, seed: int,
-                  hyper_init: Hyperparameters | None, cfg: ContinuationConfig | None,
-                  x0, fit_n_starts: int) -> EnsembleRun:
+                  hyper_init: Hyperparameters | None, scale: np.ndarray | None,
+                  cfg: ContinuationConfig | None, x0, fit_n_starts: int) -> EnsembleRun:
     """One dropout run; module level so that a worker process can be sent it."""
     rng = np.random.default_rng((seed, run_id))
     keep = np.sort(rng.choice(dataset.n, size=dataset.n - n_drop, replace=False))
     sub = dataset.take(keep)
     try:
-        curve = offline_fold_trace(sub, cfg=cfg, x0=x0, seed=run_id,
-                                   fit_n_starts=fit_n_starts, fit_init=hyper_init)
+        hyper = fit_hyperparameters(sub, hyper_init or initial_guess(sub),
+                                    n_starts=fit_n_starts, seed=run_id, scale=scale)
+        curve = offline_fold_trace(sub, hyper=hyper, cfg=cfg, x0=x0, seed=run_id)
         return EnsembleRun(run_id=run_id, completed=True, curve=curve)
     except FoldtrackError as e:
         return EnsembleRun(run_id=run_id, completed=False, curve=None,

@@ -12,8 +12,8 @@ from foldtrack import gpr
 from foldtrack.errors import DuplicatePoint, FactorizationFailure, IndexOutOfRange
 from foldtrack.gpr import (DUPLICATE_TOL, Dataset, FitBounds, Hyperparameters, _cho_solve,
                            _cholesky, _coincide, _inverse_lower, _kernel_matrix, _LogMarginal,
-                           _solve_lower, build, default_fit_bounds, fit_hyperparameters,
-                           log_marginal)
+                           _solve_lower, build, curvature_scale, default_fit_bounds,
+                           fit_hyperparameters, log_marginal)
 from foldtrack.oracles import DuffingParams, duffing_gamma
 
 
@@ -318,6 +318,18 @@ class TestPredictMeanDerivs:
         m = build(ds, Hyperparameters(1e-10, 1.0, 1.0, 0.5))
         assert abs(m.predict_mean_derivs((1.0, A0)).d_A) < 1e-10
 
+    def test_batched_d_A_matches_one_point_at_a_time(self, duffing_model):
+        m, h = duffing_model, duffing_model.hyper
+        rng = np.random.default_rng(8)
+        C = np.column_stack([rng.uniform(1.0, 1.2, 30), rng.uniform(0.8, 2.0, 30)])
+        ref = np.array([m.predict_mean_derivs(c).d_A for c in C])
+        # the same n terms summed in another order: each sum may move by up to
+        # n * eps times the sum of the terms' sizes, which cancel to a far smaller d_A
+        terms = np.abs((C[:, 1:2] - m.dataset.X[:, 1]) / h.l_A**2
+                       * _kernel_matrix(C, m.dataset.X, h) * m.alpha)
+        bound = m.n * np.finfo(float).eps * terms.sum(axis=1)
+        assert np.all(np.abs(m.predict_mean_d_A(C) - ref) <= bound)
+        assert np.abs(m.predict_mean_d_A(C[0]) - ref[:1]) <= bound[:1]
 
 
 class TestLooMeanShift:
@@ -460,6 +472,70 @@ class TestFitHyperparameters:
         ds = Dataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             fit_hyperparameters(ds, Hyperparameters(0.1, 1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("n_starts, seed", [(1, 0), (5, 1)])
+    def test_unit_scale_is_the_unscaled_fit(self, duffing_params, n_starts, seed):
+        ds = duffing_grid_dataset(duffing_params)
+        init = Hyperparameters(1e-6, 0.05, 0.05, 0.45)
+        plain = fit_hyperparameters(ds, init, n_starts=n_starts, seed=seed)
+        unit = fit_hyperparameters(ds, init, n_starts=n_starts, seed=seed, scale=np.ones(4))
+        assert unit.as_array().tobytes() == plain.as_array().tobytes()
+
+
+def _evaluations(monkeypatch) -> list:
+    """Count `_LogMarginal` evaluations: one list entry per call."""
+    calls = []
+    call = _LogMarginal.__call__
+
+    def counting(self, z):
+        calls.append(1)
+        return call(self, z)
+
+    monkeypatch.setattr(_LogMarginal, "__call__", counting)
+    return calls
+
+
+class TestCurvatureScale:
+    def test_scaled_dropout_fit_reaches_the_optimum_in_fewer_evaluations(self, monkeypatch):
+        full = _sweep_dataset()
+        v = float(np.var(full.F))
+        hyper = fit_hyperparameters(full, Hyperparameters(1e-4 * v, v, 0.05, 0.45), n_starts=1)
+        calls = _evaluations(monkeypatch)
+        scale = curvature_scale(full, hyper)
+        assert len(calls) == 5
+        assert np.all((0.0 < scale) & (scale < 1.0))
+        rng = np.random.default_rng(1)
+        sub = full.take(np.sort(rng.choice(full.n, full.n - math.ceil(0.1 * full.n),
+                                           replace=False)))
+        fits = {}
+        for name, s in (("plain", None), ("scaled", scale)):
+            calls.clear()
+            fit = fit_hyperparameters(sub, hyper, n_starts=1, seed=3, scale=s)
+            fits[name] = (-log_marginal(sub, fit), len(calls))
+        (f_plain, n_plain), (f_scaled, n_scaled) = fits["plain"], fits["scaled"]
+        # L-BFGS-B's default relative reduction tolerance, factr * eps
+        assert abs(f_scaled - f_plain) <= 1e7 * np.finfo(float).eps * max(abs(f_plain), 1.0)
+        assert n_scaled < n_plain
+
+    def test_scales_follow_curvature_and_flat_directions_keep_unit_scale(self, duffing_params):
+        # noise-free data at a tiny noise variance: the likelihood barely
+        # depends on log sigma_n2, and strongly on the other three
+        ds = duffing_grid_dataset(duffing_params)
+        hyper = Hyperparameters(1e-8, 0.05, 0.05, 0.45)
+        z = np.log(hyper.as_array())
+        step = 1e-3
+        curvature = np.empty(4)
+        for i in range(4):
+            e = np.zeros(4)
+            e[i] = step
+            up, mid, down = (-log_marginal(ds, Hyperparameters.from_array(np.exp(z + k * e)))
+                             for k in (1, 0, -1))
+            curvature[i] = (up - 2.0 * mid + down) / step**2
+        scale = curvature_scale(ds, hyper)
+        assert abs(curvature[0]) < 1.0
+        assert scale[0] == 1.0
+        assert np.all(np.abs(curvature[1:]) > 1.0)
+        assert scale[1:] == pytest.approx(1.0 / np.sqrt(np.abs(curvature[1:])), rel=1e-2)
 
 
 class TestAddRemove:

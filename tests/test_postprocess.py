@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import pickle
@@ -12,14 +13,14 @@ from reference_oracles import duffing_fold_amplitudes, duffing_force
 from foldtrack import postprocess
 from foldtrack.config import EnsembleConfig, SweepConfig, load_config
 from foldtrack.continuation import (ContinuationConfig, FoldPoint, find_first_fold, follow,
-                                    tangent_at)
+                                    in_data_cloud, tangent_at)
 from foldtrack.driver import run_trace
-from foldtrack.errors import EmptySliceWarning, NoConvergence
+from foldtrack.errors import ContinuationError, EmptySliceWarning, NoConvergence
 from foldtrack.geometry import DomainBox
 from foldtrack.gpr import Dataset, Hyperparameters, build
 from foldtrack.oracles import DuffingOracle
-from foldtrack.postprocess import (FoldCurve, dropout_ensemble,
-                                   nlfr_slice, offline_fold_trace, sweep_s_curve)
+from foldtrack.postprocess import (FoldCurve, data_box, dropout_ensemble, nlfr_slice,
+                                   offline_fold_trace, seed_scan, sweep_s_curve)
 
 
 def densify_polyline(arr: np.ndarray, factor: int) -> np.ndarray:
@@ -70,6 +71,32 @@ class TestSweep:
         # 0.25 Hz frequency spacing, 0.2 mm amplitude steps
         assert SweepConfig.__dataclass_fields__["omega_step"].default == 0.25
         assert SweepConfig.__dataclass_fields__["A_step"].default == 0.2
+
+
+def _seed_scan_one_point_at_a_time(model, box):
+    """The scan as a loop over its 40 x 40 grid, omega-major, the first minimum winning."""
+    best, best_val = None, math.inf
+    for omega in np.linspace(box.omega_min, box.omega_max, 40):
+        for A in np.linspace(box.A_min, box.A_max, 40):
+            if not in_data_cloud(model, omega, A):
+                continue
+            val = abs(model.predict_mean_derivs((omega, A)).d_A)
+            if val < best_val:
+                best, best_val = (float(omega), float(A)), val
+    return best
+
+
+class TestSeedScan:
+    def test_equals_the_one_point_loop(self, online_run, duffing_model, duffing_box):
+        for model, box in ((online_run.model, data_box(online_run.model.dataset)),
+                           (duffing_model, duffing_box)):
+            assert seed_scan(model, box) == _seed_scan_one_point_at_a_time(model, box)
+
+    def test_empty_cloud_raises(self, duffing_model):
+        far = DomainBox(5.0, 6.0, 20.0, 30.0)
+        assert not in_data_cloud(duffing_model, 5.0, np.array([20.0, 25.0, 30.0])).any()
+        with pytest.raises(ContinuationError):
+            seed_scan(duffing_model, far)
 
 
 class TestOfflineTrace:
