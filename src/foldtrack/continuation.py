@@ -13,6 +13,12 @@ Newton iterate is kept inside it: steps are clipped to one length scale and
 backtracked when they would exit the cloud (or the domain box).  A run that
 cannot make progress that way fails with NoConvergence or LeftDataCloud.
 
+Each iterate costs one kernel pass in length scales: its offsets du, dv
+and squared distances d^2 to the model's `unit_inputs`.  That one pass
+gives the cloud test, the scaled residual and Jacobian row, and the model's
+force, so an accepted iterate's pass serves the next Newton iteration and
+the converged point needs no further prediction.
+
 `advance` is the one stepper and the only step-size control: tangent,
 prediction, domain-box check, correction and halving of the continuation
 step until a step is accepted, and the growth rule that sets the next step.
@@ -113,22 +119,55 @@ class ContinuationConfig:
 
 # -- zero problem -----------------------------------------------------------
 
+class _Pass(NamedTuple):
+    """Offsets of an iterate (u, v) from the training inputs, in length scales.
+
+    du, dv and d2 = du^2 + dv^2 hold one entry per input along their last axis."""
+
+    du: np.ndarray
+    dv: np.ndarray
+    d2: np.ndarray
+
+
+def _kernel_pass(model: GprModel, u, v) -> _Pass:
+    """The one pass at (u, v); arrays of query points need a trailing axis of length 1."""
+    U = model.unit_inputs
+    du = u - U[0]
+    dv = v - U[1]
+    return _Pass(du, dv, du * du + dv * dv)
+
+
+def _in_cloud(p: _Pass):
+    """The cloud rule on a pass: CLOUD_MIN_POINTS inputs lie within CLOUD_RADIUS."""
+    if p.d2.shape[-1] < CLOUD_MIN_POINTS:
+        return np.zeros(p.d2.shape[:-1], dtype=bool)
+    return np.partition(p.d2, CLOUD_MIN_POINTS - 1, axis=-1)[..., CLOUD_MIN_POINTS - 1] \
+        <= CLOUD_RADIUS**2
+
+
+def _fold_system(model: GprModel, p: _Pass) -> tuple[float, tuple[float, float], float]:
+    """Residual, Jacobian row and posterior mean force from the pass at one iterate.
+
+    The residual is l_A dGamma/dA and the row its gradient in (u, v), both
+    over sqrt(sigma_f2), so dimensionless.
+    """
+    w = np.exp(-0.5 * p.d2) * model.weights
+    s = math.sqrt(model.hyper.sigma_f2)
+    return (float(-(p.dv @ w)) / s,
+            (float((p.du * p.dv) @ w) / s, float((p.dv * p.dv - 1.0) @ w) / s),
+            float(w.sum()))
+
+
 def zero_fn(model: GprModel, x) -> tuple[float, tuple[float, float]]:
     """Fold-condition value g = dGamma/dA and its Jacobian row.
 
     Returns (g, (d2Gamma/domega dA, d2Gamma/dA2)) in physical units.
     """
-    d = model.predict_mean_derivs(x)
-    return d.d_A, (d.d_omega_A, d.d_AA)
-
-
-def _scaled_system(model: GprModel, u: float, v: float):
-    """Residual and Jacobian row of g in normalized, dimensionless form."""
     hyp = model.hyper
-    g, (j_wa, j_aa) = zero_fn(model, (u * hyp.l_omega, v * hyp.l_A))
+    r, (j_u, j_v), _ = _fold_system(model, _kernel_pass(model, x[0] / hyp.l_omega,
+                                                        x[1] / hyp.l_A))
     s = math.sqrt(hyp.sigma_f2)
-    r = g * hyp.l_A / s
-    return r, (j_wa * hyp.l_omega * hyp.l_A / s, j_aa * hyp.l_A**2 / s)
+    return r * s / hyp.l_A, (j_u * s / (hyp.l_omega * hyp.l_A), j_v * s / hyp.l_A**2)
 
 
 def in_data_cloud(model: GprModel, omega, A):
@@ -139,39 +178,30 @@ def in_data_cloud(model: GprModel, omega, A):
     """
     u, v = np.broadcast_arrays(np.divide(omega, model.hyper.l_omega),
                                np.divide(A, model.hyper.l_A))
-    return _cloud_ok(model, u[..., None], v[..., None])
+    return _in_cloud(_kernel_pass(model, u[..., None], v[..., None]))
 
 
-def _cloud_ok(model: GprModel, u, v):
-    """`in_data_cloud` in normalized coordinates: u and v are numbers, or arrays
-    of query points with a trailing axis of length 1, against which the
-    training inputs run."""
-    X = model.dataset.X
-    if X.shape[0] < CLOUD_MIN_POINTS:
-        return np.zeros(np.shape(u)[:-1], dtype=bool)
-    d2 = ((X[:, 0] / model.hyper.l_omega - u) ** 2
-          + (X[:, 1] / model.hyper.l_A - v) ** 2)
-    return np.partition(d2, CLOUD_MIN_POINTS - 1)[..., CLOUD_MIN_POINTS - 1] <= CLOUD_RADIUS**2
-
-
-def _admissible(model: GprModel, u: float, v: float, box: DomainBox | None) -> bool:
-    if not _cloud_ok(model, u, v):
-        return False
-    if box is not None:
-        return box.contains(u * model.hyper.l_omega, v * model.hyper.l_A)
-    return True
+def _admissible_pass(model: GprModel, u: float, v: float, box: DomainBox | None) -> _Pass | None:
+    """The pass at (u, v), or None where it lies outside the domain box or the data cloud."""
+    if box is not None and not box.contains(u * model.hyper.l_omega, v * model.hyper.l_A):
+        return None
+    p = _kernel_pass(model, u, v)
+    return p if _in_cloud(p) else None
 
 
 def _damped_step(model, u, v, du, dv, box):
-    """Clip the Newton step to one length scale, backtrack to stay admissible."""
+    """Clip the Newton step to one length scale, backtrack to stay admissible.
+
+    Returns the new iterate and its pass."""
     nrm = math.hypot(du, dv)
     if not math.isfinite(nrm):
         raise NoConvergence("Newton step is not finite")
     if nrm > _MAX_NEWTON_STEP:
         du, dv = du / nrm * _MAX_NEWTON_STEP, dv / nrm * _MAX_NEWTON_STEP
     for _ in range(_MAX_BACKTRACKS):
-        if _admissible(model, u + du, v + dv, box):
-            return u + du, v + dv
+        p = _admissible_pass(model, u + du, v + dv, box)
+        if p is not None:
+            return u + du, v + dv, p
         du, dv = 0.5 * du, 0.5 * dv
     raise LeftDataCloud("every damped iterate leaves the data cloud or domain box")
 
@@ -210,7 +240,7 @@ def tangent_from_jrow(jrow, prev: Tangent | None = None) -> Tangent:
 def tangent_at(model: GprModel, x: FoldPoint, prev: Tangent | None = None) -> Tangent:
     """Tangent to the fold curve at an accepted solution, in normalized coords."""
     hyp = model.hyper
-    _, jrow = _scaled_system(model, x.omega / hyp.l_omega, x.A / hyp.l_A)
+    _, jrow, _ = _fold_system(model, _kernel_pass(model, x.omega / hyp.l_omega, x.A / hyp.l_A))
     return tangent_from_jrow(jrow, prev)
 
 
@@ -237,16 +267,15 @@ def correct(model: GprModel, x_pred, x_prev, t_prev: Tangent, h: float,
     hyp = model.hyper
     up, vp = x_prev[0] / hyp.l_omega, x_prev[1] / hyp.l_A
     u, v = x_pred[0] / hyp.l_omega, x_pred[1] / hyp.l_A
-    if not _admissible(model, u, v, cfg.domain_box):
+    p = _admissible_pass(model, u, v, cfg.domain_box)
+    if p is None:
         raise LeftDataCloud("predicted point is outside the data cloud or domain box")
 
     for it in range(NEWTON_MAX_ITER + 1):
-        r1, (j11, j12) = _scaled_system(model, u, v)
+        r1, (j11, j12), gamma = _fold_system(model, p)
         r2 = t_prev.t_omega * (u - up) + t_prev.t_A * (v - vp) - h
         if max(abs(r1), abs(r2)) < NEWTON_TOL:
-            omega, A = u * hyp.l_omega, v * hyp.l_A
-            point = FoldPoint(omega, A, model.predict_mean((omega, A)))
-            return CorrectResult(point, it)
+            return CorrectResult(FoldPoint(u * hyp.l_omega, v * hyp.l_A, gamma), it)
         det = j11 * t_prev.t_A - j12 * t_prev.t_omega
         scale = math.hypot(j11, j12)
         if abs(det) < 1e-12 * max(scale, 1e-30):
@@ -255,7 +284,7 @@ def correct(model: GprModel, x_pred, x_prev, t_prev: Tangent, h: float,
                 "possible cusp or branch point")
         du = (-r1 * t_prev.t_A + r2 * j12) / det
         dv = (-r2 * j11 + r1 * t_prev.t_omega) / det
-        u, v = _damped_step(model, u, v, du, dv, cfg.domain_box)
+        u, v, p = _damped_step(model, u, v, du, dv, cfg.domain_box)
     raise NoConvergence(f"corrector did not reach tol={NEWTON_TOL} "
                         f"in {NEWTON_MAX_ITER} iterations")
 

@@ -18,8 +18,13 @@ refuse non-finite values, so every covariance built from them is finite.
 
 A hyperparameter fit maximizes the log marginal likelihood with its analytic
 gradient.  It takes the input differences and its n x n work arrays once per
-fit, takes K^-1 from the factor by LAPACK dpotri, and evaluates its start
-point once.  A fit may be given a scale per log-parameter, taken by
+fit and evaluates its start point once.  Each evaluation factors the
+symmetric K through its transpose, which is the same matrix in the Fortran
+order LAPACK reads, so it is copied without transposing.  It reads the
+gradient from the one triangle W of K^-1 that LAPACK dpotri returns: for a
+symmetric M, sum((alpha alpha^T - K^-1) o M) = alpha^T M alpha
+- 2 sum(W o M) + sum(diag(W) diag(M)), so the full inverse is never
+formed.  A fit may be given a scale per log-parameter, taken by
 `curvature_scale` from the likelihood's curvature at a nearby optimum: the
 optimizer then starts with a curvature model close to the true one and
 needs fewer evaluations to converge (Nocedal & Wright, Numerical
@@ -29,13 +34,16 @@ All quantities live in the physical units of the experiment; the prior
 mean is zero in those units, so predictions revert to zero force far away
 from the data.  Coordinates are only rescaled where a dimensionless
 distance is needed: by the spread of the inputs for the duplicate rule, by
-the length scales in continuation.
+the length scales in continuation, which reads each model's inputs in
+length-scale units and its weights sigma_f2 alpha from `unit_inputs` and
+`weights`, cached once per model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -294,6 +302,18 @@ class GprModel:
     def n(self) -> int:
         return self.dataset.n
 
+    @cached_property
+    def unit_inputs(self) -> np.ndarray:
+        """(2, n): the training inputs' omega / l_omega and A / l_A, one row each."""
+        X, hyp = self.dataset.X, self.hyper
+        return np.array([X[:, 0] / hyp.l_omega, X[:, 1] / hyp.l_A])
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """sigma_f2 alpha: the posterior mean at x is the sum of exp(-d^2/2) times
+        these, d the distance from x to each input in length scales."""
+        return self.hyper.sigma_f2 * self.alpha
+
     # -- prediction --------------------------------------------------------
 
     def predict_mean(self, x) -> float:
@@ -479,12 +499,19 @@ class _LogMarginal:
 
     A fit calls it at many hyperparameters and one dataset, so the input
     differences and the n x n work arrays are taken once, at construction.
-    K_se follows `_kernel_matrix`'s arithmetic, so the value is
-    `log_marginal`'s to the bit.  K^-1 comes from the Cholesky factor by LAPACK
-    dpotri.  With Q = (alpha alpha^T - K^-1) o K_se, the gradient (Rasmussen &
-    Williams eq. 5.9) is sigma_n2 (alpha.alpha - tr K^-1)/2 for the noise,
-    sum(Q)/2 for the signal variance, and sum(Q o D2)/2 for each length scale
-    l, D2 holding the squared input differences along its axis over l^2.
+    K_se follows `_kernel_matrix`'s arithmetic and is exactly symmetric, so
+    K = K_se + sigma_n2 I is factored as K^T: the same matrix, in the
+    Fortran order dpotrf reads, so LAPACK's copy of it does not transpose,
+    and the value is `log_marginal`'s to the bit.  dpotri returns the lower
+    triangle W of K^-1 from the factor, the strict upper one zero.  The
+    gradient (Rasmussen & Williams eq. 5.9) is sigma_n2 (alpha.alpha -
+    tr K^-1)/2 for the noise, and S(M)/2 with S(M) = sum((alpha alpha^T -
+    K^-1) o M) for the rest: M = K_se for the signal variance, K_se o D2 for
+    each length scale l, D2 holding the squared input differences along its
+    axis over l^2.  As M is symmetric and K^-1 = W + W^T - diag(W),
+    S(M) = alpha^T M alpha - 2 sum(W o M) + sum(diag(W) diag(M)); the last
+    term is sigma_f2 tr K^-1 for K_se and 0 for K_se o D2, whose diagonal is
+    zero.  Each K_se o D2 is formed in D2's own buffer.
     """
 
     def __init__(self, dataset: Dataset):
@@ -492,11 +519,11 @@ class _LogMarginal:
         self.F = dataset.F
         self.Dw = np.subtract.outer(X[:, 0], X[:, 0])
         self.Da = np.subtract.outer(X[:, 1], X[:, 1])
-        self.Do2, self.Da2, self.Kse, self.Q = (np.empty_like(self.Dw) for _ in range(4))
+        self.Do2, self.Da2, self.Kse = (np.empty_like(self.Dw) for _ in range(3))
 
     def __call__(self, z: np.ndarray):
         hyper = Hyperparameters.from_array(np.exp(z))
-        F, Do2, Da2, Kse, Q = self.F, self.Do2, self.Da2, self.Kse, self.Q
+        F, Do2, Da2, Kse = self.F, self.Do2, self.Da2, self.Kse
         n = len(F)
         np.square(np.divide(self.Dw, hyper.l_omega, out=Do2), out=Do2)
         np.square(np.divide(self.Da, hyper.l_A, out=Da2), out=Da2)
@@ -506,25 +533,23 @@ class _LogMarginal:
         Kse *= hyper.sigma_f2
         # factor K = Kse + sigma_n2 I in place; the diagonal of Kse is sigma_f2 exactly
         Kse.flat[::n + 1] += hyper.sigma_n2
-        L, _ = _factorize(Kse, hyper)
+        L, _ = _factorize(Kse.T, hyper)
         Kse.flat[::n + 1] = hyper.sigma_f2
         alpha = _cho_solve(L, F)
         value = _log_marginal_from_factor(L, alpha, F)
 
-        Kinv = _inverse_lower(L, overwrite=True)
-        tr_Kinv = np.trace(Kinv)
-        Kinv.flat[::n + 1] *= 0.5  # now K^-1 = Kinv + Kinv^T
-        np.outer(alpha, alpha, out=Q)
-        Q -= Kinv
-        Q -= Kinv.T
-        Q *= Kse
-        q = Q.ravel()
-        grads = 0.5 * np.array([
-            hyper.sigma_n2 * (alpha @ alpha - tr_Kinv),
-            q.sum(),
-            q @ Do2.ravel(),
-            q @ Da2.ravel(),
-        ])
+        W = _inverse_lower(L, overwrite=True)
+        w = W.T.ravel()  # W is Fortran-ordered, so this is a view
+        tr_Kinv = np.trace(W)
+
+        def s_of(M):
+            """S(M) without its diagonal term."""
+            return alpha @ (M @ alpha) - 2.0 * (w @ M.ravel())
+
+        s_f = s_of(Kse) + hyper.sigma_f2 * tr_Kinv
+        s_omega = s_of(np.multiply(Do2, Kse, out=Do2))
+        s_A = s_of(np.multiply(Da2, Kse, out=Da2))
+        grads = 0.5 * np.array([hyper.sigma_n2 * (alpha @ alpha - tr_Kinv), s_f, s_omega, s_A])
         return value, grads
 
 

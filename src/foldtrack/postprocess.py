@@ -294,7 +294,7 @@ def _ensemble_run(run_id: int, *, dataset: Dataset, n_drop: int, seed: int,
     try:
         hyper = fit_hyperparameters(sub, hyper_init or initial_guess(sub),
                                     n_starts=fit_n_starts, seed=run_id, scale=scale)
-        curve = offline_fold_trace(sub, hyper=hyper, cfg=cfg, x0=x0, seed=run_id)
+        curve = offline_fold_trace(sub, hyper=hyper, cfg=cfg, x0=x0)
         return EnsembleRun(run_id=run_id, completed=True, curve=curve)
     except FoldtrackError as e:
         return EnsembleRun(run_id=run_id, completed=False, curve=None,

@@ -63,6 +63,79 @@ class TestZeroFn:
         assert g_lo * g_hi < 0
 
 
+def _pass_points(model, fold):
+    """25 points: on the fold curve, off it, and next to the data cloud's edge."""
+    on, t = [fold], None
+    for _ in range(5):
+        t = tangent_at(model, on[-1], t)
+        on.append(correct(model, predict_step(on[-1], t, 0.1, model.hyper), on[-1], t,
+                          0.1, CFG).point)
+    off = [(w, a) for w in (1.06, 1.10, 1.14) for a in (1.0, 1.6, 1.8)]
+    # the grid spans 0.1 and 0.9 in (omega, A); CLOUD_RADIUS length scales beyond it
+    hyp, r = model.hyper, continuation.CLOUD_RADIUS
+    edge = [(1.05 - 0.99 * r * hyp.l_omega, 1.4), (1.15 + 1.01 * r * hyp.l_omega, 1.4),
+            (1.1, 0.96 - 0.99 * r * hyp.l_A), (1.1, 1.86 + 1.01 * r * hyp.l_A),
+            (1.04, 0.9), (1.16, 1.9), (1.2, 1.41), (1.10, 2.5), (1.0, 0.5), (1.2, 2.3)]
+    return [(p[0], p[1]) for p in on] + off + edge
+
+
+class TestKernelPass:
+    """The corrector's one pass against the predictions it replaces."""
+
+    def test_matches_rescaled_derivs_and_mean(self, duffing_model, fold_on_surrogate):
+        m, hyp = duffing_model, duffing_model.hyper
+        s = math.sqrt(hyp.sigma_f2)
+        got, ref = [], []
+        for x in _pass_points(m, fold_on_surrogate):
+            r, (j_u, j_v), gamma = continuation._fold_system(
+                m, continuation._kernel_pass(m, x[0] / hyp.l_omega, x[1] / hyp.l_A))
+            d = m.predict_mean_derivs(x)
+            got.append((r, j_u, j_v, gamma))
+            ref.append((d.d_A * hyp.l_A / s, d.d_omega_A * hyp.l_omega * hyp.l_A / s,
+                        d.d_AA * hyp.l_A**2 / s, m.predict_mean(x)))
+        got, ref = np.array(got), np.array(ref)
+        assert len(got) >= 20
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+    def test_zero_fn_is_the_pass_in_physical_units(self, duffing_model, fold_on_surrogate):
+        m = duffing_model
+        for x in _pass_points(m, fold_on_surrogate)[::4]:
+            g, (j_wa, j_aa) = zero_fn(m, x)
+            d = m.predict_mean_derivs(x)
+            assert g == pytest.approx(d.d_A, rel=1e-9, abs=1e-12)
+            assert j_wa == pytest.approx(d.d_omega_A, rel=1e-9, abs=1e-9)
+            assert j_aa == pytest.approx(d.d_AA, rel=1e-9, abs=1e-9)
+
+    def test_one_cloud_rule(self, duffing_model):
+        m, hyp = duffing_model, duffing_model.hyper
+        omegas = np.linspace(0.9, 1.3, 41)
+        As = np.linspace(-0.2, 3.0, 33)
+        grid = in_data_cloud(m, omegas[:, None], As[None, :])
+        assert grid.shape == (41, 33) and grid.any() and not grid.all()
+        X = m.dataset.X
+        for i, w in enumerate(omegas):
+            for j, a in enumerate(As):
+                p = continuation._kernel_pass(m, w / hyp.l_omega, a / hyp.l_A)
+                near = np.hypot((X[:, 0] - w) / hyp.l_omega, (X[:, 1] - a) / hyp.l_A) \
+                    <= continuation.CLOUD_RADIUS
+                assert continuation._in_cloud(p) == grid[i, j] == \
+                    (near.sum() >= continuation.CLOUD_MIN_POINTS)
+
+    def test_updated_models_have_their_own_cache(self, duffing_model, fold_on_surrogate):
+        m, fold = duffing_model, fold_on_surrogate
+        assert m.unit_inputs.shape == (2, m.n)  # the parent's cache is filled first
+        grown = m.add_point((fold.omega, fold.A + 0.1), fold.gamma_model + 0.01)
+        shrunk = m.remove_point(0)
+        assert grown.unit_inputs.shape == (2, m.n + 1) and grown.weights.shape == (m.n + 1,)
+        assert shrunk.unit_inputs.shape == (2, m.n - 1) and shrunk.weights.shape == (m.n - 1,)
+        moved = correct(grown, fold, fold, Tangent(1.0, 0.0), 0.0, CFG).point
+        assert abs(moved.A - fold.A) > 1e-3
+        assert moved.gamma_model == pytest.approx(grown.predict_mean(moved), rel=1e-12)
+        hyp = grown.hyper
+        assert abs(zero_fn(grown, moved)[0]) * hyp.l_A / math.sqrt(hyp.sigma_f2) < NEWTON_TOL
+
+
 class TestFindFirstFold:
     def test_already_at_fold_returns_immediately(self, duffing_model, fold_on_surrogate):
         again = find_first_fold(duffing_model, (fold_on_surrogate.omega, fold_on_surrogate.A), CFG)

@@ -372,6 +372,18 @@ class TestLogMarginal:
         bigger = Dataset(ds.X, 3.0 * ds.F)
         assert log_marginal(bigger, h) < log_marginal(ds, h)
 
+    def test_jittered_factor_keeps_the_value_to_the_bit(self, duffing_params):
+        """Inputs closer than the kernel resolves, yet apart by the duplicate rule, and
+        tiny noise: the jitter ladder fires, on K's transpose as well."""
+        ds = duffing_grid_dataset(duffing_params)
+        x = ds.X[12] + 1e-8 * np.array([0.1, 0.9])
+        assert np.hypot(*((x - ds.X[12]) / np.ptp(ds.X, axis=0))) > DUPLICATE_TOL
+        ds = ds.append(x, float(duffing_gamma(duffing_params, *x)))
+        z = np.log([1e-20, 0.04, 0.05, 0.45])
+        hyper = Hyperparameters.from_array(np.exp(z))
+        assert build(ds, hyper).jitter > 0.0
+        assert _LogMarginal(ds)(z)[0] == log_marginal(ds, hyper)
+
 
 def _sweep_dataset() -> Dataset:
     """A noisy Duffing S-curve sweep (15 x 19 points, 1% noise) with 256 of its points kept."""

@@ -242,18 +242,19 @@ class _ScriptedBug(RuntimeError):
 
 
 def _script_runs(monkeypatch, failures):
-    """Make offline_fold_trace raise failures[run_id] for the runs named there.
+    """Make a run's fit raise failures[run_id] for the runs named there.
 
-    Worker processes are forked after this, so they inherit the patch.
+    The fit is seeded by the run id.  Worker processes are forked after
+    this, so they inherit the patch.
     """
-    real = postprocess.offline_fold_trace
+    real = postprocess.fit_hyperparameters
 
-    def scripted(sub, *, seed, **kw):
+    def scripted(sub, init, *, seed, **kw):
         if seed in failures:
             raise failures[seed]
-        return real(sub, seed=seed, **kw)
+        return real(sub, init, seed=seed, **kw)
 
-    monkeypatch.setattr(postprocess, "offline_fold_trace", scripted)
+    monkeypatch.setattr(postprocess, "fit_hyperparameters", scripted)
 
 
 class _RecordingPool(process.ProcessPoolExecutor):
