@@ -13,11 +13,12 @@ change moved.  The set:
 * the CLI `trace` on `duffing.yaml` and its replay from the manifest,
   `sweep` on `rig_sweep.yaml` and on a Duffing grid whose amplitude stop
   lies on the domain box edge, `offline` on `rig_offline.yaml` over the rig
-  sweep, `nlfr` over the CLI trace's run log and `nlfr` over the offline
-  `fold_curve.csv`, so the one run-log reader reads what both of its
-  writers wrote, and `ensemble` over the benchmark's sweep of seed 0 with
-  4 runs on 2 worker processes and no start point, so each run scans for
-  its own, each with its manifest;
+  sweep and again without its `x0` and `hyperparameters`, so the offline
+  path fits and scans for its own start, `nlfr` over the CLI trace's run
+  log and `nlfr` over the offline `fold_curve.csv`, so the one run-log
+  reader reads what both of its writers wrote, and `ensemble` over the
+  benchmark's sweep of seed 0 with 4 runs on 2 worker processes and no
+  start point, so each run scans for its own, each with its manifest;
 * the `repr` of every run of `dropout_ensemble` on the benchmark's sweep of
   seed 0 (`perfbench/dataset.py`), warm-started and on 2 worker processes,
   as the benchmark's `ensemble-offline` workload calls it;
@@ -112,6 +113,9 @@ def commands(out: Path):
     offline["inputs"]["dataset"] = "cli_sweep/dataset.csv"
     Path("offline.yaml").write_text(yaml.safe_dump(offline), encoding="utf-8")
     cli(out, "offline", "--config", "offline.yaml", "--out", "cli_offline")
+    del offline["x0"], offline["hyperparameters"]
+    Path("offline_fit.yaml").write_text(yaml.safe_dump(offline), encoding="utf-8")
+    cli(out, "offline", "--config", "offline_fit.yaml", "--out", "cli_offline_fit")
     nlfr = {"inputs": {"datasets": ["cli_trace/dataset.csv"],
                        "run_logs": ["cli_trace/run_log.csv"]},
             "gamma_level": 0.7, "band": 0.05}

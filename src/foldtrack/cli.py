@@ -35,9 +35,7 @@ from .blas import pin_blas_threads
 from .config import (config_from_dict, ensemble_config_from_dict, load_raw, make_oracle,
                      nlfr_config_from_dict, offline_config_from_dict, sweep_config_from_dict)
 from .errors import ConfigError, ContinuationError, MissingInput, OracleError
-from .gpr import fit_hyperparameters
-from .postprocess import (FoldCurve, dropout_ensemble, initial_guess, nlfr_slice,
-                          offline_fold_trace, sweep_s_curve)
+from .postprocess import dropout_ensemble, nlfr_slice, offline_fold_trace, sweep_s_curve
 
 # The exit code of each error a command may raise.  A ValueError is a value
 # the command cannot take, as a ConfigError is; a UsageError is an option
@@ -148,7 +146,7 @@ def nlfr(config_path, out_dir, seed, threads):
     cfg = _load(config_path, nlfr_config_from_dict)
     base = Path(config_path).parent
     datasets = [csvio.read_dataset_csv(base / p) for p in cfg.datasets]
-    curves = [FoldCurve(csvio.read_run_log(base / p)).points for p in cfg.run_logs]
+    curves = [[r.fold for r in csvio.read_run_log(base / p)] for p in cfg.run_logs]
     result = nlfr_slice(datasets, cfg.gamma_level, cfg.band, fold_curves=curves)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -191,10 +189,9 @@ def ensemble(config_path, out_dir, seed, threads):
     """Dropout uncertainty ensemble over a recorded dataset."""
     cfg = _load(config_path, ensemble_config_from_dict, seed=seed, threads=threads)
     dataset = csvio.read_dataset_csv(Path(config_path).parent / cfg.dataset)
-    hyper_init = fit_hyperparameters(dataset, initial_guess(dataset), seed=cfg.seed)
     result = dropout_ensemble(dataset, cfg.n_runs, cfg.dropout_fraction, seed=cfg.seed,
-                              hyper_init=hyper_init, cfg=cfg.continuation(),
-                              fit_n_starts=cfg.fit_n_starts, threads=cfg.threads)
+                              cfg=cfg.continuation(), fit_n_starts=cfg.fit_n_starts,
+                              threads=cfg.threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     hyper_keys = ("sigma_n2", "sigma_f2", "l_omega", "l_A")
@@ -213,7 +210,8 @@ def ensemble(config_path, out_dir, seed, threads):
                          threads=cfg.threads, status="ok",
                          reason=f"{result.completed_fraction:.0%} runs completed",
                          outputs=outputs,
-                         extra={"command": "ensemble", "hyper_init": hyper_init.as_dict()})
+                         extra={"command": "ensemble",
+                                "hyper_init": result.hyper_init.as_dict()})
     click.echo(f"ensemble: {result.completed_fraction:.0%} of {cfg.n_runs} runs completed; "
                f"artifacts in {out_dir}")
 

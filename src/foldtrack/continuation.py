@@ -13,11 +13,14 @@ Newton iterate is kept inside it: steps are clipped to one length scale and
 backtracked when they would exit the cloud (or the domain box).  A run that
 cannot make progress that way fails with NoConvergence or LeftDataCloud.
 
-Each iterate costs one kernel pass in length scales: its offsets du, dv
-and squared distances d^2 to the model's `unit_inputs`.  That one pass
-gives the cloud test, the scaled residual and Jacobian row, and the model's
-force, so an accepted iterate's pass serves the next Newton iteration and
-the converged point needs no further prediction.
+The kernel pass is the one evaluation of the zero problem and of the cloud
+rule.  At one point it holds the offsets du, dv and squared distances d^2
+to the model's `unit_inputs`, in length scales.  Each Newton iterate costs
+one pass, which gives the cloud test, the scaled residual and Jacobian row,
+and the model's force, so an accepted iterate's pass serves the next Newton
+iteration and the converged point needs no further prediction.
+`seed_scan` picks the start of a trace given none, for `find_first_fold`,
+and scores each frequency column of its grid from one pass.
 
 `advance` is the one stepper and the only step-size control: tangent,
 prediction, domain-box check, correction and halving of the continuation
@@ -39,7 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainExit, LeftDataCloud, NoConvergence, SingularJacobian, StepUnderflow
+from .errors import (ContinuationError, DomainExit, LeftDataCloud, NoConvergence,
+                     SingularJacobian, StepUnderflow)
 from .geometry import DomainBox
 from .gpr import GprModel
 
@@ -158,29 +162,6 @@ def _fold_system(model: GprModel, p: _Pass) -> tuple[float, tuple[float, float],
             float(w.sum()))
 
 
-def zero_fn(model: GprModel, x) -> tuple[float, tuple[float, float]]:
-    """Fold-condition value g = dGamma/dA and its Jacobian row.
-
-    Returns (g, (d2Gamma/domega dA, d2Gamma/dA2)) in physical units.
-    """
-    hyp = model.hyper
-    r, (j_u, j_v), _ = _fold_system(model, _kernel_pass(model, x[0] / hyp.l_omega,
-                                                        x[1] / hyp.l_A))
-    s = math.sqrt(hyp.sigma_f2)
-    return r * s / hyp.l_A, (j_u * s / (hyp.l_omega * hyp.l_A), j_v * s / hyp.l_A**2)
-
-
-def in_data_cloud(model: GprModel, omega, A):
-    """True where (omega, A) is supported by enough nearby training data.
-
-    omega and A broadcast against each other, so one frequency and an array
-    of amplitudes give one truth value per amplitude.
-    """
-    u, v = np.broadcast_arrays(np.divide(omega, model.hyper.l_omega),
-                               np.divide(A, model.hyper.l_A))
-    return _in_cloud(_kernel_pass(model, u[..., None], v[..., None]))
-
-
 def _admissible_pass(model: GprModel, u: float, v: float, box: DomainBox | None) -> _Pass | None:
     """The pass at (u, v), or None where it lies outside the domain box or the data cloud."""
     if box is not None and not box.contains(u * model.hyper.l_omega, v * model.hyper.l_A):
@@ -216,6 +197,30 @@ def find_first_fold(model: GprModel, x0, cfg: ContinuationConfig) -> FoldPoint:
     inside the domain box.
     """
     return correct(model, x0, x0, Tangent(1.0, 0.0), 0.0, cfg).point
+
+
+def seed_scan(model: GprModel, box: DomainBox) -> tuple[float, float]:
+    """The point of a 40 x 40 grid over `box` inside the data cloud with the smallest |dGamma/dA|.
+
+    Each omega column is one kernel pass over its 40 amplitudes, which gives
+    both the cloud test and the score |sum dv w| = l_A |dGamma/dA|.  Of
+    equal scores the first in omega-major order wins.  Raises
+    ContinuationError when no grid point lies inside the data cloud.
+    """
+    hyp = model.hyper
+    omegas = np.linspace(box.omega_min, box.omega_max, 40)
+    As = np.linspace(box.A_min, box.A_max, 40)
+    v = (As / hyp.l_A)[:, None]
+    score = np.empty((len(omegas), len(As)))
+    for i, omega in enumerate(omegas):
+        p = _kernel_pass(model, omega / hyp.l_omega, v)
+        w = np.exp(-0.5 * p.d2) * model.weights
+        score[i] = np.where(_in_cloud(p), np.abs(np.einsum("ij,ij->i", p.dv, w)), np.inf)
+    k = int(np.argmin(score))
+    if not score.flat[k] < np.inf:
+        raise ContinuationError("no grid point lies inside the data cloud")
+    i, j = divmod(k, len(As))
+    return float(omegas[i]), float(As[j])
 
 
 def tangent_from_jrow(jrow, prev: Tangent | None = None) -> Tangent:

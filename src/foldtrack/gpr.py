@@ -344,17 +344,6 @@ class GprModel:
         d_omega_A = float((do * da) @ w)
         return MeanDerivs(d_omega, d_A, d_AA, d_omega_A)
 
-    def predict_mean_d_A(self, C) -> np.ndarray:
-        """dG/dA of the posterior mean at each row of the (m, 2) array C.
-
-        One (m, n) kernel block gives every `predict_mean_derivs(c).d_A`,
-        with the same terms summed in another order.
-        """
-        X, hyp = self.dataset.X, self.hyper
-        C = np.reshape(C, (-1, 2))
-        da = (C[:, 1:2] - X[:, 1]) / hyp.l_A**2
-        return -np.einsum("ij,ij->i", da, _kernel_matrix(C, X, hyp) * self.alpha)
-
     def predict_var_and_cov_d_A(self, x, C) -> tuple[np.ndarray, np.ndarray]:
         """Posterior variances at the rows of C and d/dA at x of cov(x, c), for every c.
 

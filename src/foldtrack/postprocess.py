@@ -25,12 +25,11 @@ from itertools import groupby
 import numpy as np
 
 from .continuation import (ContinuationConfig, CurvePoint, FoldPoint, Tangent, find_first_fold,
-                           follow, in_data_cloud, tangent_at)
+                           follow, seed_scan, tangent_at)
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
-from .errors import ContinuationError, EmptySliceWarning, FoldtrackError, OracleError
+from .errors import EmptySliceWarning, FoldtrackError, OracleError
 from .geometry import DomainBox
-from .gpr import (Dataset, GprModel, Hyperparameters, build, curvature_scale,
-                  fit_hyperparameters)
+from .gpr import Dataset, Hyperparameters, build, curvature_scale, fit_hyperparameters
 from .oracles import MeasuredPoint
 
 
@@ -68,7 +67,7 @@ def sweep_s_curve(oracle, omega: float, A_grid) -> SCurve:
 @dataclass
 class FoldCurve:
     records: list[CurvePoint]
-    hyper: Hyperparameters | None = None
+    hyper: Hyperparameters
     reason: tuple[str, str] | None = None  # why the (forward, backward) directions stopped
 
     @property
@@ -85,33 +84,12 @@ class FoldCurve:
 
     def n_segments(self) -> int:
         """Connected polyline segments, split at jumps longer than one length scale."""
-        if len(self.records) < 2 or self.hyper is None:
-            return 1 if self.records else 0
+        if not self.records:
+            return 0
         arr = self.as_array()
         du = np.diff(arr[:, 0]) / self.hyper.l_omega
         dv = np.diff(arr[:, 1]) / self.hyper.l_A
         return int(1 + np.sum(np.hypot(du, dv) > 1.0))
-
-
-def seed_scan(model: GprModel, box: DomainBox):
-    """The point of a 40 x 40 grid over `box` inside the data cloud with the smallest |dGamma/dA|.
-
-    Each omega column of the grid is scored in one pass: one in-cloud test
-    and one (40 x n) kernel block.  Of equal scores the first in omega-major
-    order wins.  Raises ContinuationError when no grid point lies inside
-    the data cloud.
-    """
-    omegas = np.linspace(box.omega_min, box.omega_max, 40)
-    As = np.linspace(box.A_min, box.A_max, 40)
-    score = np.empty((len(omegas), len(As)))
-    for i, omega in enumerate(omegas):
-        d_A = model.predict_mean_d_A(np.column_stack([np.full_like(As, omega), As]))
-        score[i] = np.where(in_data_cloud(model, omega, As), np.abs(d_A), np.inf)
-    k = int(np.argmin(score))
-    if not score.flat[k] < np.inf:
-        raise ContinuationError("no grid point lies inside the data cloud")
-    i, j = divmod(k, len(As))
-    return float(omegas[i]), float(As[j])
 
 
 def data_box(dataset: Dataset) -> DomainBox:
@@ -241,6 +219,7 @@ class EnsembleRun:
 @dataclass
 class EnsembleResult:
     runs: list[EnsembleRun]
+    hyper_init: Hyperparameters  # the full dataset's optimum every run's fit started from
 
     @property
     def completed_fraction(self) -> float:
@@ -257,11 +236,13 @@ def dropout_ensemble(dataset: Dataset, n_runs: int, dropout_fraction: float, see
 
     Each run drops exactly ceil(fraction * n) distinct points (fraction 0
     drops none), re-maximizes the likelihood for its own data with
-    `fit_n_starts` starts, and traces offline.  With `hyper_init`, the
-    full dataset's optimum, every run's fit starts from it and works in the
-    scales `gpr.curvature_scale` takes there once per call, before any
-    worker is forked; without it each run starts from `initial_guess` of its
-    own data, unscaled.  Failures are recorded per run, never fatal.
+    `fit_n_starts` starts, and traces offline.  Every run's fit starts from
+    `hyper_init`, the full dataset's optimum, and works in the scales
+    `gpr.curvature_scale` takes there once per call, before any worker is
+    forked.  Without `hyper_init`, once the arguments are checked, the full
+    dataset is fitted from `initial_guess` and four more starts drawn from
+    `seed`; the result carries the start either way.  Failures are recorded
+    per run, never fatal.
 
     `threads` counts worker processes: min(threads, n_runs, cpu count) of
     them are forked for the call and joined before it returns.  With one
@@ -275,25 +256,27 @@ def dropout_ensemble(dataset: Dataset, n_runs: int, dropout_fraction: float, see
     n_drop = math.ceil(dropout_fraction * dataset.n) if dropout_fraction > 0 else 0
     if dataset.n - n_drop < 10:
         raise ValueError(f"only {dataset.n - n_drop} points would remain; need >= 10")
+    if hyper_init is None:
+        hyper_init = fit_hyperparameters(dataset, initial_guess(dataset), seed=seed)
 
-    scale = curvature_scale(dataset, hyper_init) if hyper_init is not None else None
+    scale = curvature_scale(dataset, hyper_init)
     one_run = partial(_ensemble_run, dataset=dataset, n_drop=n_drop, seed=seed,
                       hyper_init=hyper_init, scale=scale, cfg=cfg, x0=x0,
                       fit_n_starts=fit_n_starts)
     workers = min(threads, n_runs, os.cpu_count() or 1)
-    return EnsembleResult(runs=_map_runs(one_run, n_runs, workers))
+    return EnsembleResult(runs=_map_runs(one_run, n_runs, workers), hyper_init=hyper_init)
 
 
 def _ensemble_run(run_id: int, *, dataset: Dataset, n_drop: int, seed: int,
-                  hyper_init: Hyperparameters | None, scale: np.ndarray | None,
+                  hyper_init: Hyperparameters, scale: np.ndarray,
                   cfg: ContinuationConfig | None, x0, fit_n_starts: int) -> EnsembleRun:
     """One dropout run; module level so that a worker process can be sent it."""
     rng = np.random.default_rng((seed, run_id))
     keep = np.sort(rng.choice(dataset.n, size=dataset.n - n_drop, replace=False))
     sub = dataset.take(keep)
     try:
-        hyper = fit_hyperparameters(sub, hyper_init or initial_guess(sub),
-                                    n_starts=fit_n_starts, seed=run_id, scale=scale)
+        hyper = fit_hyperparameters(sub, hyper_init, n_starts=fit_n_starts, seed=run_id,
+                                    scale=scale)
         curve = offline_fold_trace(sub, hyper=hyper, cfg=cfg, x0=x0)
         return EnsembleRun(run_id=run_id, completed=True, curve=curve)
     except FoldtrackError as e:

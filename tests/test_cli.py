@@ -686,6 +686,29 @@ class TestOfflineAndEnsemble:
         assert res.exit_code == 1
         assert res.output.startswith("error: ")
 
+    @pytest.mark.parametrize("n_points", [3, 6])
+    def test_ensemble_refuses_a_small_dataset_before_any_fit(self, tmp_path, monkeypatch,
+                                                            n_points):
+        # 10% dropout leaves n - 1 points, short of the 10 the README asks for: the
+        # refusal names that rule, and no likelihood is maximized before it
+        import scipy.optimize
+        real, calls = scipy.optimize.minimize, []
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        X = np.column_stack([np.linspace(1.0, 1.2, n_points), np.linspace(0.5, 2.5, n_points)])
+        write_dataset_csv(tmp_path / "data.csv",
+                          Dataset(X, duffing_gamma(DuffingParams(), X[:, 0], X[:, 1])))
+        cfg = {"inputs": {"dataset": "data.csv"}, "n_runs": 2}
+        res = run_cli("ensemble", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "ens"))
+        assert res.exit_code == 1
+        assert res.output == f"error: only {n_points - 1} points would remain; need >= 10\n"
+        assert calls == []
+
     def test_ensemble_smoke_profile(self, traced):
         import time
         cfg = {"inputs": {"dataset": str(traced / "run" / "dataset.csv")},

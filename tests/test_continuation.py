@@ -10,8 +10,8 @@ from reference_oracles import duffing_fold_amplitudes
 from foldtrack import continuation
 from foldtrack.continuation import (H_MIN, NEWTON_TOL, ContinuationConfig, CorrectResult,
                                     CurvePoint, FoldPoint, Step, Tangent, advance, correct,
-                                    find_first_fold, follow, in_data_cloud, predict_step,
-                                    tangent_at, tangent_from_jrow, zero_fn)
+                                    find_first_fold, follow, predict_step, tangent_at,
+                                    tangent_from_jrow)
 from foldtrack.errors import (DomainExit, LeftDataCloud, NoConvergence, SingularJacobian,
                               StepUnderflow)
 from foldtrack.geometry import DomainBox
@@ -42,24 +42,35 @@ def surrogate_fold_A(model, omega, lo, hi, n=4000):
     return 0.5 * (lo_a + hi_a)
 
 
+def pass_at(model, x):
+    """The kernel pass at the physical point x = (omega, A)."""
+    hyp = model.hyper
+    return continuation._kernel_pass(model, x[0] / hyp.l_omega, x[1] / hyp.l_A)
+
+
+def scaled_residual(model, x):
+    """The corrector's dimensionless residual and Jacobian row at x, from its one pass."""
+    return continuation._fold_system(model, pass_at(model, x))[:2]
+
+
 class TestZeroFn:
     def test_zero_data_gives_zero_everywhere(self):
         ds = Dataset(np.array([[1.0, 1.0], [1.1, 1.5], [1.0, 2.0]]), np.zeros(3))
         m = build(ds, Hyperparameters(TINY_NOISE, 1.0, 0.1, 0.5))
-        g, (j1, j2) = zero_fn(m, (1.05, 1.4))
+        g, (j1, j2) = scaled_residual(m, (1.05, 1.4))
         assert g == 0.0 and j1 == 0.0 and j2 == 0.0
 
     def test_small_residual_at_true_fold(self, duffing_params, duffing_model):
         A_true = duffing_fold_amplitudes(1.0, 0.02, 0.05, 1.10)[0]
-        g_at_fold = abs(zero_fn(duffing_model, (1.10, A_true))[0])
+        g_at_fold = abs(scaled_residual(duffing_model, (1.10, A_true))[0])
         As = np.linspace(1.0, 1.8, 60)
-        g_scale = max(abs(zero_fn(duffing_model, (1.10, a))[0]) for a in As)
+        g_scale = max(abs(scaled_residual(duffing_model, (1.10, a))[0]) for a in As)
         assert g_at_fold < 5e-2 * g_scale
 
     def test_sign_flip_across_fold(self, duffing_model):
         A_fold = surrogate_fold_A(duffing_model, 1.10, 1.1, 1.7)
-        g_lo = zero_fn(duffing_model, (1.10, A_fold - 0.15))[0]
-        g_hi = zero_fn(duffing_model, (1.10, A_fold + 0.15))[0]
+        g_lo = scaled_residual(duffing_model, (1.10, A_fold - 0.15))[0]
+        g_hi = scaled_residual(duffing_model, (1.10, A_fold + 0.15))[0]
         assert g_lo * g_hi < 0
 
 
@@ -98,20 +109,12 @@ class TestKernelPass:
         scale = np.abs(ref).max(axis=0)
         assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
-    def test_zero_fn_is_the_pass_in_physical_units(self, duffing_model, fold_on_surrogate):
-        m = duffing_model
-        for x in _pass_points(m, fold_on_surrogate)[::4]:
-            g, (j_wa, j_aa) = zero_fn(m, x)
-            d = m.predict_mean_derivs(x)
-            assert g == pytest.approx(d.d_A, rel=1e-9, abs=1e-12)
-            assert j_wa == pytest.approx(d.d_omega_A, rel=1e-9, abs=1e-9)
-            assert j_aa == pytest.approx(d.d_AA, rel=1e-9, abs=1e-9)
-
     def test_one_cloud_rule(self, duffing_model):
         m, hyp = duffing_model, duffing_model.hyper
         omegas = np.linspace(0.9, 1.3, 41)
         As = np.linspace(-0.2, 3.0, 33)
-        grid = in_data_cloud(m, omegas[:, None], As[None, :])
+        grid = continuation._in_cloud(continuation._kernel_pass(
+            m, (omegas / hyp.l_omega)[:, None, None], (As / hyp.l_A)[None, :, None]))
         assert grid.shape == (41, 33) and grid.any() and not grid.all()
         X = m.dataset.X
         for i, w in enumerate(omegas):
@@ -133,7 +136,8 @@ class TestKernelPass:
         assert abs(moved.A - fold.A) > 1e-3
         assert moved.gamma_model == pytest.approx(grown.predict_mean(moved), rel=1e-12)
         hyp = grown.hyper
-        assert abs(zero_fn(grown, moved)[0]) * hyp.l_A / math.sqrt(hyp.sigma_f2) < NEWTON_TOL
+        assert abs(grown.predict_mean_derivs(moved).d_A) * hyp.l_A / math.sqrt(hyp.sigma_f2) \
+            < NEWTON_TOL
 
 
 class TestFindFirstFold:
@@ -147,7 +151,7 @@ class TestFindFirstFold:
         start_A = A_ref + 0.3 * duffing_model.hyper.l_A
         fold = find_first_fold(duffing_model, (1.10, start_A), CFG)
         assert abs(fold.A - A_ref) / duffing_model.hyper.l_A < 1e-3
-        assert abs(zero_fn(duffing_model, (fold.omega, fold.A))[0]) \
+        assert abs(duffing_model.predict_mean_derivs((fold.omega, fold.A)).d_A) \
             * duffing_model.hyper.l_A / math.sqrt(duffing_model.hyper.sigma_f2) < NEWTON_TOL
 
     def test_flat_region_no_convergence(self):
@@ -216,7 +220,7 @@ class TestPredictStep:
         defects = []
         for h in (0.08, 0.04, 0.02):
             x = predict_step(fold_on_surrogate, t, h, duffing_model.hyper)
-            defects.append(abs(zero_fn(duffing_model, x)[0]))
+            defects.append(abs(duffing_model.predict_mean_derivs(x).d_A))
         r1 = defects[0] / defects[1]
         r2 = defects[1] / defects[2]
         assert 3.0 <= r1 <= 5.0
@@ -250,7 +254,8 @@ class TestCorrect:
         res = correct(duffing_model, predict_step(fold_on_surrogate, t, 0.12, hyp),
                       fold_on_surrogate, t, 0.12, CFG)
         p = res.point
-        g_norm = abs(zero_fn(duffing_model, (p.omega, p.A))[0]) * hyp.l_A / math.sqrt(hyp.sigma_f2)
+        g_norm = abs(duffing_model.predict_mean_derivs((p.omega, p.A)).d_A) * hyp.l_A \
+            / math.sqrt(hyp.sigma_f2)
         psa = abs(t.t_omega * (p.omega - fold_on_surrogate.omega) / hyp.l_omega
                   + t.t_A * (p.A - fold_on_surrogate.A) / hyp.l_A - 0.12)
         assert g_norm < NEWTON_TOL
@@ -302,7 +307,7 @@ class TestCorrect:
             t = tangent_at(duffing_model, fold, t)
             x_pred = predict_step(fold, t, 0.1, duffing_model.hyper)
             fold = correct(duffing_model, x_pred, fold, t, 0.1, CFG).point
-            assert in_data_cloud(duffing_model, fold.omega, fold.A)
+            assert continuation._in_cloud(pass_at(duffing_model, fold))
 
 
 class TestStepSizeControl:

@@ -318,19 +318,6 @@ class TestPredictMeanDerivs:
         m = build(ds, Hyperparameters(1e-10, 1.0, 1.0, 0.5))
         assert abs(m.predict_mean_derivs((1.0, A0)).d_A) < 1e-10
 
-    def test_batched_d_A_matches_one_point_at_a_time(self, duffing_model):
-        m, h = duffing_model, duffing_model.hyper
-        rng = np.random.default_rng(8)
-        C = np.column_stack([rng.uniform(1.0, 1.2, 30), rng.uniform(0.8, 2.0, 30)])
-        ref = np.array([m.predict_mean_derivs(c).d_A for c in C])
-        # the same n terms summed in another order: each sum may move by up to
-        # n * eps times the sum of the terms' sizes, which cancel to a far smaller d_A
-        terms = np.abs((C[:, 1:2] - m.dataset.X[:, 1]) / h.l_A**2
-                       * _kernel_matrix(C, m.dataset.X, h) * m.alpha)
-        bound = m.n * np.finfo(float).eps * terms.sum(axis=1)
-        assert np.all(np.abs(m.predict_mean_d_A(C) - ref) <= bound)
-        assert np.abs(m.predict_mean_d_A(C[0]) - ref[:1]) <= bound[:1]
-
 
 class TestLooMeanShift:
     @pytest.mark.parametrize("x", [(1.08, 1.6), (1.13, 1.0)])

@@ -12,15 +12,15 @@ from reference_oracles import duffing_fold_amplitudes, duffing_force
 
 from foldtrack import postprocess
 from foldtrack.config import EnsembleConfig, SweepConfig, load_config
-from foldtrack.continuation import (ContinuationConfig, FoldPoint, find_first_fold, follow,
-                                    in_data_cloud, tangent_at)
+from foldtrack.continuation import (ContinuationConfig, FoldPoint, _in_cloud, _kernel_pass,
+                                    find_first_fold, follow, tangent_at)
 from foldtrack.driver import run_trace
 from foldtrack.errors import ContinuationError, EmptySliceWarning, NoConvergence
 from foldtrack.geometry import DomainBox
-from foldtrack.gpr import Dataset, Hyperparameters, build
-from foldtrack.oracles import DuffingOracle
-from foldtrack.postprocess import (FoldCurve, data_box, dropout_ensemble, nlfr_slice,
-                                   offline_fold_trace, seed_scan, sweep_s_curve)
+from foldtrack.gpr import Dataset, FitBounds, Hyperparameters, build, fit_hyperparameters
+from foldtrack.oracles import DuffingOracle, DuffingParams, IsolaOracle, duffing_gamma
+from foldtrack.postprocess import (FoldCurve, data_box, dropout_ensemble, initial_guess,
+                                   nlfr_slice, offline_fold_trace, seed_scan, sweep_s_curve)
 
 
 def densify_polyline(arr: np.ndarray, factor: int) -> np.ndarray:
@@ -73,12 +73,46 @@ class TestSweep:
         assert SweepConfig.__dataclass_fields__["A_step"].default == 0.2
 
 
+@pytest.fixture(scope="module")
+def isola_grid_model():
+    """Acceptance criterion 3's 16 x 16 isola grid with its fit, and the isola's box."""
+    oracle = IsolaOracle(seed=0)
+    box = oracle.domain_box
+    ws = np.linspace(box.omega_min, box.omega_max, 16)
+    As = np.linspace(0.05, box.A_max - 0.05, 16)
+    X = np.array([[w, a] for w in ws for a in As])
+    F = np.array([oracle.measure(w, a).F for w, a in X])
+    ds = Dataset(X, F)
+    bounds = FitBounds(sigma_n2=(1e-10, 1e-2), sigma_f2=(1e-4, 100.0),
+                       l_omega=(0.03, 0.30), l_A=(0.1, 0.9))
+    hyper = fit_hyperparameters(ds, Hyperparameters(1e-8, float(np.var(F)), 0.12, 0.5),
+                                bounds=bounds, n_starts=1, seed=0)
+    return build(ds, hyper), box
+
+
+@pytest.fixture(scope="module")
+def sweep0_model():
+    """The benchmark's noisy 285-point S-curve sweep of seed 0 (perfbench/dataset.py),
+    fitted from the benchmark's start, and its data box."""
+    W, A = np.meshgrid(np.linspace(1.00, 1.21, 15), np.linspace(0.2, 3.0, 19), indexing="ij")
+    W, A = W.ravel(), A.ravel()
+    F = duffing_gamma(DuffingParams(), W, A)
+    F = np.maximum(F + 0.01 * F.mean() * np.random.default_rng(0).standard_normal(F.shape),
+                   0.0)
+    ds = Dataset(np.column_stack([W, A]), F)
+    v = float(np.var(F))
+    hyper = fit_hyperparameters(ds, Hyperparameters(1e-4 * v, v, 0.05, 0.45), n_starts=1,
+                                seed=0)
+    return build(ds, hyper), data_box(ds)
+
+
 def _seed_scan_one_point_at_a_time(model, box):
     """The scan as a loop over its 40 x 40 grid, omega-major, the first minimum winning."""
+    hyp = model.hyper
     best, best_val = None, math.inf
     for omega in np.linspace(box.omega_min, box.omega_max, 40):
         for A in np.linspace(box.A_min, box.A_max, 40):
-            if not in_data_cloud(model, omega, A):
+            if not _in_cloud(_kernel_pass(model, omega / hyp.l_omega, A / hyp.l_A)):
                 continue
             val = abs(model.predict_mean_derivs((omega, A)).d_A)
             if val < best_val:
@@ -87,14 +121,17 @@ def _seed_scan_one_point_at_a_time(model, box):
 
 
 class TestSeedScan:
-    def test_equals_the_one_point_loop(self, online_run, duffing_model, duffing_box):
+    def test_equals_the_one_point_loop(self, online_run, duffing_model, duffing_box,
+                                       isola_grid_model, sweep0_model):
         for model, box in ((online_run.model, data_box(online_run.model.dataset)),
-                           (duffing_model, duffing_box)):
+                           (duffing_model, duffing_box), isola_grid_model, sweep0_model):
             assert seed_scan(model, box) == _seed_scan_one_point_at_a_time(model, box)
 
     def test_empty_cloud_raises(self, duffing_model):
         far = DomainBox(5.0, 6.0, 20.0, 30.0)
-        assert not in_data_cloud(duffing_model, 5.0, np.array([20.0, 25.0, 30.0])).any()
+        hyp = duffing_model.hyper
+        assert not _in_cloud(_kernel_pass(duffing_model, 5.0 / hyp.l_omega,
+                                          np.array([[20.0], [25.0], [30.0]]) / hyp.l_A)).any()
         with pytest.raises(ContinuationError):
             seed_scan(duffing_model, far)
 
@@ -244,8 +281,9 @@ class _ScriptedBug(RuntimeError):
 def _script_runs(monkeypatch, failures):
     """Make a run's fit raise failures[run_id] for the runs named there.
 
-    The fit is seeded by the run id.  Worker processes are forked after
-    this, so they inherit the patch.
+    The fit is seeded by the run id.  Callers pass a `hyper_init`, so the
+    scripted fit sees the runs' own fits only.  Worker processes are forked
+    after this, so they inherit the patch.
     """
     real = postprocess.fit_hyperparameters
 
@@ -350,6 +388,23 @@ class TestDropoutEnsemble:
                     continue  # overhang beyond the full curve's extent
                 assert abs(p.gamma_model - dense[i, 2]) <= 0.05 * dense[i, 2]
 
+    def test_without_hyper_init_the_full_dataset_is_fitted_once(self, monkeypatch,
+                                                                duffing_params):
+        ds = duffing_grid_dataset(duffing_params)
+        full = fit_hyperparameters(ds, initial_guess(ds), seed=4)
+        real, fitted = postprocess.fit_hyperparameters, []
+
+        def recording(data, init, **kw):
+            fitted.append((data.n, init, kw.get("scale") is None))
+            return real(data, init, **kw)
+
+        monkeypatch.setattr(postprocess, "fit_hyperparameters", recording)
+        res = dropout_ensemble(ds, n_runs=2, dropout_fraction=0.1, seed=4,
+                               cfg=ContinuationConfig(max_steps=2))
+        assert res.hyper_init == full
+        # the full dataset, unscaled from its initial guess; then each run, scaled from its optimum
+        assert fitted == [(25, initial_guess(ds), True), (22, full, False), (22, full, False)]
+
     def test_too_small_remainder_rejected(self):
         ds = Dataset(np.array([[1.0, 1.0], [1.1, 1.5]]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
@@ -360,12 +415,12 @@ class TestEnsembleProcesses:
     """threads > 1 runs the dropout runs on forked worker processes."""
 
     def test_worker_exception_reaches_caller_with_its_type(self, monkeypatch, pool_spy,
-                                                           duffing_params):
+                                                           duffing_params, duffing_hyper):
         _script_runs(monkeypatch, {2: _ScriptedBug("not a FoldtrackError")})
         ds = duffing_grid_dataset(duffing_params)
         with pytest.raises(_ScriptedBug, match="not a FoldtrackError"):
             dropout_ensemble(ds, n_runs=4, dropout_fraction=0.1, threads=2,
-                             cfg=ContinuationConfig(max_steps=2))
+                             hyper_init=duffing_hyper, cfg=ContinuationConfig(max_steps=2))
         assert pool_spy == ([2] if FORK else [])
         assert multiprocessing.active_children() == []
 
@@ -376,25 +431,27 @@ class TestEnsembleProcesses:
         (4, 20, None, None),  # an unknown CPU count means one: no pool
         (1, 20, 8, None),
     ])
-    def test_worker_count_capped(self, monkeypatch, duffing_params, threads, n_runs, cpus,
-                                 workers):
+    def test_worker_count_capped(self, monkeypatch, duffing_params, duffing_hyper, threads,
+                                 n_runs, cpus, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(_InProcessPool, "sizes", [])
         monkeypatch.setattr(process, "ProcessPoolExecutor", _InProcessPool)
         _script_runs(monkeypatch, {i: NoConvergence("skip the fit") for i in range(n_runs)})
         ds = duffing_grid_dataset(duffing_params)
-        res = dropout_ensemble(ds, n_runs=n_runs, dropout_fraction=0.1, threads=threads)
+        res = dropout_ensemble(ds, n_runs=n_runs, dropout_fraction=0.1, threads=threads,
+                               hyper_init=duffing_hyper)
         assert len(res.runs) == n_runs
         assert _InProcessPool.sizes == ([] if workers is None or not FORK else [workers])
 
-    def test_serial_where_fork_is_not_offered(self, monkeypatch, duffing_params):
+    def test_serial_where_fork_is_not_offered(self, monkeypatch, duffing_params, duffing_hyper):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(_InProcessPool, "sizes", [])
         monkeypatch.setattr(process, "ProcessPoolExecutor", _InProcessPool)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         _script_runs(monkeypatch, {i: NoConvergence("skip the fit") for i in range(4)})
         ds = duffing_grid_dataset(duffing_params)
-        res = dropout_ensemble(ds, n_runs=4, dropout_fraction=0.1, threads=4)
+        res = dropout_ensemble(ds, n_runs=4, dropout_fraction=0.1, threads=4,
+                               hyper_init=duffing_hyper)
         assert [r.run_id for r in res.runs] == [0, 1, 2, 3]
         assert _InProcessPool.sizes == []
 
