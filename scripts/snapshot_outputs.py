@@ -45,7 +45,9 @@ directions' row counts differ it prints them on each side, since rows that
 moved between directions pair wrongly by position.  It exits 1 when a file
 is missing on one side, or a line count, a direction's row count or the
 non-numeric text differs, so a change that should move numbers by
-round-off only can be checked with one command.
+round-off only can be checked with one command.  Its last line counts the
+files that differ and names the largest relative change over all of them
+and the file it is in.
 """
 
 from __future__ import annotations
@@ -207,8 +209,9 @@ def directions(lines: list[str]) -> list[int]:
     return counts
 
 
-def compare_file(a: Path, b: Path) -> tuple[bool, str]:
-    """(text or directions differ, report line) for two versions of one file."""
+def compare_file(a: Path, b: Path) -> tuple[bool, float, str]:
+    """(text or directions differ, largest relative change, report line) for two
+    versions of one file."""
     lines_a = a.read_text(encoding="utf-8", errors="replace").splitlines()
     lines_b = b.read_text(encoding="utf-8", errors="replace").splitlines()
     text_same = len(lines_a) == len(lines_b)
@@ -228,11 +231,12 @@ def compare_file(a: Path, b: Path) -> tuple[bool, str]:
     text = "same" if text_same else "DIFFERS"
     report = (f"lines {len(lines_a)} / {len(lines_b)}, text {text}{rows}, "
               f"max rel change {worst:.2e}")
-    return not text_same or bool(rows), report
+    return not text_same or bool(rows), worst, report
 
 
 def compare(a: Path, b: Path) -> int:
-    """Print every file of two snapshot trees that differs; 1 if any text or direction differs."""
+    """Print every file of two snapshot trees that differs, then a summary line with
+    the largest relative change and its file; 1 if any text or direction differs."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     broken = 0
@@ -240,14 +244,18 @@ def compare(a: Path, b: Path) -> int:
         print(f"{rel}: only in {a if rel in files_a else b}")
         broken += 1
     moved = 0
+    worst, worst_file = 0.0, None
     for rel in sorted(files_a & files_b):
         if (a / rel).read_bytes() == (b / rel).read_bytes():
             continue
-        differs, report = compare_file(a / rel, b / rel)
+        differs, change, report = compare_file(a / rel, b / rel)
         print(f"{rel}: {report}")
         moved += 1
         broken += differs
-    print(f"{moved} files differ, {broken} in line count, text or presence")
+        if worst_file is None or change > worst:
+            worst, worst_file = change, rel
+    largest = "" if worst_file is None else f", max rel change {worst:.2e} in {worst_file}"
+    print(f"{moved} files differ, {broken} in line count, text or presence{largest}")
     return 1 if broken else 0
 
 

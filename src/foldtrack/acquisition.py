@@ -23,13 +23,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .continuation import ContinuationConfig, FoldPoint, Tangent, correct
 from .errors import CollectionCap, ContinuationError, DomainExhausted, DuplicatePoint
 from .geometry import DomainBox
-from .gpr import GprModel
+from .gpr import GprModel, as_points
 
 # Farthest the h = 0 re-correct of `add_measurement` may move the fold, in
 # length scales.  On duffing_noisy.yaml with n_max 40, seeds 0-339 (one BLAS
@@ -57,8 +58,9 @@ class AcquisitionConfig:
             raise ValueError("n_max and max_points_per_step must be >= 1")
 
 
-@dataclass
-class CollectionRecord:
+class CollectionRecord(NamedTuple):
+    """One collection of a step, in the collection log's column order after `step`."""
+
     collection_idx: int
     omega_req: float
     A_req: float
@@ -114,11 +116,11 @@ def sensitivity_beta(model: GprModel, x_cand, x_sol):
     by dcov_A * sigma_c / (sigma_c^2 + sigma_n2 + jitter), dcov_A being the
     A-derivative of the posterior covariance of solution and candidate.
     `x_cand` is an (m, 2) array of candidates, all scored by one triangular
-    solve, giving an (m,) array; one (omega, A) pair is a batch of one and
-    gives a float.  A candidate that duplicates a training input scores 0.
+    solve, giving an (m,) array; one point is a batch of one and gives a
+    float.  A candidate that duplicates a training input scores 0.
     """
     x_cand = np.asarray(x_cand, dtype=float)
-    C = x_cand.reshape(-1, 2)
+    C = as_points(x_cand)
     fresh = model.dataset.duplicate_of(C) < 0
     var, cov_d_A = model.predict_var_and_cov_d_A(x_sol, C[fresh])
     beta = np.zeros(len(C))
@@ -174,9 +176,8 @@ def improve_solution(model: GprModel, experiment, x_sol: FoldPoint, t_prev: Tang
             break
         x_req = candidates[int(np.argmax(betas))]
         meas = experiment.measure(x_req[0], x_req[1])
-        result.collections.append(CollectionRecord(
-            collection_idx=round_idx, omega_req=x_req[0], A_req=x_req[1],
-            omega_meas=meas.omega, A_meas=meas.A, F_meas=meas.F, beta_max=beta_max))
+        result.collections.append(CollectionRecord(round_idx, *x_req, meas.omega, meas.A,
+                                                   meas.F, beta_max))
         result.model, result.fold = add_measurement(result.model, result.fold, t_prev, meas,
                                                     cfg.n_max, ccfg)
     warnings.warn(CollectionCap(f"max beta {beta_max:.3g} still above tol {cfg.beta_tol:.3g} "
@@ -193,8 +194,6 @@ def prune(model: GprModel, x_sol, n_max: int) -> GprModel:
     """
     while model.n > n_max:
         influences = np.abs(model.loo_mean_d_A_shift(x_sol))
-        dist = np.hypot((model.dataset.X[:, 0] - x_sol[0]) / model.hyper.l_omega,
-                        (model.dataset.X[:, 1] - x_sol[1]) / model.hyper.l_A)
-        order = np.lexsort((-dist, influences))
+        order = np.lexsort((-model.pass_at(x_sol).d2, influences))
         model = model.remove_point(int(order[0]))
     return model

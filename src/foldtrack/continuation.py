@@ -13,12 +13,11 @@ Newton iterate is kept inside it: steps are clipped to one length scale and
 backtracked when they would exit the cloud (or the domain box).  A run that
 cannot make progress that way fails with NoConvergence or LeftDataCloud.
 
-The kernel pass is the one evaluation of the zero problem and of the cloud
-rule.  At one point it holds the offsets du, dv and squared distances d^2
-to the model's `unit_inputs`, in length scales.  Each Newton iterate costs
-one pass, which gives the cloud test, the scaled residual and Jacobian row,
-and the model's force, so an accepted iterate's pass serves the next Newton
-iteration and the converged point needs no further prediction.
+The model's kernel pass, `GprModel.kernel_pass`, is the one evaluation of
+the zero problem and of the cloud rule.  Each Newton iterate costs one
+pass, which gives the cloud test, the scaled residual and Jacobian row,
+and the model's force, so an accepted iterate's pass serves the next
+Newton iteration and the converged point needs no further prediction.
 `seed_scan` picks the start of a trace given none, for `find_first_fold`,
 and scores each frequency column of its grid from one pass.
 
@@ -45,7 +44,7 @@ import numpy as np
 from .errors import (ContinuationError, DomainExit, LeftDataCloud, NoConvergence,
                      SingularJacobian, StepUnderflow)
 from .geometry import DomainBox
-from .gpr import GprModel
+from .gpr import GprModel, KernelPass
 
 # A query point is "inside the data cloud" when at least CLOUD_MIN_POINTS
 # training inputs lie within CLOUD_RADIUS length scales of it.
@@ -123,25 +122,7 @@ class ContinuationConfig:
 
 # -- zero problem -----------------------------------------------------------
 
-class _Pass(NamedTuple):
-    """Offsets of an iterate (u, v) from the training inputs, in length scales.
-
-    du, dv and d2 = du^2 + dv^2 hold one entry per input along their last axis."""
-
-    du: np.ndarray
-    dv: np.ndarray
-    d2: np.ndarray
-
-
-def _kernel_pass(model: GprModel, u, v) -> _Pass:
-    """The one pass at (u, v); arrays of query points need a trailing axis of length 1."""
-    U = model.unit_inputs
-    du = u - U[0]
-    dv = v - U[1]
-    return _Pass(du, dv, du * du + dv * dv)
-
-
-def _in_cloud(p: _Pass):
+def _in_cloud(p: KernelPass):
     """The cloud rule on a pass: CLOUD_MIN_POINTS inputs lie within CLOUD_RADIUS."""
     if p.d2.shape[-1] < CLOUD_MIN_POINTS:
         return np.zeros(p.d2.shape[:-1], dtype=bool)
@@ -149,24 +130,25 @@ def _in_cloud(p: _Pass):
         <= CLOUD_RADIUS**2
 
 
-def _fold_system(model: GprModel, p: _Pass) -> tuple[float, tuple[float, float], float]:
+def _fold_system(model: GprModel, p: KernelPass) -> tuple[float, tuple[float, float], float]:
     """Residual, Jacobian row and posterior mean force from the pass at one iterate.
 
     The residual is l_A dGamma/dA and the row its gradient in (u, v), both
     over sqrt(sigma_f2), so dimensionless.
     """
-    w = np.exp(-0.5 * p.d2) * model.weights
+    w = model.mean_terms(p)
     s = math.sqrt(model.hyper.sigma_f2)
     return (float(-(p.dv @ w)) / s,
             (float((p.du * p.dv) @ w) / s, float((p.dv * p.dv - 1.0) @ w) / s),
             float(w.sum()))
 
 
-def _admissible_pass(model: GprModel, u: float, v: float, box: DomainBox | None) -> _Pass | None:
+def _admissible_pass(model: GprModel, u: float, v: float,
+                     box: DomainBox | None) -> KernelPass | None:
     """The pass at (u, v), or None where it lies outside the domain box or the data cloud."""
     if box is not None and not box.contains(u * model.hyper.l_omega, v * model.hyper.l_A):
         return None
-    p = _kernel_pass(model, u, v)
+    p = model.kernel_pass(u, v)
     return p if _in_cloud(p) else None
 
 
@@ -213,8 +195,8 @@ def seed_scan(model: GprModel, box: DomainBox) -> tuple[float, float]:
     v = (As / hyp.l_A)[:, None]
     score = np.empty((len(omegas), len(As)))
     for i, omega in enumerate(omegas):
-        p = _kernel_pass(model, omega / hyp.l_omega, v)
-        w = np.exp(-0.5 * p.d2) * model.weights
+        p = model.kernel_pass(omega / hyp.l_omega, v)
+        w = model.mean_terms(p)
         score[i] = np.where(_in_cloud(p), np.abs(np.einsum("ij,ij->i", p.dv, w)), np.inf)
     k = int(np.argmin(score))
     if not score.flat[k] < np.inf:
@@ -244,8 +226,7 @@ def tangent_from_jrow(jrow, prev: Tangent | None = None) -> Tangent:
 
 def tangent_at(model: GprModel, x: FoldPoint, prev: Tangent | None = None) -> Tangent:
     """Tangent to the fold curve at an accepted solution, in normalized coords."""
-    hyp = model.hyper
-    _, jrow, _ = _fold_system(model, _kernel_pass(model, x.omega / hyp.l_omega, x.A / hyp.l_A))
+    _, jrow, _ = _fold_system(model, model.pass_at(x))
     return tangent_from_jrow(jrow, prev)
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .acquisition import CollectionRecord
 from .continuation import CurvePoint, FoldPoint, Tangent
 from .errors import MissingInput
 from .gpr import Dataset
@@ -23,8 +24,7 @@ from .gpr import Dataset
 DATASET_HEADER = ["omega", "A", "F"]
 RUN_LOG_HEADER = ["step", "omega", "A", "gamma_model", "gamma_measured",
                   "t_omega", "t_A", "h", "newton_iters"]
-COLLECTION_LOG_HEADER = ["step", "collection_idx", "omega_req", "A_req",
-                         "omega_meas", "A_meas", "F_meas", "beta_max"]
+COLLECTION_LOG_HEADER = ["step", *CollectionRecord._fields]
 
 
 def _cell(value) -> str:

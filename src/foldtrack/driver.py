@@ -6,13 +6,14 @@ a first fold at the starting frequency, then follow it with the step loop
 `continuation.follow`.  That loop ends the run at the step budget (reason
 `max_steps`), the domain boundary (`domain_exit`), a step underflow inside
 the box (`step_underflow`) or a cusp (`singular_jacobian`).  The first fold
-and each accepted step go through one helper that does what only an online
-run can: it measures at the solution, collects data until the solution is
-robust to new measurements, and records a `continuation.CurvePoint` with
-both the surrogate's force and the measured one; a step whose collection
-hit its cap is recorded too, with `beta_final` at least beta_tol.  The
-loop's `accept` may then refit the hyperparameters.  A failure after the
-first fold ends the run with `oracle_error` or `refresh_failed`.  Every
+and each accepted step go through the loop's one `accept`, which does what
+only an online run can: it measures at the solution, collects data until
+the solution is robust to new measurements, and records a
+`continuation.CurvePoint` with both the surrogate's force and the measured
+one; a step whose collection hit its cap is recorded too, with
+`beta_final` at least beta_tol.  After the first fold it may then refit
+the hyperparameters.  A failure at the first fold raises; after it, a
+failure ends the run with `oracle_error` or `refresh_failed`.  Every
 measurement after the seed grid enters the model through
 `acquisition.add_measurement`, which holds it to n_max points.
 """
@@ -28,7 +29,7 @@ import numpy as np
 from . import csvio
 from .acquisition import CollectionRecord, add_measurement, improve_solution
 from .config import RunConfig, make_oracle
-from .continuation import CurvePoint, FoldPoint, find_first_fold, follow, tangent_at
+from .continuation import CurvePoint, FoldPoint, Step, find_first_fold, follow, tangent_at
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
 from .errors import ContinuationError, OracleError
 from .gpr import Dataset, GprModel, Hyperparameters, build, fit_hyperparameters
@@ -64,10 +65,7 @@ class TraceResult:
         return [s.point.fold for s in self.steps]
 
     def collection_rows(self):
-        for k, s in enumerate(self.steps):
-            for c in s.collections:
-                yield [k, c.collection_idx, c.omega_req, c.A_req,
-                       c.omega_meas, c.A_meas, c.F_meas, c.beta_max]
+        return ([k, *c] for k, s in enumerate(self.steps) for c in s.collections)
 
 
 def measure_init_grid(oracle, cfg: RunConfig, hyper_init) -> Dataset:
@@ -107,12 +105,12 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
     tangent = tangent_at(model, fold, None)
     steps: list[StepRecord] = []
 
-    def measure_and_record(point, k):
-        """Measure at `point`'s fold, collect until it is robust, record it as step k.
-
-        The run's model is kept here rather than in `follow`, so that a refresh
-        that raises leaves it at the model its measurement at the solution built."""
+    def accept(_, step, k):
+        """Measure at the step's fold, collect until it is robust, record it as step k,
+        then refit if the config asks and k > 0.  The model is kept here, not in
+        `follow`, so a refresh that raises leaves it at what the measurement built."""
         nonlocal model
+        point = step.point
         m = oracle.measure(point.fold.omega, point.fold.A)
         model, fold = add_measurement(model, point.fold, point.tangent, m,
                                       cfg.acquisition.n_max, ccfg)
@@ -121,17 +119,12 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
         model = imp.model
         steps.append(StepRecord(replace(point, fold=imp.fold, gamma_measured=m.F),
                                 imp.collections, imp.beta_max_final))
-        return imp.fold
-
-    fold = measure_and_record(CurvePoint(fold, tangent, 0.0, 0), 0)
-
-    def accept(_, step, k):
-        nonlocal model
-        fold_k = measure_and_record(step.point, k)
-        if cfg.hyper.refit_each_step:
+        if k > 0 and cfg.hyper.refit_each_step:
             model = build(model.dataset, fit_hyperparameters(
                 model.dataset, model.hyper, bounds=cfg.hyper.bounds, n_starts=1, seed=cfg.seed))
-        return model, fold_k
+        return model, imp.fold
+
+    model, fold = accept(model, Step(CurvePoint(fold, tangent, 0.0, 0), ccfg.h), 0)
 
     status = "ok"
     try:

@@ -32,11 +32,11 @@ Optimization, section 7.2).
 
 All quantities live in the physical units of the experiment; the prior
 mean is zero in those units, so predictions revert to zero force far away
-from the data.  Coordinates are only rescaled where a dimensionless
-distance is needed: by the spread of the inputs for the duplicate rule, by
-the length scales in continuation, which reads each model's inputs in
-length-scale units and its weights sigma_f2 alpha from `unit_inputs` and
-`weights`, cached once per model.
+from the data.  A query point is read from its first two entries, and
+one point is a batch of one.  Its covariances with the training inputs,
+and the posterior mean, come from one kernel pass, `GprModel.kernel_pass`:
+its offsets from the inputs in length scales (`unit_inputs`, cached once
+per model), read by `mean_terms` with the weights sigma_f2 alpha.
 """
 
 from __future__ import annotations
@@ -123,6 +123,11 @@ class FitBounds:
         return lo, hi
 
 
+def as_points(C) -> np.ndarray:
+    """The first two entries of each point of C, as (m, 2); one point is a batch of one."""
+    return np.atleast_2d(np.asarray(C, dtype=float))[:, :2]
+
+
 def _coincide(X: np.ndarray, C: np.ndarray, s: np.ndarray) -> np.ndarray:
     """hits[i, j]: C[i] lies within DUPLICATE_TOL of X[j], coordinates divided by s[i].
 
@@ -202,7 +207,7 @@ class Dataset:
         return cls(np.zeros((0, 2)), np.zeros(0))
 
     def append(self, x, F_value: float) -> "Dataset":
-        x = np.asarray(x, dtype=float).reshape(1, 2)
+        x = np.array([[float(x[0]), float(x[1])]])
         F_value = float(F_value)
         if not (np.all(np.isfinite(x)) and math.isfinite(F_value)):
             raise ValueError(f"non-finite sample {x.ravel().tolist()}, {F_value}")
@@ -214,10 +219,10 @@ class Dataset:
     def duplicate_of(self, C) -> np.ndarray:
         """For each row of C, the first training input it duplicates, or -1; O(n*m).
 
-        C is one (omega, A) pair or an (m, 2) array.  Row c is compared using
-        the spreads of the training inputs together with c alone.
+        C is one point or an (m, 2) array, read by `as_points`.  Row c is
+        compared using the spreads of the training inputs together with c alone.
         """
-        C = np.reshape(np.asarray(C, dtype=float), (-1, 2))
+        C = as_points(C)
         if self.n == 0:
             return np.full(len(C), -1)
         hits = _coincide(self.X, C, np.maximum(self.X.max(axis=0), C)
@@ -259,15 +264,20 @@ def _kernel_matrix(X1: np.ndarray, X2: np.ndarray, hyper: Hyperparameters) -> np
     return hyper.sigma_f2 * np.exp(-0.5 * (do**2 + da**2))
 
 
-def _kernel_vec(X: np.ndarray, x, hyper: Hyperparameters) -> np.ndarray:
-    do = (X[:, 0] - x[0]) / hyper.l_omega
-    da = (X[:, 1] - x[1]) / hyper.l_A
-    return hyper.sigma_f2 * np.exp(-0.5 * (do**2 + da**2))
+class KernelPass(NamedTuple):
+    """Offsets du, dv and d2 = du^2 + dv^2 of query points (u, v) from reference points,
+    in length scales, one reference point per entry of the last axis."""
+
+    du: np.ndarray
+    dv: np.ndarray
+    d2: np.ndarray
 
 
-def _kernel_vec_d_A(X: np.ndarray, x, hyper: Hyperparameters) -> np.ndarray:
-    """d/dA at x of the covariances between x and each row of X."""
-    return -(x[1] - X[:, 1]) / hyper.l_A**2 * _kernel_vec(X, x, hyper)
+def _offsets(u, v, U: np.ndarray) -> KernelPass:
+    """The pass of (u, v) against the reference points U, a (2, n) array in length scales."""
+    du = u - U[0]
+    dv = v - U[1]
+    return KernelPass(du, dv, du * du + dv * dv)
 
 
 def _factorize(K: np.ndarray, hyper: Hyperparameters):
@@ -316,10 +326,30 @@ class GprModel:
 
     # -- prediction --------------------------------------------------------
 
+    def kernel_pass(self, u, v) -> KernelPass:
+        """The pass at (u, v) = (omega / l_omega, A / l_A); arrays of query points
+        need a trailing axis of length 1."""
+        return _offsets(u, v, self.unit_inputs)
+
+    def pass_at(self, x) -> KernelPass:
+        """The pass at the physical point x."""
+        return self.kernel_pass(x[0] / self.hyper.l_omega, x[1] / self.hyper.l_A)
+
+    def mean_terms(self, p: KernelPass) -> np.ndarray:
+        """exp(-d^2/2) times `weights`: each input's term of the posterior mean."""
+        return np.exp(-0.5 * p.d2) * self.weights
+
+    def _cov(self, p: KernelPass) -> np.ndarray:
+        """Prior covariances sigma_f2 exp(-d^2/2) of a pass."""
+        return self.hyper.sigma_f2 * np.exp(-0.5 * p.d2)
+
+    def _cov_d_A(self, p: KernelPass) -> np.ndarray:
+        """d/dA at the query point of the prior covariances of a pass."""
+        return -p.dv / self.hyper.l_A * self._cov(p)
+
     def predict_mean(self, x) -> float:
         """Posterior mean force amplitude at x = (omega, A)."""
-        k = _kernel_vec(self.dataset.X, x, self.hyper)
-        return float(k @ self.alpha)
+        return float(self.mean_terms(self.pass_at(x)).sum())
 
     def predict_var(self, x) -> float:
         """Posterior variance of the latent force amplitude at x.
@@ -327,38 +357,35 @@ class GprModel:
         Bounded by [0, sigma_f2]; tiny negative round-off is clamped, larger
         violations raise NumericalBreakdown.
         """
-        k = _kernel_vec(self.dataset.X, x, self.hyper)
-        v = _solve_lower(self.chol, k)
+        v = _solve_lower(self.chol, self._cov(self.pass_at(x)))
         return float(_clamped_var(self.hyper.sigma_f2 - float(v @ v)))
 
     def predict_mean_derivs(self, x) -> MeanDerivs:
         """Analytic dG/domega, dG/dA, d2G/dA2, d2G/domega dA of the posterior mean."""
         hyp = self.hyper
-        k = _kernel_vec(self.dataset.X, x, hyp)
-        w = k * self.alpha
-        do = (x[0] - self.dataset.X[:, 0]) / hyp.l_omega**2
-        da = (x[1] - self.dataset.X[:, 1]) / hyp.l_A**2
-        d_omega = float(-do @ w)
-        d_A = float(-da @ w)
-        d_AA = float((da * da - 1.0 / hyp.l_A**2) @ w)
-        d_omega_A = float((do * da) @ w)
-        return MeanDerivs(d_omega, d_A, d_AA, d_omega_A)
+        p = self.pass_at(x)
+        w = self.mean_terms(p)
+        return MeanDerivs(float(-(p.du @ w)) / hyp.l_omega, float(-(p.dv @ w)) / hyp.l_A,
+                          float((p.dv * p.dv - 1.0) @ w) / hyp.l_A**2,
+                          float((p.du * p.dv) @ w) / (hyp.l_omega * hyp.l_A))
 
     def predict_var_and_cov_d_A(self, x, C) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior variances at the rows of C and d/dA at x of cov(x, c), for every c.
+        """Posterior variances at the points C and d/dA at x of cov(x, c), for every c.
 
-        One triangular solve of the block [d/dA k(X, x), k(X, C)] gives V;
-        its first column against each other one is the data's share of both.
-        C is (m, 2); one candidate is a batch of one.  Variances are clamped
-        and checked as in `predict_var`.
+        One pass at x and C gives [d/dA k(X, x), k(X, C)] transposed, so in the
+        Fortran order LAPACK reads, and one triangular solve of it gives V, whose
+        first column against each other one is the data's share of both.
+        Variances are clamped and checked as in `predict_var`.
         """
-        X, hyp = self.dataset.X, self.hyper
-        C = np.reshape(C, (-1, 2))
-        V = _solve_lower(self.chol, np.column_stack(
-            [_kernel_vec_d_A(X, x, hyp), _kernel_matrix(X, C, hyp)]))
+        hyp = self.hyper
+        Q = np.vstack([as_points(x), as_points(C)]) / (hyp.l_omega, hyp.l_A)
+        p = self.kernel_pass(Q[:, 0:1], Q[:, 1:2])
+        B = self._cov(p)
+        B[0] *= -p.dv[0] / hyp.l_A
+        V = _solve_lower(self.chol, B.T)
         var = _clamped_var(hyp.sigma_f2 - np.einsum("ij,ij->j", V[:, 1:], V[:, 1:]))
-        cov_d_A = -(x[1] - C[:, 1]) / hyp.l_A**2 * _kernel_vec(C, x, hyp) - V[:, 0] @ V[:, 1:]
-        return var, cov_d_A
+        prior = self._cov_d_A(_offsets(Q[0, 0], Q[0, 1], Q[1:].T))
+        return var, prior - V[:, 0] @ V[:, 1:]
 
     def loo_mean_d_A_shift(self, x) -> np.ndarray:
         """dG/dA at x minus its value without training point i, for every i.
@@ -368,7 +395,7 @@ class GprModel:
         """
         W = _inverse_lower(self.chol)
         d = np.diag(W)
-        k = _kernel_vec_d_A(self.dataset.X, x, self.hyper)
+        k = self._cov_d_A(self.pass_at(x))
         return (W @ k + W.T @ k - d * k) * self.alpha / d
 
     # -- updates -----------------------------------------------------------
@@ -378,10 +405,8 @@ class GprModel:
 
         Raises DuplicatePoint when x duplicates a training input (see Dataset).
         """
-        x = (float(x[0]), float(x[1]))
         data = self.dataset.append(x, F_value)
-        k = _kernel_vec(self.dataset.X, x, self.hyper)
-        col = _solve_lower(self.chol, k)
+        col = _solve_lower(self.chol, self._cov(self.pass_at(x)))
         s2 = self.hyper.sigma_f2 + self.hyper.sigma_n2 + self.jitter - float(col @ col)
         if s2 <= 0.0:
             raise FactorizationFailure(

@@ -67,6 +67,16 @@ def dense_predict(X, F, x_star, sigma_n2, sigma_f2, l_omega, l_A):
 
 
 
+def dense_posterior_cov(X, a, B, sigma_n2, sigma_f2, l_omega, l_A):
+    """Posterior covariances of the point a with each row of B, by explicit inverse."""
+    X = np.asarray(X, dtype=float)
+    Kinv = np.linalg.inv(se_kernel_matrix(X, X, sigma_f2, l_omega, l_A)
+                         + sigma_n2 * np.eye(len(X)))
+    k_a = se_kernel_matrix(X, [a], sigma_f2, l_omega, l_A)[:, 0]
+    return se_kernel_matrix([a], B, sigma_f2, l_omega, l_A)[0] \
+        - k_a @ Kinv @ se_kernel_matrix(X, B, sigma_f2, l_omega, l_A)
+
+
 def dense_loo_mean_d_A_shift(X, F, x, sigma_n2, sigma_f2, l_omega, l_A):
     """dG/dA at x minus its value without each training point, by explicit inverse.
 

@@ -290,6 +290,8 @@ class TestOnePointConvention:
         assert candidates == generate_candidates(pair, cfg, 5, duffing_model.hyper)
         np.testing.assert_array_equal(sensitivity_beta(duffing_model, candidates, fold),
                                       sensitivity_beta(duffing_model, candidates, pair))
+        one = sensitivity_beta(duffing_model, fold, x_pred)
+        assert isinstance(one, float) and one == sensitivity_beta(duffing_model, pair, x_pred)
         n_max = duffing_model.n - 2
         np.testing.assert_array_equal(prune(duffing_model, fold, n_max).dataset.X,
                                       prune(duffing_model, pair, n_max).dataset.X)
@@ -303,3 +305,12 @@ class TestOnePointConvention:
         a, b = m.add_point(fold, 0.3), m.add_point(pair, 0.3)
         np.testing.assert_array_equal(a.dataset.X, b.dataset.X)
         np.testing.assert_array_equal(a.alpha, b.alpha)
+        for got, ref in zip(m.predict_var_and_cov_d_A(fold, fold),
+                            m.predict_var_and_cov_d_A(pair, pair)):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_dataset_takes_either(self, duffing_model, fold, pair):
+        ds = duffing_model.dataset
+        np.testing.assert_array_equal(ds.append(fold, 0.3).X, ds.append(pair, 0.3).X)
+        assert ds.duplicate_of(fold) == ds.duplicate_of(pair) == [-1]
+        assert ds.duplicate_of(FoldPoint(*ds.X[7], 0.3)) == [7]

@@ -42,15 +42,9 @@ def surrogate_fold_A(model, omega, lo, hi, n=4000):
     return 0.5 * (lo_a + hi_a)
 
 
-def pass_at(model, x):
-    """The kernel pass at the physical point x = (omega, A)."""
-    hyp = model.hyper
-    return continuation._kernel_pass(model, x[0] / hyp.l_omega, x[1] / hyp.l_A)
-
-
 def scaled_residual(model, x):
     """The corrector's dimensionless residual and Jacobian row at x, from its one pass."""
-    return continuation._fold_system(model, pass_at(model, x))[:2]
+    return continuation._fold_system(model, model.pass_at(x))[:2]
 
 
 class TestZeroFn:
@@ -99,7 +93,7 @@ class TestKernelPass:
         got, ref = [], []
         for x in _pass_points(m, fold_on_surrogate):
             r, (j_u, j_v), gamma = continuation._fold_system(
-                m, continuation._kernel_pass(m, x[0] / hyp.l_omega, x[1] / hyp.l_A))
+                m, m.kernel_pass(x[0] / hyp.l_omega, x[1] / hyp.l_A))
             d = m.predict_mean_derivs(x)
             got.append((r, j_u, j_v, gamma))
             ref.append((d.d_A * hyp.l_A / s, d.d_omega_A * hyp.l_omega * hyp.l_A / s,
@@ -113,13 +107,13 @@ class TestKernelPass:
         m, hyp = duffing_model, duffing_model.hyper
         omegas = np.linspace(0.9, 1.3, 41)
         As = np.linspace(-0.2, 3.0, 33)
-        grid = continuation._in_cloud(continuation._kernel_pass(
-            m, (omegas / hyp.l_omega)[:, None, None], (As / hyp.l_A)[None, :, None]))
+        grid = continuation._in_cloud(m.kernel_pass(
+            (omegas / hyp.l_omega)[:, None, None], (As / hyp.l_A)[None, :, None]))
         assert grid.shape == (41, 33) and grid.any() and not grid.all()
         X = m.dataset.X
         for i, w in enumerate(omegas):
             for j, a in enumerate(As):
-                p = continuation._kernel_pass(m, w / hyp.l_omega, a / hyp.l_A)
+                p = m.kernel_pass(w / hyp.l_omega, a / hyp.l_A)
                 near = np.hypot((X[:, 0] - w) / hyp.l_omega, (X[:, 1] - a) / hyp.l_A) \
                     <= continuation.CLOUD_RADIUS
                 assert continuation._in_cloud(p) == grid[i, j] == \
@@ -307,7 +301,7 @@ class TestCorrect:
             t = tangent_at(duffing_model, fold, t)
             x_pred = predict_step(fold, t, 0.1, duffing_model.hyper)
             fold = correct(duffing_model, x_pred, fold, t, 0.1, CFG).point
-            assert continuation._in_cloud(pass_at(duffing_model, fold))
+            assert continuation._in_cloud(duffing_model.pass_at(fold))
 
 
 class TestStepSizeControl:

@@ -6,9 +6,11 @@ import scipy.linalg
 
 from conftest import TINY_NOISE, duffing_grid_dataset
 from reference_oracles import (cs_mean_derivs, dense_log_marginal, dense_log_marginal_grad,
-                               dense_loo_mean_d_A_shift, dense_predict, se_kernel_matrix)
+                               dense_loo_mean_d_A_shift, dense_posterior_cov, dense_predict,
+                               se_kernel_matrix)
 
 from foldtrack import gpr
+from foldtrack.continuation import ContinuationConfig, find_first_fold
 from foldtrack.errors import DuplicatePoint, FactorizationFailure, IndexOutOfRange
 from foldtrack.gpr import (DUPLICATE_TOL, Dataset, FitBounds, Hyperparameters, _cho_solve,
                            _cholesky, _coincide, _inverse_lower, _kernel_matrix, _LogMarginal,
@@ -331,6 +333,26 @@ class TestLooMeanShift:
         chol = duffing_model.chol.copy()
         duffing_model.loo_mean_d_A_shift((1.08, 1.6))
         assert np.array_equal(duffing_model.chol, chol)
+
+
+class TestPredictVarAndCovDA:
+    def test_matches_dense_algebra(self, duffing_params):
+        hyp = (1e-3, 0.04, 0.05, 0.85)
+        ds = duffing_grid_dataset(duffing_params)
+        m = build(ds, Hyperparameters(*hyp))
+        x = find_first_fold(m, (1.10, 1.41), ContinuationConfig())
+        # inside the grid, next to the fold, and nine length scales beyond the data
+        C = np.array([[1.08, 1.2], [1.12, 1.7], [x.omega + 0.01, x.A - 0.05], [1.6, 4.0]])
+        var, cov_d_A = m.predict_var_and_cov_d_A(x, C)
+        var_ref = [dense_posterior_cov(ds.X, c, [c], *hyp)[0] for c in C]
+        h = 1e-4 * hyp[3]
+        cov_d_A_ref = (dense_posterior_cov(ds.X, (x.omega, x.A + h), C, *hyp)
+                       - dense_posterior_cov(ds.X, (x.omega, x.A - h), C, *hyp)) / (2.0 * h)
+        np.testing.assert_allclose(var, var_ref, rtol=0.0, atol=1e-12)
+        assert var[-1] == pytest.approx(hyp[1], rel=1e-12)
+        assert np.all(np.abs(cov_d_A - cov_d_A_ref) <= 1e-7 * np.max(np.abs(cov_d_A_ref)))
+        assert abs(cov_d_A[-1]) < 1e-12
+
 
 class TestLogMarginal:
     def test_single_zero_output(self):

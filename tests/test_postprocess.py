@@ -12,8 +12,8 @@ from reference_oracles import duffing_fold_amplitudes, duffing_force
 
 from foldtrack import postprocess
 from foldtrack.config import EnsembleConfig, SweepConfig, load_config
-from foldtrack.continuation import (ContinuationConfig, FoldPoint, _in_cloud, _kernel_pass,
-                                    find_first_fold, follow, tangent_at)
+from foldtrack.continuation import (ContinuationConfig, FoldPoint, _in_cloud, find_first_fold,
+                                    follow, tangent_at)
 from foldtrack.driver import run_trace
 from foldtrack.errors import ContinuationError, EmptySliceWarning, NoConvergence
 from foldtrack.geometry import DomainBox
@@ -112,7 +112,7 @@ def _seed_scan_one_point_at_a_time(model, box):
     best, best_val = None, math.inf
     for omega in np.linspace(box.omega_min, box.omega_max, 40):
         for A in np.linspace(box.A_min, box.A_max, 40):
-            if not _in_cloud(_kernel_pass(model, omega / hyp.l_omega, A / hyp.l_A)):
+            if not _in_cloud(model.kernel_pass(omega / hyp.l_omega, A / hyp.l_A)):
                 continue
             val = abs(model.predict_mean_derivs((omega, A)).d_A)
             if val < best_val:
@@ -130,8 +130,8 @@ class TestSeedScan:
     def test_empty_cloud_raises(self, duffing_model):
         far = DomainBox(5.0, 6.0, 20.0, 30.0)
         hyp = duffing_model.hyper
-        assert not _in_cloud(_kernel_pass(duffing_model, 5.0 / hyp.l_omega,
-                                          np.array([[20.0], [25.0], [30.0]]) / hyp.l_A)).any()
+        assert not _in_cloud(duffing_model.kernel_pass(
+            5.0 / hyp.l_omega, np.array([[20.0], [25.0], [30.0]]) / hyp.l_A)).any()
         with pytest.raises(ContinuationError):
             seed_scan(duffing_model, far)
 

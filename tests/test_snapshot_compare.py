@@ -24,7 +24,8 @@ def test_compare_reports_moved_numbers_and_fails_on_text(tmp_path):
     code, out = compare(a, b)
     assert code == 0
     assert out.splitlines() == ["run/log.csv: lines 3 / 3, text same, max rel change 5.00e-10",
-                                "1 files differ, 0 in line count, text or presence"]
+                                "1 files differ, 0 in line count, text or presence, "
+                                "max rel change 5.00e-10 in run/log.csv"]
 
     (b / "same.txt").write_text("exit 2\nerror: outside the box\n", encoding="utf-8")
     code, out = compare(a, b)
