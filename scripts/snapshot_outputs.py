@@ -22,6 +22,11 @@ change moved.  The set:
 * the `repr` of every run of `dropout_ensemble` on the benchmark's sweep of
   seed 0 (`perfbench/dataset.py`), warm-started and on 2 worker processes,
   as the benchmark's `ensemble-offline` workload calls it;
+* `rig_replay.txt`, the rig paths no trace reaches, as the acceptance
+  check of non-invasive control runs them: a noise-free rig's
+  `picard_noninvasive(12.8, 2.0)` at fixed A1*, then `replay_open_loop` on
+  its fundamental force, with the point's A and F, the replay amplitude and
+  the rig's clock;
 * the exit code and output of inputs the CLI refuses: `trace` on
   `duffing.yaml` with an unknown key, with its seed grid outside the domain
   box, with `alpha_3: 0`, in a domain box too small for step 0's
@@ -77,6 +82,7 @@ from foldtrack.driver import run_trace, write_trace_artifacts  # noqa: E402
 from foldtrack.geometry import DomainBox  # noqa: E402
 from foldtrack.gpr import Dataset, Hyperparameters, fit_hyperparameters  # noqa: E402
 from foldtrack.postprocess import dropout_ensemble  # noqa: E402
+from foldtrack.rig import RigOracle, RigParams  # noqa: E402
 
 CONFIGS = ROOT / "configs"
 TRACES = [("duffing.yaml", None, (0, 1)), ("duffing_noisy.yaml", 40, (0, 1, 2)),
@@ -184,6 +190,15 @@ def ensemble(out: Path):
                                            encoding="utf-8")
 
 
+def rig_replay(out: Path):
+    rig = RigOracle(RigParams(noise_sigma=0.0), DomainBox(9.0, 16.0, 0.02, 25.0), seed=2)
+    point, _, coeffs = rig.picard_noninvasive(12.8, 2.0)
+    _, Au, Bu = coeffs["u"]
+    A_replay = rig.replay_open_loop(12.8, Au[0], Bu[0])
+    (out / "rig_replay.txt").write_text(
+        f"A {point.A!r}\nF {point.F!r}\nA_replay {A_replay!r}\nt {rig._t!r}\n", encoding="utf-8")
+
+
 NUMBER = re.compile(r"[-+]?(?:\b(?:nan|inf)\b|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
 
 
@@ -273,6 +288,7 @@ if __name__ == "__main__":
     out = args.out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     traces(out)
+    rig_replay(out)
     ensemble(out)
     commands(out)
     rejected(out)

@@ -53,13 +53,19 @@ def write_dataset_csv(path, dataset: Dataset):
 
 
 def read_dataset_csv(path) -> Dataset:
-    rows = _read_rows(path, DATASET_HEADER, "dataset")
-    arr = np.array([[float(c) for c in row] for row in rows], dtype=float).reshape(-1, 3)
+    """The dataset of a DATASET_HEADER file; refuses a row of another length or a non-number."""
+    rows = _read_rows(path, DATASET_HEADER, "dataset", lambda k, *cells: [float(c) for c in cells])
+    arr = np.array(rows, dtype=float).reshape(-1, 3)
     return Dataset(arr[:, :2], arr[:, 2])
 
 
-def _read_rows(path, header, what) -> list[list[str]]:
-    """The non-empty rows of the CSV file at `path`, after checking its header."""
+def _read_rows(path, header, what, parse) -> list:
+    """parse(k, *cells) of each non-empty row k of the CSV file at `path`, after
+    checking its header.
+
+    A row whose cell count is not the header's, or that `parse` refuses with
+    a ValueError, raises a ValueError that names the file and the row.
+    """
     path = Path(path)
     if not path.exists():
         raise MissingInput(f"{what} file not found: {path}")
@@ -68,7 +74,15 @@ def _read_rows(path, header, what) -> list[list[str]]:
         got = next(r, [])
         if got != header:
             raise ValueError(f"{path}: unexpected {what} header {got}, want {header}")
-        return [row for row in r if row]
+        out = []
+        for k, row in enumerate(row for row in r if row):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, want {len(header)}")
+                out.append(parse(k, *row))
+            except ValueError as e:
+                raise ValueError(f"{path}: row {k + 1}: {e}") from e
+        return out
 
 
 def write_run_log(path, points):
@@ -81,19 +95,16 @@ def write_run_log(path, points):
 
 def read_run_log(path) -> list[CurvePoint]:
     """The CurvePoints of a run log; refuses another header, row length, or step than its index."""
-    points = []
-    for k, row in enumerate(_read_rows(path, RUN_LOG_HEADER, "run log")):
-        try:
-            step, omega, A, gamma_model, gamma_measured, t_omega, t_A, h, iters = row
-            if int(step) != k:
-                raise ValueError(f"step {step}, want {k}")
-            points.append(CurvePoint(
-                FoldPoint(float(omega), float(A), float(gamma_model)),
-                Tangent(float(t_omega), float(t_A)), float(h), int(iters),
-                float(gamma_measured) if gamma_measured else None))
-        except ValueError as e:
-            raise ValueError(f"{path}: row {k + 1}: {e}") from e
-    return points
+    return _read_rows(path, RUN_LOG_HEADER, "run log", _curve_point)
+
+
+def _curve_point(k, step, omega, A, gamma_model, gamma_measured, t_omega, t_A, h, iters):
+    """The CurvePoint of run-log row k."""
+    if int(step) != k:
+        raise ValueError(f"step {step}, want {k}")
+    return CurvePoint(FoldPoint(float(omega), float(A), float(gamma_model)),
+                      Tangent(float(t_omega), float(t_A)), float(h), int(iters),
+                      float(gamma_measured) if gamma_measured else None)
 
 
 def write_collection_log(path, rows):

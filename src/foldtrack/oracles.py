@@ -148,9 +148,9 @@ class IsolaParams:
     edge of the domain, producing the detached fold section.  Gamma is the
     exact antiderivative in A, so Gamma(omega, 0) = 0.
 
-    The shape constants were certified by brute force: see
-    `IsolaOracle.three_fold_band` / `level_two_folds` / `level_three_folds`
-    below.  Only the force noise is settable.
+    The shape constants were certified by brute force: see the comment on
+    `IsolaOracle.level_two_folds` / `level_three_folds` below.  Only the
+    force noise is settable.
     """
 
     noise_sigma: float = 0.0
@@ -215,13 +215,12 @@ ISOLA_DOMAIN = DomainBox(omega_min=0.85, omega_max=1.45, A_min=0.0, A_max=4.0)
 class IsolaOracle(SeededOracle):
     """Measurement interface over the engineered isola surface."""
 
-    # Certified by brute force over ISOLA_DOMAIN (see tests): constant-force
-    # slices carry exactly 2 fold points below `two_three_threshold` (down to
-    # the main cusp level ~0.196) and exactly 3 inside `three_fold_band`.
+    # Certified by brute force over ISOLA_DOMAIN (tests/test_oracles.py):
+    # constant-force slices carry exactly 2 fold points from the main cusp
+    # level ~0.196 up to ~0.2488, where they first cross the detached fold
+    # branch, and exactly 3 in the band ~0.2488-0.3148 above it.
     # `level_two_folds` / `level_three_folds` are documented example levels
     # whose +-5% neighbourhoods stay inside their count bands.
-    two_three_threshold: float
-    three_fold_band: tuple[float, float]
     level_two_folds: float = 0.22
     level_three_folds: float = 0.28
     surface = staticmethod(isola_gamma)
@@ -229,27 +228,6 @@ class IsolaOracle(SeededOracle):
     def __init__(self, params: IsolaParams = IsolaParams(),
                  domain_box: DomainBox = ISOLA_DOMAIN, seed: int = 0):
         super().__init__(params, domain_box, seed)
-        lo, hi = self._secondary_gamma_range()
-        self.two_three_threshold = lo
-        self.three_fold_band = (lo, hi)
-
-    def _secondary_gamma_range(self) -> tuple[float, float]:
-        """Force levels at which a slice crosses the detached fold branch.
-
-        The lower end is the dip bottom reached at the high-frequency edge of
-        the box; the upper end is capped by the main fold curve's own edge
-        value, above which the main pair no longer contributes two crossings.
-        """
-        p = self.params
-        w = self.domain_box.omega_max
-        rho2 = float(p.rho2(w))
-        if rho2 <= 0.0:
-            return (math.inf, math.inf)
-        r = math.sqrt(rho2)
-        g_min = float(isola_gamma(p, w, p.m2 + r))
-        g_sec_top = float(isola_gamma(p, w, p.m2 - r))
-        g_main_top = float(isola_gamma(p, w, float(p.m1(w)) + math.sqrt(max(float(p.rho1(w)), 0.0))))
-        return (g_min, min(g_sec_top, g_main_top))
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,6 @@ class SCurve:
     def F(self) -> np.ndarray:
         return np.array([p.F for p in self.points])
 
-    @property
-    def A(self) -> np.ndarray:
-        return np.array([p.A for p in self.points])
-
 
 def sweep_s_curve(oracle, omega: float, A_grid) -> SCurve:
     """One measurement per grid amplitude, in order; per-point errors skipped."""

@@ -30,8 +30,10 @@ Each iteration settles the loop and fits the response and control signals
 on a noise-free probe of PROBE_PERIODS whole periods.  The loop would end
 once the higher-harmonic residual is below picard_tol and the amplitude
 hits or MAX_CORRECTIONS corrections were made.  Only when the probe passes
-that test does the iteration record the full record_len window, straight
-on from the probe with no new settle, and the loop ends only when the full
+that test does the iteration record the full record_len window.  The
+record itself never settles: it runs straight on from the loop as it
+stands, and it follows the probe with no new settle because the Picard
+loop calls it right after the probe.  The loop ends only when the full
 record passes the same test; so a measurement is accepted on a full
 record, and reports its force.  Otherwise the iteration's last fit, probe
 or record, sets the higher harmonics of the reference and adds its
@@ -41,19 +43,20 @@ A1* the map predicts.  A correction thus rides on an iteration the
 harmonics need anyway, and an iteration that cannot be the last costs a
 settle and a probe, not a 2 s record.
 
-The loop keeps running between simulations, as on the hardware.  After each
-probe or recorded window it is locked at that frequency on that reference.
-A saturation trip puts the loop at rest where it trips: zero plant state
-and histories, unlocked, as in a fresh rig, with the clock at the
-saturating sample.  An unlocked loop (a fresh rig, a tripped loop, or one
-after an open-loop replay) first waits the fixed settle_time.  A running
-loop, locked at this frequency or at another, skips that wait.  Either way
-the settle then checks convergence period by period: it compares each
-period's fundamental response amplitude with the previous period's and ends
-at the first that agrees within settle_rel_tol, or once settle_max_time has
-run.  Picard iteration on a loop locked at its frequency starts from the
-locked higher harmonics instead of zeros, so a later measurement at one
-frequency starts close to its fixed point.
+The loop keeps running between simulations, as on the hardware.  Each
+window that _closed_loop runs, the fixed wait from rest, a probe or a
+record, locks it at that frequency on that reference; the settle's period
+checks leave the lock as it is.  A saturation trip puts the loop at rest
+where it trips: zero plant state and histories, unlocked, as in a fresh
+rig, with the clock at the saturating sample.  An unlocked loop (a fresh
+rig, a tripped loop, or one after an open-loop replay) first waits the
+fixed settle_time.  A running loop, locked at this frequency or at another,
+skips that wait.  Either way the settle then checks convergence period by
+period: it compares each period's fundamental response amplitude with the
+previous period's and ends at the first that agrees within settle_rel_tol,
+or once settle_max_time has run.  Picard iteration on a loop locked at its
+frequency starts from the locked higher harmonics instead of zeros, so a
+later measurement at one frequency starts close to its fixed point.
 
 The plant is ZOH-discretized per mode at the sample rate, with the cubic
 force held constant over each sample like the shaker input; this keeps the
@@ -66,18 +69,19 @@ scalar costs several times the same IEEE operation on a float, and the
 loop is most of a measurement's time.  The operations and their order are
 those of the numpy-scalar loop, so every record is bit-for-bit the same.
 
-The numpy work around the loop rests on one phasor per closed-loop
-segment, E = exp(i 2 pi omega t) at its samples.  The reference is a
-Horner evaluation in E of the complex coefficients A_j - i B_j, and the
-Fourier design matrix of the segment's window holds the real and
-imaginary parts of the powers of E, so no other trigonometric array is
-taken.  The y, u and force records of a window are fitted together: one
-solve of the normal equations M^T M c = M^T [y u f], whose matrix is
-nearly diagonal because the window spans whole cycles.  The settle's
-period check takes the reference of SETTLE_BLOCK periods from one phasor,
-each period starting where the loop's clock stands after the one before,
-and fits each period's fundamental alone with the same three-column
-solve; its periods build no force records.
+The numpy work around the loop rests on one phasor per segment,
+E = exp(i 2 pi omega t) at its samples.  The reference is a Horner
+evaluation in E of the complex coefficients A_j - i B_j, an open-loop
+replay's drive is Au1 Re E + Bu1 Im E, and the Fourier design matrix of
+the segment's window holds the real and imaginary parts of the powers of
+E, so no other trigonometric array is taken.  The y, u and force records
+of a window are fitted together: one solve of the normal equations
+M^T M c = M^T [y u f], whose matrix is nearly diagonal because the window
+spans whole cycles.  The settle's period check takes the reference of
+SETTLE_BLOCK periods from one phasor, each period starting where the
+loop's clock stands after the one before, and fits each period's
+fundamental alone with the same three-column solve; its periods build no
+force records.
 """
 
 from __future__ import annotations
@@ -145,27 +149,18 @@ class RigParams:
             raise ValueError("noise_sigma >= 0 required")
 
 
-def fourier_coeffs(signal: np.ndarray, omega_hz: float, sample_rate: float,
-                   n_modes: int, t0: float = 0.0):
-    """Least-squares Fourier coefficients (a0, A_j, B_j) over integer periods.
-
-    Uses the longest window of whole oscillation cycles that fits the
-    record, counted back from its end.
-    """
-    E = _phasor(omega_hz, t0 + np.arange(len(signal)) / sample_rate)
-    return _fit_fourier(E, sample_rate / omega_hz, n_modes, signal)[0]
-
-
 def _phasor(omega_hz: float, t: np.ndarray) -> np.ndarray:
     """exp(i 2 pi omega t): its j-th power holds cos and sin of harmonic j."""
     return np.exp(1j * (TWO_PI * omega_hz) * t)
 
 
 def _fit_fourier(E: np.ndarray, period: float, n_modes: int, *signals: np.ndarray):
-    """fourier_coeffs of each signal, sampled at the times of the phasor E.
+    """Least-squares Fourier coefficients (a0, A_j, B_j) of each signal.
 
-    `period` is in samples.  The window is the last whole cycles of the
-    record; one normal-equations solve fits every signal on its basis.
+    The signals are sampled at the times of the phasor E, and `period` is in
+    samples.  The window is the longest run of whole cycles that fits the
+    record, counted back from its end; one normal-equations solve fits
+    every signal on its basis.
     """
     n = len(E)
     n_cyc = int(n / period)
@@ -255,16 +250,14 @@ class RigOracle(SeededOracle):
                                 float(Ad[1, 1]), float(Bd[0]), float(Bd[1])))
         self._rest()
         self._t = 0.0
-        # the target whose probe ran the last segment: the loop is steady on it
-        self._probed = None
 
     def _rest(self):
         """Put the loop at rest: zero plant state and histories, unlocked."""
         self._q = [0.0, 0.0, 0.0, 0.0]  # q1, qd1, q2, qd2
         self._u_hist = [0.0, 0.0, 0.0]
         self._e_hist = [0.0, 0.0, 0.0]
-        # (omega, a0, A[1:], B[1:]) of the reference the loop last settled
-        # on; None for a loop at rest or replayed open loop
+        # (omega, a0, A[1:], B[1:]) of the reference of the last closed-loop
+        # window; None for a loop at rest or replayed open loop
         self._lock = None
 
     # -- core closed-loop simulation ----------------------------------------
@@ -278,7 +271,6 @@ class RigOracle(SeededOracle):
         p = self.params
         T = self._T
         t0 = self._t
-        self._probed = None
         phi1, phi2 = p.phi
         psi1, psi2 = p.psi
         k3 = p.k3
@@ -321,13 +313,14 @@ class RigOracle(SeededOracle):
         return ys, us
 
     def _closed_loop(self, target: _TargetSignal, n: int):
-        """Run n samples on the target's reference; returns the y and u lists and E.
+        """Run n samples on the target's reference and lock the loop on it.
 
-        E is the target's phasor at the segment's samples.
+        Returns the y and u lists and E, the target's phasor at the samples.
         """
-        E = _phasor(target.omega_hz, self._t + np.arange(n) * self._T)
-        ys, us = self._run_segment(n, target.sample(E).tolist())
-        return ys, us, E
+        E, ystar = _segment_references(target, self._t, n, self._T, 1)
+        ys, us = self._run_segment(n, ystar[0].tolist())
+        self._lock = (target.omega_hz, target.a0, target.A[1:].copy(), target.B[1:].copy())
+        return ys, us, E[0]
 
     def _locked_at(self, omega_hz: float) -> bool:
         return self._lock is not None and self._lock[0] == omega_hz
@@ -366,45 +359,31 @@ class RigOracle(SeededOracle):
     def _probe(self, target: _TargetSignal):
         """Run PROBE_PERIODS whole periods on the settled loop; returns the y and u fits.
 
-        No force record is taken, so the probe draws no noise.  The loop
-        stays locked on the target, and steady on it for a rig_simulate
-        straight after.
+        No force record is taken, so the probe draws no noise.
         """
         p = self.params
         period = p.sample_rate / target.omega_hz
         ys, us, E = self._closed_loop(target, int(math.ceil(PROBE_PERIODS * period)) + 1)
         fits = _fit_fourier(E, period, p.fourier_modes, np.array(ys, dtype=float),
                             np.array(us, dtype=float))
-        self._lock = (target.omega_hz, target.a0, target.A[1:].copy(), target.B[1:].copy())
-        self._probed = target
         return dict(zip("yu", fits))
 
-    def rig_simulate(self, omega_hz: float, a1_star: float,
-                     target: _TargetSignal | None = None, rng=None):
-        """Settle the loop on a reference signal and record one measurement window.
+    def rig_simulate(self, target: _TargetSignal, rng=None):
+        """Record one record_len window on the target, straight on from the loop as it stands.
 
-        A loop that has just probed this target is steady on it and records
-        straight on, without a settle.  Returns (records, coeffs): records
-        has keys y, u, f, t0; coeffs has the least-squares Fourier
-        coefficients of y, u and the noisy force record.
+        No settle runs first.  Returns (records, coeffs): records has keys
+        y, u and f; coeffs has the least-squares Fourier coefficients of y,
+        u and the force record f, which carries noise drawn from rng.
         """
         p = self.params
-        if target is None:
-            target = _TargetSignal(omega_hz, p.fourier_modes)
-            target.A[0] = a1_star
-        if self._probed is not target:
-            self._settle(target)
-        t0 = self._t
         noise = (rng.standard_normal(p.record_len) * p.noise_sigma
                  if rng is not None and p.noise_sigma > 0 else None)
         ys, us, E = self._closed_loop(target, p.record_len)
         y = np.array(ys, dtype=float)
         u = np.array(us, dtype=float)
         f = u + noise if noise is not None else u.copy()
-        self._lock = (omega_hz, target.a0, target.A[1:].copy(), target.B[1:].copy())
-        fits = _fit_fourier(E, p.sample_rate / omega_hz, p.fourier_modes, y, u, f)
-        coeffs = dict(zip("yuf", fits))
-        return {"y": y, "u": u, "f": f, "t0": t0}, coeffs
+        fits = _fit_fourier(E, p.sample_rate / target.omega_hz, p.fourier_modes, y, u, f)
+        return {"y": y, "u": u, "f": f}, dict(zip("yuf", fits))
 
     def picard_noninvasive(self, omega_hz: float, a1_star: float, rng=None,
                            A_target: float | None = None):
@@ -416,8 +395,9 @@ class RigOracle(SeededOracle):
 
         Each iteration settles the loop and fits y and u on a probe of
         PROBE_PERIODS periods.  Only when the probe passes the tests that
-        end the loop does the iteration record the full window, straight
-        on; the loop returns only when that record passes them too.
+        end the loop does the iteration record the full window with
+        rig_simulate, straight on from the probe; the loop returns only
+        when that record passes them too.
         Otherwise the higher harmonics of the reference are set from the
         last fit, probe or record, and the loop goes on.
 
@@ -456,7 +436,7 @@ class RigOracle(SeededOracle):
             residual, A_real, correct = verdict(coeffs)
             records = None
             if residual < p.picard_tol and not correct:
-                records, coeffs = self.rig_simulate(omega_hz, a1_star, target=target, rng=rng)
+                records, coeffs = self.rig_simulate(target, rng=rng)
                 residual, A_real, correct = verdict(coeffs)
             if A_target is not None:
                 self.mapping_history.append((A_real, a1_star))
@@ -479,25 +459,19 @@ class RigOracle(SeededOracle):
     def replay_open_loop(self, omega_hz: float, Au1: float, Bu1: float):
         """Drive the plant open loop with the fundamental force only.
 
-        Continues from the current plant state (feedback removed), settles
-        for REPLAY_TRANSIENT seconds, then records one measurement window and
+        Continues from the current plant state (feedback removed), runs
+        REPLAY_TRANSIENT seconds, then records one measurement window and
         returns the fundamental response amplitude.  Used to verify that a
-        converged control signal was non-invasive.
+        converged control signal was non-invasive.  It unlocks the loop.
         """
         p = self.params
         self._lock = None
-
-        def u_of(n):
-            t = self._t + np.arange(n) / p.sample_rate
-            ph = TWO_PI * omega_hz * t
-            return (Au1 * np.cos(ph) + Bu1 * np.sin(ph)).tolist()
-
-        n = int(REPLAY_TRANSIENT * p.sample_rate)
-        self._run_segment(n, drive=u_of(n))
-        t0 = self._t
-        ys, _ = self._run_segment(p.record_len, drive=u_of(p.record_len))
-        _, Ay, By = fourier_coeffs(np.array(ys, dtype=float), omega_hz, p.sample_rate,
-                                   p.fourier_modes, t0=t0)
+        # the transient, then the record, whose phasor and response are fitted
+        for n in (int(REPLAY_TRANSIENT * p.sample_rate), p.record_len):
+            E = _phasor(omega_hz, self._t + np.arange(n) * self._T)
+            ys, _ = self._run_segment(n, drive=(Au1 * E.real + Bu1 * E.imag).tolist())
+        [(_, Ay, By)] = _fit_fourier(E, p.sample_rate / omega_hz, p.fourier_modes,
+                                     np.array(ys, dtype=float))
         return math.hypot(Ay[0], By[0])
 
     # -- amplitude realization ----------------------------------------------

@@ -277,6 +277,27 @@ def isola_fold_branches(params, box, n=6000):
     return curves, gammas
 
 
+def isola_three_fold_band(params, box):
+    """Force levels at which a slice crosses the detached fold branch.
+
+    The lower end is the dip bottom reached at the high-frequency edge of
+    the box; the upper end is capped by the main fold curve's own edge
+    value, above which the main pair no longer contributes two crossings.
+    """
+    from foldtrack.oracles import isola_gamma
+
+    w = box.omega_max
+    rho2 = float(params.rho2(w))
+    if rho2 <= 0.0:
+        return (math.inf, math.inf)
+    r = math.sqrt(rho2)
+    g_min = float(isola_gamma(params, w, params.m2 + r))
+    g_sec_top = float(isola_gamma(params, w, params.m2 - r))
+    g_main_top = float(isola_gamma(params, w, float(params.m1(w))
+                                   + math.sqrt(max(float(params.rho1(w)), 0.0))))
+    return (g_min, min(g_sec_top, g_main_top))
+
+
 def isola_marker_count(params, box, level, band):
     """Number of contiguous fold-curve arcs with force inside the band."""
     _, gammas = isola_fold_branches(params, box)

@@ -372,6 +372,31 @@ class TestMissingInputs:
         assert res.exit_code == 1
 
 
+class TestDatasetRows:
+    # a short row was read on into the next one, since the cells were flattened
+    # and reshaped to three columns; a long row or a non-number raised a message
+    # that named neither file nor row
+    @pytest.mark.parametrize("body, row", [
+        ("1.0,2.0\n3.0,4.0\n5.0,6.0\n", 1),
+        ("1.0,2.0,0.3\n1.1,2.0,0.4,9.0\n", 2),
+        ("1.0,2.0,0.3\n1.1,2.0,0.4\n1.2,abc,0.5\n", 3),
+    ], ids=["short_rows", "long_row", "non_number"])
+    def test_malformed_row_is_refused_by_file_and_row(self, tmp_path, body, row):
+        path = tmp_path / "data.csv"
+        path.write_text("omega,A,F\n" + body)
+        with pytest.raises(ValueError, match=f"data.csv: row {row}: "):
+            read_dataset_csv(path)
+
+    def test_offline_on_short_rows_is_one_error_line(self, tmp_path):
+        (tmp_path / "data.csv").write_text("omega,A,F\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        res = run_cli("offline", "--config",
+                      write_cfg(tmp_path, {"inputs": {"dataset": "data.csv"}}),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
+        assert "data.csv: row 1: 2 cells, want 3" in res.output
+
+
 class TestUsageErrors:
     # an option click cannot read exits 1, as a config value the command cannot
     # take does, with one error line that names the option

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from reference_oracles import (duffing_fold_amplitudes, duffing_force, isola_gamma_dA,
-                               isola_marker_count)
+                               isola_marker_count, isola_three_fold_band)
 
 from foldtrack.errors import OutOfDomain
 from foldtrack.geometry import DomainBox
@@ -170,11 +170,14 @@ class TestIsolaSurface:
     def test_brute_force_fold_counts_bracket_threshold(self):
         o = IsolaOracle()
         band = 0.05
+        lo, hi = isola_three_fold_band(o.params, o.domain_box)
         assert isola_marker_count(o.params, o.domain_box, o.level_two_folds, band) == 2
         assert isola_marker_count(o.params, o.domain_box, o.level_three_folds, band) == 3
-        assert o.level_two_folds * (1 + band) < o.two_three_threshold
-        assert o.three_fold_band[0] < o.level_three_folds * (1 - band)
-        assert o.level_three_folds * (1 + band) < o.three_fold_band[1]
+        assert o.level_two_folds * (1 + band) < lo
+        assert lo < o.level_three_folds * (1 - band)
+        assert o.level_three_folds * (1 + band) < hi
+        # the band the IsolaOracle class comment states
+        assert (lo, hi) == pytest.approx((0.2488, 0.3148), abs=1e-4)
 
     def test_measure_matches_surface(self):
         o = IsolaOracle(seed=3)

@@ -15,7 +15,7 @@ from foldtrack.geometry import DomainBox
 from foldtrack.postprocess import sweep_s_curve
 from foldtrack.rig import (MAX_CORRECTIONS, REALIZATION_TOL, RigOracle, RigParams,
                            _fit_fourier, _fundamental_amplitude, _phasor, _segment_references,
-                           _TargetSignal, fourier_coeffs, update_a1star_mapping)
+                           _TargetSignal, update_a1star_mapping)
 
 BOX = DomainBox(9.0, 16.0, 0.02, 25.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -26,13 +26,37 @@ def make_rig(**kw) -> RigOracle:
     return RigOracle(RigParams(**kw), BOX, seed=seed)
 
 
+def make_target(omega: float, a1_star: float, a0: float = 0.0, A=(), B=()) -> _TargetSignal:
+    """The reference of A1* = a1_star, with a0 and the given higher harmonics A_j, B_j, j >= 2."""
+    target = _TargetSignal(omega, RigParams.fourier_modes)
+    target.a0 = a0
+    target.A[0] = a1_star
+    target.A[1:1 + len(A)] = A
+    target.B[1:1 + len(B)] = B
+    return target
+
+
+def settle_and_record(rig: RigOracle, omega: float, a1_star: float, rng=None):
+    """Settle the loop on the reference of A1* = a1_star alone, then record one window."""
+    target = make_target(omega, a1_star)
+    rig._settle(target)
+    return rig.rig_simulate(target, rng=rng)
+
+
+def assert_locked_on(rig: RigOracle, target: _TargetSignal):
+    """The loop is locked on the target's frequency, a0 and higher harmonics."""
+    omega, a0, A, B = rig._lock
+    assert (omega, a0) == (target.omega_hz, target.a0)
+    assert np.array_equal(A, target.A[1:]) and np.array_equal(B, target.B[1:])
+
+
 class TestFourierCoeffs:
     def test_recovers_known_signal(self):
         fs, f = 1000.0, 12.3
         t = np.arange(2000) / fs
         sig = 0.4 + 1.5 * np.cos(2 * np.pi * f * t) - 0.7 * np.sin(2 * np.pi * f * t) \
             + 0.2 * np.cos(3 * 2 * np.pi * f * t)
-        a0, A, B = fourier_coeffs(sig, f, fs, 7)
+        [(a0, A, B)] = _fit_fourier(_phasor(f, t), fs / f, 7, sig)
         assert a0 == pytest.approx(0.8, abs=1e-9)
         assert A[0] == pytest.approx(1.5, abs=1e-9)
         assert B[0] == pytest.approx(-0.7, abs=1e-9)
@@ -47,7 +71,7 @@ class TestFourierCoeffs:
         sig = fourier_series(0.6, [1.5, 0.0, 0.2, 0.05, 0.0, 0.0, 0.01],
                              [-0.7, 0.1, 0.0, 0.0, 0.02, 0.0, 0.0], f, t)
         sig += 0.05 * rng.standard_normal(len(t))
-        a0, A, B = fourier_coeffs(sig, f, fs, 7, t0=t0)
+        [(a0, A, B)] = _fit_fourier(_phasor(f, t), fs / f, 7, sig)
         a0_ref, A_ref, B_ref = lstsq_fourier_coeffs(sig, f, fs, 7, t0)
         assert a0 == pytest.approx(a0_ref, abs=1e-10)
         np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-10)
@@ -105,7 +129,7 @@ class TestSettleArithmetic:
 class TestEquilibriumAndLinear:
     def test_zero_target_zero_response(self):
         rig = make_rig(noise_sigma=0.0)
-        records, coeffs = rig.rig_simulate(12.0, 0.0)
+        records, coeffs = settle_and_record(rig, 12.0, 0.0)
         assert np.max(np.abs(records["y"])) < 1e-12
         assert np.max(np.abs(records["u"])) < 1e-12
 
@@ -208,43 +232,70 @@ class TestLock:
 
     def test_same_frequency_skips_the_fixed_wait(self):
         rig = make_rig(noise_sigma=0.0)
-        rig.rig_simulate(12.8, 2.0)
+        settle_and_record(rig, 12.8, 2.0)
         t = rig._t
-        rig.rig_simulate(12.8, 2.1)
+        settle_and_record(rig, 12.8, 2.1)
         assert rig._t - t < rig.params.settle_time
 
     def test_new_frequency_skips_the_fixed_wait(self):
         rig = make_rig(noise_sigma=0.0)
-        rig.rig_simulate(12.8, 2.0)
+        settle_and_record(rig, 12.8, 2.0)
         t = rig._t
-        rig.rig_simulate(12.9, 2.0)
+        settle_and_record(rig, 12.9, 2.0)
         record = rig.params.record_len / rig.params.sample_rate
         assert rig._t - t - record < rig.params.settle_time
 
     def test_fresh_loop_waits_in_full(self):
         rig = make_rig(noise_sigma=0.0)
-        rig.rig_simulate(12.8, 2.0)
+        settle_and_record(rig, 12.8, 2.0)
         record = rig.params.record_len / rig.params.sample_rate
         assert rig._t - record >= rig.params.settle_time
 
     def test_replay_unlocks(self):
         rig = make_rig(noise_sigma=0.0)
-        rig.rig_simulate(12.8, 2.0)
+        settle_and_record(rig, 12.8, 2.0)
         rig.replay_open_loop(12.8, 1.0, 0.0)
         t = rig._t
-        rig.rig_simulate(12.8, 2.0)
+        settle_and_record(rig, 12.8, 2.0)
         record = rig.params.record_len / rig.params.sample_rate
         assert rig._t - t - record >= rig.params.settle_time
 
     def test_trip_unlocks(self):
         rig = make_rig(noise_sigma=0.0)
-        rig.rig_simulate(11.49, 1.0)
+        settle_and_record(rig, 11.49, 1.0)
         with pytest.raises(ControlDiverged):
-            rig.rig_simulate(11.49, 60.0)
+            settle_and_record(rig, 11.49, 60.0)
         t = rig._t
-        rig.rig_simulate(11.49, 1.0)
+        settle_and_record(rig, 11.49, 1.0)
         record = rig.params.record_len / rig.params.sample_rate
         assert rig._t - t - record >= rig.params.settle_time
+
+    def test_record_runs_one_window_straight_on(self):
+        # no settle: the clock moves by exactly one record, on a loop locked
+        # at another frequency on another reference
+        rig = make_rig(noise_sigma=0.0)
+        settle_and_record(rig, 12.8, 2.0)
+        t = rig._t
+        target = make_target(12.9, 2.1, a0=0.01, A=[0.0, 0.05], B=[-0.02])
+        rig.rig_simulate(target)
+        p = rig.params
+        assert rig._t == t + p.record_len / p.sample_rate
+        assert_locked_on(rig, target)
+
+    def test_each_closed_loop_window_locks_the_loop(self):
+        # the fixed wait from rest, a probe and a record each lock the loop on
+        # their own target; the settle's period checks that follow the wait
+        # leave that lock as it is
+        rig = make_rig(noise_sigma=0.0)
+        waited = make_target(12.8, 2.0)
+        rig._settle(waited)
+        assert_locked_on(rig, waited)
+        probed = make_target(12.8, 2.05, a0=0.01, A=[0.0, 0.05], B=[-0.02])
+        rig._probe(probed)
+        assert_locked_on(rig, probed)
+        recorded = make_target(12.8, 2.05, a0=0.02, A=[0.01], B=[0.0, 0.03])
+        rig.rig_simulate(recorded)
+        assert_locked_on(rig, recorded)
 
     @pytest.mark.parametrize("hop", [(12.8, 13.1), (13.25, 12.95), (12.5, 13.0)])
     def test_measurement_after_a_hop_matches_one_from_rest(self, hop):
@@ -268,7 +319,7 @@ class TestLock:
         for omega in (12.8, 12.8, 13.0):
             period = (math.ceil(p.sample_rate / omega) + 1) / p.sample_rate
             t = rig._t
-            rig.rig_simulate(omega, 2.0)
+            settle_and_record(rig, omega, 2.0)
             settle = rig._t - t - record
             assert p.settle_max_time - 1e-9 <= settle <= p.settle_max_time + period + 1e-9
 
@@ -328,7 +379,7 @@ class TestMeasureRealization:
         # a fresh rig's first simulation: fixed settle wait, Picard target from
         # zero harmonics; values of the numpy-scalar loop
         rig = RigOracle(RigParams(noise_sigma=0.05), DomainBox(11.0, 14.0, 0.2, 8.0), seed=7)
-        _, coeffs = rig.rig_simulate(12.8, 2.8, rng=np.random.default_rng((7, 0)))
+        _, coeffs = settle_and_record(rig, 12.8, 2.8, rng=np.random.default_rng((7, 0)))
         assert coeffs["y"][1][0] == pytest.approx(1.7818808630615202, rel=1e-12)
         assert coeffs["y"][2][0] == pytest.approx(0.8108077132635783, rel=1e-12)
         assert coeffs["f"][1][0] == pytest.approx(1.1369576757261914, rel=1e-12)
@@ -350,7 +401,7 @@ class TestMeasureRealization:
 
     def test_records_are_float_arrays_of_record_length(self):
         rig = make_rig(noise_sigma=0.05)
-        records, _ = rig.rig_simulate(12.5, 1.5, rng=np.random.default_rng(0))
+        records, _ = settle_and_record(rig, 12.5, 1.5, rng=np.random.default_rng(0))
         for key in ("y", "u", "f"):
             assert records[key].dtype == np.float64
             assert records[key].shape == (rig.params.record_len,)
