@@ -28,11 +28,14 @@ change moved.  The set:
   its fundamental force, with the point's A and F, the replay amplitude and
   the rig's clock;
 * the exit code and output of inputs the CLI refuses: `trace` on
-  `duffing.yaml` with an unknown key, with its seed grid outside the domain
-  box, with `alpha_3: 0`, in a domain box too small for step 0's
-  candidates and with `--seed abc`, `nlfr` with `band: 0.7`, `offline`
-  with a missing and with a 2-row dataset, and `ensemble` with
-  `dropout_fraction: 1.5`.
+  `duffing.yaml` with an unknown key, with an unknown `oracle` key, with its
+  seed grid outside the domain box, with `alpha_3: 0`, in a domain box too
+  small for step 0's candidates and with `--seed abc`, `nlfr` with
+  `band: 0.7`, `offline` with a missing and with a 2-row dataset,
+  `ensemble` with `dropout_fraction: 1.5`, and `sweep`, `nlfr`, `ensemble`
+  and `offline` each with an unknown top-level key;
+* `configs_resolved.json`, the `to_dict()` of every shipped config, of the
+  README's ensemble config and of one nlfr config, as a manifest embeds it.
 
 It takes a few seconds.  Every path written into a manifest is relative,
 so OUT may live anywhere.  numpy's and scipy's BLAS run on one thread, as
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import json
 import math
 import os
 import re
@@ -76,7 +80,9 @@ from click.testing import CliRunner  # noqa: E402
 from foldtrack import csvio  # noqa: E402
 from foldtrack.blas import pin_blas_threads  # noqa: E402
 from foldtrack.cli import main as cli_main  # noqa: E402
-from foldtrack.config import load_config  # noqa: E402
+from foldtrack.config import (config_from_dict, ensemble_config_from_dict,  # noqa: E402
+                              load_config, load_raw, nlfr_config_from_dict,
+                              offline_config_from_dict, sweep_config_from_dict)
 from foldtrack.continuation import ContinuationConfig  # noqa: E402
 from foldtrack.driver import run_trace, write_trace_artifacts  # noqa: E402
 from foldtrack.geometry import DomainBox  # noqa: E402
@@ -164,12 +170,39 @@ def rejected(out: Path):
         ("offline", "rejected_two_rows", {"inputs": {"dataset": "two_rows.csv"}}),
         ("ensemble", "rejected_dropout", {"inputs": {"dataset": "ensemble_sweep0.csv"},
                                           "n_runs": 2, "dropout_fraction": 1.5}),
+        ("trace", "rejected_oracle_key", {**duffing, "oracle": {**duffing["oracle"], "seed": 3}}),
+        ("sweep", "rejected_sweep_unknown_key", {**load_raw(CONFIGS / "rig_sweep.yaml"),
+                                                "surprise": 1}),
+        ("nlfr", "rejected_nlfr_unknown_key", {"inputs": {"datasets": ["two_rows.csv"]},
+                                               "gamma_level": 0.3, "surprise": 1}),
+        ("ensemble", "rejected_ensemble_unknown_key",
+         {"inputs": {"dataset": "ensemble_sweep0.csv"}, "surprise": 1}),
+        ("offline", "rejected_offline_unknown_key", {"inputs": {"dataset": "two_rows.csv"},
+                                                     "surprise": 1}),
     ]
     for command, name, cfg in cases:
         Path(f"{name}.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
         cli(out, command, "--config", f"{name}.yaml", "--out", name)
     cli(out, "trace", "--config", str(CONFIGS / "duffing.yaml"), "--seed", "abc",
         "--out", "rejected_seed_abc")
+
+
+def resolved(out: Path):
+    """Write the resolved config of each parser's inputs, as a manifest embeds it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    parsers = {"duffing.yaml": config_from_dict, "duffing_noisy.yaml": config_from_dict,
+               "isola.yaml": config_from_dict, "rig_trace.yaml": config_from_dict,
+               "rig_sweep.yaml": sweep_config_from_dict,
+               "rig_offline.yaml": offline_config_from_dict}
+    configs = {name: parse(load_raw(CONFIGS / name)) for name, parse in parsers.items()}
+    configs["README ensemble"] = ensemble_config_from_dict(
+        yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0]))
+    configs["nlfr"] = nlfr_config_from_dict({"inputs": {"datasets": ["d.csv"]},
+                                             "gamma_level": 0.7})
+    with open(out / "configs_resolved.json", "w", encoding="utf-8") as fh:
+        json.dump({name: cfg.to_dict() for name, cfg in configs.items()}, fh,
+                  sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def ensemble(out: Path):
@@ -292,3 +325,4 @@ if __name__ == "__main__":
     ensemble(out)
     commands(out)
     rejected(out)
+    resolved(out)

@@ -46,10 +46,10 @@ FOLD_HEADER = ["omega", "A", "gamma_model"]
 
 
 def _common(f):
-    f = click.option("--config", "config_path", required=True,
-                     type=click.Path(exists=False), help="run configuration (YAML or manifest JSON)")(f)
+    f = click.option("--config", "config_path", required=True, type=click.Path(dir_okay=False),
+                     help="run configuration (YAML or manifest JSON)")(f)
     f = click.option("--out", "out_dir", default="out", show_default=True,
-                     help="output directory")(f)
+                     type=click.Path(file_okay=False), help="output directory")(f)
     f = click.option("--seed", default=None, type=int, help="override the config seed")(f)
     f = click.option("--threads", default=None, type=int,
                      help="ensemble: worker processes for the dropout runs (outputs are the "

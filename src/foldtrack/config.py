@@ -8,14 +8,22 @@ every field is explicit and optionally annotated in the free-form `units`
 block.  For the same reason no value is coerced: every scalar is read by
 the reader its key names, and a value of the wrong kind is a ConfigError
 that names its section and key.
+
+Each command's schema is declared once, as one table (`RUN`, `SWEEP`,
+`NLFR`, `ENSEMBLE`, `OFFLINE`) of its keys, their readers, the required
+keys and the dataclass each nested mapping builds or fills.  `_read` parses
+a raw mapping by its table and `_write` writes a config back by the same
+table; every `to_dict` returns `_write`, so the config a manifest embeds
+parses back to an equal config.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -78,9 +86,9 @@ def _units(v) -> dict:
     return v
 
 
-def _optional(read):
-    """`read`, with null read as None."""
-    return lambda v: None if v is None else read(v)
+def _optional(read, none=None):
+    """`read`, with null read as `none`."""
+    return lambda v: none if v is None else read(v)
 
 
 def _list(read, n=None):
@@ -92,48 +100,68 @@ def _list(read, n=None):
     return values
 
 
-# One table per config section: each key and the reader that parses its
-# value.  A parser passes on only the keys a config gives, so every default
-# lives in its dataclass alone, and `to_dict` writes back the same keys.
-CONTINUATION_KEYS = {"h": _float, "h_max": _float, "max_steps": _int}
-ACQUISITION_KEYS = {"n_test": _int, "beta_tol": _float, "n_max": _int, "max_points_per_step": _int}
-HYPER_FLAG_KEYS = {"refit_each_step": _bool}
-SEED_THREADS_KEYS = {"seed": _seed, "threads": _int}
-UNITS_KEYS = {"units": _units}
-SWEEP_KEYS = {k: _float for k in ("omega_start", "omega_stop", "omega_step",
-                                  "A_start", "A_stop", "A_step")}
-NLFR_KEYS = {"gamma_level": _float, "band": _float}
-ENSEMBLE_KEYS = {"n_runs": _int, "dropout_fraction": _float, "fit_n_starts": _int,
-                 "max_steps": _int, **SEED_THREADS_KEYS}
-OFFLINE_KEYS = {"x0": _optional(_list(_float, 2)), "max_steps": _int, "h": _float,
-                "h_max": _float, "seed": _seed}
-ORACLE_KEYS = {"params": _mapping}
-INIT_KEYS = {"grid_shape": _list(_int, 2)}
-X0_KEYS = {"omega": _float, "A": _float}
-HALF_WIDTH_KEYS = {"omega": _optional(_float), "A": _optional(_float)}
-BOX_KEYS = {k: _float for k in ("omega_min", "omega_max", "A_min", "A_max")}
-HYPER_KEYS = {k: _float for k in ("sigma_n2", "sigma_f2", "l_omega", "l_A")}
-BOUNDS_KEYS = {k: _list(_float, 2) for k in HYPER_KEYS}
-INPUT_KEYS = {"dataset": _str}
-NLFR_INPUT_KEYS = {k: _optional(_list(_str)) for k in ("datasets", "run_logs")}
+class _Table(NamedTuple):
+    """One mapping of a config: each key with the reader of its value or the
+    table of its nested mapping, and the keys it requires.
+
+    A table with `cls` builds one, the argument `attr` (its key if None) of
+    the enclosing object; a table without fills arguments of the enclosing
+    object, `prefix` + key for each of its keys.  A nested mapping that is
+    not required and given as null or empty reads as not given.  A key not
+    given passes no argument, so every default lives in its dataclass alone.
+    """
+
+    keys: dict
+    required: tuple = ()
+    cls: type | None = None
+    attr: str | None = None
+    prefix: str = ""
 
 
-def _read(d: dict, table: dict, where: str) -> dict:
-    """The keys of `table` that `d` gives, each parsed by its reader."""
-    out = {}
-    for k, read in table.items():
-        if k in d:
+def _read(d, table: _Table, where: str, label: str | None = None):
+    """The object `table` builds from the mapping `d`, or the arguments it fills.
+
+    A refusal of `d` itself names `label` (`where` if None), a refused value
+    `where`.key, and a nested mapping is read at `where`.key, except that the
+    sections of a run or sweep config are named from the top: `oracle`, not
+    `config.oracle`.
+    """
+    label = label or where
+    if not isinstance(d, dict):
+        raise ConfigError(f"{label}: expected a mapping, got {type(d).__name__}")
+    if unknown := set(d) - set(table.keys):
+        raise ConfigError(f"{label}: unknown keys {sorted(unknown)} "
+                          f"(allowed: {sorted(table.keys)})")
+    if missing := set(table.required) - set(d):
+        raise ConfigError(f"{label}: missing required keys {sorted(missing)}")
+    kw = {}
+    for k, read in table.keys.items():
+        if isinstance(read, _Table):
+            if k in table.required or d.get(k):
+                got = _read(d[k], read, f"{where}.{k}".removeprefix("config."))
+                kw.update({read.attr or k: got} if read.cls else got)
+        elif k in d:
             try:
-                out[k] = read(d[k])
+                kw[table.prefix + k] = read(d[k])
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"{where}.{k}: cannot read {d[k]!r} ({e})") from e
+    return _checked(where, table.cls, **kw) if table.cls else kw
+
+
+def _write(obj, table: _Table) -> dict:
+    """The mapping that `_read` reads back by `table` as `obj` (for a table
+    without `cls`, as the arguments of `obj` it fills)."""
+    out = {}
+    for k, read in table.keys.items():
+        if not isinstance(read, _Table):
+            v = getattr(obj, table.prefix + k)
+            out[k] = list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, dict) else v
+        elif read.cls is None:
+            out[k] = _write(obj, read)
+        else:
+            v = getattr(obj, read.attr or k)
+            out[k] = None if v is None else _write(v, read)
     return out
-
-
-def _section(d, table: dict, where: str, required=()) -> dict:
-    """`_read` of the mapping `d`, whose keys come from `table`, `required` among them."""
-    _require_keys(d, set(table), set(required), where)
-    return _read(d, table, where)
 
 
 def _checked(where: str, cls, **kw):
@@ -150,24 +178,10 @@ def _at_least_one(obj, where: str, *keys: str):
             raise ConfigError(f"{where}.{k} must be >= 1, got {getattr(obj, k)}")
 
 
-def _fields(obj, table: dict) -> dict:
-    """The attributes of `obj` named by the keys of `table`."""
-    return {k: getattr(obj, k) for k in table}
-
-
-def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(d).__name__}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
-
-
 @dataclass(frozen=True)
 class OracleSpec:
+    """The measurement back-end; an isola oracle without a domain box gets ISOLA_DOMAIN."""
+
     name: str
     params: dict = field(default_factory=dict)
     domain_box: DomainBox | None = None
@@ -177,10 +191,8 @@ class OracleSpec:
     def __post_init__(self):
         if self.name not in self.KNOWN:
             raise ConfigError(f"unknown oracle '{self.name}'; known: {self.KNOWN}")
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": dict(self.params),
-                "domain_box": self.domain_box.as_dict() if self.domain_box else None}
+        if self.domain_box is None and self.name == "isola":
+            object.__setattr__(self, "domain_box", ISOLA_DOMAIN)
 
 
 @dataclass(frozen=True)
@@ -215,16 +227,20 @@ class HyperConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """An online trace; it continues within its oracle's domain box."""
+
     oracle: OracleSpec
     init: InitConfig
     hyper: HyperConfig
-    continuation: ContinuationConfig
-    acquisition: AcquisitionConfig
+    continuation: ContinuationConfig = field(default_factory=ContinuationConfig)
+    acquisition: AcquisitionConfig = field(default_factory=AcquisitionConfig)
     seed: int = 0
     threads: int = 1
     units: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "continuation",
+                           replace(self.continuation, domain_box=self.oracle.domain_box))
         _at_least_one(self, "config", "threads")
         if self.acquisition.n_max < self.init.n0:
             raise ConfigError(
@@ -232,75 +248,7 @@ class RunConfig:
                 f"initialization grid size n0 ({self.init.n0})")
 
     def to_dict(self) -> dict:
-        return {
-            "oracle": self.oracle.to_dict(),
-            "init": {
-                "x0": {"omega": self.init.x0_omega, "A": self.init.x0_A},
-                "grid_shape": list(self.init.grid_shape),
-                "half_widths": {"omega": self.init.half_width_omega, "A": self.init.half_width_A},
-            },
-            "hyperparameters": {
-                "init": self.hyper.init.as_dict(),
-                "bounds": {k: list(v) for k, v in self.hyper.bounds.as_dict().items()}
-                          if self.hyper.bounds else None,
-                **_fields(self.hyper, HYPER_FLAG_KEYS),
-            },
-            "continuation": _fields(self.continuation, CONTINUATION_KEYS),
-            "acquisition": _fields(self.acquisition, ACQUISITION_KEYS),
-            **_fields(self, SEED_THREADS_KEYS),
-            "units": dict(self.units),
-        }
-
-
-def _parse_hyper(d, where) -> Hyperparameters:
-    return _checked(where, Hyperparameters, **_section(d, HYPER_KEYS, where, HYPER_KEYS))
-
-
-def _parse_oracle(raw: dict) -> OracleSpec:
-    """The oracle section; an isola oracle without a domain box gets ISOLA_DOMAIN."""
-    _require_keys(raw, {"name", "domain_box", *ORACLE_KEYS}, {"name"}, "oracle")
-    where = "oracle.domain_box"
-    if raw.get("domain_box"):
-        box = _checked(where, DomainBox, **_section(raw["domain_box"], BOX_KEYS, where, BOX_KEYS))
-    else:
-        box = ISOLA_DOMAIN if raw["name"] == "isola" else None
-    return OracleSpec(name=raw["name"], domain_box=box, **_read(raw, ORACLE_KEYS, "oracle"))
-
-
-def config_from_dict(raw: dict) -> RunConfig:
-    _require_keys(raw, {"oracle", "init", "hyperparameters", "continuation",
-                        "acquisition", *SEED_THREADS_KEYS, *UNITS_KEYS},
-                  {"oracle", "init", "hyperparameters"}, "config")
-
-    oracle = _parse_oracle(raw["oracle"])
-
-    i = raw["init"]
-    _require_keys(i, {"x0", "half_widths", *INIT_KEYS}, {"x0"}, "init")
-    x0 = _section(i["x0"], X0_KEYS, "init.x0", X0_KEYS)
-    hw = _section(i.get("half_widths") or {}, HALF_WIDTH_KEYS, "init.half_widths")
-    init = InitConfig(x0_omega=x0["omega"], x0_A=x0["A"], half_width_omega=hw.get("omega"),
-                      half_width_A=hw.get("A"), **_read(i, INIT_KEYS, "init"))
-
-    h = raw["hyperparameters"]
-    _require_keys(h, {"init", "bounds", *HYPER_FLAG_KEYS}, {"init"}, "hyperparameters")
-    where = "hyperparameters.bounds"
-    bounds = _checked(where, FitBounds, **_section(h["bounds"], BOUNDS_KEYS, where, BOUNDS_KEYS)) \
-        if h.get("bounds") else None
-    hyper = HyperConfig(init=_parse_hyper(h["init"], "hyperparameters.init"), bounds=bounds,
-                        **_read(h, HYPER_FLAG_KEYS, "hyperparameters"))
-
-    cont = _checked("continuation", ContinuationConfig, domain_box=oracle.domain_box,
-                    **_section(raw.get("continuation") or {}, CONTINUATION_KEYS, "continuation"))
-    acq = _checked("acquisition", AcquisitionConfig,
-                   **_section(raw.get("acquisition") or {}, ACQUISITION_KEYS, "acquisition"))
-
-    return RunConfig(oracle=oracle, init=init, hyper=hyper, continuation=cont,
-                     acquisition=acq, **_read(raw, {**SEED_THREADS_KEYS, **UNITS_KEYS}, "config"))
-
-
-def load_config(path) -> RunConfig:
-    """Read a YAML run config, or a run manifest (JSON) embedding one."""
-    return config_from_dict(load_raw(path))
+        return _write(self, RUN)
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
@@ -348,23 +296,18 @@ class SweepConfig:
         return _grid(self.A_start, self.A_stop, self.A_step)
 
     def to_dict(self) -> dict:
-        return {
-            "oracle": self.oracle.to_dict(),
-            "sweep": _fields(self, SWEEP_KEYS),
-            **_fields(self, SEED_THREADS_KEYS), "units": dict(self.units),
-        }
+        return _write(self, SWEEP)
 
 
 @dataclass(frozen=True)
 class NlfrConfig:
-    datasets: tuple[str, ...]
-    run_logs: tuple[str, ...]
     gamma_level: float
+    datasets: tuple[str, ...] = ()
+    run_logs: tuple[str, ...] = ()
     band: float = 0.05
 
     def to_dict(self) -> dict:
-        return {"inputs": {"datasets": list(self.datasets), "run_logs": list(self.run_logs)},
-                **_fields(self, NLFR_KEYS)}
+        return _write(self, NLFR)
 
 
 @dataclass(frozen=True)
@@ -388,7 +331,7 @@ class EnsembleConfig:
         return _checked("ensemble", ContinuationConfig, max_steps=self.max_steps)
 
     def to_dict(self) -> dict:
-        return {"inputs": {"dataset": self.dataset}, **_fields(self, ENSEMBLE_KEYS)}
+        return _write(self, ENSEMBLE)
 
 
 @dataclass(frozen=True)
@@ -409,40 +352,77 @@ class OfflineConfig:
                         max_steps=self.max_steps)
 
     def to_dict(self) -> dict:
-        return {"inputs": {"dataset": self.dataset},
-                "hyperparameters": self.hyper.as_dict() if self.hyper else None,
-                **_fields(self, OFFLINE_KEYS)}
+        return _write(self, OFFLINE)
+
+
+# One table per command, declaring each key of its config once: `_read`
+# parses a raw mapping by it and `_write` writes the config back by it.
+_HYPER = ("sigma_n2", "sigma_f2", "l_omega", "l_A")
+_BOX = ("omega_min", "omega_max", "A_min", "A_max")
+_AXES = ("omega", "A")
+_HYPERPARAMETERS = _Table(dict.fromkeys(_HYPER, _float), _HYPER, Hyperparameters)
+_ORACLE = _Table({"name": _str, "params": _mapping,
+                  "domain_box": _Table(dict.fromkeys(_BOX, _float), _BOX, DomainBox)},
+                 ("name",), OracleSpec)
+_DATASET = _Table({"dataset": _str}, ("dataset",))
+_RUN_SCALARS = {"seed": _seed, "threads": _int, "units": _units}
+
+RUN = _Table({
+    "oracle": _ORACLE,
+    "init": _Table({"x0": _Table(dict.fromkeys(_AXES, _float), _AXES, prefix="x0_"),
+                    "grid_shape": _list(_int, 2),
+                    "half_widths": _Table(dict.fromkeys(_AXES, _optional(_float)),
+                                          prefix="half_width_")},
+                   ("x0",), InitConfig),
+    "hyperparameters": _Table({"init": _HYPERPARAMETERS,
+                               "bounds": _Table(dict.fromkeys(_HYPER, _list(_float, 2)),
+                                                _HYPER, FitBounds),
+                               "refit_each_step": _bool},
+                              ("init",), HyperConfig, "hyper"),
+    "continuation": _Table({"h": _float, "h_max": _float, "max_steps": _int},
+                           cls=ContinuationConfig),
+    "acquisition": _Table({"n_test": _int, "beta_tol": _float, "n_max": _int,
+                           "max_points_per_step": _int}, cls=AcquisitionConfig),
+    **_RUN_SCALARS}, ("oracle", "init", "hyperparameters"), RunConfig)
+SWEEP = _Table({"oracle": _ORACLE,
+                "sweep": _Table(dict.fromkeys(("omega_start", "omega_stop", "omega_step",
+                                               "A_start", "A_stop", "A_step"), _float),
+                                ("omega_start", "omega_stop", "A_start", "A_stop")),
+                **_RUN_SCALARS}, ("oracle", "sweep"), SweepConfig)
+NLFR = _Table({"inputs": _Table(dict.fromkeys(("datasets", "run_logs"),
+                                              _optional(_list(_str), ()))),
+               "gamma_level": _float, "band": _float}, ("inputs", "gamma_level"), NlfrConfig)
+ENSEMBLE = _Table({"inputs": _DATASET, "n_runs": _int, "dropout_fraction": _float,
+                   "fit_n_starts": _int, "max_steps": _int, "seed": _seed, "threads": _int},
+                  ("inputs",), EnsembleConfig)
+OFFLINE = _Table({"inputs": _DATASET, "hyperparameters": _HYPERPARAMETERS._replace(attr="hyper"),
+                  "x0": _optional(_list(_float, 2)), "max_steps": _int, "h": _float,
+                  "h_max": _float, "seed": _seed}, ("inputs",), OfflineConfig)
+
+
+def config_from_dict(raw: dict) -> RunConfig:
+    return _read(raw, RUN, "config")
+
+
+def load_config(path) -> RunConfig:
+    """Read a YAML run config, or a run manifest (JSON) embedding one."""
+    return config_from_dict(load_raw(path))
 
 
 def sweep_config_from_dict(raw: dict) -> SweepConfig:
-    _require_keys(raw, {"oracle", "sweep", *SEED_THREADS_KEYS, *UNITS_KEYS},
-                  {"oracle", "sweep"}, "sweep config")
-    sweep = _section(raw["sweep"], SWEEP_KEYS, "sweep",
-                     {"omega_start", "omega_stop", "A_start", "A_stop"})
-    return SweepConfig(oracle=_parse_oracle(raw["oracle"]), **sweep,
-                       **_read(raw, {**SEED_THREADS_KEYS, **UNITS_KEYS}, "config"))
+    return _read(raw, SWEEP, "config", "sweep config")
 
 
 def nlfr_config_from_dict(raw: dict) -> NlfrConfig:
-    _require_keys(raw, {"inputs", *NLFR_KEYS}, {"inputs", "gamma_level"}, "nlfr config")
-    inp = _section(raw["inputs"], NLFR_INPUT_KEYS, "nlfr.inputs")
-    return NlfrConfig(datasets=inp.get("datasets") or (), run_logs=inp.get("run_logs") or (),
-                      **_read(raw, NLFR_KEYS, "nlfr"))
+    return _read(raw, NLFR, "nlfr", "nlfr config")
 
 
 def ensemble_config_from_dict(raw: dict) -> EnsembleConfig:
-    _require_keys(raw, {"inputs", *ENSEMBLE_KEYS}, {"inputs"}, "ensemble config")
-    return EnsembleConfig(**_section(raw["inputs"], INPUT_KEYS, "ensemble.inputs", INPUT_KEYS),
-                          **_read(raw, ENSEMBLE_KEYS, "ensemble"))
+    return _read(raw, ENSEMBLE, "ensemble", "ensemble config")
 
 
 def offline_config_from_dict(raw: dict) -> OfflineConfig:
-    _require_keys(raw, {"inputs", "hyperparameters", *OFFLINE_KEYS}, {"inputs"},
-                  "offline config")
-    hyper = _parse_hyper(raw["hyperparameters"], "offline.hyperparameters") \
-        if raw.get("hyperparameters") else None
-    return OfflineConfig(**_section(raw["inputs"], INPUT_KEYS, "offline.inputs", INPUT_KEYS),
-                         hyper=hyper, **_read(raw, OFFLINE_KEYS, "offline"))
+    return _read(raw, OFFLINE, "offline", "offline config")
 
 
 def load_raw(path) -> dict:

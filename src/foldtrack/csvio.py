@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,9 @@ def write_dataset_csv(path, dataset: Dataset):
 
 
 def read_dataset_csv(path) -> Dataset:
-    """The dataset of a DATASET_HEADER file; refuses a row of another length or a non-number."""
-    rows = _read_rows(path, DATASET_HEADER, "dataset", lambda k, *cells: [float(c) for c in cells])
+    """The dataset of a DATASET_HEADER file; refuses a row of another length or a
+    non-number, nan and inf included."""
+    rows = _read_rows(path, DATASET_HEADER, "dataset", lambda k, *cells: _floats(*cells))
     arr = np.array(rows, dtype=float).reshape(-1, 3)
     return Dataset(arr[:, :2], arr[:, 2])
 
@@ -67,7 +69,7 @@ def _read_rows(path, header, what, parse) -> list:
     a ValueError, raises a ValueError that names the file and the row.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingInput(f"{what} file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
@@ -99,12 +101,21 @@ def read_run_log(path) -> list[CurvePoint]:
 
 
 def _curve_point(k, step, omega, A, gamma_model, gamma_measured, t_omega, t_A, h, iters):
-    """The CurvePoint of run-log row k."""
+    """The CurvePoint of run-log row k; an empty gamma_measured reads as None."""
     if int(step) != k:
         raise ValueError(f"step {step}, want {k}")
-    return CurvePoint(FoldPoint(float(omega), float(A), float(gamma_model)),
-                      Tangent(float(t_omega), float(t_A)), float(h), int(iters),
-                      float(gamma_measured) if gamma_measured else None)
+    omega, A, gamma_model, t_omega, t_A, h = _floats(omega, A, gamma_model, t_omega, t_A, h)
+    return CurvePoint(FoldPoint(omega, A, gamma_model), Tangent(t_omega, t_A), h, int(iters),
+                      _floats(gamma_measured)[0] if gamma_measured else None)
+
+
+def _floats(*cells) -> list[float]:
+    """float() of each cell, refusing the nan and inf that float() reads."""
+    values = list(map(float, cells))
+    if not all(map(math.isfinite, values)):
+        bad = [c for c, v in zip(cells, values) if not math.isfinite(v)]
+        raise ValueError(f"non-finite number {', '.join(bad)}")
+    return values
 
 
 def write_collection_log(path, rows):

@@ -12,7 +12,8 @@ from conftest import duffing_grid_dataset
 from foldtrack import continuation
 from foldtrack.cli import main
 from foldtrack.config import config_from_dict
-from foldtrack.csvio import read_dataset_csv, read_run_log, write_dataset_csv, write_run_log
+from foldtrack.csvio import (RUN_LOG_HEADER, read_dataset_csv, read_run_log,
+                             write_dataset_csv, write_run_log)
 from foldtrack.errors import NoConvergence, SingularJacobian
 from foldtrack.gpr import Dataset
 from foldtrack.oracles import DuffingParams, duffing_gamma
@@ -376,11 +377,15 @@ class TestDatasetRows:
     # a short row was read on into the next one, since the cells were flattened
     # and reshaped to three columns; a long row or a non-number raised a message
     # that named neither file nor row
+    # (float() reads nan and inf, so a non-finite cell was read as a number)
     @pytest.mark.parametrize("body, row", [
         ("1.0,2.0\n3.0,4.0\n5.0,6.0\n", 1),
         ("1.0,2.0,0.3\n1.1,2.0,0.4,9.0\n", 2),
         ("1.0,2.0,0.3\n1.1,2.0,0.4\n1.2,abc,0.5\n", 3),
-    ], ids=["short_rows", "long_row", "non_number"])
+        ("1.0,2.0,0.3\n1.1,2.0,nan\n", 2),
+        ("1.0,inf,0.3\n", 1),
+        ("1.0,2.0,0.3\n-inf,2.0,0.4\n", 2),
+    ], ids=["short_rows", "long_row", "non_number", "nan", "inf", "minus_inf"])
     def test_malformed_row_is_refused_by_file_and_row(self, tmp_path, body, row):
         path = tmp_path / "data.csv"
         path.write_text("omega,A,F\n" + body)
@@ -395,6 +400,61 @@ class TestDatasetRows:
         assert res.exit_code == 1
         assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
         assert "data.csv: row 1: 2 cells, want 3" in res.output
+
+    def test_offline_on_a_nan_force_names_file_and_row(self, tmp_path):
+        # it exited with "non-finite output values", naming neither file nor row
+        write_dataset_csv(tmp_path / "data.csv",
+                          duffing_grid_dataset(DuffingParams(), shape=(6, 5)))
+        lines = (tmp_path / "data.csv").read_text().splitlines()
+        lines[7] = lines[7].rsplit(",", 1)[0] + ",nan"
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        res = run_cli("offline", "--config",
+                      write_cfg(tmp_path, {"inputs": {"dataset": "data.csv"}}),
+                      "--out", str(tmp_path / "out"))
+        assert res.exit_code == 1
+        assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
+        assert "data.csv: row 7: non-finite number nan" in res.output
+
+    @pytest.mark.parametrize("cell, value", [(1, "nan"), (4, "inf"), (3, "-inf")],
+                             ids=["omega_nan", "gamma_measured_inf", "gamma_model_minus_inf"])
+    def test_non_finite_run_log_cell_is_refused_by_file_and_row(self, tmp_path, cell, value):
+        # a run log whose omega was nan read as a fold point, and nlfr used it
+        rows = ["0,1.1,1.4,0.3,,1.0,0.0,0.0,0", "1,1.12,1.5,0.3,0.31,1.0,0.0,0.1,2"]
+        second = rows[1].split(",")
+        second[cell] = value
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join([",".join(RUN_LOG_HEADER), rows[0], ",".join(second)]) + "\n")
+        with pytest.raises(ValueError, match=f"log.csv: row 2: non-finite number {value}"):
+            read_run_log(path)
+        path.write_text("\n".join([",".join(RUN_LOG_HEADER), rows[0]]) + "\n")
+        assert read_run_log(path)[0].gamma_measured is None
+
+
+class TestBadPaths:
+    # a directory where a file belongs, or a file where the output directory
+    # belongs, ended in a traceback, and trace found a bad --out only after its
+    # whole run; each is one error line and exit 1, before any trace
+    @pytest.mark.parametrize("command, cfg, args, message", [
+        ("trace", None, ["--config", "adir"], "'--config': File 'adir' is a directory."),
+        ("trace", base_trace_config(), ["--out", "afile"],
+         "'--out': Directory 'afile' is a file."),
+        ("offline", {"inputs": {"dataset": "adir"}}, [], "dataset file not found: "),
+        ("nlfr", {"inputs": {"run_logs": ["adir"]}, "gamma_level": 0.3}, [],
+         "run log file not found: "),
+    ], ids=["trace_config_directory", "trace_out_file", "offline_dataset_directory",
+            "nlfr_run_log_directory"])
+    def test_refused_before_any_work(self, tmp_path, monkeypatch, command, cfg, args, message):
+        import foldtrack.driver
+        monkeypatch.setattr(foldtrack.driver, "run_trace",
+                            lambda *a, **kw: pytest.fail("run_trace was called"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        config = [] if cfg is None else ["--config", write_cfg(tmp_path, cfg)]
+        res = run_cli(command, *config, "--out", "out", *args)
+        assert res.exit_code == 1
+        assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
+        assert message in res.output
 
 
 class TestUsageErrors:

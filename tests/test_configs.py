@@ -9,14 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foldtrack.acquisition import AcquisitionConfig
-from foldtrack.config import (ACQUISITION_KEYS, CONTINUATION_KEYS, ENSEMBLE_KEYS,
-                              HYPER_FLAG_KEYS, NLFR_KEYS, OFFLINE_KEYS,
-                              SEED_THREADS_KEYS, SWEEP_KEYS, EnsembleConfig, HyperConfig,
+from foldtrack.config import (ENSEMBLE, NLFR, OFFLINE, RUN, SWEEP, EnsembleConfig, HyperConfig,
                               InitConfig, NlfrConfig, OfflineConfig, RunConfig, SweepConfig,
                               config_from_dict, ensemble_config_from_dict, load_config,
                               load_raw, nlfr_config_from_dict, offline_config_from_dict,
                               sweep_config_from_dict)
 from foldtrack.continuation import ContinuationConfig
+from foldtrack.errors import ConfigError
 from foldtrack.oracles import ISOLA_DOMAIN
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -98,16 +97,18 @@ def test_minimal_configs_take_every_dataclass_default():
     ensemble = ensemble_config_from_dict({"inputs": {"dataset": "d.csv"}})
     offline = offline_config_from_dict({"inputs": {"dataset": "d.csv"}})
     given = {"omega_start", "omega_stop", "A_start", "A_stop", "gamma_level"}
-    for obj, cls, table in [(run.continuation, ContinuationConfig, CONTINUATION_KEYS),
-                            (run.acquisition, AcquisitionConfig, ACQUISITION_KEYS),
-                            (run.hyper, HyperConfig, HYPER_FLAG_KEYS),
-                            (run, RunConfig, SEED_THREADS_KEYS),
-                            (sweep, SweepConfig, SWEEP_KEYS),
-                            (sweep, SweepConfig, SEED_THREADS_KEYS),
-                            (nlfr, NlfrConfig, NLFR_KEYS),
-                            (ensemble, EnsembleConfig, ENSEMBLE_KEYS),
-                            (offline, OfflineConfig, OFFLINE_KEYS)]:
-        keys = set(table) - given
+    for obj, cls, table in [(run.continuation, ContinuationConfig, RUN.keys["continuation"]),
+                            (run.acquisition, AcquisitionConfig, RUN.keys["acquisition"]),
+                            (run.hyper, HyperConfig, RUN.keys["hyperparameters"]),
+                            (run, RunConfig, RUN),
+                            (sweep, SweepConfig, SWEEP.keys["sweep"]),
+                            (sweep, SweepConfig, SWEEP),
+                            (nlfr, NlfrConfig, NLFR.keys["inputs"]),
+                            (nlfr, NlfrConfig, NLFR),
+                            (ensemble, EnsembleConfig, ENSEMBLE),
+                            (offline, OfflineConfig, OFFLINE)]:
+        # every scalar key of the table, less those the minimal configs give
+        keys = {k for k, read in table.keys.items() if callable(read)} - given - {"units"}
         assert keys and fields(obj, keys) == defaults(cls, keys), cls.__name__
     assert run.init.grid_shape == InitConfig.__dataclass_fields__["grid_shape"].default
 
@@ -116,10 +117,99 @@ def test_minimal_configs_take_every_dataclass_default():
     (config_from_dict, load_raw(CONFIGS / "isola.yaml")),
     (config_from_dict, load_raw(CONFIGS / "rig_trace.yaml")),
     (sweep_config_from_dict, load_raw(CONFIGS / "rig_sweep.yaml")),
+    (nlfr_config_from_dict, {"inputs": {"datasets": ["d.csv"], "run_logs": ["r.csv"]},
+                             "gamma_level": 0.3, "band": 0.1}),
     (ensemble_config_from_dict, {"inputs": {"dataset": "d.csv"}, "n_runs": 20,
                                  "dropout_fraction": 0.2, "threads": 2, "seed": 4}),
     (offline_config_from_dict, load_raw(CONFIGS / "rig_offline.yaml")),
-], ids=["trace_isola", "trace_rig", "sweep", "ensemble", "offline"])
+], ids=["trace_isola", "trace_rig", "sweep", "nlfr", "ensemble", "offline"])
 def test_manifest_config_parses_back_to_an_equal_config(parse, raw):
     cfg = parse(raw)
     assert parse(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+DELETE = object()
+
+
+def edited(raw, edit):
+    """A copy of `raw` with each dotted key path of `edit` set to its value, or deleted."""
+    raw = json.loads(json.dumps(raw))
+    for path, value in edit.items():
+        *sections, key = path.split(".")
+        section = raw
+        for s in sections:
+            section = section[s]
+        if value is DELETE:
+            del section[key]
+        else:
+            section[key] = value
+    return raw
+
+
+TRACE_RAW = load_raw(CONFIGS / "duffing.yaml")
+SWEEP_RAW = load_raw(CONFIGS / "rig_sweep.yaml")
+INPUTS = {"inputs": {"dataset": "d.csv"}}
+HYPER_MISSING = "missing required keys ['l_A', 'l_omega', 'sigma_f2']"
+
+
+# the full text of each form of refusal, as the parser of each command words it
+@pytest.mark.parametrize("parse, raw, message", [
+    (config_from_dict, edited(TRACE_RAW, {"surprise": 1}),
+     "config: unknown keys ['surprise'] (allowed: ['acquisition', 'continuation', "
+     "'hyperparameters', 'init', 'oracle', 'seed', 'threads', 'units'])"),
+    (config_from_dict, edited(TRACE_RAW, {"init": DELETE}),
+     "config: missing required keys ['init']"),
+    (config_from_dict, edited(TRACE_RAW, {"seed": "x"}),
+     "config.seed: cannot read 'x' (invalid literal for int() with base 10: 'x')"),
+    (sweep_config_from_dict, edited(SWEEP_RAW, {"seed": "x"}),
+     "config.seed: cannot read 'x' (invalid literal for int() with base 10: 'x')"),
+    (config_from_dict, edited(TRACE_RAW, {"oracle.seed": 3}),
+     "oracle: unknown keys ['seed'] (allowed: ['domain_box', 'name', 'params'])"),
+    (config_from_dict, edited(TRACE_RAW, {"init.x0.omega": "abc"}),
+     "init.x0.omega: cannot read 'abc' (could not convert string to float: 'abc')"),
+    (config_from_dict, edited(TRACE_RAW, {"init": None}), "init: expected a mapping, got NoneType"),
+    (config_from_dict, edited(TRACE_RAW, {"hyperparameters.init.l_A": DELETE}),
+     "hyperparameters.init: missing required keys ['l_A']"),
+    (config_from_dict, edited(TRACE_RAW, {"hyperparameters.init.sigma_f2": -1.0}),
+     "hyperparameters.init: hyperparameters must be strictly positive and finite, "
+     "got (1e-06, -1.0, 0.05, 0.45)"),
+    (config_from_dict, edited(TRACE_RAW, {"oracle.domain_box.omega_max": 0.5}),
+     "oracle.domain_box: domain box must have positive extent"),
+    (config_from_dict, edited(TRACE_RAW, {"continuation.h": 1e-9}),
+     "continuation: need H_MIN (0.001) <= h <= h_max"),
+    (config_from_dict, edited(TRACE_RAW, {"hyperparameters.bounds": {"sigma_n2": [1e-8, 1e-2]}}),
+     f"hyperparameters.bounds: {HYPER_MISSING}"),
+    (sweep_config_from_dict, edited(SWEEP_RAW, {"surprise": 1}),
+     "sweep config: unknown keys ['surprise'] "
+     "(allowed: ['oracle', 'seed', 'sweep', 'threads', 'units'])"),
+    (nlfr_config_from_dict, {"inputs": {}, "gamma_level": 0.3, "surprise": 1},
+     "nlfr config: unknown keys ['surprise'] (allowed: ['band', 'gamma_level', 'inputs'])"),
+    (nlfr_config_from_dict, {"inputs": {"dataset": "d.csv"}, "gamma_level": 0.3},
+     "nlfr.inputs: unknown keys ['dataset'] (allowed: ['datasets', 'run_logs'])"),
+    (ensemble_config_from_dict, {**INPUTS, "n_runs": "many"},
+     "ensemble.n_runs: cannot read 'many' (invalid literal for int() with base 10: 'many')"),
+    (ensemble_config_from_dict, {**INPUTS, "max_steps": -1}, "ensemble: max_steps >= 0 required"),
+    (offline_config_from_dict, {**INPUTS, "hyperparameters": {"sigma_n2": 0.01}},
+     f"offline.hyperparameters: {HYPER_MISSING}"),
+    (offline_config_from_dict, {**INPUTS, "h": 0.5, "h_max": 0.1},
+     "offline: need H_MIN (0.001) <= h <= h_max"),
+    (offline_config_from_dict, {"inputs": None},
+     "offline.inputs: expected a mapping, got NoneType"),
+], ids=["trace_unknown_key", "trace_missing_init", "trace_seed", "sweep_seed",
+        "oracle_unknown_key", "x0_value", "init_null", "hyper_missing_key", "hyper_check",
+        "domain_box_check", "continuation_check", "bounds_missing_keys", "sweep_unknown_key",
+        "nlfr_unknown_key", "nlfr_inputs_unknown_key", "ensemble_value", "ensemble_check",
+        "offline_hyper_missing_keys", "offline_check", "offline_inputs_null"])
+def test_refusal_names_its_section_and_key(parse, raw, message):
+    with pytest.raises(ConfigError) as e:
+        parse(raw)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("empty", [None, {}], ids=["null", "empty"])
+def test_optional_section_given_empty_reads_as_not_given(empty):
+    isola = edited(load_raw(CONFIGS / "isola.yaml"), {"oracle.domain_box": empty})
+    assert config_from_dict(isola).oracle.domain_box == ISOLA_DOMAIN
+    bounds = edited(TRACE_RAW, {"hyperparameters.bounds": empty})
+    assert config_from_dict(bounds).hyper.bounds is None
+    assert offline_config_from_dict({**INPUTS, "hyperparameters": empty}).hyper is None
