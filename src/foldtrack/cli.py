@@ -102,9 +102,8 @@ def trace(config_path, out_dir, seed, threads):
     """Online continuation run against the configured measurement oracle."""
     from .driver import run_trace, write_trace_artifacts
 
-    cfg = _load(config_path, config_from_dict, seed=seed, threads=threads)
-    oracle = make_oracle(cfg.oracle, run_seed=cfg.seed, base_dir=Path(config_path).parent)
-    result = run_trace(cfg, oracle)
+    cfg, base = _load(config_path, config_from_dict, seed=seed, threads=threads)
+    result = run_trace(cfg, make_oracle(cfg.oracle, run_seed=cfg.seed, base_dir=base))
     write_trace_artifacts(out_dir, cfg, result)
     click.echo(f"traced {len(result.steps)} fold points ({result.reason}); "
                f"artifacts in {out_dir}")
@@ -116,111 +115,96 @@ def trace(config_path, out_dir, seed, threads):
 @_common
 def sweep(config_path, out_dir, seed, threads):
     """S-curve sweeps: fixed-frequency runs over a target-amplitude grid."""
-    cfg = _load(config_path, sweep_config_from_dict, seed=seed, threads=threads)
-    oracle = make_oracle(cfg.oracle, run_seed=cfg.seed, base_dir=Path(config_path).parent)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    all_rows, outputs, n_failures = [], [], 0
-    for i, omega in enumerate(cfg.omegas()):
-        curve = sweep_s_curve(oracle, omega, cfg.A_grid())
-        n_failures += len(curve.failures)
-        name = f"scurve_{i:03d}.csv"
-        csvio.write_rows(out / name, csvio.DATASET_HEADER,
-                         [(p.omega, p.A, p.F) for p in curve.points])
-        outputs.append(name)
-        all_rows.extend((p.omega, p.A, p.F) for p in curve.points)
-    csvio.write_rows(out / "dataset.csv", csvio.DATASET_HEADER, all_rows)
-    outputs.append("dataset.csv")
-    csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(), seed=cfg.seed,
-                         threads=cfg.threads, status="ok",
-                         reason=f"{n_failures} failed points" if n_failures else "complete",
-                         outputs=outputs, extra={"command": "sweep"})
-    click.echo(f"swept {len(all_rows)} points over {len(outputs) - 1} frequencies; "
-               f"artifacts in {out_dir}")
+    cfg, base = _load(config_path, sweep_config_from_dict, seed=seed, threads=threads)
+    oracle = make_oracle(cfg.oracle, run_seed=cfg.seed, base_dir=base)
+    curves = [sweep_s_curve(oracle, omega, cfg.A_grid()) for omega in cfg.omegas()]
+    rows = [[(p.omega, p.A, p.F) for p in curve.points] for curve in curves]
+    dataset = [row for curve_rows in rows for row in curve_rows]
+    n_failures = sum(len(curve.failures) for curve in curves)
+    _write(out_dir, cfg, [*((f"scurve_{i:03d}.csv", csvio.DATASET_HEADER, r)
+                            for i, r in enumerate(rows)),
+                          ("dataset.csv", csvio.DATASET_HEADER, dataset)],
+           f"swept {len(dataset)} points over {len(rows)} frequencies",
+           reason=f"{n_failures} failed points" if n_failures else "complete", command="sweep")
 
 
 @main.command()
 @_common
 def nlfr(config_path, out_dir, seed, threads):
     """Constant-force slice of recorded data plus fold markers in the band."""
-    cfg = _load(config_path, nlfr_config_from_dict)
-    base = Path(config_path).parent
+    cfg, base = _load(config_path, nlfr_config_from_dict)
     datasets = [csvio.read_dataset_csv(base / p) for p in cfg.datasets]
     curves = [[r.fold for r in csvio.read_run_log(base / p)] for p in cfg.run_logs]
     result = nlfr_slice(datasets, cfg.gamma_level, cfg.band, fold_curves=curves)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csvio.write_rows(out / "slice_points.csv", csvio.DATASET_HEADER, result.points)
-    csvio.write_rows(out / "fold_markers.csv", FOLD_HEADER, result.markers)
-    csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(), seed=0, threads=1,
-                         status="ok", reason=f"{len(result.markers)} fold markers",
-                         outputs=["slice_points.csv", "fold_markers.csv"],
-                         extra={"command": "nlfr"})
-    click.echo(f"slice at {cfg.gamma_level} (+-{cfg.band:.0%}): {len(result.points)} points, "
-               f"{len(result.markers)} fold markers; artifacts in {out_dir}")
+    _write(out_dir, cfg, [("slice_points.csv", csvio.DATASET_HEADER, result.points),
+                          ("fold_markers.csv", FOLD_HEADER, result.markers)],
+           f"slice at {cfg.gamma_level} (+-{cfg.band:.0%}): {len(result.points)} points, "
+           f"{len(result.markers)} fold markers",
+           reason=f"{len(result.markers)} fold markers", command="nlfr")
 
 
 @main.command()
 @_common
 def offline(config_path, out_dir, seed, threads):
     """Fold continuation on the surrogate of a recorded dataset (no new data)."""
-    cfg = _load(config_path, offline_config_from_dict, seed=seed)
-    dataset = csvio.read_dataset_csv(Path(config_path).parent / cfg.dataset)
-    curve = offline_fold_trace(dataset, hyper=cfg.hyper, cfg=cfg.continuation(), x0=cfg.x0,
-                               seed=cfg.seed)
+    cfg, base = _load(config_path, offline_config_from_dict, seed=seed)
+    curve = offline_fold_trace(csvio.read_dataset_csv(base / cfg.dataset), hyper=cfg.hyper,
+                               cfg=cfg.continuation(), x0=cfg.x0, seed=cfg.seed)
     forward, backward = curve.reason
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csvio.write_run_log(out / "fold_curve.csv", curve.records)
-    csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(), seed=cfg.seed,
-                         threads=1, status="ok",
-                         reason=f"{len(curve.points)} fold points",
-                         outputs=["fold_curve.csv"],
-                         extra={"command": "offline",
-                                "hyperparameters_fitted": curve.hyper.as_dict(),
-                                "stop_reasons": {"forward": forward, "backward": backward}})
-    click.echo(f"offline trace: {len(curve.points)} fold points (forward {forward}, "
-               f"backward {backward}); artifacts in {out_dir}")
+    _write(out_dir, cfg, [("fold_curve.csv", csvio.RUN_LOG_HEADER,
+                           csvio.run_log_rows(curve.records))],
+           f"offline trace: {len(curve.points)} fold points (forward {forward}, "
+           f"backward {backward})",
+           reason=f"{len(curve.points)} fold points", command="offline",
+           hyperparameters_fitted=curve.hyper.as_dict(),
+           stop_reasons={"forward": forward, "backward": backward})
 
 
 @main.command()
 @_common
 def ensemble(config_path, out_dir, seed, threads):
     """Dropout uncertainty ensemble over a recorded dataset."""
-    cfg = _load(config_path, ensemble_config_from_dict, seed=seed, threads=threads)
-    dataset = csvio.read_dataset_csv(Path(config_path).parent / cfg.dataset)
-    result = dropout_ensemble(dataset, cfg.n_runs, cfg.dropout_fraction, seed=cfg.seed,
-                              cfg=cfg.continuation(), fit_n_starts=cfg.fit_n_starts,
-                              threads=cfg.threads)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, base = _load(config_path, ensemble_config_from_dict, seed=seed, threads=threads)
+    result = dropout_ensemble(csvio.read_dataset_csv(base / cfg.dataset), cfg.n_runs,
+                              cfg.dropout_fraction, seed=cfg.seed, cfg=cfg.continuation(),
+                              fit_n_starts=cfg.fit_n_starts, threads=cfg.threads)
     hyper_keys = ("sigma_n2", "sigma_f2", "l_omega", "l_A")
-    csvio.write_rows(out / "summary.csv",
-                     ["run_id", "completed", "n_segments", *hyper_keys, "error"],
-                     [(r.run_id, int(r.completed), r.curve.n_segments() if r.curve else 0,
-                       *(getattr(r.curve.hyper, k) if r.curve else None for k in hyper_keys),
-                       r.error) for r in result.runs])
-    outputs = ["summary.csv"]
-    for r in result.runs:
-        if r.curve is not None:
-            name = f"curve_{r.run_id:04d}.csv"
-            csvio.write_rows(out / name, FOLD_HEADER, r.curve.as_array())
-            outputs.append(name)
-    csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(), seed=cfg.seed,
-                         threads=cfg.threads, status="ok",
-                         reason=f"{result.completed_fraction:.0%} runs completed",
-                         outputs=outputs,
-                         extra={"command": "ensemble",
-                                "hyper_init": result.hyper_init.as_dict()})
-    click.echo(f"ensemble: {result.completed_fraction:.0%} of {cfg.n_runs} runs completed; "
-               f"artifacts in {out_dir}")
+    summary = [(r.run_id, int(r.completed), r.curve.n_segments() if r.curve else 0,
+                *(getattr(r.curve.hyper, k) if r.curve else None for k in hyper_keys), r.error)
+               for r in result.runs]
+    _write(out_dir, cfg, [("summary.csv", ["run_id", "completed", "n_segments", *hyper_keys,
+                                           "error"], summary),
+                          *((f"curve_{r.run_id:04d}.csv", FOLD_HEADER, r.curve.as_array())
+                            for r in result.runs if r.curve is not None)],
+           f"ensemble: {result.completed_fraction:.0%} of {cfg.n_runs} runs completed",
+           reason=f"{result.completed_fraction:.0%} runs completed", command="ensemble",
+           hyper_init=result.hyper_init.as_dict())
 
 
 def _load(path, parser, **overrides):
-    """The parsed config at `path`, each command-line override given read in place of its key."""
+    """The parsed config at `path`, each command-line override given read in place of
+    its key, and the directory its relative input paths start at: the config's own."""
     raw = load_raw(path)
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    return parser(raw)
+    return parser(raw), Path(path).parent
+
+
+def _write(out_dir, cfg, files, summary, *, reason, **extra):
+    """Write each (name, header, rows) of `files` into `out_dir`, created if need be,
+    then the manifest that lists exactly those names, and echo `summary` and where.
+
+    The manifest records the config's seed and threads, 0 and 1 for a config
+    without; `extra` adds its keys to the manifest.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in files:
+        csvio.write_rows(out / name, header, rows)
+    csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(),
+                         seed=getattr(cfg, "seed", 0), threads=getattr(cfg, "threads", 1),
+                         status="ok", reason=reason, outputs=[name for name, _, _ in files],
+                         extra=extra)
+    click.echo(f"{summary}; artifacts in {out_dir}")
 
 
 if __name__ == "__main__":

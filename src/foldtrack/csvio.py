@@ -3,8 +3,9 @@
 Floats are serialized with repr (shortest round-trip form) so that re-running
 a configuration reproduces every artifact byte for byte.  A traced fold
 curve, online (`run_log.csv`) or offline (`fold_curve.csv`), is one
-`continuation.CurvePoint` per row: `write_run_log` and `read_run_log` are the
-only code that maps between the two, and a log they read writes back the same.
+`continuation.CurvePoint` per row: `run_log_rows` (which `write_run_log`
+writes) and `read_run_log` are the only code that maps between the two, and
+a log they read writes back the same.
 """
 
 from __future__ import annotations
@@ -87,12 +88,14 @@ def _read_rows(path, header, what, parse) -> list:
         return out
 
 
-def write_run_log(path, points):
+def run_log_rows(points):
     """One RUN_LOG_HEADER row per CurvePoint of `points`; a row's step is its index."""
-    write_rows(path, RUN_LOG_HEADER, (
-        [k, *p.fold, p.gamma_measured,
-         p.tangent.t_omega, p.tangent.t_A, p.h, p.newton_iters]
-        for k, p in enumerate(points)))
+    return ([k, *p.fold, p.gamma_measured, p.tangent.t_omega, p.tangent.t_A, p.h, p.newton_iters]
+            for k, p in enumerate(points))
+
+
+def write_run_log(path, points):
+    write_rows(path, RUN_LOG_HEADER, run_log_rows(points))
 
 
 def read_run_log(path) -> list[CurvePoint]:
