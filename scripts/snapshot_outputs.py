@@ -19,6 +19,10 @@ change moved.  The set:
   reader reads what both of its writers wrote, and `ensemble` over the
   benchmark's sweep of seed 0 with 4 runs on 2 worker processes and no
   start point, so each run scans for its own, each with its manifest;
+* the replays of the CLI `offline`, `nlfr` and `ensemble` from their
+  manifests into `replays/<command>_replay`, one level deeper than the
+  runs they replay, so each manifest's input paths must hold from its own
+  directory; each replay's CSVs are byte for byte its run's;
 * the `repr` of every run of `dropout_ensemble` on the benchmark's sweep of
   seed 0 (`perfbench/dataset.py`), warm-started and on 2 worker processes,
   as the benchmark's `ensemble-offline` workload calls it;
@@ -143,6 +147,9 @@ def commands(out: Path):
     ensemble_cfg = {"inputs": {"dataset": "ensemble_sweep0.csv"}, "n_runs": 4, "threads": 2}
     Path("ensemble.yaml").write_text(yaml.safe_dump(ensemble_cfg), encoding="utf-8")
     cli(out, "ensemble", "--config", "ensemble.yaml", "--out", "cli_ensemble")
+    for command in ("offline", "nlfr", "ensemble"):
+        cli(out, command, "--config", f"cli_{command}/manifest.json",
+            "--out", f"replays/{command}_replay")
 
 
 def rejected(out: Path):

@@ -29,6 +29,10 @@ the worst error of the traced fold points against the closed-form locus:
   it, never crosses it;
 * `replay`: null, as it has no closed form.
 
+A config that cannot be read (a missing file, a directory, an unknown key
+or a refused value, `--set` ones included) ends the survey before any seed
+with one `error: <message>` line on stderr and exit code 1, as in the CLI.
+
 A seed whose trace fails before its first fold point (the CLI's exit 2 or
 3) gets the reason `init_failed: <error>` and 0 fold points; the survey
 goes on with the next seed.
@@ -69,7 +73,8 @@ from locus import Duffing, lower_fold_errors  # noqa: E402
 from foldtrack.blas import pin_blas_threads  # noqa: E402
 from foldtrack.config import config_from_dict, load_raw, make_oracle  # noqa: E402
 from foldtrack.driver import run_trace  # noqa: E402
-from foldtrack.errors import ContinuationError, DuplicatePoint, OracleError  # noqa: E402
+from foldtrack.errors import (ConfigError, ContinuationError, DuplicatePoint,  # noqa: E402
+                              OracleError)
 from foldtrack.gpr import GprModel  # noqa: E402
 from foldtrack.rig import RigOracle, RigParams  # noqa: E402
 
@@ -228,10 +233,13 @@ def main(argv=None):
                     help="set a dotted config key; repeatable")
     args = ap.parse_args(argv)
     pin_blas_threads()
-    raw = load_raw(args.config)
-    for assignment in args.set:
-        set_key(raw, assignment)
-    cfg = config_from_dict(raw)
+    try:
+        raw = load_raw(args.config)
+        for assignment in args.set:
+            set_key(raw, assignment)
+        cfg = config_from_dict(raw)
+    except ConfigError as e:
+        sys.exit(f"error: {e}")
     reference = rig_reference_of(cfg) if cfg.oracle.name == "rig" else None
     rows = []
     for seed in args.seeds:

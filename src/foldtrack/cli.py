@@ -3,9 +3,11 @@
 Subcommands: trace (online fold tracking), sweep (S-curves through an
 oracle), nlfr (constant-force slice with fold markers), ensemble (dropout
 uncertainty runs), offline (fold trace of a recorded dataset).  Every
-command reads one declarative config file, whose relative input paths start
-at its directory, writes CSV artifacts plus a manifest into --out, and is
-bit-reproducible from that manifest.
+command reads one declarative config file (`_load`) and writes CSV artifacts
+plus a manifest that lists them into --out (`_write`; trace through
+`driver.write_trace_artifacts`).  A relative input path starts at the
+directory of the file that names it, so the manifest names each input from
+--out, and the command is bit-reproducible from it wherever --out lies.
 
 Only ensemble uses --threads (or the config's `threads`): it counts the
 worker processes of the dropout runs, forked where the platform allows,
@@ -33,7 +35,8 @@ import click
 from . import csvio
 from .blas import pin_blas_threads
 from .config import (config_from_dict, ensemble_config_from_dict, load_raw, make_oracle,
-                     nlfr_config_from_dict, offline_config_from_dict, sweep_config_from_dict)
+                     nlfr_config_from_dict, offline_config_from_dict, rebase_inputs,
+                     sweep_config_from_dict)
 from .errors import ConfigError, ContinuationError, MissingInput, OracleError
 from .postprocess import dropout_ensemble, nlfr_slice, offline_fold_trace, sweep_s_curve
 
@@ -104,7 +107,7 @@ def trace(config_path, out_dir, seed, threads):
 
     cfg, base = _load(config_path, config_from_dict, seed=seed, threads=threads)
     result = run_trace(cfg, make_oracle(cfg.oracle, run_seed=cfg.seed, base_dir=base))
-    write_trace_artifacts(out_dir, cfg, result)
+    write_trace_artifacts(out_dir, rebase_inputs(cfg, base, out_dir), result)
     click.echo(f"traced {len(result.steps)} fold points ({result.reason}); "
                f"artifacts in {out_dir}")
     if result.status != "ok":
@@ -121,10 +124,9 @@ def sweep(config_path, out_dir, seed, threads):
     rows = [[(p.omega, p.A, p.F) for p in curve.points] for curve in curves]
     dataset = [row for curve_rows in rows for row in curve_rows]
     n_failures = sum(len(curve.failures) for curve in curves)
-    _write(out_dir, cfg, [*((f"scurve_{i:03d}.csv", csvio.DATASET_HEADER, r)
-                            for i, r in enumerate(rows)),
-                          ("dataset.csv", csvio.DATASET_HEADER, dataset)],
-           f"swept {len(dataset)} points over {len(rows)} frequencies",
+    files = [*((f"scurve_{i:03d}.csv", csvio.DATASET_HEADER, r) for i, r in enumerate(rows)),
+             ("dataset.csv", csvio.DATASET_HEADER, dataset)]
+    _write(out_dir, cfg, base, files, f"swept {len(dataset)} points over {len(rows)} frequencies",
            reason=f"{n_failures} failed points" if n_failures else "complete", command="sweep")
 
 
@@ -136,8 +138,9 @@ def nlfr(config_path, out_dir, seed, threads):
     datasets = [csvio.read_dataset_csv(base / p) for p in cfg.datasets]
     curves = [[r.fold for r in csvio.read_run_log(base / p)] for p in cfg.run_logs]
     result = nlfr_slice(datasets, cfg.gamma_level, cfg.band, fold_curves=curves)
-    _write(out_dir, cfg, [("slice_points.csv", csvio.DATASET_HEADER, result.points),
-                          ("fold_markers.csv", FOLD_HEADER, result.markers)],
+    files = [("slice_points.csv", csvio.DATASET_HEADER, result.points),
+             ("fold_markers.csv", FOLD_HEADER, result.markers)]
+    _write(out_dir, cfg, base, files,
            f"slice at {cfg.gamma_level} (+-{cfg.band:.0%}): {len(result.points)} points, "
            f"{len(result.markers)} fold markers",
            reason=f"{len(result.markers)} fold markers", command="nlfr")
@@ -151,8 +154,8 @@ def offline(config_path, out_dir, seed, threads):
     curve = offline_fold_trace(csvio.read_dataset_csv(base / cfg.dataset), hyper=cfg.hyper,
                                cfg=cfg.continuation(), x0=cfg.x0, seed=cfg.seed)
     forward, backward = curve.reason
-    _write(out_dir, cfg, [("fold_curve.csv", csvio.RUN_LOG_HEADER,
-                           csvio.run_log_rows(curve.records))],
+    files = [("fold_curve.csv", csvio.RUN_LOG_HEADER, csvio.run_log_rows(curve.records))]
+    _write(out_dir, cfg, base, files,
            f"offline trace: {len(curve.points)} fold points (forward {forward}, "
            f"backward {backward})",
            reason=f"{len(curve.points)} fold points", command="offline",
@@ -172,10 +175,10 @@ def ensemble(config_path, out_dir, seed, threads):
     summary = [(r.run_id, int(r.completed), r.curve.n_segments() if r.curve else 0,
                 *(getattr(r.curve.hyper, k) if r.curve else None for k in hyper_keys), r.error)
                for r in result.runs]
-    _write(out_dir, cfg, [("summary.csv", ["run_id", "completed", "n_segments", *hyper_keys,
-                                           "error"], summary),
-                          *((f"curve_{r.run_id:04d}.csv", FOLD_HEADER, r.curve.as_array())
-                            for r in result.runs if r.curve is not None)],
+    files = [("summary.csv", ["run_id", "completed", "n_segments", *hyper_keys, "error"], summary),
+             *((f"curve_{r.run_id:04d}.csv", FOLD_HEADER, r.curve.as_array())
+               for r in result.runs if r.curve is not None)]
+    _write(out_dir, cfg, base, files,
            f"ensemble: {result.completed_fraction:.0%} of {cfg.n_runs} runs completed",
            reason=f"{result.completed_fraction:.0%} runs completed", command="ensemble",
            hyper_init=result.hyper_init.as_dict())
@@ -189,18 +192,20 @@ def _load(path, parser, **overrides):
     return parser(raw), Path(path).parent
 
 
-def _write(out_dir, cfg, files, summary, *, reason, **extra):
+def _write(out_dir, cfg, base, files, summary, *, reason, **extra):
     """Write each (name, header, rows) of `files` into `out_dir`, created if need be,
     then the manifest that lists exactly those names, and echo `summary` and where.
 
-    The manifest records the config's seed and threads, 0 and 1 for a config
-    without; `extra` adds its keys to the manifest.
+    The manifest embeds `cfg` with its relative input paths moved from `base`
+    to `out_dir`, so it replays from there; it records the config's seed and
+    threads, 0 and 1 for a config without, and `extra` adds its keys.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, header, rows in files:
         csvio.write_rows(out / name, header, rows)
-    csvio.write_manifest(out / "manifest.json", config_dict=cfg.to_dict(),
+    csvio.write_manifest(out / "manifest.json",
+                         config_dict=rebase_inputs(cfg, base, out).to_dict(),
                          seed=getattr(cfg, "seed", 0), threads=getattr(cfg, "threads", 1),
                          status="ok", reason=reason, outputs=[name for name, _, _ in files],
                          extra=extra)

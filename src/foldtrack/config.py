@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -430,6 +431,8 @@ def load_raw(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config path is not a file: {path}")
     text = path.read_text(encoding="utf-8")
     try:
         raw = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
@@ -440,6 +443,29 @@ def load_raw(path) -> dict:
     if "config" in raw and ("versions" in raw or "config_sha256" in raw):
         raw = raw["config"]
     return raw
+
+
+def rebase_inputs(cfg, base_dir, out_dir):
+    """`cfg` with each relative input path it names moved from `base_dir`, where it
+    starts, to `out_dir`; an absolute path stays as it is.
+
+    The input paths are a dataset, nlfr's datasets and run logs, and a replay
+    oracle's `path`.  A relative path starts at the directory of the file that
+    names it, so a manifest written into `out_dir` with this config names the
+    files that the config read from `base_dir` named.
+    """
+    def move(p):
+        return p if os.path.isabs(p) else os.path.relpath(os.path.join(base_dir, p), out_dir)
+
+    if isinstance(cfg, NlfrConfig):
+        return replace(cfg, datasets=tuple(map(move, cfg.datasets)),
+                       run_logs=tuple(map(move, cfg.run_logs)))
+    if isinstance(cfg, (EnsembleConfig, OfflineConfig)):
+        return replace(cfg, dataset=move(cfg.dataset))
+    params = cfg.oracle.params
+    if "path" not in params:
+        return cfg
+    return replace(cfg, oracle=replace(cfg.oracle, params={**params, "path": move(params["path"])}))
 
 
 def make_oracle(spec: OracleSpec, run_seed: int = 0, base_dir: Path | None = None):

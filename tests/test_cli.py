@@ -813,3 +813,115 @@ class TestOfflineAndEnsemble:
         for r in completed:
             assert (traced / "ens" / f"curve_{int(r['run_id']):04d}.csv").exists()
             assert r["n_segments"] == "1"
+
+
+def written_files(out):
+    """The names of the files in `out` other than its manifest."""
+    return sorted(p.name for p in Path(out).iterdir() if p.name != "manifest.json")
+
+
+def manifest_of(out):
+    return json.loads((Path(out) / "manifest.json").read_text())
+
+
+@pytest.fixture()
+def recorded(tmp_path, monkeypatch, duffing_params):
+    """A working directory as the README lays it out: a sweep's dataset in
+    `rig_sweep_out/` and a fold curve crossing gamma 0.3 in `fold_out/`."""
+    monkeypatch.chdir(tmp_path)
+    for d in ("rig_sweep_out", "fold_out", "configs"):
+        (tmp_path / d).mkdir()
+    write_dataset_csv("rig_sweep_out/dataset.csv", duffing_grid_dataset(
+        duffing_params, center=(1.2, 1.8), half=(0.15, 1.2), shape=(13, 13)))
+    write_run_log("fold_out/fold_curve.csv", [
+        continuation.CurvePoint(continuation.FoldPoint(1.1 + 0.01 * k, 1.5 + 0.1 * k,
+                                                       0.2 + 0.05 * k),
+                                continuation.Tangent(0.6, 0.8), 0.1 * (k > 0), 2)
+        for k in range(5)])
+    return tmp_path
+
+
+HYPER = {"sigma_n2": 1e-8, "sigma_f2": 0.04, "l_omega": 0.05, "l_A": 0.45}
+SWEEP_GRID = {"omega_start": 1.05, "omega_stop": 1.1, "omega_step": 0.025,
+              "A_start": 0.6, "A_stop": 1.0, "A_step": 0.2}
+# (command, config path, config, --out): each config names its inputs from its own
+# directory; the ensemble is the README's ens.yaml, next to rig_sweep_out/
+ELSEWHERE = [
+    ("offline", "configs/off.yaml",
+     {"inputs": {"dataset": "../rig_sweep_out/dataset.csv"}, "x0": [1.15, 1.7],
+      "max_steps": 10, "hyperparameters": HYPER}, "results/offline"),
+    ("nlfr", "configs/nlfr.yaml",
+     {"inputs": {"datasets": ["../rig_sweep_out/dataset.csv"],
+                 "run_logs": ["../fold_out/fold_curve.csv"]}, "gamma_level": 0.3},
+     "results/nlfr"),
+    ("ensemble", "ens.yaml",
+     {"inputs": {"dataset": "rig_sweep_out/dataset.csv"}, "n_runs": 3, "max_steps": 10,
+      "seed": 5}, "ens_out"),
+    ("sweep", "configs/sweep.yaml",
+     {"oracle": {"name": "replay",
+                 "params": {"path": "../rig_sweep_out/dataset.csv", "tol": 1e-9}},
+      "sweep": SWEEP_GRID}, "results/sweep"),
+]
+
+
+class TestReplayFromAnotherDirectory:
+    """A relative input path starts at the directory of the file that names it:
+    a manifest names its run's inputs from --out, so it replays byte for byte
+    wherever --out lies against the config."""
+
+    @pytest.mark.parametrize("command, cfg_path, cfg, out", ELSEWHERE,
+                             ids=[case[0] for case in ELSEWHERE])
+    def test_manifest_replays_into_another_depth(self, recorded, command, cfg_path, cfg, out):
+        Path(cfg_path).write_text(yaml.safe_dump(cfg))
+        first = run_cli(command, "--config", cfg_path, "--out", out)
+        assert first.exit_code == 0, first.output
+        replay = run_cli(command, "--config", f"{out}/manifest.json",
+                         "--out", f"replays/{command}/again")
+        assert replay.exit_code == 0, replay.output
+        files = written_files(out)
+        assert files == written_files(f"replays/{command}/again") != []
+        for name in files:
+            assert (recorded / "replays" / command / "again" / name).read_bytes() == \
+                (recorded / out / name).read_bytes()
+
+
+class TestManifestOutputs:
+    """Each command's manifest lists exactly the files it wrote into --out."""
+
+    def test_trace(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_trace_config(continuation={"h": 0.1, "h_max": 0.15, "max_steps": 2})
+        assert run_cli("trace", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(out)).exit_code == 0
+        assert manifest_of(out)["outputs"] == written_files(out) == \
+            ["collection_log.csv", "dataset.csv", "run_log.csv"]
+
+    @pytest.mark.parametrize("command", ["offline", "nlfr", "sweep"])
+    def test_offline_nlfr_and_sweep(self, recorded, command):
+        _, cfg_path, cfg, out = next(case for case in ELSEWHERE if case[0] == command)
+        Path(cfg_path).write_text(yaml.safe_dump(cfg))
+        assert run_cli(command, "--config", cfg_path, "--out", out).exit_code == 0
+        assert manifest_of(out)["outputs"] == written_files(out)
+        if command == "sweep":  # one file per frequency, and the combined dataset
+            assert written_files(out) == ["dataset.csv", "scurve_000.csv", "scurve_001.csv",
+                                          "scurve_002.csv"]
+
+    def test_ensemble_with_a_failed_run(self, recorded, monkeypatch):
+        # the second dropout run's trace fails: it writes no curve file
+        from foldtrack import postprocess
+        trace, calls = postprocess.offline_fold_trace, []
+
+        def failing_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NoConvergence("injected")
+            return trace(*args, **kwargs)
+
+        monkeypatch.setattr(postprocess, "offline_fold_trace", failing_second)
+        _, cfg_path, cfg, out = next(case for case in ELSEWHERE if case[0] == "ensemble")
+        Path(cfg_path).write_text(yaml.safe_dump(cfg))
+        res = run_cli("ensemble", "--config", cfg_path, "--out", out)
+        assert res.exit_code == 0
+        assert "67% of 3 runs completed" in res.output
+        assert manifest_of(out)["outputs"] == written_files(out) == \
+            ["curve_0000.csv", "curve_0002.csv", "summary.csv"]

@@ -13,7 +13,7 @@ from foldtrack.config import (ENSEMBLE, NLFR, OFFLINE, RUN, SWEEP, EnsembleConfi
                               InitConfig, NlfrConfig, OfflineConfig, RunConfig, SweepConfig,
                               config_from_dict, ensemble_config_from_dict, load_config,
                               load_raw, nlfr_config_from_dict, offline_config_from_dict,
-                              sweep_config_from_dict)
+                              rebase_inputs, sweep_config_from_dict)
 from foldtrack.continuation import ContinuationConfig
 from foldtrack.errors import ConfigError
 from foldtrack.oracles import ISOLA_DOMAIN
@@ -213,3 +213,31 @@ def test_optional_section_given_empty_reads_as_not_given(empty):
     bounds = edited(TRACE_RAW, {"hyperparameters.bounds": empty})
     assert config_from_dict(bounds).hyper.bounds is None
     assert offline_config_from_dict({**INPUTS, "hyperparameters": empty}).hyper is None
+
+
+def test_load_raw_refuses_a_path_that_is_not_a_file(tmp_path):
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(ConfigError, match=r"^config path is not a file: .*\bdir$"):
+        load_raw(tmp_path / "dir")
+    with pytest.raises(ConfigError, match=r"^config file not found: .*\bmissing\.yaml$"):
+        load_raw(tmp_path / "missing.yaml")
+
+
+@pytest.mark.parametrize("cfg, moved", [
+    (OfflineConfig(dataset="data/d.csv"), {"inputs": {"dataset": "../../cfg/data/d.csv"}}),
+    (EnsembleConfig(dataset="/abs/d.csv"), {"inputs": {"dataset": "/abs/d.csv"}}),
+    (NlfrConfig(gamma_level=0.3, datasets=("d.csv", "/abs/d.csv"), run_logs=("../r.csv",)),
+     {"inputs": {"datasets": ["../../cfg/d.csv", "/abs/d.csv"], "run_logs": ["../../r.csv"]}}),
+    (sweep_config_from_dict({"oracle": {"name": "replay", "params": {"path": "d.csv", "tol": 0.1}},
+                             "sweep": {"omega_start": 1, "omega_stop": 2, "A_start": 1,
+                                       "A_stop": 2}}),
+     {"oracle": {"params": {"path": "../../cfg/d.csv", "tol": 0.1}}}),
+    (load_config(CONFIGS / "duffing.yaml"), {}),
+], ids=["relative", "absolute", "nlfr", "replay_oracle", "no_inputs"])
+def test_rebase_inputs_moves_relative_paths_alone(cfg, moved):
+    # from cfg/ to out/run/: the manifest there names the files the config named
+    got, want = rebase_inputs(cfg, "cfg", "out/run").to_dict(), cfg.to_dict()
+    for section, values in moved.items():
+        for key, value in values.items():
+            want[section][key] = value
+    assert got == want

@@ -42,3 +42,20 @@ def test_inline_ensemble_config_reads():
     block = README.split("```yaml\n", 1)[1].split("```", 1)[0]
     cfg = ensemble_config_from_dict(yaml.safe_load(block))
     assert (cfg.dataset, cfg.n_runs) == ("rig_sweep_out/dataset.csv", 20)
+
+
+def test_ensemble_example_replays_from_its_manifest(tmp_path, monkeypatch):
+    # ens.yaml next to rig_sweep_out/, its manifest in ens_out/: the replay the
+    # README gives reads the same sweep and writes the same CSVs
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ens.yaml").write_text(README.split("```yaml\n", 1)[1].split("```", 1)[0])
+    replay = shlex.split(re.search(r"`foldtrack (ensemble --config \S+/manifest\.json [^`]+)`",
+                                   README)[1])
+    for args in (readme_command("sweep"), readme_command("ensemble"), replay):
+        res = CliRunner().invoke(main, args, catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+    out, again = tmp_path / "ens_out", tmp_path / replay[replay.index("--out") + 1]
+    csvs = sorted(p.name for p in out.glob("*.csv"))
+    assert "summary.csv" in csvs and sorted(p.name for p in again.glob("*.csv")) == csvs
+    assert all((out / name).read_bytes() == (again / name).read_bytes() for name in csvs)

@@ -119,3 +119,18 @@ def test_start_point_counts_at_the_start_frequency(monkeypatch):
     assert set(errs) == {"12.8", "12.95"}
     # a start elsewhere counts only where the line reaches
     assert set(module.rig_locus_errors(folds, reference, start_omega=12.7)) == {"12.95"}
+
+
+@pytest.mark.parametrize("config, message", [
+    (".", "config path is not a file: ."),
+    ("missing.yaml", "config file not found: missing.yaml"),
+    ("bad.yaml", "config: unknown keys ['surprise'] (allowed: "),
+], ids=["directory", "missing", "unknown_key"])
+def test_unreadable_config_is_one_error_line_and_exit_1(tmp_path, config, message):
+    (tmp_path / "bad.yaml").write_text(
+        (ROOT / "configs" / "duffing.yaml").read_text(encoding="utf-8") + "surprise: 1\n")
+    res = subprocess.run([sys.executable, str(SCRIPT), "--config", config, "--seeds", "0:1"],
+                         capture_output=True, text=True, cwd=tmp_path, check=False)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {message}") and res.stderr.count("\n") == 1
