@@ -7,8 +7,9 @@
 
 `--seeds a:b` runs seeds a to b-1.  Each `--set key=value` sets a dotted
 config key before the config is read; the value is parsed as YAML, so
-`--set continuation.h_max=0.3` sets a number.  The package is imported from
-this checkout's `src`.
+`--set continuation.h_max=0.3` sets a number.  A relative input path of
+the config (a replay's `params.path`) starts at the config's directory, as
+in the CLI.  The package is imported from this checkout's `src`.
 
 A row holds the seed, the stop reason, the fold points traced (the first
 fold included), the oracle's `measure` calls, the samples skipped as
@@ -97,10 +98,11 @@ def rig_locus_errors(folds, reference: dict, start_omega: float) -> dict:
     return out
 
 
-def locus_errors(cfg, params, folds, reference=None) -> dict | None:
+def locus_errors(cfg, oracle, folds, reference=None) -> dict | None:
     """Error of the fold points against the back-end's closed form or rig reference.
 
-    A rig `reference` not given is swept here from `cfg`.
+    The closed forms read `oracle.params`, which only the duffing and isola
+    back-ends have; a rig `reference` not given is swept here from `cfg`.
     """
     name = cfg.oracle.name
     if name == "rig":
@@ -108,10 +110,12 @@ def locus_errors(cfg, params, folds, reference=None) -> dict | None:
             reference = rig_reference_of(cfg)
         return rig_locus_errors(folds, reference, cfg.init.x0_omega)
     if name == "duffing":
+        params = oracle.params
         model = Duffing(params.omega_n, params.zeta, params.alpha_3)
         errs = [lower_fold_errors(model, f.omega, f.gamma_model) for f in folds]
         return {"force_rel": max(e for e, _ in errs), "omega_rel": max(e for _, e in errs)}
     if name == "isola":
+        params = oracle.params
         return {"A_abs": max(min((abs(f.A - a) for a in params.fold_amplitudes(f.omega)),
                                  default=math.inf) for f in folds)}
     return None
@@ -143,14 +147,16 @@ def counting_updates(counts: Counter):
         GprModel.add_point, GprModel.remove_point = add_point, remove_point
 
 
-def survey_row(cfg, seed: int, reference: dict | None = None) -> dict:
+def survey_row(cfg, seed: int, reference: dict | None = None,
+               base_dir: Path | None = None) -> dict:
     """Trace `cfg` at `seed` and return its survey row.
 
     `reference` is the rig's `rig_reference_of(cfg)`; a rig row sweeps it
-    itself when it is not given.
+    itself when it is not given.  `base_dir` is the directory the config's
+    relative input paths (a replay's `params.path`) start at, as in the CLI.
     """
     cfg = replace(cfg, seed=seed)
-    oracle = make_oracle(cfg.oracle, run_seed=seed)
+    oracle = make_oracle(cfg.oracle, run_seed=seed, base_dir=base_dir)
     calls = 0
     measure = oracle.measure
 
@@ -171,7 +177,7 @@ def survey_row(cfg, seed: int, reference: dict | None = None) -> dict:
     return {"seed": seed, "reason": reason, "fold_points": len(folds),
             "oracle_calls": calls, "duplicates": updates["duplicates"],
             "prunes": updates["prunes"], "rig_seconds": getattr(oracle, "_t", None),
-            "locus_error": locus_errors(cfg, oracle.params, folds, reference) if folds else None}
+            "locus_error": locus_errors(cfg, oracle, folds, reference) if folds else None}
 
 
 def summary(rows: list[dict]) -> dict:
@@ -243,7 +249,7 @@ def main(argv=None):
     reference = rig_reference_of(cfg) if cfg.oracle.name == "rig" else None
     rows = []
     for seed in args.seeds:
-        rows.append(survey_row(cfg, seed, reference))
+        rows.append(survey_row(cfg, seed, reference, base_dir=args.config.parent))
         print(json.dumps(rows[-1]), flush=True)
     print(json.dumps({"summary": summary(rows)}))
 

@@ -1,11 +1,13 @@
 """Active selection of the next measurement around the current fold solution.
 
 Candidates are drawn area-uniformly from an ellipse whose semi-axes are
-twice the kernel length scales.  Every candidate of a round is scored
-by beta, the shift of the fold-condition value at the current solution
-caused by adding an artificial measurement (posterior mean plus one
-standard deviation) at the candidate, in closed form; one triangular solve
-scores the whole round, and a single pair is scored as a batch of one.
+twice the kernel length scales, as one (n_test, 2) array per round, which
+the scoring and the pick of the next request read directly.  Every
+candidate of a round is scored by beta, the shift of the fold-condition
+value at the current solution caused by adding an artificial measurement
+(posterior mean plus one standard deviation) at the candidate, in closed
+form; one triangular solve scores the whole round, and a single pair is
+scored as a batch of one.
 The most influential candidate is measured for real until no candidate
 can move the zero-problem by more than `beta_tol`, keeping the solution
 robust to new data.  Every realized sample of a run enters the model
@@ -79,9 +81,9 @@ class ImproveResult:
 
 
 def generate_candidates(center, cfg: AcquisitionConfig, rng_seed, hyper,
-                        domain_box: DomainBox | None = None) -> list[tuple[float, float]]:
-    """Exactly n_test inputs, area-uniform in the ellipse around `center`
-    whose semi-axes are twice `hyper`'s length scales.
+                        domain_box: DomainBox | None = None) -> np.ndarray:
+    """Exactly n_test inputs as an (n_test, 2) array, area-uniform in the
+    ellipse around `center` whose semi-axes are twice `hyper`'s length scales.
 
     Points falling outside the domain box are redrawn; raises
     DomainExhausted when the admissible part of the ellipse is too small.
@@ -89,7 +91,7 @@ def generate_candidates(center, cfg: AcquisitionConfig, rng_seed, hyper,
     """
     a, b = 2.0 * hyper.l_omega, 2.0 * hyper.l_A
     rng = np.random.default_rng(rng_seed)
-    out: list[tuple[float, float]] = []
+    out = np.empty((0, 2))
     max_draws = 400 * cfg.n_test + 400
     drawn = 0
     while len(out) < cfg.n_test:
@@ -99,13 +101,13 @@ def generate_candidates(center, cfg: AcquisitionConfig, rng_seed, hyper,
                 f"could not place {cfg.n_test} candidates inside ellipse and domain box")
         r = np.sqrt(rng.uniform(size=m))
         phi = rng.uniform(0.0, 2.0 * math.pi, size=m)
-        om = center[0] + a * r * np.cos(phi)
-        A = center[1] + b * r * np.sin(phi)
+        pts = np.empty((m, 2))
+        pts[:, 0] = center[0] + a * r * np.cos(phi)
+        pts[:, 1] = center[1] + b * r * np.sin(phi)
         drawn += m
         if domain_box is not None:
-            ok = domain_box.contains(om, A)
-            om, A = om[ok], A[ok]
-        out.extend(zip(om.tolist(), A.tolist()))
+            pts = pts[domain_box.contains(pts[:, 0], pts[:, 1])]
+        out = np.concatenate((out, pts))
     return out[:cfg.n_test]
 
 
@@ -122,9 +124,14 @@ def sensitivity_beta(model: GprModel, x_cand, x_sol):
     x_cand = np.asarray(x_cand, dtype=float)
     C = as_points(x_cand)
     fresh = model.dataset.duplicate_of(C) < 0
-    var, cov_d_A = model.predict_var_and_cov_d_A(x_sol, C[fresh])
-    beta = np.zeros(len(C))
-    beta[fresh] = np.abs(cov_d_A) * np.sqrt(var) / (var + model.hyper.sigma_n2 + model.jitter)
+    every = bool(fresh.all())
+    var, cov_d_A = model.predict_var_and_cov_d_A(x_sol, C if every else C[fresh])
+    score = np.abs(cov_d_A) * np.sqrt(var) / (var + model.hyper.sigma_n2 + model.jitter)
+    if every:
+        beta = score
+    else:
+        beta = np.zeros(len(C))
+        beta[fresh] = score
     return float(beta[0]) if x_cand.ndim == 1 else beta
 
 
@@ -174,10 +181,10 @@ def improve_solution(model: GprModel, experiment, x_sol: FoldPoint, t_prev: Tang
             return result
         if round_idx == cfg.max_points_per_step:
             break
-        x_req = candidates[int(np.argmax(betas))]
-        meas = experiment.measure(x_req[0], x_req[1])
-        result.collections.append(CollectionRecord(round_idx, *x_req, meas.omega, meas.A,
-                                                   meas.F, beta_max))
+        omega_req, A_req = candidates[int(np.argmax(betas))].tolist()
+        meas = experiment.measure(omega_req, A_req)
+        result.collections.append(CollectionRecord(round_idx, omega_req, A_req, meas.omega,
+                                                   meas.A, meas.F, beta_max))
         result.model, result.fold = add_measurement(result.model, result.fold, t_prev, meas,
                                                     cfg.n_max, ccfg)
     warnings.warn(CollectionCap(f"max beta {beta_max:.3g} still above tol {cfg.beta_tol:.3g} "
@@ -193,7 +200,7 @@ def prune(model: GprModel, x_sol, n_max: int) -> GprModel:
     farthest from the solution.
     """
     while model.n > n_max:
-        influences = np.abs(model.loo_mean_d_A_shift(x_sol))
-        order = np.lexsort((-model.pass_at(x_sol).d2, influences))
+        p = model.pass_at(x_sol)
+        order = np.lexsort((-p.d2, np.abs(model.loo_shifts(p))))
         model = model.remove_point(int(order[0]))
     return model

@@ -123,11 +123,12 @@ class ContinuationConfig:
 # -- zero problem -----------------------------------------------------------
 
 def _in_cloud(p: KernelPass):
-    """The cloud rule on a pass: CLOUD_MIN_POINTS inputs lie within CLOUD_RADIUS."""
-    if p.d2.shape[-1] < CLOUD_MIN_POINTS:
-        return np.zeros(p.d2.shape[:-1], dtype=bool)
-    return np.partition(p.d2, CLOUD_MIN_POINTS - 1, axis=-1)[..., CLOUD_MIN_POINTS - 1] \
-        <= CLOUD_RADIUS**2
+    """The cloud rule on a pass: CLOUD_MIN_POINTS inputs lie within CLOUD_RADIUS.
+
+    It counts the inputs with d^2 <= CLOUD_RADIUS^2, which is the same test
+    as the CLOUD_MIN_POINTS-th smallest d^2 lying within it; a model with
+    fewer inputs holds no point inside its cloud."""
+    return (p.d2 <= CLOUD_RADIUS**2).sum(axis=-1) >= CLOUD_MIN_POINTS
 
 
 def _fold_system(model: GprModel, p: KernelPass) -> tuple[float, tuple[float, float], float]:

@@ -7,7 +7,10 @@ covariance is kept with the model: a point is added in O(n^2) by extending
 the factor, and removed by factorizing the points that remain.  The same
 factor gives, with no model built, the closed-form scores that acquisition
 ranks candidates and points by: one triangular solve per candidate set, one
-inverse per set of points.
+inverse per set of points.  A `Dataset` keeps the column minima and maxima
+its duplicate rule divides by, taken once per dataset, so checking a
+candidate set or an appended point is one comparison with the inputs and no
+rescan of their columns.
 
 The linear algebra calls LAPACK directly (dpotrf, dtrtrs, dpotrs, dpotri),
 without the scipy.linalg wrappers: at the sizes of a local model their
@@ -149,10 +152,12 @@ class Dataset:
     coordinate divided by the spread of the inputs up to and including it,
     is a duplicate and raises DuplicatePoint: duplicates make the noise-free
     covariance factor singular.  The constructor checks each row against the
-    rows before it, `append` checks the new input against the others in
-    O(n), so a dataset grown by `append` passes the constructor's check;
-    `take` and `drop` check nothing, because a subset kept in order only
-    shrinks the spreads.
+    rows before it, `append` checks the new input against the others, so a
+    dataset grown by `append` passes the constructor's check; `take` and
+    `drop` check nothing, because a subset kept in order only shrinks the
+    spreads.  The spreads come from the column minima and maxima, which are
+    kept with the dataset: each instance computes them once, when a
+    duplicate check first needs them.
     """
 
     X: np.ndarray  # (n, 2) columns omega, A
@@ -202,19 +207,38 @@ class Dataset:
     def n(self) -> int:
         return self.X.shape[0]
 
+    @cached_property
+    def _extent(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column minima and maxima of the inputs; +inf and -inf when there are none."""
+        if self.n == 0:
+            return np.full(2, math.inf), np.full(2, -math.inf)
+        return self.X.min(axis=0), self.X.max(axis=0)
+
     @classmethod
     def empty(cls) -> "Dataset":
         return cls(np.zeros((0, 2)), np.zeros(0))
 
     def append(self, x, F_value: float) -> "Dataset":
-        x = np.array([[float(x[0]), float(x[1])]])
-        F_value = float(F_value)
-        if not (np.all(np.isfinite(x)) and math.isfinite(F_value)):
-            raise ValueError(f"non-finite sample {x.ravel().tolist()}, {F_value}")
-        i = int(self.duplicate_of(x)[0])
+        """This dataset with the sample (x, F_value) last; O(n).
+
+        The cost is one `duplicate_of` check of x against the n inputs, using
+        the kept column extremes (taken first if this dataset has not yet
+        needed them), and one copy of the arrays into arrays one row longer.
+        """
+        omega, A, F_value = float(x[0]), float(x[1]), float(F_value)
+        if not (math.isfinite(omega) and math.isfinite(A) and math.isfinite(F_value)):
+            raise ValueError(f"non-finite sample {[omega, A]}, {F_value}")
+        i = int(self.duplicate_of((omega, A))[0])
         if i >= 0:
-            raise DuplicatePoint(f"input {x.ravel().tolist()} duplicates training input {i}")
-        return Dataset._trusted(np.vstack([self.X, x]), np.append(self.F, F_value))
+            raise DuplicatePoint(f"input {[omega, A]} duplicates training input {i}")
+        n = self.n
+        X = np.empty((n + 1, 2))
+        X[:n] = self.X
+        X[n] = omega, A
+        F = np.empty(n + 1)
+        F[:n] = self.F
+        F[n] = F_value
+        return Dataset._trusted(X, F)
 
     def duplicate_of(self, C) -> np.ndarray:
         """For each row of C, the first training input it duplicates, or -1; O(n*m).
@@ -223,10 +247,10 @@ class Dataset:
         compared using the spreads of the training inputs together with c alone.
         """
         C = as_points(C)
-        if self.n == 0:
+        lo, hi = self._extent
+        hits = _coincide(self.X, C, np.maximum(hi, C) - np.minimum(lo, C))
+        if not hits.any():
             return np.full(len(C), -1)
-        hits = _coincide(self.X, C, np.maximum(self.X.max(axis=0), C)
-                         - np.minimum(self.X.min(axis=0), C))
         return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
 
     def take(self, rows) -> "Dataset":
@@ -243,9 +267,11 @@ class Dataset:
         return Dataset._trusted(self.X[rows], self.F[rows])
 
     def drop(self, index: int) -> "Dataset":
+        """This dataset without row `index`, unchecked, as `take` of the other rows."""
         if not 0 <= index < self.n:
             raise IndexOutOfRange(f"index {index} outside [0, {self.n})")
-        return self.take(np.delete(np.arange(self.n), index))
+        return Dataset._trusted(np.concatenate((self.X[:index], self.X[index + 1:])),
+                                np.concatenate((self.F[:index], self.F[index + 1:])))
 
 
 class MeanDerivs(NamedTuple):
@@ -388,14 +414,18 @@ class GprModel:
         return var, prior - V[:, 0] @ V[:, 1:]
 
     def loo_mean_d_A_shift(self, x) -> np.ndarray:
-        """dG/dA at x minus its value without training point i, for every i.
+        """dG/dA at x minus its value without training point i, for every i."""
+        return self.loo_shifts(self.pass_at(x))
+
+    def loo_shifts(self, p: KernelPass) -> np.ndarray:
+        """`loo_mean_d_A_shift` at the query point of the pass p.
 
         Closed form (Rasmussen & Williams eq. 5.12): the mean at x exceeds the
         one without point i by (K^-1 k_x)_i alpha_i / (K^-1)_ii; no model is rebuilt.
         """
         W = _inverse_lower(self.chol)
         d = np.diag(W)
-        k = self._cov_d_A(self.pass_at(x))
+        k = self._cov_d_A(p)
         return (W @ k + W.T @ k - d * k) * self.alpha / d
 
     # -- updates -----------------------------------------------------------
@@ -481,15 +511,16 @@ def _inverse_lower(L: np.ndarray, overwrite: bool = False) -> np.ndarray:
 
 def _clamped_var(var):
     """Posterior variance with round-off below 0 clamped; below -1e-10 it is a breakdown."""
-    if np.any(var < -1e-10):
-        raise NumericalBreakdown(f"predictive variance {np.min(var)} below -1e-10")
+    lowest = np.minimum.reduce(var, axis=None, initial=0.0)
+    if lowest < -1e-10:
+        raise NumericalBreakdown(f"predictive variance {lowest} below -1e-10")
     return np.maximum(var, 0.0)
 
 
 def build(dataset: Dataset, hyper: Hyperparameters) -> GprModel:
     """Factorize the training covariance and cache alpha = K^-1 F."""
     K = _kernel_matrix(dataset.X, dataset.X, hyper)
-    K[np.diag_indices_from(K)] += hyper.sigma_n2
+    K.flat[::dataset.n + 1] += hyper.sigma_n2
     L, jitter = _factorize(K, hyper)
     alpha = _cho_solve(L, dataset.F)
     return GprModel(dataset, hyper, L, alpha, jitter)

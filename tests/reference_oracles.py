@@ -10,7 +10,8 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from foldtrack.errors import DuplicatePoint
+from foldtrack.errors import DomainExhausted, DuplicatePoint
+from foldtrack.gpr import DUPLICATE_TOL
 
 
 def se_kernel_matrix(X1, X2, sigma_f2, l_omega, l_A):
@@ -180,6 +181,41 @@ def downdate_influences(model, x_sol) -> np.ndarray:
 
 
 # -- Duffing surface brute force ---------------------------------------------
+
+def first_duplicate(X, c) -> int:
+    """The first row of X within DUPLICATE_TOL of c, coordinates divided by the
+    spreads of X and c together (a zero spread counts as 1), or -1; row by row."""
+    both = np.vstack([X, [c]])
+    s = [float(v) if v != 0.0 else 1.0 for v in both.max(axis=0) - both.min(axis=0)]
+    for j, (omega, A) in enumerate(np.asarray(X).tolist()):
+        d_omega, d_A = (omega - c[0]) / s[0], (A - c[1]) / s[1]
+        if d_omega * d_omega + d_A * d_A < DUPLICATE_TOL**2:
+            return j
+    return -1
+
+
+def listed_candidates(center, n_test, rng_seed, hyper, domain_box=None):
+    """The candidate draw as a list of (omega, A) tuples: the same draws, in the
+    same order, kept point by point."""
+    a, b = 2.0 * hyper.l_omega, 2.0 * hyper.l_A
+    rng = np.random.default_rng(rng_seed)
+    out = []
+    max_draws = 400 * n_test + 400
+    drawn = 0
+    while len(out) < n_test:
+        m = min(4 * n_test, max_draws - drawn)
+        if m <= 0:
+            raise DomainExhausted(f"could not place {n_test} candidates")
+        r = np.sqrt(rng.uniform(size=m))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=m)
+        om = center[0] + a * r * np.cos(phi)
+        A = center[1] + b * r * np.sin(phi)
+        drawn += m
+        for w, v in zip(om.tolist(), A.tolist()):
+            if domain_box is None or domain_box.contains(w, v):
+                out.append((w, v))
+    return out[:n_test]
+
 
 def duffing_force(omega_n, zeta, alpha_3, omega, A):
     """Closed-form harmonic-balance force amplitude (independent copy)."""

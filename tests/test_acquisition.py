@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import duffing_grid_dataset
-from reference_oracles import artificial_measurement, duffing_lower_fold_branch
+from reference_oracles import (artificial_measurement, duffing_lower_fold_branch,
+                               listed_candidates)
 
 from foldtrack import acquisition
 from foldtrack.acquisition import (AcquisitionConfig, add_measurement, generate_candidates,
@@ -56,7 +57,7 @@ class TestGenerateCandidates:
         cfg = AcquisitionConfig(n_test=20, beta_tol=0.01)
         p1 = generate_candidates((1.1, 1.4), cfg, rng_seed=(5, 7), hyper=duffing_hyper)
         p2 = generate_candidates((1.1, 1.4), cfg, rng_seed=(5, 7), hyper=duffing_hyper)
-        assert p1 == p2
+        assert np.array_equal(p1, p2)
 
     def test_redraw_respects_domain_box(self, duffing_hyper):
         box = DomainBox(1.05, 1.12, 1.0, 1.8)
@@ -74,12 +75,26 @@ class TestGenerateCandidates:
         assert [bool(box.contains(w, a)) for w, a in zip(om, A)] == \
             [True, True, False, False, True]
 
+    @pytest.mark.parametrize("box", [None, DomainBox(1.05, 1.12, 1.0, 1.8)],
+                             ids=["no_box", "redraw"])
+    def test_array_matches_the_listed_draws(self, duffing_hyper, box):
+        # the box keeps about a sixth of the ellipse, so the first 600 draws give
+        # about 100 candidates and the redraw path runs
+        cfg = AcquisitionConfig(n_test=150, beta_tol=0.01)
+        pts = generate_candidates((1.1, 1.4), cfg, rng_seed=(2, 3), hyper=duffing_hyper,
+                                  domain_box=box)
+        assert isinstance(pts, np.ndarray) and pts.dtype == float and pts.shape == (150, 2)
+        listed = listed_candidates((1.1, 1.4), 150, (2, 3), duffing_hyper, box)
+        assert list(map(tuple, pts.tolist())) == listed
+
     def test_domain_exhausted(self, duffing_hyper):
         box = DomainBox(3.0, 4.0, 10.0, 12.0)  # disjoint from the ellipse
         cfg = AcquisitionConfig(n_test=5, beta_tol=0.01)
         with pytest.raises(DomainExhausted):
             generate_candidates((1.1, 1.4), cfg, rng_seed=1, hyper=duffing_hyper,
                                 domain_box=box)
+        with pytest.raises(DomainExhausted):
+            listed_candidates((1.1, 1.4), 5, 1, duffing_hyper, box)
 
 
 class TestArtificialMeasurement:
@@ -287,7 +302,8 @@ class TestOnePointConvention:
             correct(duffing_model, x_pred, pair, t, 0.1, CCFG)
         cfg = AcquisitionConfig(n_test=20)
         candidates = generate_candidates(fold, cfg, 5, duffing_model.hyper)
-        assert candidates == generate_candidates(pair, cfg, 5, duffing_model.hyper)
+        assert np.array_equal(candidates,
+                              generate_candidates(pair, cfg, 5, duffing_model.hyper))
         np.testing.assert_array_equal(sensitivity_beta(duffing_model, candidates, fold),
                                       sensitivity_beta(duffing_model, candidates, pair))
         one = sensitivity_beta(duffing_model, fold, x_pred)

@@ -13,7 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY_NOISE, duffing_grid_dataset
-from reference_oracles import add_point_beta, cs_mean_derivs, downdate_influences
+from reference_oracles import (add_point_beta, cs_mean_derivs, downdate_influences,
+                               first_duplicate)
 
 from foldtrack import csvio
 from foldtrack.acquisition import prune, sensitivity_beta
@@ -229,6 +230,70 @@ def test_appended_dataset_round_trips_through_csv(tmp_path):
     csvio.write_dataset_csv(tmp_path / "dataset.csv", ds)
     back = csvio.read_dataset_csv(tmp_path / "dataset.csv")
     assert np.array_equal(back.X, ds.X) and np.array_equal(back.F, ds.F)
+
+
+# A probe is a drawn row plus an offset in units of the dataset's spread times
+# DUPLICATE_TOL (0: an exact copy; around 1: the tolerance's edge), times
+# (1 + 1e-10) for a near copy, or a fresh point.
+probe_strategy = st.one_of(
+    st.tuples(st.just("offset"), st.integers(0, 20),
+              st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0]), st.sampled_from([0, 1])),
+    st.tuples(st.just("near"), st.integers(0, 20), st.just(0.0), st.just(0)),
+    st.tuples(st.just("fresh"), st.integers(-40, 40), st.integers(-40, 40), st.just(0)))
+# no coordinate below 1e-100 in magnitude but 0, so no offset over a spread overflows
+coordinate = st.floats(-5.0, 5.0).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
+row_strategy = st.lists(st.tuples(coordinate, coordinate), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=row_strategy, flat=st.sampled_from([None, 0, 1]),
+       probes=st.lists(probe_strategy, min_size=1, max_size=10))
+@example(rows=[], flat=None, probes=[("fresh", 1, 2, 0), ("offset", 0, 0.0, 0)])
+@example(rows=[(1.0, 2.0)], flat=None, probes=[("offset", 0, 0.0, 0), ("near", 0, 0.0, 0),
+                                               ("fresh", 3, -1, 0)])
+@example(rows=[(1.0, 2.0), (1.5, 2.0), (3.0, 2.0)], flat=1,
+         probes=[("near", 1, 0.0, 0), ("offset", 2, 0.999, 0), ("offset", 2, 1.001, 0)])
+def test_duplicate_rule_matches_the_brute_force_reference(rows, flat, probes):
+    """`duplicate_of`, `append` and the constructor apply one rule.
+
+    The reference recomputes the spreads of X and the probe for every probe.
+    Rows are appended in order, each refused exactly when the reference finds
+    it a duplicate; `flat` gives one column a zero spread.
+    """
+    if flat is not None:
+        rows = [(r[0], 0.75) if flat else (0.75, r[1]) for r in rows]
+    ds = Dataset.empty()
+    for omega, A in rows:
+        if first_duplicate(ds.X, (omega, A)) < 0:
+            ds = ds.append((omega, A), 1.0)
+    assert np.array_equal(Dataset(ds.X, ds.F).X, ds.X)  # the constructor's check passes
+    spread = np.ptp(ds.X, axis=0) if ds.n else np.ones(2)
+    unit = DUPLICATE_TOL * np.where(spread > 0.0, spread, 1.0)
+    C = []
+    for kind, a, b, sign in probes:
+        if kind == "fresh" or ds.n == 0:
+            C.append((0.137 * a, 0.113 * b))
+        elif kind == "near":
+            C.append(tuple(ds.X[a % ds.n] * (1.0 + 1e-10)))
+        else:
+            C.append(tuple(ds.X[a % ds.n] + (b if sign else -b) * unit))
+    expected = [first_duplicate(ds.X, c) for c in C]
+    assert ds.duplicate_of(np.array(C)).tolist() == expected
+    assert [int(ds.duplicate_of(c)[0]) for c in C] == expected
+    grown = ds
+    for c, first in zip(C, expected):
+        if first >= 0:
+            with pytest.raises(DuplicatePoint):
+                ds.append(c, 0.5)
+        else:
+            assert ds.append(c, 0.5).X[-1].tolist() == list(c)
+        if first_duplicate(grown.X, c) < 0:
+            grown = grown.append(c, 0.5)
+        else:
+            with pytest.raises(DuplicatePoint):
+                grown.append(c, 0.5)
+    rebuilt = Dataset(grown.X, grown.F)  # raises DuplicatePoint if the rule was broken
+    assert np.array_equal(rebuilt.X, grown.X) and np.array_equal(rebuilt.F, grown.F)
 
 
 def test_derivative_consistency_100_cases(duffing_params):

@@ -6,12 +6,16 @@ from collections import Counter, namedtuple
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 
 from foldtrack.config import config_from_dict, load_config, load_raw, make_oracle
+from foldtrack.csvio import write_dataset_csv
 from foldtrack.driver import run_trace
 from foldtrack.errors import DuplicatePoint
-from foldtrack.gpr import GprModel
+from foldtrack.gpr import Dataset, GprModel
+from foldtrack.oracles import DuffingParams, duffing_gamma
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "survey.py"
@@ -119,6 +123,28 @@ def test_start_point_counts_at_the_start_frequency(monkeypatch):
     assert set(errs) == {"12.8", "12.95"}
     # a start elsewhere counts only where the line reaches
     assert set(module.rig_locus_errors(folds, reference, start_omega=12.7)) == {"12.95"}
+
+
+def test_replay_config_reads_its_table_from_its_own_directory(tmp_path):
+    # a relative params.path starts at the config's directory, not the working
+    # directory, and a replay back-end has no closed form, so no locus error
+    cfgs = tmp_path / "cfgs"
+    cfgs.mkdir()
+    omegas, As = np.arange(1.0, 1.3001, 0.005), np.arange(0.5, 2.5001, 0.05)
+    X = np.array([[w, a] for w in omegas for a in As])
+    write_dataset_csv(cfgs / "recorded.csv", Dataset(X, duffing_gamma(DuffingParams(), *X.T)))
+    raw = load_raw(ROOT / "configs" / "duffing.yaml")
+    raw["oracle"] = {"name": "replay", "params": {"path": "recorded.csv", "tol": 0.05}}
+    raw["continuation"]["max_steps"] = 3
+    (cfgs / "replay.yaml").write_text(yaml.safe_dump(raw), encoding="utf-8")
+    res = subprocess.run([sys.executable, str(SCRIPT), "--config", "cfgs/replay.yaml",
+                          "--seeds", "0:1"], capture_output=True, text=True, cwd=tmp_path,
+                         check=False)
+    assert res.returncode == 0, res.stderr
+    row, last = [json.loads(line) for line in res.stdout.splitlines()]
+    assert row["reason"] == "max_steps" and row["fold_points"] == 4
+    assert row["locus_error"] is None and row["rig_seconds"] is None
+    assert "worst_locus_error" not in last["summary"]
 
 
 @pytest.mark.parametrize("config, message", [
