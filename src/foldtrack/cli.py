@@ -22,6 +22,8 @@ Exit codes: 0 success, 1 config or usage error, 2 oracle error, 3
 continuation failure.  The commands do not catch errors: `EXIT_CODES` maps
 each error they, or click's reading of their options, may raise to its
 exit code, and the `main` group prints it as one `error: <message>` line.
+A trace that a failure ends after its first fold raises that error once
+its artifacts are written.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .config import (config_from_dict, ensemble_config_from_dict, load_raw, make
                      nlfr_config_from_dict, offline_config_from_dict, rebase_inputs,
                      sweep_config_from_dict)
 from .errors import ConfigError, ContinuationError, MissingInput, OracleError
+from .gpr import HYPER_NAMES
 from .postprocess import dropout_ensemble, nlfr_slice, offline_fold_trace, sweep_s_curve
 
 # The exit code of each error a command may raise.  A ValueError is a value
@@ -110,8 +113,8 @@ def trace(config_path, out_dir, seed, threads):
     write_trace_artifacts(out_dir, rebase_inputs(cfg, base, out_dir), result)
     click.echo(f"traced {len(result.steps)} fold points ({result.reason}); "
                f"artifacts in {out_dir}")
-    if result.status != "ok":
-        sys.exit(EXIT_CODES[OracleError if result.status == "oracle_error" else ContinuationError])
+    if result.error is not None:
+        raise result.error
 
 
 @main.command()
@@ -171,11 +174,10 @@ def ensemble(config_path, out_dir, seed, threads):
     result = dropout_ensemble(csvio.read_dataset_csv(base / cfg.dataset), cfg.n_runs,
                               cfg.dropout_fraction, seed=cfg.seed, cfg=cfg.continuation(),
                               fit_n_starts=cfg.fit_n_starts, threads=cfg.threads)
-    hyper_keys = ("sigma_n2", "sigma_f2", "l_omega", "l_A")
     summary = [(r.run_id, int(r.completed), r.curve.n_segments() if r.curve else 0,
-                *(getattr(r.curve.hyper, k) if r.curve else None for k in hyper_keys), r.error)
+                *(getattr(r.curve.hyper, k) if r.curve else None for k in HYPER_NAMES), r.error)
                for r in result.runs]
-    files = [("summary.csv", ["run_id", "completed", "n_segments", *hyper_keys, "error"], summary),
+    files = [("summary.csv", ["run_id", "completed", "n_segments", *HYPER_NAMES, "error"], summary),
              *((f"curve_{r.run_id:04d}.csv", FOLD_HEADER, r.curve.as_array())
                for r in result.runs if r.curve is not None)]
     _write(out_dir, cfg, base, files,

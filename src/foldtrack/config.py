@@ -32,7 +32,7 @@ from .acquisition import AcquisitionConfig
 from .continuation import ContinuationConfig
 from .errors import ConfigError
 from .geometry import DomainBox
-from .gpr import FitBounds, Hyperparameters
+from .gpr import HYPER_NAMES, FitBounds, Hyperparameters
 from .oracles import (ISOLA_DOMAIN, DuffingOracle, DuffingParams, IsolaOracle, IsolaParams,
                       ReplayOracle)
 
@@ -358,10 +358,9 @@ class OfflineConfig:
 
 # One table per command, declaring each key of its config once: `_read`
 # parses a raw mapping by it and `_write` writes the config back by it.
-_HYPER = ("sigma_n2", "sigma_f2", "l_omega", "l_A")
 _BOX = ("omega_min", "omega_max", "A_min", "A_max")
 _AXES = ("omega", "A")
-_HYPERPARAMETERS = _Table(dict.fromkeys(_HYPER, _float), _HYPER, Hyperparameters)
+_HYPERPARAMETERS = _Table(dict.fromkeys(HYPER_NAMES, _float), HYPER_NAMES, Hyperparameters)
 _ORACLE = _Table({"name": _str, "params": _mapping,
                   "domain_box": _Table(dict.fromkeys(_BOX, _float), _BOX, DomainBox)},
                  ("name",), OracleSpec)
@@ -376,8 +375,8 @@ RUN = _Table({
                                           prefix="half_width_")},
                    ("x0",), InitConfig),
     "hyperparameters": _Table({"init": _HYPERPARAMETERS,
-                               "bounds": _Table(dict.fromkeys(_HYPER, _list(_float, 2)),
-                                                _HYPER, FitBounds),
+                               "bounds": _Table(dict.fromkeys(HYPER_NAMES, _list(_float, 2)),
+                                                HYPER_NAMES, FitBounds),
                                "refit_each_step": _bool},
                               ("init",), HyperConfig, "hyper"),
     "continuation": _Table({"h": _float, "h_max": _float, "max_steps": _int},

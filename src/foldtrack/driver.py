@@ -13,14 +13,14 @@ the solution is robust to new measurements, and records a
 one; a step whose collection hit its cap is recorded too, with
 `beta_final` at least beta_tol.  After the first fold it may then refit
 the hyperparameters.  A failure at the first fold raises; after it, a
-failure ends the run with `oracle_error` or `refresh_failed`.  Every
-measurement after the seed grid enters the model through
+failure ends the run with `oracle_error` or `refresh_failed`, and the
+result keeps the error, which the CLI raises once the artifacts are
+written.  Every measurement after the seed grid enters the model through
 `acquisition.add_measurement`, which holds it to n_max points.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,8 +33,6 @@ from .continuation import CurvePoint, FoldPoint, Step, find_first_fold, follow, 
 from .continuation import correct, predict_step  # noqa: F401 (perfbench wraps them here)
 from .errors import ContinuationError, OracleError
 from .gpr import Dataset, GprModel, Hyperparameters, build, fit_hyperparameters
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -50,6 +48,7 @@ class TraceResult:
     model: GprModel
     reason: str
     status: str  # "ok" | "continuation_error" | "oracle_error"
+    error: OracleError | ContinuationError | None = None  # the error that ended the run
 
     @property
     def hyper_fitted(self) -> Hyperparameters:
@@ -126,16 +125,15 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
 
     model, fold = accept(model, Step(CurvePoint(fold, tangent, 0.0, 0), ccfg.h), 0)
 
-    status = "ok"
+    status, error = "ok", None
     try:
         reason = follow(model, fold, tangent, ccfg, accept)
     except OracleError as e:
-        log.error("oracle failed mid-run at step %d: %s", len(steps), e)
-        reason, status = f"oracle_error: {e}", "oracle_error"
+        reason, status, error = f"oracle_error: {e}", "oracle_error", e
     except ContinuationError as e:
-        reason, status = f"refresh_failed: {e}", "continuation_error"
+        reason, status, error = f"refresh_failed: {e}", "continuation_error", e
 
-    return TraceResult(steps=steps, model=model, reason=reason, status=status)
+    return TraceResult(steps=steps, model=model, reason=reason, status=status, error=error)
 
 
 def write_trace_artifacts(out_dir, cfg: RunConfig, result: TraceResult) -> dict:

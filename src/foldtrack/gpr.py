@@ -45,7 +45,7 @@ per model), read by `mean_terms` with the weights sigma_f2 alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -77,6 +77,8 @@ class Hyperparameters:
 
     Units follow the experiment: sigma_n2 and sigma_f2 in force units
     squared, l_omega in frequency units, l_A in response-amplitude units.
+    Its fields, in order, are the one list of the parameters' names
+    (`HYPER_NAMES`), which arrays, dicts, bounds, configs and CSVs follow.
     """
 
     sigma_n2: float
@@ -85,20 +87,22 @@ class Hyperparameters:
     l_A: float
 
     def __post_init__(self):
-        vals = (self.sigma_n2, self.sigma_f2, self.l_omega, self.l_A)
+        vals = tuple(vars(self).values())
         if not all(math.isfinite(v) and v > 0.0 for v in vals):
             raise ValueError(f"hyperparameters must be strictly positive and finite, got {vals}")
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.sigma_n2, self.sigma_f2, self.l_omega, self.l_A])
+        return np.array(astuple(self))
 
     @classmethod
     def from_array(cls, a) -> "Hyperparameters":
         return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
     def as_dict(self) -> dict:
-        return {"sigma_n2": self.sigma_n2, "sigma_f2": self.sigma_f2,
-                "l_omega": self.l_omega, "l_A": self.l_A}
+        return asdict(self)
+
+
+HYPER_NAMES = tuple(f.name for f in fields(Hyperparameters))
 
 
 @dataclass(frozen=True)
@@ -116,14 +120,10 @@ class FitBounds:
                 raise ValueError(f"invalid bounds for {name}: ({lo}, {hi})")
 
     def as_dict(self) -> dict:
-        return {"sigma_n2": self.sigma_n2, "sigma_f2": self.sigma_f2,
-                "l_omega": self.l_omega, "l_A": self.l_A}
+        return {name: getattr(self, name) for name in HYPER_NAMES}
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [self.sigma_n2, self.sigma_f2, self.l_omega, self.l_A]
-        lo = np.array([p[0] for p in pairs])
-        hi = np.array([p[1] for p in pairs])
-        return lo, hi
+        return tuple(np.array(list(self.as_dict().values()), dtype=float).T)
 
 
 def as_points(C) -> np.ndarray:
@@ -186,8 +186,11 @@ class Dataset:
         if self.n < 2:
             return
         X = self.X
-        hits = _coincide(X, X, np.maximum.accumulate(X) - np.minimum.accumulate(X)) \
-            & np.tri(self.n, k=-1, dtype=bool)
+        # an input j after input i may lie beyond i's running spread, so that
+        # pair's offset may overflow; the mask drops it, and inf is no duplicate
+        with np.errstate(over="ignore"):
+            hits = _coincide(X, X, np.maximum.accumulate(X) - np.minimum.accumulate(X))
+        hits &= np.tri(self.n, k=-1, dtype=bool)
         if hits.any():
             j = int(hits.any(axis=1).argmax())
             raise DuplicatePoint(f"inputs {int(hits[j].argmax())} and {j} coincide "
@@ -413,12 +416,9 @@ class GprModel:
         prior = self._cov_d_A(_offsets(Q[0, 0], Q[0, 1], Q[1:].T))
         return var, prior - V[:, 0] @ V[:, 1:]
 
-    def loo_mean_d_A_shift(self, x) -> np.ndarray:
-        """dG/dA at x minus its value without training point i, for every i."""
-        return self.loo_shifts(self.pass_at(x))
-
     def loo_shifts(self, p: KernelPass) -> np.ndarray:
-        """`loo_mean_d_A_shift` at the query point of the pass p.
+        """dG/dA at the query point of the pass p minus its value without
+        training point i, for every i; `pass_at(x)` gives the pass at x.
 
         Closed form (Rasmussen & Williams eq. 5.12): the mean at x exceeds the
         one without point i by (K^-1 k_x)_i alpha_i / (K^-1)_ii; no model is rebuilt.
@@ -598,6 +598,16 @@ class _LogMarginal:
         return value, grads
 
 
+def initial_guess(dataset: Dataset) -> Hyperparameters:
+    """Likelihood-fit start from the data alone: the force variance as signal,
+    a 1e-8 share of it as noise, and a quarter of each input's spread as
+    its length scale."""
+    var = float(np.var(dataset.F))
+    return Hyperparameters(sigma_n2=max(1e-8 * var, 1e-12), sigma_f2=var + 1e-12,
+                           l_omega=max(float(np.ptp(dataset.X[:, 0])) / 4.0, 1e-9),
+                           l_A=max(float(np.ptp(dataset.X[:, 1])) / 4.0, 1e-9))
+
+
 def default_fit_bounds(dataset: Dataset) -> FitBounds:
     """Data-driven search intervals: variances from var(F), lengths from input spread."""
     v = float(np.var(dataset.F))
@@ -637,7 +647,7 @@ def curvature_scale(dataset: Dataset, hyper: Hyperparameters) -> np.ndarray:
     return 1.0 / np.sqrt(np.maximum(np.abs(curvature), 1.0))
 
 
-def fit_hyperparameters(dataset: Dataset, init: Hyperparameters,
+def fit_hyperparameters(dataset: Dataset, init: Hyperparameters | None = None,
                         bounds: FitBounds | None = None, n_starts: int = 5,
                         seed: int = 0, scale: np.ndarray | None = None) -> Hyperparameters:
     """Maximize the log marginal likelihood over the four kernel parameters.
@@ -645,6 +655,8 @@ def fit_hyperparameters(dataset: Dataset, init: Hyperparameters,
     Quasi-Newton (L-BFGS-B) on log-parameters z with analytic gradients,
     multi-started from `init` plus log-uniform draws inside `bounds`.  The
     result never has a lower likelihood than the (bound-clipped) init.
+    Without `init` the fit starts from `initial_guess`, and without
+    `bounds` it searches `default_fit_bounds`: both from the data alone.
 
     With `scale` (four positive numbers, as from `curvature_scale`) the
     optimizer works in y = z / scale: bounds, starts and result are mapped by
@@ -658,6 +670,8 @@ def fit_hyperparameters(dataset: Dataset, init: Hyperparameters,
 
     if dataset.n < 5:
         raise ValueError(f"need at least 5 points to fit hyperparameters, got {dataset.n}")
+    if init is None:
+        init = initial_guess(dataset)
     if bounds is None:
         bounds = default_fit_bounds(dataset)
     s = np.ones(4) if scale is None else np.asarray(scale, dtype=float)

@@ -11,6 +11,10 @@ once in each direction from its first fold, with an `accept` that records
 the step and leaves the model as it is.  Its `FoldCurve` holds the same
 `continuation.CurvePoint` records as an online run, and why each direction
 stopped.
+
+A trace or ensemble given no hyperparameters fits them with no start of
+its own: `gpr.fit_hyperparameters` starts from `gpr.initial_guess`, which
+it takes from the data as it takes its default bounds.
 """
 
 from __future__ import annotations
@@ -96,33 +100,24 @@ def data_box(dataset: Dataset) -> DomainBox:
     return DomainBox(lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1])
 
 
-def initial_guess(dataset: Dataset) -> Hyperparameters:
-    """Likelihood-fit start from the data alone: the force variance as signal,
-    a 1e-8 share of it as noise, and a quarter of each input's spread as
-    its length scale."""
-    var = float(np.var(dataset.F))
-    return Hyperparameters(sigma_n2=max(1e-8 * var, 1e-12), sigma_f2=var + 1e-12,
-                           l_omega=max(float(np.ptp(dataset.X[:, 0])) / 4.0, 1e-9),
-                           l_A=max(float(np.ptp(dataset.X[:, 1])) / 4.0, 1e-9))
-
-
 def offline_fold_trace(dataset: Dataset, hyper: Hyperparameters | None = None,
                        cfg: ContinuationConfig | None = None, x0=None,
                        seed: int = 0) -> FoldCurve:
     """Fold curve of the surrogate built from all points of a recorded dataset.
 
-    Hyperparameters are fitted when not supplied, from `initial_guess` and
-    four more starts drawn from `seed`; the starting point comes from
-    `seed_scan` unless given.  From the first fold, `continuation.follow`
-    takes up to cfg.max_steps steps forward (along increasing omega) and as many
-    backward; the curve runs from the backward end to the forward end, and
-    its `reason` is the pair (forward, backward) of their stop reasons.
+    Hyperparameters are fitted when not supplied, from the fit's own start,
+    `gpr.initial_guess`, and four more starts drawn from `seed`; the
+    starting point comes from `seed_scan` unless given.  From the first
+    fold, `continuation.follow` takes up to cfg.max_steps steps forward
+    (along increasing omega) and as many backward; the curve runs from the
+    backward end to the forward end, and its `reason` is the pair
+    (forward, backward) of their stop reasons.
     No new data is collected.
     """
     if dataset.n == 0:
         raise ValueError("cannot trace an empty dataset")
     if hyper is None:
-        hyper = fit_hyperparameters(dataset, initial_guess(dataset), seed=seed)
+        hyper = fit_hyperparameters(dataset, seed=seed)
     model = build(dataset, hyper)
     if cfg is None:
         cfg = ContinuationConfig(domain_box=data_box(dataset), max_steps=200)
@@ -236,9 +231,9 @@ def dropout_ensemble(dataset: Dataset, n_runs: int, dropout_fraction: float, see
     `hyper_init`, the full dataset's optimum, and works in the scales
     `gpr.curvature_scale` takes there once per call, before any worker is
     forked.  Without `hyper_init`, once the arguments are checked, the full
-    dataset is fitted from `initial_guess` and four more starts drawn from
-    `seed`; the result carries the start either way.  Failures are recorded
-    per run, never fatal.
+    dataset is fitted from the fit's own start, `gpr.initial_guess`, and four
+    more starts drawn from `seed`; the result carries `hyper_init` either
+    way.  Failures are recorded per run, never fatal.
 
     `threads` counts worker processes: min(threads, n_runs, cpu count) of
     them are forked for the call and joined before it returns.  With one
@@ -253,7 +248,7 @@ def dropout_ensemble(dataset: Dataset, n_runs: int, dropout_fraction: float, see
     if dataset.n - n_drop < 10:
         raise ValueError(f"only {dataset.n - n_drop} points would remain; need >= 10")
     if hyper_init is None:
-        hyper_init = fit_hyperparameters(dataset, initial_guess(dataset), seed=seed)
+        hyper_init = fit_hyperparameters(dataset, seed=seed)
 
     scale = curvature_scale(dataset, hyper_init)
     one_run = partial(_ensemble_run, dataset=dataset, n_drop=n_drop, seed=seed,

@@ -80,7 +80,8 @@ M^T M c = M^T [y u f], whose matrix is nearly diagonal because the window
 spans whole cycles.  The settle's period check takes the reference of
 SETTLE_BLOCK periods from one phasor, each period starting where the
 loop's clock stands after the one before, and fits each period's
-fundamental alone with the same three-column solve; its periods build no
+fundamental alone with the same fit at one mode, whose one power is the
+phasor itself, on the period's list of y samples; its periods build no
 force records.
 """
 
@@ -154,20 +155,24 @@ def _phasor(omega_hz: float, t: np.ndarray) -> np.ndarray:
     return np.exp(1j * (TWO_PI * omega_hz) * t)
 
 
-def _fit_fourier(E: np.ndarray, period: float, n_modes: int, *signals: np.ndarray):
+def _fit_fourier(E: np.ndarray, period: float, n_modes: int, *signals):
     """Least-squares Fourier coefficients (a0, A_j, B_j) of each signal.
 
-    The signals are sampled at the times of the phasor E, and `period` is in
-    samples.  The window is the longest run of whole cycles that fits the
-    record, counted back from its end; one normal-equations solve fits
-    every signal on its basis.
+    The signals, arrays or lists of floats, are sampled at the times of the
+    phasor E, and `period` is in samples.  The window is the longest run of
+    whole cycles that fits the record, counted back from its end; one
+    normal-equations solve fits every signal on its basis.  Harmonic j's
+    columns are the j-th power of the window's phasor, a cumulative product
+    that one mode skips, its one power being the window itself.
     """
     n = len(E)
     n_cyc = int(n / period)
     if n_cyc < 1:
         raise ValueError("record shorter than one oscillation cycle")
     L = min(int(round(n_cyc * period)), n)
-    powers = np.cumprod(np.broadcast_to(E[n - L:, None], (L, n_modes)), axis=1)
+    powers = E[n - L:, None]
+    if n_modes > 1:
+        powers = np.cumprod(np.broadcast_to(powers, (L, n_modes)), axis=1)
     M = np.empty((L, 2 * n_modes + 1))
     M[:, 0] = 0.5
     M[:, 1::2] = powers.real
@@ -175,23 +180,6 @@ def _fit_fourier(E: np.ndarray, period: float, n_modes: int, *signals: np.ndarra
     Y = np.column_stack([s[n - L:] for s in signals])
     coef = np.linalg.solve(M.T @ M, M.T @ Y)
     return [(float(c[0]), c[1::2].copy(), c[2::2].copy()) for c in coef.T]
-
-
-def _fundamental_amplitude(E: np.ndarray, period: float, y: list) -> float:
-    """sqrt(A1^2 + B1^2) of y, as _fit_fourier(E, period, 1, y) gives it.
-
-    The same normal-equations matrix and solve on the same arrays, built
-    without the general fit's harmonic powers and column stack.
-    """
-    n = len(E)
-    L = min(int(round(int(n / period) * period)), n)
-    window = E[n - L:]
-    M = np.empty((L, 3))
-    M[:, 0] = 0.5
-    M[:, 1] = window.real
-    M[:, 2] = window.imag
-    c = np.linalg.solve(M.T @ M, M.T @ np.array(y[n - L:], dtype=float)[:, None])
-    return math.hypot(c[1, 0], c[2, 0])
 
 
 def _segment_references(target: "_TargetSignal", t0: float, n: int, T: float, count: int):
@@ -350,7 +338,8 @@ class RigOracle(SeededOracle):
             for k in range(SETTLE_BLOCK):
                 ys, _ = self._run_segment(n, ystar[k].tolist())
                 elapsed += n / p.sample_rate
-                amp = _fundamental_amplitude(E[k], period, ys)
+                [(_, A, B)] = _fit_fourier(E[k], period, 1, ys)
+                amp = math.hypot(A[0], B[0])
                 if amp_prev is not None and (abs(amp - amp_prev) <= p.settle_rel_tol * max(amp, 1e-12)
                                              or elapsed >= p.settle_max_time):
                     return
@@ -364,8 +353,7 @@ class RigOracle(SeededOracle):
         p = self.params
         period = p.sample_rate / target.omega_hz
         ys, us, E = self._closed_loop(target, int(math.ceil(PROBE_PERIODS * period)) + 1)
-        fits = _fit_fourier(E, period, p.fourier_modes, np.array(ys, dtype=float),
-                            np.array(us, dtype=float))
+        fits = _fit_fourier(E, period, p.fourier_modes, ys, us)
         return dict(zip("yu", fits))
 
     def rig_simulate(self, target: _TargetSignal, rng=None):
@@ -470,8 +458,7 @@ class RigOracle(SeededOracle):
         for n in (int(REPLAY_TRANSIENT * p.sample_rate), p.record_len):
             E = _phasor(omega_hz, self._t + np.arange(n) * self._T)
             ys, _ = self._run_segment(n, drive=(Au1 * E.real + Bu1 * E.imag).tolist())
-        [(_, Ay, By)] = _fit_fourier(E, p.sample_rate / omega_hz, p.fourier_modes,
-                                     np.array(ys, dtype=float))
+        [(_, Ay, By)] = _fit_fourier(E, p.sample_rate / omega_hz, p.fourier_modes, ys)
         return math.hypot(Ay[0], By[0])
 
     # -- amplitude realization ----------------------------------------------

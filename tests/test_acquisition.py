@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -179,10 +180,10 @@ class TestImproveSolution:
         assert res.beta_max_final < cfg.beta_tol
         assert len(res.collections) <= cfg.max_points_per_step
 
-    @pytest.mark.parametrize("beta_tol, cap", [(5e-3, 10), (1e-12, 3)],
+    @pytest.mark.parametrize("beta_tol, cap, capped", [(5e-3, 10, False), (1e-12, 3, True)],
                              ids=["under_tolerance", "collection_cap"])
     def test_one_batched_scoring_call_per_round(self, duffing_model, duffing_oracle, fold,
-                                                monkeypatch, beta_tol, cap):
+                                                monkeypatch, beta_tol, cap, capped):
         calls = []
         batched = GprModel.predict_var_and_cov_d_A
 
@@ -193,7 +194,8 @@ class TestImproveSolution:
         monkeypatch.setattr(GprModel, "predict_var_and_cov_d_A", counted)
         t = tangent_at(duffing_model, fold, None)
         cfg = AcquisitionConfig(n_test=50, beta_tol=beta_tol, max_points_per_step=cap)
-        res = improve_solution(duffing_model, duffing_oracle, fold, t, cfg, CCFG, seed=2)
+        with pytest.warns(CollectionCap) if capped else nullcontext():
+            res = improve_solution(duffing_model, duffing_oracle, fold, t, cfg, CCFG, seed=2)
         assert len(res.collections) > 0
         assert len(calls) == len(res.collections) + 1
         assert all(m > 1 for m in calls)
@@ -317,7 +319,7 @@ class TestOnePointConvention:
         assert m.predict_mean(fold) == m.predict_mean(pair)
         assert m.predict_mean_derivs(fold) == m.predict_mean_derivs(pair)
         assert m.predict_var(fold) == m.predict_var(pair)
-        np.testing.assert_array_equal(m.loo_mean_d_A_shift(fold), m.loo_mean_d_A_shift(pair))
+        np.testing.assert_array_equal(m.loo_shifts(m.pass_at(fold)), m.loo_shifts(m.pass_at(pair)))
         a, b = m.add_point(fold, 0.3), m.add_point(pair, 0.3)
         np.testing.assert_array_equal(a.dataset.X, b.dataset.X)
         np.testing.assert_array_equal(a.alpha, b.alpha)

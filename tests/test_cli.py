@@ -14,7 +14,7 @@ from foldtrack.cli import main
 from foldtrack.config import config_from_dict
 from foldtrack.csvio import (RUN_LOG_HEADER, read_dataset_csv, read_run_log,
                              write_dataset_csv, write_run_log)
-from foldtrack.errors import NoConvergence, SingularJacobian
+from foldtrack.errors import NoConvergence, PicardDiverged, SingularJacobian
 from foldtrack.gpr import Dataset
 from foldtrack.oracles import DuffingParams, duffing_gamma
 
@@ -165,6 +165,32 @@ class TestTrace:
         assert result.status == "continuation_error"
         assert len(result.steps) == 1
         assert result.model is models[0]
+
+    @pytest.mark.parametrize("error, code, status, reason", [
+        (SingularJacobian("injected cusp"), 3, "continuation_error", "refresh_failed"),
+        (PicardDiverged("injected divergence"), 2, "oracle_error", "oracle_error")],
+        ids=["refresh_failed", "oracle_error"])
+    def test_mid_run_failure_prints_one_error_line_after_the_artifacts(
+            self, tmp_path, monkeypatch, error, code, status, reason):
+        from foldtrack import driver
+        real = driver.improve_solution
+
+        def fails_at_step_1(model, *args, seed, **kwargs):
+            if seed == (42, 1):
+                raise error
+            return real(model, *args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(driver, "improve_solution", fails_at_step_1)
+        out = tmp_path / "out"
+        res = run_cli("trace", "--config", write_cfg(tmp_path, base_trace_config()),
+                      "--out", str(out))
+        assert res.exit_code == code
+        assert res.stderr == f"error: {error}\n"
+        assert res.stdout == f"traced 1 fold points ({reason}: {error}); artifacts in {out}\n"
+        for name in ("run_log.csv", "collection_log.csv", "dataset.csv"):
+            assert (out / name).is_file()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["reason"]) == (status, f"{reason}: {error}")
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = base_trace_config()

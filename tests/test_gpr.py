@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,13 @@ class TestDataset:
         X = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
         with pytest.raises(ValueError):
             Dataset(X, np.zeros(3))
+
+    def test_tiny_running_spread_does_not_overflow(self):
+        # input 2 lies 1e200 running spreads of inputs 0-1 from input 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = Dataset(np.array([[0.0, 0.0], [1e-200, 0.0], [1.0, 0.0]]), np.zeros(3))
+        assert ds.n == 3
 
     def test_append_drop(self):
         ds = Dataset(np.array([[1.0, 2.0]]), np.array([3.0]))
@@ -327,11 +335,11 @@ class TestLooMeanShift:
         ds = duffing_grid_dataset(duffing_params)
         m = build(ds, Hyperparameters(1e-3, 0.04, 0.05, 0.85))
         ref = dense_loo_mean_d_A_shift(ds.X, ds.F, x, 1e-3, 0.04, 0.05, 0.85)
-        assert np.max(np.abs(m.loo_mean_d_A_shift(x) - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.max(np.abs(m.loo_shifts(m.pass_at(x)) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_leaves_the_factor_alone(self, duffing_model):
         chol = duffing_model.chol.copy()
-        duffing_model.loo_mean_d_A_shift((1.08, 1.6))
+        duffing_model.loo_shifts(duffing_model.pass_at((1.08, 1.6)))
         assert np.array_equal(duffing_model.chol, chol)
 
 

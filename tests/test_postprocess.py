@@ -17,10 +17,11 @@ from foldtrack.continuation import (ContinuationConfig, FoldPoint, _in_cloud, fi
 from foldtrack.driver import run_trace
 from foldtrack.errors import ContinuationError, EmptySliceWarning, NoConvergence
 from foldtrack.geometry import DomainBox
-from foldtrack.gpr import Dataset, FitBounds, Hyperparameters, build, fit_hyperparameters
+from foldtrack.gpr import (Dataset, FitBounds, Hyperparameters, build, fit_hyperparameters,
+                           initial_guess)
 from foldtrack.oracles import DuffingOracle, DuffingParams, IsolaOracle, duffing_gamma
-from foldtrack.postprocess import (FoldCurve, data_box, dropout_ensemble, initial_guess,
-                                   nlfr_slice, offline_fold_trace, seed_scan, sweep_s_curve)
+from foldtrack.postprocess import (FoldCurve, data_box, dropout_ensemble, nlfr_slice,
+                                   offline_fold_trace, seed_scan, sweep_s_curve)
 
 
 def densify_polyline(arr: np.ndarray, factor: int) -> np.ndarray:
@@ -394,7 +395,7 @@ class TestDropoutEnsemble:
         full = fit_hyperparameters(ds, initial_guess(ds), seed=4)
         real, fitted = postprocess.fit_hyperparameters, []
 
-        def recording(data, init, **kw):
+        def recording(data, init=None, **kw):
             fitted.append((data.n, init, kw.get("scale") is None))
             return real(data, init, **kw)
 
@@ -402,8 +403,8 @@ class TestDropoutEnsemble:
         res = dropout_ensemble(ds, n_runs=2, dropout_fraction=0.1, seed=4,
                                cfg=ContinuationConfig(max_steps=2))
         assert res.hyper_init == full
-        # the full dataset, unscaled from its initial guess; then each run, scaled from its optimum
-        assert fitted == [(25, initial_guess(ds), True), (22, full, False), (22, full, False)]
+        # the full dataset, unscaled from the fit's own start; then each run, scaled from its optimum
+        assert fitted == [(25, None, True), (22, full, False), (22, full, False)]
 
     def test_too_small_remainder_rejected(self):
         ds = Dataset(np.array([[1.0, 1.0], [1.1, 1.5]]), np.array([1.0, 2.0]))

@@ -14,7 +14,7 @@ from foldtrack.errors import ControlDiverged
 from foldtrack.geometry import DomainBox
 from foldtrack.postprocess import sweep_s_curve
 from foldtrack.rig import (MAX_CORRECTIONS, REALIZATION_TOL, RigOracle, RigParams,
-                           _fit_fourier, _fundamental_amplitude, _phasor, _segment_references,
+                           _fit_fourier, _phasor, _segment_references,
                            _TargetSignal, update_a1star_mapping)
 
 BOX = DomainBox(9.0, 16.0, 0.02, 25.0)
@@ -93,7 +93,7 @@ class TestTargetSignal:
 
 
 class TestSettleArithmetic:
-    """The settle's block reference and lean fit give the per-period values exactly."""
+    """The settle's block reference and one-mode fit of each period."""
 
     def test_block_reference_equals_per_segment_sampling(self):
         rng = np.random.default_rng(11)
@@ -114,16 +114,22 @@ class TestSettleArithmetic:
                 assert np.array_equal(ystar[k], target.sample(E_k))
                 t = t + n * T
 
-    def test_lean_fit_equals_one_mode_fit(self):
+    def test_one_mode_fit_of_a_period_list_matches_lstsq(self):
+        # the settle's fit: one period plus one sample, its y samples a list
+        fs = RigParams.sample_rate
         rng = np.random.default_rng(12)
         for _ in range(200):
             omega = rng.uniform(9.0, 16.0)
-            period = RigParams.sample_rate / omega
-            n = math.ceil(period) + 1
-            E = _phasor(omega, rng.uniform(0.0, 600.0) + np.arange(n) / RigParams.sample_rate)
-            y = rng.normal(size=n)
-            [(_, A, B)] = _fit_fourier(E, period, 1, y)
-            assert _fundamental_amplitude(E, period, y.tolist()) == math.hypot(A[0], B[0])
+            n = math.ceil(fs / omega) + 1
+            t0 = rng.uniform(0.0, 600.0)
+            t = t0 + np.arange(n) / fs
+            y = fourier_series(rng.normal(), rng.normal(size=3), rng.normal(size=3), omega, t)
+            y += 0.05 * rng.standard_normal(n)
+            [(a0, A, B)] = _fit_fourier(_phasor(omega, t), fs / omega, 1, y.tolist())
+            a0_ref, A_ref, B_ref = lstsq_fourier_coeffs(y, omega, fs, 1, t0)
+            assert a0 == pytest.approx(a0_ref, abs=1e-10)
+            np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(B, B_ref, rtol=0, atol=1e-10)
 
 
 class TestEquilibriumAndLinear:
