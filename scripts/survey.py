@@ -226,8 +226,8 @@ def parse_seeds(text: str) -> range:
         seeds = range(int(a), int(b))
     except ValueError:
         seeds = None
-    if not sep or not seeds:
-        raise SystemExit(f"--seeds takes a:b with a < b, got {text!r}")
+    if not sep or not seeds or seeds.start < 0:
+        raise SystemExit(f"--seeds takes a:b with 0 <= a < b, got {text!r}")
     return seeds
 
 

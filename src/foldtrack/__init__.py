@@ -7,17 +7,3 @@ stand in for the physical experiment.
 """
 
 __version__ = "0.1.0"
-
-from .continuation import ContinuationConfig, FoldPoint, Tangent
-from .geometry import DomainBox
-from .gpr import Dataset, FitBounds, GprModel, Hyperparameters, build, fit_hyperparameters
-from .oracles import (DuffingOracle, DuffingParams, IsolaOracle, IsolaParams,
-                      MeasuredPoint, ReplayOracle, duffing_gamma, isola_gamma)
-
-__all__ = [
-    "ContinuationConfig", "FoldPoint", "Tangent", "DomainBox",
-    "Dataset", "FitBounds", "GprModel", "Hyperparameters", "build", "fit_hyperparameters",
-    "DuffingOracle", "DuffingParams", "IsolaOracle", "IsolaParams",
-    "MeasuredPoint", "ReplayOracle", "duffing_gamma", "isola_gamma",
-    "__version__",
-]

@@ -108,7 +108,8 @@ class _Table(NamedTuple):
     A table with `cls` builds one, the argument `attr` (its key if None) of
     the enclosing object; a table without fills arguments of the enclosing
     object, `prefix` + key for each of its keys.  A nested mapping that is
-    not required and given as null or empty reads as not given.  A key not
+    not required and given as null or `{}` reads as not given; any other
+    value is read, so one that is no mapping is refused.  A key not
     given passes no argument, so every default lives in its dataclass alone.
     """
 
@@ -138,7 +139,7 @@ def _read(d, table: _Table, where: str, label: str | None = None):
     kw = {}
     for k, read in table.keys.items():
         if isinstance(read, _Table):
-            if k in table.required or d.get(k):
+            if k in table.required or d.get(k) not in (None, {}):
                 got = _read(d[k], read, f"{where}.{k}".removeprefix("config."))
                 kw.update({read.attr or k: got} if read.cls else got)
         elif k in d:

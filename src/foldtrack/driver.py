@@ -67,9 +67,10 @@ class TraceResult:
         return ([k, *c] for k, s in enumerate(self.steps) for c in s.collections)
 
 
-def measure_init_grid(oracle, cfg: RunConfig, hyper_init) -> Dataset:
-    """n0 measurements regularly distributed around the starting point."""
-    init = cfg.init
+def measure_init_grid(oracle, cfg: RunConfig) -> Dataset:
+    """n0 measurements regularly distributed around the starting point; a half
+    width not given is the length scale of `cfg.hyper.init` on its axis."""
+    init, hyper_init = cfg.init, cfg.hyper.init
     hw_omega = init.half_width_omega if init.half_width_omega is not None else hyper_init.l_omega
     hw_A = init.half_width_A if init.half_width_A is not None else hyper_init.l_A
     n_om, n_A = init.grid_shape
@@ -92,7 +93,7 @@ def run_trace(cfg: RunConfig, oracle=None) -> TraceResult:
         oracle = make_oracle(cfg.oracle, run_seed=cfg.seed)
     ccfg = cfg.continuation
 
-    dataset = measure_init_grid(oracle, cfg, cfg.hyper.init)
+    dataset = measure_init_grid(oracle, cfg)
     if dataset.n >= 5:
         hyper = fit_hyperparameters(dataset, cfg.hyper.init, bounds=cfg.hyper.bounds,
                                     seed=cfg.seed)

@@ -27,7 +27,8 @@ order LAPACK reads, so it is copied without transposing.  It reads the
 gradient from the one triangle W of K^-1 that LAPACK dpotri returns: for a
 symmetric M, sum((alpha alpha^T - K^-1) o M) = alpha^T M alpha
 - 2 sum(W o M) + sum(diag(W) diag(M)), so the full inverse is never
-formed.  A fit may be given a scale per log-parameter, taken by
+formed.  `log_marginal` is the value of that same evaluation at given
+hyperparameters.  A fit may be given a scale per log-parameter, taken by
 `curvature_scale` from the likelihood's curvature at a nearby optimum: the
 optimizer then starts with a curvature model close to the true one and
 needs fewer evaluations to converge (Nocedal & Wright, Numerical
@@ -39,7 +40,9 @@ from the data.  A query point is read from its first two entries, and
 one point is a batch of one.  Its covariances with the training inputs,
 and the posterior mean, come from one kernel pass, `GprModel.kernel_pass`:
 its offsets from the inputs in length scales (`unit_inputs`, cached once
-per model), read by `mean_terms` with the weights sigma_f2 alpha.
+per model), read by `mean_terms` with the weights sigma_f2 alpha.  Posterior
+variances come from the one triangular solve that scores candidates,
+`predict_var_and_cov_d_A`; `predict_var` reads it at one point.
 """
 
 from __future__ import annotations
@@ -217,10 +220,6 @@ class Dataset:
             return np.full(2, math.inf), np.full(2, -math.inf)
         return self.X.min(axis=0), self.X.max(axis=0)
 
-    @classmethod
-    def empty(cls) -> "Dataset":
-        return cls(np.zeros((0, 2)), np.zeros(0))
-
     def append(self, x, F_value: float) -> "Dataset":
         """This dataset with the sample (x, F_value) last; O(n).
 
@@ -381,13 +380,13 @@ class GprModel:
         return float(self.mean_terms(self.pass_at(x)).sum())
 
     def predict_var(self, x) -> float:
-        """Posterior variance of the latent force amplitude at x.
+        """Posterior variance of the latent force amplitude at x, as the scorer reads
+        it: `predict_var_and_cov_d_A(x, x)`'s variance.
 
         Bounded by [0, sigma_f2]; tiny negative round-off is clamped, larger
         violations raise NumericalBreakdown.
         """
-        v = _solve_lower(self.chol, self._cov(self.pass_at(x)))
-        return float(_clamped_var(self.hyper.sigma_f2 - float(v @ v)))
+        return float(self.predict_var_and_cov_d_A(x, x)[0][0])
 
     def predict_mean_derivs(self, x) -> MeanDerivs:
         """Analytic dG/domega, dG/dA, d2G/dA2, d2G/domega dA of the posterior mean."""
@@ -404,7 +403,8 @@ class GprModel:
         One pass at x and C gives [d/dA k(X, x), k(X, C)] transposed, so in the
         Fortran order LAPACK reads, and one triangular solve of it gives V, whose
         first column against each other one is the data's share of both.
-        Variances are clamped and checked as in `predict_var`.
+        Variances are bounded by [0, sigma_f2]: tiny negative round-off is
+        clamped, larger violations raise NumericalBreakdown.
         """
         hyp = self.hyper
         Q = np.vstack([as_points(x), as_points(C)]) / (hyp.l_omega, hyp.l_A)
@@ -527,16 +527,11 @@ def build(dataset: Dataset, hyper: Hyperparameters) -> GprModel:
 
 
 def log_marginal(dataset: Dataset, hyper: Hyperparameters) -> float:
-    """Log marginal likelihood -1/2 F^T K^-1 F - 1/2 log|K| - n/2 log(2 pi)."""
+    """Log marginal likelihood -1/2 F^T K^-1 F - 1/2 log|K| - n/2 log(2 pi) at `hyper`:
+    the value a fit's evaluation, `_LogMarginal`, takes there."""
     if dataset.n == 0:
         raise ValueError("log marginal likelihood of an empty dataset")
-    model = build(dataset, hyper)
-    return _log_marginal_from_factor(model.chol, model.alpha, dataset.F)
-
-
-def _log_marginal_from_factor(L, alpha, F) -> float:
-    n = len(F)
-    return float(-0.5 * F @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2.0 * math.pi))
+    return _LogMarginal(dataset).at(hyper)[0]
 
 
 class _LogMarginal:
@@ -546,8 +541,9 @@ class _LogMarginal:
     differences and the n x n work arrays are taken once, at construction.
     K_se follows `_kernel_matrix`'s arithmetic and is exactly symmetric, so
     K = K_se + sigma_n2 I is factored as K^T: the same matrix, in the
-    Fortran order dpotrf reads, so LAPACK's copy of it does not transpose,
-    and the value is `log_marginal`'s to the bit.  dpotri returns the lower
+    Fortran order dpotrf reads, so LAPACK's copy of it does not transpose.
+    A fit calls it at log-parameters z; `at` takes the `Hyperparameters`
+    exp(z), and `log_marginal` reads its value.  dpotri returns the lower
     triangle W of K^-1 from the factor, the strict upper one zero.  The
     gradient (Rasmussen & Williams eq. 5.9) is sigma_n2 (alpha.alpha -
     tr K^-1)/2 for the noise, and S(M)/2 with S(M) = sum((alpha alpha^T -
@@ -567,7 +563,11 @@ class _LogMarginal:
         self.Do2, self.Da2, self.Kse = (np.empty_like(self.Dw) for _ in range(3))
 
     def __call__(self, z: np.ndarray):
-        hyper = Hyperparameters.from_array(np.exp(z))
+        """Value and gradient at the log-parameters z."""
+        return self.at(Hyperparameters.from_array(np.exp(z)))
+
+    def at(self, hyper: Hyperparameters):
+        """Value and gradient, w.r.t. the log-parameters, at `hyper`."""
         F, Do2, Da2, Kse = self.F, self.Do2, self.Da2, self.Kse
         n = len(F)
         np.square(np.divide(self.Dw, hyper.l_omega, out=Do2), out=Do2)
@@ -581,7 +581,8 @@ class _LogMarginal:
         L, _ = _factorize(Kse.T, hyper)
         Kse.flat[::n + 1] = hyper.sigma_f2
         alpha = _cho_solve(L, F)
-        value = _log_marginal_from_factor(L, alpha, F)
+        value = float(-0.5 * F @ alpha - np.sum(np.log(np.diag(L)))
+                      - 0.5 * n * math.log(2.0 * math.pi))
 
         W = _inverse_lower(L, overwrite=True)
         w = W.T.ravel()  # W is Fortran-ordered, so this is a view

@@ -14,7 +14,9 @@ stopped.
 
 A trace or ensemble given no hyperparameters fits them with no start of
 its own: `gpr.fit_hyperparameters` starts from `gpr.initial_guess`, which
-it takes from the data as it takes its default bounds.
+it takes from the data as it takes its default bounds.  Both take the
+caller's continuation config, whose missing domain box `data_box` fills
+from the data.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ class SCurve:
     omega: float
     points: list[MeasuredPoint] = field(default_factory=list)
     failures: list[tuple[float, str]] = field(default_factory=list)
-
-    @property
-    def F(self) -> np.ndarray:
-        return np.array([p.F for p in self.points])
 
 
 def sweep_s_curve(oracle, omega: float, A_grid) -> SCurve:
@@ -100,28 +98,25 @@ def data_box(dataset: Dataset) -> DomainBox:
     return DomainBox(lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1])
 
 
-def offline_fold_trace(dataset: Dataset, hyper: Hyperparameters | None = None,
-                       cfg: ContinuationConfig | None = None, x0=None,
-                       seed: int = 0) -> FoldCurve:
+def offline_fold_trace(dataset: Dataset, hyper: Hyperparameters | None = None, *,
+                       cfg: ContinuationConfig, x0=None, seed: int = 0) -> FoldCurve:
     """Fold curve of the surrogate built from all points of a recorded dataset.
 
     Hyperparameters are fitted when not supplied, from the fit's own start,
-    `gpr.initial_guess`, and four more starts drawn from `seed`; the
-    starting point comes from `seed_scan` unless given.  From the first
-    fold, `continuation.follow` takes up to cfg.max_steps steps forward
-    (along increasing omega) and as many backward; the curve runs from the
-    backward end to the forward end, and its `reason` is the pair
-    (forward, backward) of their stop reasons.
-    No new data is collected.
+    `gpr.initial_guess`, and four more starts drawn from `seed`.  The
+    continuation runs by `cfg`, in `data_box(dataset)` when `cfg` names no
+    box, and starts from `seed_scan`'s pick unless given `x0`.  From the
+    first fold, `continuation.follow` takes up to cfg.max_steps steps
+    forward (along increasing omega) and as many backward; the curve runs
+    from the backward end to the forward end, and its `reason` is the pair
+    (forward, backward) of their stop reasons.  No new data is collected.
     """
     if dataset.n == 0:
         raise ValueError("cannot trace an empty dataset")
     if hyper is None:
         hyper = fit_hyperparameters(dataset, seed=seed)
     model = build(dataset, hyper)
-    if cfg is None:
-        cfg = ContinuationConfig(domain_box=data_box(dataset), max_steps=200)
-    elif cfg.domain_box is None:
+    if cfg.domain_box is None:
         cfg = replace(cfg, domain_box=data_box(dataset))
     if x0 is None:
         x0 = seed_scan(model, cfg.domain_box)
@@ -220,14 +215,16 @@ class EnsembleResult:
 
 
 def dropout_ensemble(dataset: Dataset, n_runs: int, dropout_fraction: float, seed: int = 0,
-                     hyper_init: Hyperparameters | None = None,
-                     cfg: ContinuationConfig | None = None, x0=None,
+                     hyper_init: Hyperparameters | None = None, *,
+                     cfg: ContinuationConfig, x0=None,
                      fit_n_starts: int = 1, threads: int = 1) -> EnsembleResult:
     """Refit and retrace fold curves on datasets with points randomly removed.
 
     Each run drops exactly ceil(fraction * n) distinct points (fraction 0
     drops none), re-maximizes the likelihood for its own data with
-    `fit_n_starts` starts, and traces offline.  Every run's fit starts from
+    `fit_n_starts` starts, and traces offline by `cfg`, in the box
+    `data_box` takes from the run's own data when `cfg` names none, as
+    `offline_fold_trace` does.  Every run's fit starts from
     `hyper_init`, the full dataset's optimum, and works in the scales
     `gpr.curvature_scale` takes there once per call, before any worker is
     forked.  Without `hyper_init`, once the arguments are checked, the full
@@ -260,7 +257,7 @@ def dropout_ensemble(dataset: Dataset, n_runs: int, dropout_fraction: float, see
 
 def _ensemble_run(run_id: int, *, dataset: Dataset, n_drop: int, seed: int,
                   hyper_init: Hyperparameters, scale: np.ndarray,
-                  cfg: ContinuationConfig | None, x0, fit_n_starts: int) -> EnsembleRun:
+                  cfg: ContinuationConfig, x0, fit_n_starts: int) -> EnsembleRun:
     """One dropout run; module level so that a worker process can be sent it."""
     rng = np.random.default_rng((seed, run_id))
     keep = np.sort(rng.choice(dataset.n, size=dataset.n - n_drop, replace=False))

@@ -195,11 +195,24 @@ HYPER_MISSING = "missing required keys ['l_A', 'l_omega', 'sigma_f2']"
      "offline: need H_MIN (0.001) <= h <= h_max"),
     (offline_config_from_dict, {"inputs": None},
      "offline.inputs: expected a mapping, got NoneType"),
+    # an optional section other than null or {} is read, so a falsy non-mapping is refused
+    (config_from_dict, edited(TRACE_RAW, {"acquisition": 0}),
+     "acquisition: expected a mapping, got int"),
+    (config_from_dict, edited(TRACE_RAW, {"continuation": False}),
+     "continuation: expected a mapping, got bool"),
+    (config_from_dict, edited(TRACE_RAW, {"init.half_widths": 0}),
+     "init.half_widths: expected a mapping, got int"),
+    (config_from_dict, edited(load_raw(CONFIGS / "isola.yaml"), {"oracle.domain_box": []}),
+     "oracle.domain_box: expected a mapping, got list"),
+    (offline_config_from_dict, {**INPUTS, "hyperparameters": False},
+     "offline.hyperparameters: expected a mapping, got bool"),
 ], ids=["trace_unknown_key", "trace_missing_init", "trace_seed", "sweep_seed",
         "oracle_unknown_key", "x0_value", "init_null", "hyper_missing_key", "hyper_check",
         "domain_box_check", "continuation_check", "bounds_missing_keys", "sweep_unknown_key",
         "nlfr_unknown_key", "nlfr_inputs_unknown_key", "ensemble_value", "ensemble_check",
-        "offline_hyper_missing_keys", "offline_check", "offline_inputs_null"])
+        "offline_hyper_missing_keys", "offline_check", "offline_inputs_null",
+        "acquisition_zero", "continuation_false", "half_widths_zero", "isola_domain_box_list",
+        "offline_hyper_false"])
 def test_refusal_names_its_section_and_key(parse, raw, message):
     with pytest.raises(ConfigError) as e:
         parse(raw)

@@ -225,8 +225,8 @@ def test_duplicate_point_is_a_value_error():
 def test_appended_dataset_round_trips_through_csv(tmp_path):
     # 5e-10 apart is no duplicate under the spread of the first two inputs,
     # but would be under the spread the third input gives the whole set
-    ds = Dataset.empty().append((0.0, 0.0), 1.0).append((5e-10, 0.0), 1.0) \
-        .append((1.0, 1.0), 2.0)
+    ds = Dataset(np.zeros((0, 2)), np.zeros(0)).append((0.0, 0.0), 1.0) \
+        .append((5e-10, 0.0), 1.0).append((1.0, 1.0), 2.0)
     csvio.write_dataset_csv(tmp_path / "dataset.csv", ds)
     back = csvio.read_dataset_csv(tmp_path / "dataset.csv")
     assert np.array_equal(back.X, ds.X) and np.array_equal(back.F, ds.F)
@@ -263,7 +263,7 @@ def test_duplicate_rule_matches_the_brute_force_reference(rows, flat, probes):
     """
     if flat is not None:
         rows = [(r[0], 0.75) if flat else (0.75, r[1]) for r in rows]
-    ds = Dataset.empty()
+    ds = Dataset(np.zeros((0, 2)), np.zeros(0))
     for omega, A in rows:
         if first_duplicate(ds.X, (omega, A)) < 0:
             ds = ds.append((omega, A), 1.0)

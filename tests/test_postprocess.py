@@ -53,7 +53,7 @@ class TestSweep:
         # the surface has two interior extrema in A at this frequency
         assert len(duffing_fold_amplitudes(1.0, 0.02, 0.05, 1.12)) == 2
         curve = sweep_s_curve(duffing_oracle, 1.12, np.arange(0.4, 3.2, 0.1))
-        F = curve.F
+        F = [p.F for p in curve.points]
         lmax = [i for i in range(1, len(F) - 1) if F[i] > F[i - 1] and F[i] > F[i + 1]]
         lmin = [i for i in range(1, len(F) - 1) if F[i] < F[i - 1] and F[i] < F[i + 1]]
         assert lmax and lmin and min(lmax) < max(lmin)
@@ -140,7 +140,8 @@ class TestSeedScan:
 class TestOfflineTrace:
     def test_matches_online_curve(self, online_run):
         online = FoldCurve(online_run.curve, hyper=online_run.hyper_fitted)
-        offline = offline_fold_trace(online_run.model.dataset, seed=0)
+        offline = offline_fold_trace(online_run.model.dataset,
+                                     cfg=ContinuationConfig(max_steps=200), seed=0)
         on = online.as_array()
         on = on[np.argsort(on[:, 0])]
         lo, hi = on[:, 0].min(), on[:, 0].max()
@@ -155,7 +156,8 @@ class TestOfflineTrace:
 
     def test_uses_supplied_hyper_without_fit(self, online_run):
         hyp = online_run.hyper_fitted
-        curve = offline_fold_trace(online_run.model.dataset, hyper=hyp)
+        curve = offline_fold_trace(online_run.model.dataset, hyper=hyp,
+                                   cfg=ContinuationConfig(max_steps=200))
         assert curve.hyper == hyp
         assert len(curve.points) > 5
 
@@ -170,7 +172,8 @@ class TestOfflineTrace:
                 X.append([m.omega, m.A])
                 F.append(m.F)
         sparse = Dataset(np.array(X), np.array(F))
-        curve_sparse = offline_fold_trace(sparse, x0=(1.12, 1.55), seed=0)
+        curve_sparse = offline_fold_trace(sparse, cfg=ContinuationConfig(max_steps=200),
+                                          x0=(1.12, 1.55), seed=0)
 
         def max_gamma_err(curve):
             errs = []
@@ -187,7 +190,8 @@ class TestOfflineTrace:
         from dataclasses import replace
         cfg = replace(cfg, continuation=replace(cfg.continuation, max_steps=22))
         online = run_trace(cfg)
-        curve_online = offline_fold_trace(online.model.dataset, seed=0)
+        curve_online = offline_fold_trace(online.model.dataset,
+                                          cfg=ContinuationConfig(max_steps=200), seed=0)
         assert max_gamma_err(curve_sparse) > max_gamma_err(curve_online)
 
     def test_max_steps_counts_accepted_steps(self, duffing_params):
@@ -340,7 +344,8 @@ class TestDropoutEnsemble:
     def test_zero_dropout_runs_identical(self, online_run):
         ds = online_run.model.dataset
         res = dropout_ensemble(ds, n_runs=2, dropout_fraction=0.0, seed=3,
-                               fit_n_starts=1, hyper_init=online_run.hyper_fitted)
+                               fit_n_starts=1, hyper_init=online_run.hyper_fitted,
+                               cfg=ContinuationConfig(max_steps=200))
         assert res.completed_fraction == 1.0
         a, b = res.runs[0].curve.as_array(), res.runs[1].curve.as_array()
         assert np.array_equal(a, b)
@@ -352,7 +357,7 @@ class TestDropoutEnsemble:
     def test_deterministic_and_thread_independent(self, online_run, monkeypatch, pool_spy):
         _script_runs(monkeypatch, {1: NoConvergence("scripted failure")})
         kw = dict(n_runs=4, dropout_fraction=0.1, seed=5, fit_n_starts=1,
-                  hyper_init=online_run.hyper_fitted)
+                  hyper_init=online_run.hyper_fitted, cfg=ContinuationConfig(max_steps=200))
         serial = dropout_ensemble(online_run.model.dataset, threads=1, **kw)
         assert pool_spy == []
         forked = dropout_ensemble(online_run.model.dataset, threads=2, **kw)
@@ -409,7 +414,8 @@ class TestDropoutEnsemble:
     def test_too_small_remainder_rejected(self):
         ds = Dataset(np.array([[1.0, 1.0], [1.1, 1.5]]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            dropout_ensemble(ds, n_runs=2, dropout_fraction=0.4)
+            dropout_ensemble(ds, n_runs=2, dropout_fraction=0.4,
+                             cfg=ContinuationConfig(max_steps=200))
 
 
 class TestEnsembleProcesses:
@@ -440,7 +446,7 @@ class TestEnsembleProcesses:
         _script_runs(monkeypatch, {i: NoConvergence("skip the fit") for i in range(n_runs)})
         ds = duffing_grid_dataset(duffing_params)
         res = dropout_ensemble(ds, n_runs=n_runs, dropout_fraction=0.1, threads=threads,
-                               hyper_init=duffing_hyper)
+                               hyper_init=duffing_hyper, cfg=ContinuationConfig(max_steps=200))
         assert len(res.runs) == n_runs
         assert _InProcessPool.sizes == ([] if workers is None or not FORK else [workers])
 
@@ -452,7 +458,7 @@ class TestEnsembleProcesses:
         _script_runs(monkeypatch, {i: NoConvergence("skip the fit") for i in range(4)})
         ds = duffing_grid_dataset(duffing_params)
         res = dropout_ensemble(ds, n_runs=4, dropout_fraction=0.1, threads=4,
-                               hyper_init=duffing_hyper)
+                               hyper_init=duffing_hyper, cfg=ContinuationConfig(max_steps=200))
         assert [r.run_id for r in res.runs] == [0, 1, 2, 3]
         assert _InProcessPool.sizes == []
 

@@ -160,3 +160,10 @@ def test_unreadable_config_is_one_error_line_and_exit_1(tmp_path, config, messag
     assert res.returncode == 1
     assert res.stdout == ""
     assert res.stderr.startswith(f"error: {message}") and res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["-1:1", "3:3", "2"], ids=["negative_start", "empty", "no_colon"])
+def test_bad_seed_range_is_refused(monkeypatch, text):
+    # a negative seed would reach the oracle's generator, which refuses it with a traceback
+    with pytest.raises(SystemExit, match=r"^--seeds takes a:b with 0 <= a < b, got "):
+        load_survey(monkeypatch).parse_seeds(text)
