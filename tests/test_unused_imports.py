@@ -1,10 +1,11 @@
 """No module of the package imports a name it never uses.
 
 No linter ships with the project, so this parses each module and checks
-each imported name against the names the module reads: plain names,
-the roots of dotted names, names inside quoted annotations, and `__all__`.
-An import line marked `# noqa: F401` is exempt: it keeps a name where a
-caller outside the module finds it.
+each imported name against the names the module reads (a dotted name by
+its root; annotations are unquoted under `from __future__ import
+annotations`) and the entries of `__all__`.  An import line marked
+`# noqa: F401` is exempt: it keeps a name where a caller outside the
+module finds it.
 """
 
 import ast
@@ -30,25 +31,9 @@ def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
     return out
 
 
-def _annotations(tree: ast.Module):
-    """Every annotation node of the module."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.arg) and node.annotation:
-            yield node.annotation
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
-            yield node.returns
-        elif isinstance(node, ast.AnnAssign):
-            yield node.annotation
-
-
 def _used(tree: ast.Module) -> set[str]:
-    """Every name the module reads, quoted annotations and `__all__` included."""
+    """Every name the module reads, the entries of `__all__` included."""
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for annotation in _annotations(tree):
-        for node in ast.walk(annotation):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
-                         if isinstance(n, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
                                                 for t in node.targets):
